@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from .engine import Budgets, pair_graph
-from .equivalence import LengthSpec, Relation, letter_equiv_classes
+from .equivalence import LengthSpec, letter_equiv_classes
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError, Undecidable)
-from .linalg import (char_poly, classify_spectrum, integer_form,
-                     left_pf_eigenvector, perron_data)
+from .linalg import char_poly, classify_spectrum, integer_form
 from .report import render_dot, render_json
-from .substitution import parse_substitution
+from .substitution import (admissible_prefixes, fixed_point_stream,
+                           parse_substitution)
 from .verdict import AnalysisConfig, RelationSpec, analyze
 
 EXIT_OK = 0
@@ -187,21 +187,11 @@ def _write_outputs(report, args, out):
         if target is None:
             print("no terminated cell; DOT graph not written", file=out)
         else:
-            rel = _relation_for_cell(report, target)
-            graph = pair_graph(report.subst, rel, target.outcome.pairs)
+            graph = pair_graph(report.subst, target.relation,
+                               target.outcome.pairs)
             dot_path.write_text(render_dot(graph, report.subst.alphabet),
                                 encoding="utf-8")
             print(f"wrote {dot_path}", file=out)
-
-
-def _relation_for_cell(report, cell):
-    label = cell.relation_label
-    if label == "plain":
-        return Relation.plain(report.subst)
-    if label == "letters":
-        return Relation.letter_classes(report.subst)
-    spec_text = label[len("general["):-1]
-    return Relation.generalized(report.subst, LengthSpec.parse(spec_text))
 
 
 def cmd_info(args, out):
@@ -214,7 +204,8 @@ def cmd_info(args, out):
     print("transition matrix (rows = letter counted):", file=out)
     for row in matrix:
         print("  " + " ".join(str(v) for v in row), file=out)
-    cp = char_poly(matrix)
+    spectrum = subst.spectrum() if subst.is_primitive() else None
+    cp = spectrum.char_poly if spectrum else char_poly(matrix)
     print(f"char poly: {cp}", file=out)
     print(f"primitive: {subst.is_primitive()}", file=out)
     print(f"constant length: {subst.is_constant_length()}", file=out)
@@ -222,21 +213,20 @@ def cmd_info(args, out):
     rendered = ", ".join("{" + " ".join(alphabet.tokens[i] for i in cls) + "}"
                          for cls in classes)
     print(f"letter classes: {rendered}", file=out)
-    if not subst.is_primitive():
+    if spectrum is None:
         print("matrix is not primitive; spectral data skipped", file=out)
         if args.json is not None:
-            _write_info_json(args.json, subst, cp, classes, None, None, None,
-                             out)
+            _write_info_json(args.json, subst, cp, classes, None, None, out)
         return EXIT_OK
-    eigen = classify_spectrum(matrix,
+    nf = spectrum.perron
+    eigen = classify_spectrum(spectrum.factors, nf,
                               constant_length=subst.is_constant_length(),
                               precision_bits=args.precision)
-    for fac, mult in eigen.factors:
+    for fac, mult in spectrum.factors:
         print(f"factor: ({fac})^{mult}", file=out)
-    nf = perron_data(matrix)
     print(f"perron eigenvalue: root of {nf.min_poly} ~ {nf.approx_str()}",
           file=out)
-    vec = left_pf_eigenvector(matrix, nf)
+    vec = spectrum.l_lambda
     approx = ", ".join(v.decimal(8) for v in vec)
     print(f"left PF eigenvector: ({approx})", file=out)
     ints = integer_form(vec)
@@ -249,11 +239,11 @@ def cmd_info(args, out):
     print(f"dim large / small eigenspaces: {eigen.dim_large} / "
           f"{eigen.dim_small}", file=out)
     if args.json is not None:
-        _write_info_json(args.json, subst, cp, classes, eigen, nf, vec, out)
+        _write_info_json(args.json, subst, cp, classes, eigen, spectrum, out)
     return EXIT_OK
 
 
-def _write_info_json(path, subst, cp, classes, eigen, nf, vec, out):
+def _write_info_json(path, subst, cp, classes, eigen, spectrum, out):
     import json
 
     alphabet = subst.alphabet
@@ -268,8 +258,9 @@ def _write_info_json(path, subst, cp, classes, eigen, nf, vec, out):
                            for cls in classes],
     }
     if eigen is not None:
+        nf, vec = spectrum.perron, spectrum.l_lambda
         doc["factors"] = [{"poly": [str(c) for c in f.coeffs],
-                           "multiplicity": m} for f, m in eigen.factors]
+                           "multiplicity": m} for f, m in spectrum.factors]
         doc["perron"] = {"min_poly": [str(c) for c in nf.min_poly.coeffs],
                          "interval": [str(b) for b in nf.canonical_interval()],
                          "approx": nf.approx_str()}
@@ -286,11 +277,14 @@ def _write_info_json(path, subst, cp, classes, eigen, nf, vec, out):
 def cmd_bpa(args, out):
     subst = _load(args.input)
     config = _config(args, subst)
-    # one cell: first prefix, first relation
+    # one cell: first prefix, first relation; analyze reports a
+    # non-primitive input, or an empty list of auto prefixes
     config.relations = config.relations[:1]
+    if not config.prefixes and subst.is_primitive():
+        config.prefixes = admissible_prefixes(
+            fixed_point_stream(subst), config.auto_max_len,
+            config.require_return)[:1]
     report = analyze(subst, config)
-    if not config.prefixes:
-        report.cells = report.cells[:1]
     _print_cells(report, out)
     _write_outputs(report, args, out)
     return _exit_code_for(report)

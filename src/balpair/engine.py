@@ -232,13 +232,14 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
         raise NotBalanced("pair words must be nonempty")
     if not rel.word_equiv(u, v):
         raise NotBalanced("words are not equivalent under the relation")
-    splitter = _Splitter(rel, iter(u), iter(v), component_cap=max_word_length)
-    out = []
-    while True:
-        component = splitter.next_component()
-        if component is None:
-            return out
-        out.append(component)
+    return _components(rel, u, v, max_word_length)
+
+
+def _components(rel, top, bottom, component_cap):
+    """Every irreducible component of the scan of two words, in order."""
+    splitter = _Splitter(rel, iter(top), iter(bottom),
+                         component_cap=component_cap)
+    return list(iter(splitter.next_component, None))
 
 
 def substitute_pair(subst: Substitution, pair: BalancedPair):
@@ -249,14 +250,7 @@ def substitute_pair(subst: Substitution, pair: BalancedPair):
 def children(subst, rel, pair, *, max_word_length=None):
     """Irreducible pairs in the reduction of the substituted pair, in order."""
     top, bottom = substitute_pair(subst, pair)
-    splitter = _Splitter(rel, iter(top), iter(bottom),
-                         component_cap=max_word_length)
-    out = []
-    while True:
-        component = splitter.next_component()
-        if component is None:
-            return out
-        out.append(component)
+    return _components(rel, top, bottom, max_word_length)
 
 
 def initial_pairs(subst, rel, w, budgets: Budgets,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalInvariantError
-from .linalg import left_pf_eigenvector, mat_powers, perron_data
+from .linalg import mat_powers
 from .numberfield import FieldScalar
 from .substitution import Substitution
 
@@ -70,7 +70,7 @@ class LengthSpec:
 
 
 def resolve_length_vector(subst: Substitution, spec: LengthSpec):
-    """Exact per-letter lengths for a LengthSpec.
+    """Exact, strictly positive per-letter lengths for a LengthSpec.
 
     ones and custom give Fractions; lambda gives FieldScalars in Q(lambda)
     (rational lambda degenerates to a degree-1 field).
@@ -86,10 +86,7 @@ def resolve_length_vector(subst: Substitution, spec: LengthSpec):
             raise ValueError("length vector entries must be strictly positive")
         return spec.values
     if spec.kind == "lambda":
-        if not subst.is_primitive():
-            raise ValueError("PF length vector needs a primitive substitution")
-        nf = perron_data(subst.transition_matrix())
-        return tuple(left_pf_eigenvector(subst.transition_matrix(), nf))
+        return subst.spectrum().l_lambda
     raise ValueError(f"unknown length spec kind {spec.kind!r}")
 
 
@@ -178,10 +175,6 @@ class Relation:
     @staticmethod
     def generalized(subst, spec: LengthSpec):
         lengths = resolve_length_vector(subst, spec)
-        for v in lengths:
-            positive = v.sign() > 0 if isinstance(v, FieldScalar) else v > 0
-            if not positive:
-                raise ValueError("length vector entries must be positive")
         return Relation(subst, GENERAL, lengths=lengths, spec=spec,
                         is_lambda=(spec.kind == "lambda"))
 
@@ -315,9 +308,6 @@ def letter_equiv_classes(subst: Substitution):
 
 def in_pf_kernel(subst: Substitution, z) -> bool:
     """True iff the PF left eigenvector annihilates the integer vector z."""
-    lengths = resolve_length_vector(subst, LengthSpec.pf())
-    total = None
-    for weight, zi in zip(lengths, z):
-        term = weight * zi
-        total = term if total is None else total + term
-    return total.is_zero if isinstance(total, FieldScalar) else total == 0
+    spectrum = subst.spectrum()
+    terms = (weight * zi for weight, zi in zip(spectrum.l_lambda, z))
+    return sum(terms, spectrum.perron.zero()).is_zero

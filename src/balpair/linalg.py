@@ -85,14 +85,13 @@ def poly_of_matrix(p: RatPoly, matrix):
 # -- Perron data -------------------------------------------------------------
 
 
-def perron_data(matrix, approx_digits: int = 12) -> NumberField:
+def perron_data(factors) -> NumberField:
     """Number field of the Perron-Frobenius eigenvalue of a primitive matrix.
 
-    Picks the irreducible factor of the characteristic polynomial whose
-    largest real root dominates every other factor's largest real root, with
-    a Sturm-isolated interval around that root.
+    Picks the irreducible factor of the characteristic polynomial (given as
+    its factor list) whose largest real root dominates every other factor's
+    largest real root, with a Sturm-isolated interval around that root.
     """
-    factors = factor_poly(char_poly(matrix))
     best = None  # (poly, lo, hi)
     for poly, _mult in factors:
         interval = poly.largest_real_root_interval()
@@ -116,7 +115,7 @@ def perron_data(matrix, approx_digits: int = 12) -> NumberField:
         raise InternalInvariantError(
             "no real eigenvalue found; matrix cannot be primitive")
     poly, lo, hi = best
-    return NumberField(poly, lo, hi, approx_digits=approx_digits)
+    return NumberField(poly, lo, hi)
 
 
 def left_pf_eigenvector(matrix, nf: NumberField):
@@ -175,6 +174,29 @@ def integer_form(vector):
     return tuple(v // g for v in ints)
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Exact spectral data of a primitive transition matrix, built once.
+
+    Sign tests refine the isolating interval of the shared Perron field in
+    place; rendering reads only pinned enclosures, so refinement never
+    changes an output.
+    """
+
+    char_poly: RatPoly
+    factors: tuple  # (irreducible RatPoly, multiplicity) pairs
+    perron: NumberField
+    l_lambda: tuple  # left PF eigenvector, first coordinate 1
+
+    @staticmethod
+    def of(matrix):
+        cp = char_poly(matrix)
+        factors = tuple(factor_poly(cp))
+        nf = perron_data(factors)
+        return Spectrum(cp, factors, nf,
+                        tuple(left_pf_eigenvector(matrix, nf)))
+
+
 # -- eigenvalue classification ------------------------------------------------
 
 ZERO, SMALL, UNIT, LARGE, PERRON = "zero", "small", "unit", "large", "perron"
@@ -192,7 +214,6 @@ class RootClass:
 
 @dataclass
 class EigenReport:
-    factors: list  # (RatPoly, multiplicity)
     roots: list = field(default_factory=list)  # RootClass entries
     charpoly_irreducible: bool = False
     pisot_type_literal: bool = False
@@ -241,8 +262,8 @@ def _classify_real_root(poly, lo, hi):
     return SMALL
 
 
-def _complex_pair_classes(poly, precision_bits):
-    """Modulus classes for the conjugate-pair roots of an irreducible factor.
+def _complex_pair_classes(poly, real_intervals, precision_bits):
+    """Moduli of a factor's conjugate pairs, given its real-root brackets.
 
     Exact shortcuts: a quadratic pair has |z|^2 = constant term; a cubic has
     one real root rho and |z|^2 = |a0| / |rho|. Higher degrees use certified
@@ -251,9 +272,7 @@ def _complex_pair_classes(poly, precision_bits):
     squarefree polynomial isolate one root each.
     """
     deg = poly.degree
-    chain = poly.sturm_chain()
-    n_real = poly.count_real_roots(chain)
-    n_pairs = (deg - n_real) // 2
+    n_pairs = (deg - len(real_intervals)) // 2
     if n_pairs == 0:
         return []
     ints = poly.primitive_integer_coeffs()
@@ -264,7 +283,7 @@ def _complex_pair_classes(poly, precision_bits):
     if deg == 3:
         # |z|^2 = |product of all roots| / |real root|
         prod = abs(Fraction(ints[0], lead))
-        lo, hi = poly.largest_real_root_interval()  # the only real root
+        [(lo, hi)] = real_intervals  # the only real root
         # compare |z|^2 against 1, i.e. prod against |rho|
         for _ in range(10_000):
             alo, ahi = (abs(x) for x in sorted((lo, hi), key=abs))
@@ -339,21 +358,18 @@ def _complex_enclosure_classes(poly, n_pairs, precision_bits):
         f"{min(precision_bits, PRECISION_LADDER[-1])} bits", poly)
 
 
-def classify_spectrum(matrix, *, constant_length=None,
+def classify_spectrum(factors, nf: NumberField, *, constant_length=None,
                       precision_bits=PRECISION_LADDER[-1],
                       approx_digits=8) -> EigenReport:
-    """Classify every eigenvalue modulus of a primitive transition matrix.
+    """Classify every eigenvalue modulus of a primitive transition matrix,
+    given the factors of its characteristic polynomial and its Perron field.
 
     Raises Undecidable when a non-cyclotomic factor has a complex pair whose
     modulus cannot be separated from 1 within the precision ladder.
     """
-    n = len(matrix)
-    poly = char_poly(matrix)
-    factors = factor_poly(poly)
-    nf = perron_data(matrix, approx_digits=approx_digits)
+    n = sum(fac.degree * mult for fac, mult in factors)
     cyclo = cyclotomics_up_to_degree(n)
-    report = EigenReport(factors=factors,
-                         charpoly_irreducible=(len(factors) == 1
+    report = EigenReport(charpoly_irreducible=(len(factors) == 1
                                                and factors[0][1] == 1),
                          constant_length=constant_length)
 
@@ -389,7 +405,7 @@ def classify_spectrum(matrix, *, constant_length=None,
                 continue
             kind = _classify_real_root(fac, lo, hi)
             add(idx, kind, mult, _approx_from_bracket(fac, lo, hi, approx_digits))
-        for kind in _complex_pair_classes(fac, precision_bits):
+        for kind in _complex_pair_classes(fac, intervals, precision_bits):
             add(idx, kind, 2 * mult, f"conjugate pair, |z| {'>' if kind == LARGE else '<'} 1")
 
     total = sum(rc.multiplicity for rc in report.roots)

@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
+from .linalg import integer_form
 from .numberfield import FieldScalar
 
 
@@ -75,12 +76,11 @@ def _verdict(v):
 
 
 def _cell(cell, alphabet, pair_list_limit):
-    label = cell.relation_label
+    length = cell.spec.length
     doc = {
         "prefix": alphabet.render(cell.prefix),
-        "relation": label,
-        "length_spec": (label[len("general["):-1]
-                        if label.startswith("general[") else None),
+        "relation": cell.relation_label,
+        "length_spec": length.label() if length is not None else None,
         "prefix_returns": cell.prefix_ok,
     }
     if cell.error is not None:
@@ -119,6 +119,9 @@ def report_document(report, pair_list_limit=1000):
     subst = report.subst
     alphabet = subst.alphabet
     eigen = report.eigen
+    spectrum = report.spectrum
+    perron = spectrum.perron
+    l_lambda_integer = integer_form(spectrum.l_lambda)
     doc = {
         "tool_version": __version__,
         "substitution": {
@@ -126,20 +129,19 @@ def report_document(report, pair_list_limit=1000):
                       for i, img in enumerate(subst.rules)},
             "alphabet": list(alphabet.tokens),
             "matrix": [list(row) for row in subst.transition_matrix()],
-            "char_poly": _poly(_charpoly(subst)),
+            "char_poly": _poly(spectrum.char_poly),
             "factors": ([{"poly": _poly(f), "multiplicity": m}
-                         for f, m in eigen.factors] if eigen else None),
+                         for f, m in spectrum.factors] if eigen else None),
             "perron": {
-                "min_poly": _poly(report.perron.min_poly),
-                "interval": [str(b) for b in report.perron.canonical_interval()],
-                "approx": report.perron.approx_str(),
+                "min_poly": _poly(perron.min_poly),
+                "interval": [str(b) for b in perron.canonical_interval()],
+                "approx": perron.approx_str(),
             },
             "l_lambda": {
-                "exact": [_scalar(v) for v in report.l_lambda],
-                "approx": [v.decimal() if isinstance(v, FieldScalar)
-                           else str(v) for v in report.l_lambda],
-                "integer_form": (list(report.l_lambda_integer)
-                                 if report.l_lambda_integer else None),
+                "exact": [_scalar(v) for v in spectrum.l_lambda],
+                "approx": [v.decimal() for v in spectrum.l_lambda],
+                "integer_form": (list(l_lambda_integer)
+                                 if l_lambda_integer else None),
             },
             "flags": {
                 "primitive": subst.is_primitive(),
@@ -166,11 +168,6 @@ def report_document(report, pair_list_limit=1000):
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
     }
     return doc
-
-
-def _charpoly(subst):
-    from .linalg import char_poly
-    return char_poly(subst.transition_matrix())
 
 
 def render_json(report, pair_list_limit=1000) -> bytes:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
+from .linalg import Spectrum
 
 Word = tuple  # tuple of int letter indices
 
@@ -94,6 +95,7 @@ class Substitution:
         self.rules = rules
         self._matrix = None
         self._primitive = None
+        self._spectrum = None
 
     @property
     def size(self):
@@ -144,6 +146,14 @@ class Substitution:
                                    for k in range(n)) else 0
                           for j in range(n)] for i in range(n)]
         return self._primitive
+
+    def spectrum(self) -> Spectrum:
+        """Char poly, its factors, Q(lambda) and the left PF eigenvector."""
+        if self._spectrum is None:
+            if not self.is_primitive():
+                raise ValueError("spectral data needs a primitive matrix")
+            self._spectrum = Spectrum.of(self.transition_matrix())
+        return self._spectrum
 
     def is_constant_length(self):
         return len({len(img) for img in self.rules}) == 1

@@ -17,8 +17,7 @@ from .engine import (Budgets, coincidence_analysis, coincidence_density,
                      pair_graph, run_bpa)
 from .equivalence import LengthSpec, Relation, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig, Undecidable
-from .linalg import (classify_spectrum, integer_form, left_pf_eigenvector,
-                     perron_data)
+from .linalg import Spectrum, classify_spectrum
 from .substitution import Substitution, admissible_prefixes, fixed_point_stream
 
 PURE_DISCRETE = "pure_discrete"
@@ -109,7 +108,8 @@ class AnalysisConfig:
 @dataclass
 class CellResult:
     prefix: tuple
-    relation_label: str
+    spec: RelationSpec
+    relation: Relation | None = None  # None when the relation failed to build
     outcome: object = None  # Terminated | BudgetExceeded
     prefix_ok: bool = False
     coincidence: dict | None = None
@@ -120,6 +120,10 @@ class CellResult:
     error: str | None = None
     seconds: float = 0.0
 
+    @property
+    def relation_label(self):
+        return self.spec.label()
+
 
 @dataclass
 class AnalysisReport:
@@ -128,9 +132,7 @@ class AnalysisReport:
     fixed_seed: int
     fixed_prefix: tuple
     eigen: object
-    perron: object
-    l_lambda: list
-    l_lambda_integer: tuple | None
+    spectrum: Spectrum
     letter_classes: tuple
     cells: list
     corollary_ok: bool
@@ -170,15 +172,14 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     undecidable = None
     t0 = time.perf_counter()
+    spectrum = subst.spectrum()
     try:
-        eigen = classify_spectrum(subst.transition_matrix(),
+        eigen = classify_spectrum(spectrum.factors, spectrum.perron,
                                   constant_length=subst.is_constant_length(),
                                   precision_bits=config.precision_bits)
     except Undecidable as exc:
         eigen = None
         undecidable = str(exc)
-    nf = perron_data(subst.transition_matrix())
-    l_lambda = left_pf_eigenvector(subst.transition_matrix(), nf)
     classes = letter_equiv_classes(subst)
     timings["spectral"] = time.perf_counter() - t0
 
@@ -190,7 +191,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
             relations.append((spec, exc))
 
     pf_spec = RelationSpec.general(LengthSpec.pf())
-    pf_rel = Relation.generalized(subst, LengthSpec.pf())
+    pf_rel = dict(relations).get(pf_spec) or pf_spec.build(subst)
 
     outcome_cache = {}
 
@@ -206,14 +207,14 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     for prefix in prefixes:
         prefix_ok = stream.letter(len(prefix)) == stream.letter(0)
         for spec, rel in relations:
-            cell = CellResult(prefix=prefix, relation_label=spec.label(),
-                              prefix_ok=prefix_ok)
+            cell = CellResult(prefix=prefix, spec=spec, prefix_ok=prefix_ok)
             t0 = time.perf_counter()
             if isinstance(rel, Exception):
                 cell.error = str(rel)
                 cell.seconds = time.perf_counter() - t0
                 cells.append(cell)
                 continue
+            cell.relation = rel
             try:
                 outcome = run_cell(prefix, spec.label(), rel)
                 cell.outcome = outcome
@@ -249,9 +250,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         fixed_seed=stream.seed,
         fixed_prefix=stream.prefix(min(24, config.budgets.max_word_length)),
         eigen=eigen,
-        perron=nf,
-        l_lambda=list(l_lambda),
-        l_lambda_integer=integer_form(l_lambda),
+        spectrum=spectrum,
         letter_classes=classes,
         cells=cells,
         corollary_ok=corollary_ok,

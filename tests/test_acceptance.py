@@ -28,7 +28,7 @@ from balpair.engine import (Budgets, children, coincidence_analysis,
 from balpair.equivalence import LengthSpec, Relation, letter_equiv_classes
 from balpair.errors import BalpairError, NotBalanced
 from balpair.linalg import (char_poly, integer_form, left_pf_eigenvector,
-                            mat_vec, perron_data, poly_of_matrix)
+                            mat_vec, poly_of_matrix)
 from balpair.polynomial import RatPoly, factor_poly
 from balpair.substitution import (fixed_point_stream, parse_substitution)
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze, verdict
@@ -100,7 +100,7 @@ def test_criterion_03_exnoncon(capfd):
     assert not plain.terminated
 
     matrix = subst.transition_matrix()
-    nf = perron_data(matrix)
+    nf = subst.spectrum().perron
     vec = left_pf_eigenvector(matrix, nf)
     g = nf.generator() - 1  # golden ratio; lambda = g^2
     assert vec == [nf.one(), g, g, g]
@@ -153,7 +153,7 @@ def _mt_lambda_run():
 def test_criterion_05_morse_thue_attainable(capfd):
     subst = load_corpus("mt-rewrite")
     matrix = subst.transition_matrix()
-    nf = perron_data(matrix)
+    nf = subst.spectrum().perron
     assert nf.generator() == 4
     vec = left_pf_eigenvector(matrix, nf)
     assert integer_form(vec) == (3, 2, 4, 3)
@@ -299,7 +299,7 @@ def test_criterion_09_exact_linear_algebra(capfd):
         result = poly_of_matrix(cp, a)
         assert all(v == 0 for row in result for v in row), name
 
-        nf = perron_data(a)
+        nf = subst.spectrum().perron
         vec = left_pf_eigenvector(a, nf)
         lam = nf.generator()
         n = len(a)

@@ -205,9 +205,8 @@ def test_truncated_test_matches_brute_force(three):
 
 
 def test_lambda_scaling_of_lengths(three):
-    from balpair.linalg import perron_data
     rel = Relation.generalized(three, LengthSpec.pf())
-    nf = perron_data(three.transition_matrix())
+    nf = three.spectrum().perron
     lam = nf.generator()
     rng = random.Random(29)
     for _ in range(30):

@@ -5,7 +5,7 @@ import pytest
 from balpair.engine import Budgets, run_bpa, pair_graph, coincidence_analysis
 from balpair.equivalence import LengthSpec, Relation, letter_equiv_classes
 from balpair.linalg import (char_poly, classify_spectrum, integer_form,
-                            left_pf_eigenvector, perron_data)
+                            left_pf_eigenvector)
 from balpair.polynomial import factor_poly
 from balpair.substitution import fixed_point_stream
 from balpair.verdict import verdict
@@ -57,12 +57,13 @@ def test_fixture_spectral_data(name):
                for f, m in factor_poly(cp)]
     assert factors == expect["factors"]
 
-    eigen = classify_spectrum(matrix,
+    spectrum = subst.spectrum()
+    eigen = classify_spectrum(spectrum.factors, spectrum.perron,
                               constant_length=subst.is_constant_length())
     assert eigen.charpoly_irreducible == flags["charpoly_irreducible"]
     assert eigen.pisot_type_literal == flags["pisot_type_literal"]
 
-    nf = perron_data(matrix)
+    nf = spectrum.perron
     assert [str(c) for c in nf.min_poly.coeffs] == \
         expect["perron"]["min_poly"]
     assert nf.approx_str().startswith(expect["perron"]["approx_prefix"])

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from balpair.errors import Undecidable
-from balpair.linalg import (char_poly, classify_spectrum, integer_form,
-                            left_pf_eigenvector, mat_mul, perron_data,
+from balpair.linalg import (Spectrum, char_poly, classify_spectrum,
+                            integer_form, left_pf_eigenvector, mat_mul,
                             poly_of_matrix)
 from balpair.polynomial import RatPoly, factor_poly
 from balpair.substitution import parse_substitution
@@ -19,6 +19,11 @@ EX1 = ((2, 1), (1, 1))
 THREE = ((2, 1, 1), (1, 2, 1), (0, 1, 0))
 MT = ((1, 1, 1, 1), (1, 1, 1, 1), (1, 0, 2, 1), (1, 1, 1, 1))
 NONCON = ((1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))
+
+
+def classify(matrix, **kwargs):
+    spectrum = Spectrum.of(matrix)
+    return classify_spectrum(spectrum.factors, spectrum.perron, **kwargs)
 
 
 def test_char_poly_examples():
@@ -51,22 +56,22 @@ def test_factor_product_matches_char_poly(corpus):
 
 
 def test_perron_examples():
-    nf = perron_data(THREE)
+    nf = Spectrum.of(THREE).perron
     assert nf.min_poly == P(-1, -3, 1)
     assert nf.approx_str(digits=4) == "3.3027"  # truncated decimal
 
-    nf = perron_data(MT)
+    nf = Spectrum.of(MT).perron
     assert nf.min_poly == P(-4, 1)
     assert nf.generator().as_fraction() == 4
 
-    nf = perron_data(EX1)
+    nf = Spectrum.of(EX1).perron
     assert nf.min_poly == P(1, -3, 1)
     assert nf.approx_str(digits=3) == "2.618"
 
 
 def test_perron_interval_isolates_one_root(corpus):
     for subst in corpus.values():
-        nf = perron_data(subst.transition_matrix())
+        nf = Spectrum.of(subst.transition_matrix()).perron
         lo, hi = nf.interval
         if nf.degree == 1:
             assert lo == hi == -nf.min_poly.coeffs[0]
@@ -79,7 +84,7 @@ def test_perron_root_dominates_other_factors(corpus):
     # factor (all their roots are strictly smaller in modulus)
     for subst in corpus.values():
         a = subst.transition_matrix()
-        nf = perron_data(a)
+        nf = Spectrum.of(a).perron
         for fac, _ in factor_poly(char_poly(a)):
             if fac == nf.min_poly:
                 continue
@@ -89,7 +94,7 @@ def test_perron_root_dominates_other_factors(corpus):
 
 
 def test_left_pf_eigenvector_three_letter():
-    nf = perron_data(THREE)
+    nf = Spectrum.of(THREE).perron
     vec = left_pf_eigenvector(THREE, nf)
     # paper display: (1, (-1+sqrt(13))/2, (5-sqrt(13))/2) = (1, l-2, 4-l)
     assert vec[0] == 1
@@ -99,7 +104,7 @@ def test_left_pf_eigenvector_three_letter():
 
 
 def test_left_pf_eigenvector_rational():
-    nf = perron_data(MT)
+    nf = Spectrum.of(MT).perron
     vec = left_pf_eigenvector(MT, nf)
     assert [v.as_fraction() for v in vec] == [1, Fraction(2, 3),
                                               Fraction(4, 3), 1]
@@ -108,7 +113,7 @@ def test_left_pf_eigenvector_rational():
 
 def test_left_pf_eigenvector_noncon_is_golden():
     # derived: (1, g, g, g) with g = (1+sqrt 5)/2 and lambda = g^2
-    nf = perron_data(NONCON)
+    nf = Spectrum.of(NONCON).perron
     vec = left_pf_eigenvector(NONCON, nf)
     g = nf.generator() - 1
     assert vec == [nf.one(), g, g, g]
@@ -118,7 +123,7 @@ def test_left_pf_eigenvector_noncon_is_golden():
 def test_eigen_equation_exact(corpus):
     for subst in corpus.values():
         a = subst.transition_matrix()
-        nf = perron_data(a)
+        nf = Spectrum.of(a).perron
         vec = left_pf_eigenvector(a, nf)
         lam = nf.generator()
         n = len(a)
@@ -128,7 +133,7 @@ def test_eigen_equation_exact(corpus):
 
 
 def test_classify_ex1():
-    report = classify_spectrum(EX1, constant_length=False)
+    report = classify(EX1, constant_length=False)
     assert report.charpoly_irreducible
     assert report.pisot_type_literal
     assert report.kinds() == {"perron": 1, "small": 1}
@@ -136,7 +141,7 @@ def test_classify_ex1():
 
 
 def test_classify_three_letter():
-    report = classify_spectrum(THREE)
+    report = classify(THREE)
     assert not report.charpoly_irreducible
     assert not report.pisot_type_literal  # eigenvalue 1 sits on the circle
     assert report.kinds() == {"perron": 1, "unit": 1, "small": 1}
@@ -144,7 +149,7 @@ def test_classify_three_letter():
 
 
 def test_classify_mt():
-    report = classify_spectrum(MT)
+    report = classify(MT)
     assert report.kinds() == {"perron": 1, "unit": 1, "zero": 2}
     assert not report.pisot_type_literal
     assert not report.pisot_type_allowing_zero  # the unit eigenvalue blocks it
@@ -155,7 +160,7 @@ def test_classify_zero_tolerant_variant():
     matrix = ((2, 1, 0, 1), (1, 1, 1, 0), (0, 0, 0, 0), (0, 0, 1, 0))
     cp = char_poly(matrix)
     assert cp == P(0, 0, 1, -3, 1)
-    report = classify_spectrum(matrix)
+    report = classify(matrix)
     assert not report.pisot_type_literal
     assert report.pisot_type_allowing_zero
 
@@ -164,7 +169,7 @@ def test_classify_complex_quartic():
     # companion-style matrix of x^4 - x^3 - 1: one real pair off the circle
     # and one complex pair with |z|^2 ~ 0.884
     subst = parse_substitution("1 -> 14\n2 -> 1\n3 -> 2\n4 -> 3")
-    report = classify_spectrum(subst.transition_matrix())
+    report = classify(subst.transition_matrix())
     assert report.charpoly_irreducible
     kinds = report.kinds()
     assert kinds["perron"] == 1
@@ -177,7 +182,7 @@ def test_classify_undecidable_salem_like():
     companion = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
     assert char_poly(companion) == P(1, -1, -1, -1, 1)
     with pytest.raises(Undecidable):
-        classify_spectrum(companion)
+        classify(companion)
 
 
 def test_classify_random_small_matrices():
@@ -196,7 +201,7 @@ def test_classify_random_small_matrices():
             pattern = mat_mul(pattern, matrix)
         if not primitive:
             continue
-        report = classify_spectrum(matrix)
+        report = classify(matrix)
         total = sum(rc.multiplicity for rc in report.roots)
         assert total == n
         assert report.kinds().get("perron") == 1
