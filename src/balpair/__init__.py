@@ -16,10 +16,10 @@ from .engine import (BalancedPair, Budgets, BudgetExceeded, DensityStats,
                      pair_graph, reduce_pair, run_bpa, substitute_pair)
 from .equivalence import (LengthSpec, Relation, in_pf_kernel,
                           letter_equiv_classes, resolve_length_vector)
-from .errors import (BalpairError, DegreeCapExceeded, EmptyConfig,
-                     InternalInvariantError, NoExpandingFixedPoint,
-                     NotBalanced, NotClosed, RuleSyntaxError, ScanOverflow,
-                     StabilityNotReached, Undecidable)
+from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
+                     NoExpandingFixedPoint, NotBalanced, NotClosed,
+                     RuleSyntaxError, ScanOverflow, StabilityNotReached,
+                     Undecidable)
 from .linalg import (EigenReport, char_poly, classify_spectrum, integer_form,
                      left_pf_eigenvector, perron_data)
 from .numberfield import FieldScalar, NumberField

@@ -19,10 +19,6 @@ class NoExpandingFixedPoint(BalpairError):
     """No power of the substitution has a letter seeding an infinite fixed word."""
 
 
-class DegreeCapExceeded(BalpairError):
-    """A residual factor candidate exceeds the supported factoring degree."""
-
-
 class Undecidable(BalpairError):
     """A numeric enclosure could not separate a root modulus from 1.
 

@@ -3,20 +3,24 @@
 Coefficients are stored densely, lowest degree first, normalized so the
 leading coefficient is nonzero (the zero polynomial has no coefficients).
 Everything here is exact: Fraction coefficients, Sturm-based root counting,
-and factorization into irreducibles by squarefree splitting, rational-root
-deflation and Kronecker interpolation for what remains.
+and factorization into irreducibles over Q at any degree by the Zassenhaus
+method. Each squarefree part (Yun) is made primitive over Z and factored
+modulo a small prime that keeps it squarefree (distinct-degree factorization,
+then Cantor-Zassenhaus equal-degree splitting); the modular factors are
+Hensel-lifted past twice the Landau-Mignotte coefficient bound and recombined
+into the factors over Z by trial division. When the degree patterns of a few
+primes admit no proper factor degree, the part is irreducible and is not
+lifted at all.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
-
-from .errors import DegreeCapExceeded, InternalInvariantError
-
-# Residual factor candidates above this degree are refused (desk-scale alphabets).
-FACTOR_DEGREE_CAP = 8
+from types import MappingProxyType
 
 
 class RatPoly:
@@ -319,142 +323,269 @@ class RatPoly:
 
 
 # -- factorization ---------------------------------------------------------
+#
+# Polynomials over Z and over Z/m are plain int lists, lowest degree first,
+# with no trailing zeros; a list reduced mod m has entries in [0, m).
+
+# Good primes tried before choosing the one with the fewest modular factors.
+PRIMES_TRIED = 5
 
 
-def _integer_divisors(n):
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _rational_roots(ints):
-    """All rational roots of an integer-coefficient polynomial (low-first)."""
-    roots = []
-    if not ints:
-        return roots
-    lead = ints[-1]
-    const = next(c for c in ints if c != 0)
-    p = RatPoly(ints)
-    seen = set()
-    for num in _integer_divisors(const):
-        for den in _integer_divisors(lead):
-            for r in (Fraction(num, den), Fraction(-num, den)):
-                if r in seen:
-                    continue
-                seen.add(r)
-                if p.eval(r) == 0:
-                    roots.append(r)
-    return roots
+def _reduce(a, m):
+    return _trim([c % m for c in a])
 
 
-def _kronecker_factor(p):
-    """Find one nontrivial monic factor of a primitive integer polynomial.
-
-    Returns None when p is irreducible. Assumes no rational roots remain, so
-    only factor degrees 2..deg//2 are searched, by interpolating through
-    divisor combinations of sample values.
-    """
-    ints = p.primitive_integer_coeffs()
-    ip = RatPoly(ints)
-    deg = ip.degree
-    for d in range(2, deg // 2 + 1):
-        # sample points 0, 1, -1, 2, -2, ...
-        points = [0]
-        k = 1
-        while len(points) < d + 1:
-            points.extend((k, -k))
-            k += 1
-        points = points[: d + 1]
-        values = [int(ip.eval(x)) for x in points]
-        if any(v == 0 for v in values):
-            # integer roots are deflated before we get here
-            raise InternalInvariantError(
-                "Kronecker sampling hit a root; rational roots not deflated")
-        div_lists = []
-        for v in values:
-            ds = _integer_divisors(v)
-            div_lists.append([x for d0 in ds for x in (d0, -d0)])
-        for combo in itertools.product(*div_lists):
-            cand = _lagrange_integer(points, combo, d)
-            if cand is None:
-                continue
-            if cand.degree != d:
-                continue
-            if cand.divides(ip):
-                return cand.monic()
-    return None
+def _add_mod(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _reduce(out, m)
 
 
-def _lagrange_integer(points, values, degree):
-    """Interpolating polynomial if it has integer coefficients, else None."""
-    poly = RatPoly.zero()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
+def _sub_mod(a, b, m):
+    return _add_mod(a, [-c for c in b], m)
+
+
+def _mul_mod(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, m)
+
+
+def _divmod_mod(a, b, m):
+    """Quotient and remainder in (Z/m)[x]; lc(b) must be a unit mod m."""
+    rem = _reduce(a, m)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        k = len(rem) - 1 - db
+        q = rem[-1] * inv % m
+        quo[k] = q
+        for i, c in enumerate(b):
+            rem[k + i] = (rem[k + i] - q * c) % m
+        _trim(rem)
+    return quo, rem
+
+
+def _monic_mod(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd in GF(p)[x]; a must be nonzero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _gcdex_mod(a, b, p):
+    """(s, t) with s*a + t*b = 1 in GF(p)[x], for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return _reduce([c * inv for c in s0], p), _reduce([c * inv for c in t0], p)
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f in GF(p)[x]."""
+    result, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod_mod(_mul_mod(result, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+    return result
+
+
+def _distinct_degree(f, p):
+    """[(d, product of the degree-d irreducible factors)] of a squarefree
+    monic f in GF(p)[x]."""
+    out = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        # every factor left has degree > d, so f itself is irreducible
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(f, d, p, rng):
+    """Cantor-Zassenhaus: the irreducible factors of a monic f in GF(p)[x],
+    p odd, whose irreducible factors all have degree d."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        g = _gcd_mod(f, _sub_mod(_powmod(a, e, f, p), [1], p), p)
+        if 0 < len(g) - 1 < n:
+            break
+    return (_equal_degree(g, d, p, rng)
+            + _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng))
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g*h, s*g + t*h = 1 from mod sqrt(m) to mod m; h is monic."""
+    e = _sub_mod(f, _mul_mod(g, h, m), m)
+    q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, m), _mul_mod(q, g, m), m), m)
+    h = _add_mod(h, r, m)
+    b = _sub_mod(_add_mod(_mul_mod(s, g, m), _mul_mod(t, h, m), m), [1], m)
+    c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
+    s = _sub_mod(s, d, m)
+    t = _sub_mod(t, _add_mod(_mul_mod(t, b, m), _mul_mod(c, g, m), m), m)
+    return g, h, s, t
+
+
+def _hensel_lift(f, factors, p, steps):
+    """Monic F_i with f = lc(f) * prod F_i mod p^(2^steps) and F_i = f_i mod
+    p, for pairwise coprime monic f_i with f = lc(f) * prod f_i mod p."""
+    if len(factors) == 1:
+        m = p ** (2 ** steps)
+        inv = pow(f[-1], -1, m)
+        return [_reduce([c * inv for c in f], m)]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for fi in factors[:half]:
+        g = _mul_mod(g, fi, p)
+    h = [1]
+    for fi in factors[half:]:
+        h = _mul_mod(h, fi, p)
+    s, t = _gcdex_mod(g, h, p)
+    m = p
+    for _ in range(steps):
+        m *= m
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+    return (_hensel_lift(g, factors[:half], p, steps)
+            + _hensel_lift(h, factors[half:], p, steps))
+
+
+def _zassenhaus(f):
+    """Irreducible factors in Z[x] of a squarefree primitive f (int list)
+    with positive leading coefficient, each primitive with positive lead."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    lc = f[-1]
+    df = [k * c for k, c in enumerate(f)][1:]
+    # bit d of `degrees` is set while d can still be the degree of a factor:
+    # a factor's degree is a sum of modular factor degrees for every prime
+    degrees = (1 << (n + 1)) - 1
+    best = None
+    tried = 0
+    for p in _odd_primes():
+        if tried == PRIMES_TRIED:
+            break
+        if lc % p == 0:
             continue
-        term = RatPoly.constant(yi)
-        for j, xj in enumerate(points):
-            if i == j:
+        fp = _monic_mod(_reduce(f, p), p)
+        if len(_gcd_mod(fp, _reduce(df, p), p)) > 1:
+            continue  # not squarefree mod p
+        tried += 1
+        ddf = _distinct_degree(fp, p)
+        sums, count = 1, 0
+        for d, g in ddf:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                count += 1
+        degrees &= sums
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        if degrees == 1 | 1 << n:
+            break  # no proper factor degree is left: irreducible
+    if degrees == 1 | 1 << n:
+        return [f]
+    _, p, ddf = best
+    rng = random.Random(0)
+    modular = [g for d, gd in ddf for g in _equal_degree(gd, d, p, rng)]
+    # coefficients of lc(f) * (factor / its lc) are bounded by the
+    # Landau-Mignotte bound; lift past twice it to read them symmetrically
+    bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1) * lc
+    steps = 0
+    while p ** (2 ** steps) <= 2 * bound:
+        steps += 1
+    m = p ** (2 ** steps)
+    lifted = _hensel_lift(f, modular, p, steps)
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
                 continue
-            term = term * RatPoly((-xj, 1)) * Fraction(1, xi - xj)
-        poly = poly + term
-    if poly.degree != degree:
-        return None
-    if any(c.denominator != 1 for c in poly.coeffs):
-        return None
-    return poly
+            g = [f[-1]]
+            for i in subset:
+                g = _mul_mod(g, lifted[i], m)
+            g = [c - m if 2 * c > m else c for c in g]
+            content = math.gcd(*g)
+            g = [c // content for c in g]
+            q, r = RatPoly(f).divmod(RatPoly(g))
+            if r.is_zero:
+                # g is primitive, so the quotient is in Z[x] (Gauss)
+                factors.append(g)
+                f = [int(c) for c in q.coeffs]
+                lifted = [F for i, F in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
 
 
 def _factor_squarefree(p):
     """Irreducible monic factors of a squarefree monic polynomial."""
+    ints = list(p.primitive_integer_coeffs())
     factors = []
-    work = p.monic()
-    # strip powers of x
-    while work.degree >= 1 and work.coeffs[0] == 0:
+    if ints[0] == 0:  # squarefree, so x divides it at most once
         factors.append(RatPoly.x())
-        work = RatPoly(work.coeffs[1:])
-    # deflate rational roots
-    changed = True
-    while changed and work.degree >= 1:
-        changed = False
-        for r in _rational_roots(work.primitive_integer_coeffs()):
-            factors.append(RatPoly((-r, 1)))
-            work = work // RatPoly((-r, 1))
-            changed = True
-            break
-    # residual: Kronecker down to irreducibles
-    stack = [work] if work.degree >= 1 else []
-    while stack:
-        q = stack.pop()
-        if q.degree <= 3:
-            # no rational roots left, so degree <= 3 is irreducible
-            factors.append(q.monic())
-            continue
-        if q.degree > FACTOR_DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"cannot factor residual of degree {q.degree} "
-                f"(cap {FACTOR_DEGREE_CAP})")
-        g = _kronecker_factor(q)
-        if g is None:
-            factors.append(q.monic())
-        else:
-            stack.append(g)
-            stack.append(q // g)
+        ints.pop(0)
+    if len(ints) > 1:
+        factors.extend(RatPoly(g).monic() for g in _zassenhaus(ints))
     return factors
 
 
 def factor_poly(p):
     """Factor a nonzero RatPoly into monic irreducibles with multiplicities.
 
-    Returns a list of (RatPoly, multiplicity) sorted by degree then by
-    coefficients, so the output order is deterministic. Raises
-    DegreeCapExceeded for residual candidates past the supported degree.
+    Each squarefree part from Yun's decomposition is factored over Z by the
+    Zassenhaus method (see `_zassenhaus`), at any degree. Returns a list of
+    (RatPoly, multiplicity) sorted by degree then by coefficients, so the
+    output order is deterministic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -485,8 +616,10 @@ def _euler_phi(d):
     return result
 
 
+@functools.cache
 def cyclotomics_up_to_degree(max_degree):
-    """All cyclotomic polynomials of degree <= max_degree, as {order: RatPoly}.
+    """All cyclotomic polynomials of degree <= max_degree, as a read-only
+    {order: RatPoly} mapping, built once per degree.
 
     phi(d) >= sqrt(d/2), so orders up to 2*max_degree^2 suffice.
     """
@@ -499,7 +632,7 @@ def cyclotomics_up_to_degree(max_degree):
             if d % e == 0:
                 num = num // q
         table[d] = num
-    return table
+    return MappingProxyType(table)
 
 
 def is_cyclotomic(p, table=None):

@@ -133,3 +133,24 @@ def test_verdict_density_levels_in_json(tmp_path, fixtures_dir, capsys):
     densities = doc["cells"][0]["densities"]
     assert [d["level"] for d in densities] == [0, 1, 2]
     assert all(0.0 <= float(d["ratio_decimal"]) <= 1.0 for d in densities)
+
+
+def test_info_ten_letter_chain(tmp_path, capsys):
+    path = tmp_path / "chain10.sub"
+    path.write_text("".join(f"{i} -> 1{i + 1}\n" for i in range(1, 9))
+                    + "9 -> 1a\na -> 1\n")
+    code, out, _ = run_cli(capsys, "info", str(path))
+    assert code == 0
+    factors = [line for line in out.splitlines() if line.startswith("factor:")]
+    assert factors == ["factor: (-1 - x - x^2 - x^3 - x^4 - x^5 - x^6 - x^7 "
+                       "- x^8 - x^9 + x^10)^1"]
+
+
+def test_verdict_eight_letters_exit_budget(tmp_path, capsys):
+    path = tmp_path / "eight.sub"
+    path.write_text("1 -> 1153\n2 -> 2624\n3 -> 3552\n4 -> 48\n5 -> 5826\n"
+                    "6 -> 67\n7 -> 71\n8 -> 877\n")
+    code, out, _ = run_cli(capsys, "verdict", str(path),
+                           "--prefix", "1", "--length", "lambda")
+    assert code == 2
+    assert "budget exceeded" in out

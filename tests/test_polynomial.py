@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpair.errors import DegreeCapExceeded
 from balpair.polynomial import (RatPoly, cyclotomics_up_to_degree, factor_poly,
                                 is_cyclotomic)
 
@@ -78,9 +76,9 @@ def test_factor_kronecker_quartic():
 
 
 def test_factor_degree_cap():
-    # x^9 - x - 1 is irreducible (Selmer); the residual exceeds the cap
-    with pytest.raises(DegreeCapExceeded):
-        factor_poly(P(-1, -1, 0, 0, 0, 0, 0, 0, 0, 1))
+    # x^9 - x - 1 is irreducible (Selmer); no degree cap applies
+    selmer = P(-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert factor_poly(selmer) == [(selmer, 1)]
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
