@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Budgets, pair_graph
+from .engine import Budgets
 from .equivalence import LengthSpec, letter_equiv_classes
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError, Undecidable)
@@ -179,17 +179,12 @@ def _write_outputs(report, args, out):
         print(f"wrote {args.json}", file=out)
     dot_path = getattr(args, "dot", None)
     if dot_path is not None:
-        target = None
-        for cell in report.cells:
-            if cell.outcome is not None and cell.outcome.terminated:
-                target = cell
-                break
-        if target is None:
+        graphs = [cell.outcome.graph for cell in report.cells
+                  if cell.outcome is not None and cell.outcome.terminated]
+        if not graphs:
             print("no terminated cell; DOT graph not written", file=out)
         else:
-            graph = pair_graph(report.subst, target.relation,
-                               target.outcome.pairs)
-            dot_path.write_text(render_dot(graph, report.subst.alphabet),
+            dot_path.write_text(render_dot(graphs[0], report.subst.alphabet),
                                 encoding="utf-8")
             print(f"wrote {dot_path}", file=out)
 

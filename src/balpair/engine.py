@@ -12,6 +12,7 @@ earlier candidate inside it was tested and failed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,39 +58,58 @@ class Budgets:
 
 
 class PairSet:
-    """Insertion-ordered set of BalancedPair with first-discovery iteration."""
+    """Insertion-ordered set of BalancedPair with first-discovery iteration;
+    a pair's insertion index is its vertex index in the pair graph."""
 
     def __init__(self):
-        self._discovered = {}  # BalancedPair -> iteration index
+        self._members = {}  # BalancedPair -> (insertion index, iteration)
 
     def add(self, pair, iteration):
         """Record a pair; returns True when it is new."""
-        if pair in self._discovered:
+        if pair in self._members:
             return False
-        self._discovered[pair] = iteration
+        self._members[pair] = (len(self._members), iteration)
         return True
 
+    def index(self, pair):
+        return self._members[pair][0]
+
     def discovered_at(self, pair):
-        return self._discovered[pair]
+        return self._members[pair][1]
 
     def __contains__(self, pair):
-        return pair in self._discovered
+        return pair in self._members
 
     def __iter__(self):
-        return iter(self._discovered)
+        return iter(self._members)
 
     def __len__(self):
-        return len(self._discovered)
+        return len(self._members)
 
     def pairs(self):
-        return list(self._discovered)
+        return list(self._members)
+
+
+@dataclass
+class PairGraph:
+    """Directed multigraph on irreducible pairs; edges follow reductions."""
+
+    vertices: list  # BalancedPair, deterministic order
+    edges: dict  # vertex index -> list of (vertex index, multiplicity)
+
+    def coincidence_indices(self):
+        return [i for i, p in enumerate(self.vertices) if p.is_coincidence]
 
 
 @dataclass
 class Terminated:
+    """A closed pair set and the pair graph the closure computed: vertices
+    in insertion order, each edge list in first-occurrence order."""
+
     pairs: PairSet
     closure_iteration: int
     growth_trace: list  # (iteration, max new top length)
+    graph: PairGraph
 
     @property
     def terminated(self):
@@ -306,9 +326,11 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
             stream: FixedPointStream | None = None):
     """Worklist closure of the initial pairs under substitute-and-reduce.
 
-    Returns Terminated when the frontier empties, BudgetExceeded (with the
-    growth trace and the longest pairs seen) when any budget trips; budget
-    overruns inside the initial split are folded into BudgetExceeded as well.
+    Returns Terminated when the frontier empties, carrying the pair graph
+    whose edges are the children computed here, once per pair. Returns
+    BudgetExceeded (with the growth trace and the longest pairs seen, and no
+    graph) when any budget trips; budget overruns inside the initial split
+    are folded into BudgetExceeded as well.
     """
     budgets = budgets or Budgets()
     try:
@@ -318,6 +340,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                               pair_count=0, growth_trace=[], longest_pairs=[],
                               pairs=None)
     trace = [(1, max(len(p.top) for p in pairs))]
+    edges = {}
     frontier = pairs.pairs()
     iteration = 1
     while frontier:
@@ -347,29 +370,23 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                             which="max_pairs", iterations_done=iteration,
                             pair_count=len(pairs), growth_trace=trace,
                             longest_pairs=_longest(pairs), pairs=pairs)
+            # a Counter keeps first-occurrence order
+            counts = Counter(pairs.index(kid) for kid in kids)
+            edges[pairs.index(pair)] = list(counts.items())
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier
     closure_iteration = trace[-1][0]
     return Terminated(pairs=pairs, closure_iteration=closure_iteration,
-                      growth_trace=trace)
-
-
-@dataclass
-class PairGraph:
-    """Directed multigraph on irreducible pairs; edges follow reductions."""
-
-    vertices: list  # BalancedPair, deterministic order
-    edges: dict  # vertex index -> list of (vertex index, multiplicity)
-
-    def coincidence_indices(self):
-        return [i for i, p in enumerate(self.vertices) if p.is_coincidence]
+                      growth_trace=trace,
+                      graph=PairGraph(vertices=pairs.pairs(), edges=edges))
 
 
 def pair_graph(subst, rel, pairs) -> PairGraph:
-    """Build the substitution graph over a closed pair set.
+    """Build the pair graph of a closed pair set, recomputing all children.
 
-    Raises NotClosed when some child of a member is not itself a member.
+    The reference run_bpa's graph is tested against. Raises NotClosed when
+    some child of a member is not itself a member.
     """
     vertices = list(pairs)
     index = {p: i for i, p in enumerate(vertices)}
@@ -380,26 +397,19 @@ def pair_graph(subst, rel, pairs) -> PairGraph:
             kids = children(subst, rel, pair, max_word_length=cap)
         except ScanOverflow:
             raise NotClosed("children exceed the longest member; set not closed")
-        counts = {}
-        order = []
         for kid in kids:
             if kid not in index:
                 raise NotClosed(f"child {kid.key} missing from the pair set")
-            j = index[kid]
-            if j not in counts:
-                order.append(j)
-            counts[j] = counts.get(j, 0) + 1
-        edges[i] = [(j, counts[j]) for j in order]
+        edges[i] = list(Counter(index[kid] for kid in kids).items())
     return PairGraph(vertices=vertices, edges=edges)
 
 
 def coincidence_analysis(graph: PairGraph):
-    """For each pair: is it a coincidence, and does it reach one?
+    """Indices of the vertices that reach a coincidence, their own included.
 
     Reachability is computed backwards from the coincidence vertices.
     """
-    n = len(graph.vertices)
-    reverse = {i: [] for i in range(n)}
+    reverse = {i: [] for i in range(len(graph.vertices))}
     for i, outs in graph.edges.items():
         for j, _mult in outs:
             reverse[j].append(i)
@@ -411,11 +421,7 @@ def coincidence_analysis(graph: PairGraph):
             if back not in reached:
                 reached.add(back)
                 stack.append(back)
-    return {
-        pair: {"is_coincidence": pair.is_coincidence,
-               "leads_to_coincidence": i in reached}
-        for i, pair in enumerate(graph.vertices)
-    }
+    return reached
 
 
 def coincidence_density(subst, rel, w, level, horizon,

@@ -59,7 +59,7 @@ def _outcome(outcome, alphabet, pair_list_limit):
     elif pairs is not None:
         doc["pairs_omitted"] = len(pairs)
         doc["pair_sample"] = [_pair(p, alphabet)
-                              for p in list(pairs.pairs())[:10]]
+                              for p in pairs.pairs()[:10]]
     return doc
 
 
@@ -87,16 +87,16 @@ def _cell(cell, alphabet, pair_list_limit):
         doc["error"] = cell.error
         return doc
     doc["outcome"] = _outcome(cell.outcome, alphabet, pair_list_limit)
-    if cell.coincidence is not None:
-        failing = [p.render(alphabet) for p, info in cell.coincidence.items()
-                   if not info["leads_to_coincidence"]]
+    if cell.outcome.terminated:
+        graph = cell.outcome.graph
+        failing = cell.verdict.failing_pairs
         doc["graph_stats"] = {
-            "vertices": len(cell.coincidence),
-            "coincidences": sum(1 for info in cell.coincidence.values()
-                                if info["is_coincidence"]),
+            "vertices": len(graph.vertices),
+            "coincidences": len(graph.coincidence_indices()),
         }
-        doc["coincidence"] = {"all_lead": cell.all_lead,
-                              "failing_pairs": failing}
+        doc["coincidence"] = {"all_lead": not failing,
+                              "failing_pairs": [p.render(alphabet)
+                                                for p in failing]}
     doc["verdict"] = _verdict(cell.verdict)
     if cell.corollary_check is not None:
         doc["corollary_check"] = cell.corollary_check

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .engine import (Budgets, coincidence_analysis, coincidence_density,
-                     pair_graph, run_bpa)
+                     run_bpa)
 from .equivalence import LengthSpec, Relation, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig, Undecidable
 from .linalg import Spectrum, classify_spectrum
@@ -36,17 +36,16 @@ class SpectrumVerdict:
     scope: str = "tiling flow with the Perron length vector"
 
 
-def verdict(outcome, analysis, prefix_ok, *, prefix=None, relation=None):
+def verdict(outcome, failing, prefix_ok, *, prefix=None, relation=None):
     """Apply the coincidence criterion's decision table to one cell.
 
-    analysis maps each pair to {'is_coincidence', 'leads_to_coincidence'};
-    it must cover every pair when the outcome terminated.
+    failing is the tuple of pairs, in vertex order, that reach no
+    coincidence in the outcome's pair graph; it is ignored unless the
+    outcome terminated.
     """
     if not outcome.terminated:
         return SpectrumVerdict(INCONCLUSIVE, reason="budget_exceeded",
                                witness_prefix=prefix, relation=relation)
-    failing = tuple(p for p, info in analysis.items()
-                    if not info["leads_to_coincidence"])
     if not failing:
         return SpectrumVerdict(PURE_DISCRETE, witness_prefix=prefix,
                                relation=relation)
@@ -82,11 +81,12 @@ class RelationSpec:
             return f"general[{self.length.label()}]"
         return self.mode
 
-    def build(self, subst):
+    def build(self, subst, classes=None):
+        """The relation; classes, when given, are subst's letter classes."""
         if self.mode == "plain":
             return Relation.plain(subst)
         if self.mode == "letters":
-            return Relation.letter_classes(subst)
+            return Relation.letter_classes(subst, partition=classes)
         return Relation.generalized(subst, self.length)
 
 
@@ -109,11 +109,8 @@ class AnalysisConfig:
 class CellResult:
     prefix: tuple
     spec: RelationSpec
-    relation: Relation | None = None  # None when the relation failed to build
     outcome: object = None  # Terminated | BudgetExceeded
     prefix_ok: bool = False
-    coincidence: dict | None = None
-    all_lead: bool | None = None
     verdict: SpectrumVerdict | None = None
     corollary_check: dict | None = None
     densities: list | None = None
@@ -186,7 +183,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     relations = []
     for spec in config.relations:
         try:
-            relations.append((spec, spec.build(subst)))
+            relations.append((spec, spec.build(subst, classes)))
         except (BalpairError, ValueError) as exc:
             relations.append((spec, exc))
 
@@ -214,19 +211,17 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 cell.seconds = time.perf_counter() - t0
                 cells.append(cell)
                 continue
-            cell.relation = rel
             try:
                 outcome = run_cell(prefix, spec.label(), rel)
                 cell.outcome = outcome
+                failing = ()
                 if outcome.terminated:
-                    graph = pair_graph(subst, rel, outcome.pairs)
-                    cell.coincidence = coincidence_analysis(graph)
-                    cell.all_lead = all(
-                        info["leads_to_coincidence"]
-                        for info in cell.coincidence.values())
-                cell.verdict = verdict(outcome, cell.coincidence or {},
-                                       prefix_ok, prefix=prefix,
-                                       relation=spec.label())
+                    graph = outcome.graph
+                    reached = coincidence_analysis(graph)
+                    failing = tuple(p for i, p in enumerate(graph.vertices)
+                                    if i not in reached)
+                cell.verdict = verdict(outcome, failing, prefix_ok,
+                                       prefix=prefix, relation=spec.label())
                 if outcome.terminated and spec != pf_spec:
                     pf_outcome = run_cell(prefix, pf_spec.label(), pf_rel)
                     cell.corollary_check = {

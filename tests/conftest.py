@@ -20,6 +20,19 @@ def load_expect(name):
     return json.loads((FIXTURES / f"{name}.expect.json").read_text())
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_corpus(name) for name in CORPUS_NAMES}

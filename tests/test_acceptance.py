@@ -62,9 +62,12 @@ def test_criterion_01_ex1_exact_closure(capfd):
     rendered = {p.render(subst.alphabet) for p in outcome.pairs}
     assert rendered == {"|1/1|", "|12/21|", "|2/2|"}
     assert outcome.closure_iteration == 2
-    analysis = coincidence_analysis(pair_graph(subst, rel, outcome.pairs))
-    assert all(info["leads_to_coincidence"] for info in analysis.values())
-    v = verdict(outcome, analysis, prefix_ok=True)
+    graph = outcome.graph
+    reached = coincidence_analysis(graph)
+    assert reached == set(range(len(graph.vertices)))
+    failing = tuple(p for i, p in enumerate(graph.vertices)
+                    if i not in reached)
+    v = verdict(outcome, failing, prefix_ok=True)
     assert v.kind == "pure_discrete"
     assert elapsed < 1.0
     announce(capfd, 1, "PASS", f"I(w) exact, closure at 2, {elapsed:.3f}s")
@@ -82,9 +85,8 @@ def test_criterion_02_constant_length(capfd):
 
     letters = run_bpa(subst, Relation.letter_classes(subst), w, Budgets())
     assert letters.terminated
-    analysis = coincidence_analysis(
-        pair_graph(subst, Relation.letter_classes(subst), letters.pairs))
-    assert all(info["leads_to_coincidence"] for info in analysis.values())
+    graph = letters.graph
+    assert coincidence_analysis(graph) == set(range(len(graph.vertices)))
     announce(capfd, 2, "PASS",
              f"plain grows strictly over {strict_run} iterations; "
              f"letter classes terminate with coincidences")
@@ -397,6 +399,10 @@ def test_criterion_11_engine_fuzzing(capfd):
                     for kid in children(subst, rel, pair,
                                         max_word_length=10_000):
                         assert kid in members
+                oracle = pair_graph(subst, rel, out1.pairs)
+                assert out1.graph.vertices == oracle.vertices
+                assert list(out1.graph.edges.items()) == \
+                    list(oracle.edges.items())
     announce(capfd, 11, "PASS",
              f"500 substitutions fuzzed; {closures} closures "
              f"({terminated} terminated) with zero invariant violations")

@@ -1,0 +1,70 @@
+"""The benchmark under bench/ reaches into the library by name.
+
+`bench/tracing.py` wraps library functions by module and attribute name, and
+`bench/workloads.py` builds each job's AnalysisConfig from the library's
+config types. A rename in the library breaks `bench/run.py --trace 1` or a
+workload without failing any other test, so these tests load both files as
+they are and exercise those names.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from balpair.engine import Budgets
+from balpair.equivalence import LengthSpec
+from balpair.substitution import parse_substitution
+from balpair.verdict import AnalysisConfig, RelationSpec, analyze
+
+from conftest import load_corpus
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def _target(module_name, path):
+    owner = importlib.import_module(f"balpair.{module_name}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_tracer_wraps_every_target_and_restores_it(bench_module):
+    tracing = bench_module("tracing")
+    tracer = tracing.Tracer()
+    before = {path: _target(module, path)
+              for module, path, _leaf in tracing.TARGETS}
+    try:
+        tracer.install()
+        for module, path, _leaf in tracing.TARGETS:
+            assert _target(module, path).__wrapped__ is before[path], path
+        subst = load_corpus("ex1")
+        report = analyze(subst, AnalysisConfig(
+            prefixes=[(0,)],
+            relations=[RelationSpec.general(LengthSpec.pf())]))
+    finally:
+        tracer.uninstall()
+    for module, path, _leaf in tracing.TARGETS:
+        assert _target(module, path) is before[path], path
+    metrics = tracer.summary()
+    assert metrics["engine.run_bpa_calls"] == 1
+    # the verdict reads the graph the closure computed
+    assert metrics["engine.children_calls"] == \
+        len(report.cells[0].outcome.pairs)
+    assert metrics["engine.children_recomputed_share"] == 0.0
+    assert metrics["engine.pair_graph_s"] == 0.0
+
+
+def test_every_workload_builds_its_config(bench_module):
+    workloads = bench_module("workloads")
+    for name in workloads.WORKLOADS:
+        job = workloads.jobs_for(name, 0)[0]
+        config = job.config(parse_substitution(job.text))
+        assert isinstance(config, AnalysisConfig), name
+        assert isinstance(config.budgets, Budgets), name

@@ -1,6 +1,12 @@
 import json
 
+import balpair.engine
 from balpair.cli import main
+from balpair.engine import Budgets, pair_graph, run_bpa
+from balpair.equivalence import LengthSpec, Relation
+from balpair.report import render_dot
+
+from conftest import count_calls, load_corpus
 
 
 def run_cli(capsys, *argv):
@@ -69,7 +75,8 @@ def test_verdict_letters_mode(fixtures_dir, capsys):
     assert "pure_discrete" in out
 
 
-def test_verdict_writes_dot(tmp_path, fixtures_dir, capsys):
+def test_verdict_writes_dot(tmp_path, fixtures_dir, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, balpair.engine, "children")
     dot_path = tmp_path / "graph.dot"
     code, _, _ = run_cli(capsys, "verdict", str(fixtures_dir / "ex1.sub"),
                          "--prefix", "1", "--length", "lambda",
@@ -77,6 +84,14 @@ def test_verdict_writes_dot(tmp_path, fixtures_dir, capsys):
     assert code == 0
     text = dot_path.read_text()
     assert "doublecircle" in text
+    # the DOT graph is the one the closure computed: children once per pair
+    children_calls = len(calls)
+    subst = load_corpus("ex1")
+    rel = Relation.generalized(subst, LengthSpec.pf())
+    outcome = run_bpa(subst, rel, (0,), Budgets())
+    assert children_calls == len(outcome.pairs)
+    assert text == render_dot(pair_graph(subst, rel, outcome.pairs),
+                              subst.alphabet)
 
 
 def test_verdict_budget_flags(fixtures_dir, capsys):

@@ -278,10 +278,9 @@ def test_coincidence_analysis_ex1(ex1):
     rel = Relation.plain(ex1)
     out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
     graph = pair_graph(ex1, rel, out.pairs)
-    analysis = coincidence_analysis(graph)
-    assert all(info["leads_to_coincidence"] for info in analysis.values())
-    coincidences = [p for p, info in analysis.items()
-                    if info["is_coincidence"]]
+    reached = coincidence_analysis(graph)
+    assert reached == set(range(len(graph.vertices)))
+    coincidences = [p for p in graph.vertices if p.is_coincidence]
     assert len(coincidences) == 2
 
 
@@ -291,9 +290,7 @@ def test_coincidence_analysis_stranded_component():
     a = BalancedPair((0,), (1,))
     b = BalancedPair((1,), (0,))
     graph = PairGraph(vertices=[a, b], edges={0: [(1, 1)], 1: [(0, 1)]})
-    analysis = coincidence_analysis(graph)
-    assert not analysis[a]["leads_to_coincidence"]
-    assert not analysis[b]["leads_to_coincidence"]
+    assert coincidence_analysis(graph) == set()
 
 
 # density

@@ -137,13 +137,18 @@ def test_fixture_cells(name):
             if "longest_top" in spec:
                 assert max(len(p.top) for p in outcome.pairs) == \
                     spec["longest_top"], label
-            graph = pair_graph(subst, rel, outcome.pairs)
-            analysis = coincidence_analysis(graph)
-            all_lead = all(info["leads_to_coincidence"]
-                           for info in analysis.values())
+            graph = outcome.graph
+            oracle = pair_graph(subst, rel, outcome.pairs)
+            assert graph.vertices == oracle.vertices, label
+            assert list(graph.edges.items()) == \
+                list(oracle.edges.items()), label
+            reached = coincidence_analysis(graph)
+            all_lead = reached == set(range(len(graph.vertices)))
             assert all_lead == spec["all_lead"], label
+            failing = tuple(p for i, p in enumerate(graph.vertices)
+                            if i not in reached)
             prefix_ok = stream.letter(len(w)) == stream.letter(0)
-            v = verdict(outcome, analysis, prefix_ok)
+            v = verdict(outcome, failing, prefix_ok)
             assert v.kind == spec["verdict"], label
         else:
             assert not outcome.terminated, label

@@ -69,8 +69,8 @@ def test_factor_with_zero_roots():
     assert factors == [(P(-4, 1), 1), (P(-1, 1), 1), (P(0, 1), 2)]
 
 
-def test_factor_kronecker_quartic():
-    # (x^2+x+1)(x^2+2) has no rational roots; needs interpolation search
+def test_factor_quartic_two_quadratics():
+    # (x^2+x+1)(x^2+2) has no rational roots: no linear factor splits it
     p = P(1, 1, 1) * P(2, 0, 1)
     assert factor_poly(p) == [(P(1, 1, 1), 1), (P(2, 0, 1), 1)]
 

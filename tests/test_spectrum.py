@@ -11,20 +11,7 @@ from balpair.report import render_json, report_document
 from balpair.substitution import parse_substitution
 from balpair.verdict import AnalysisConfig, analyze
 
-from conftest import load_corpus
-
-
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records each call's arguments."""
-    original = getattr(module, name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
+from conftest import count_calls, load_corpus
 
 
 def result_text(report):

@@ -1,17 +1,24 @@
+import importlib
+
 import pytest
 
-from balpair.engine import BalancedPair, BudgetExceeded, PairSet
+import balpair.engine
+import balpair.equivalence
+from balpair.engine import BalancedPair, Budgets, BudgetExceeded, PairSet
 from balpair.equivalence import LengthSpec
 from balpair.errors import EmptyConfig
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze, verdict
 
+from conftest import count_calls
+
 
 def _terminated(pairs):
-    from balpair.engine import Terminated
+    from balpair.engine import PairGraph, Terminated
     ps = PairSet()
     for i, p in enumerate(pairs):
         ps.add(p, 1)
-    return Terminated(pairs=ps, closure_iteration=1, growth_trace=[(1, 1)])
+    return Terminated(pairs=ps, closure_iteration=1, growth_trace=[(1, 1)],
+                      graph=PairGraph(vertices=ps.pairs(), edges={}))
 
 
 def _budget():
@@ -24,10 +31,8 @@ STUCK = BalancedPair((0,), (1,))
 
 
 def test_verdict_table_is_total():
-    all_lead = {COIN: {"is_coincidence": True, "leads_to_coincidence": True}}
-    some_not = {COIN: {"is_coincidence": True, "leads_to_coincidence": True},
-                STUCK: {"is_coincidence": False,
-                        "leads_to_coincidence": False}}
+    all_lead = ()  # no failing pair
+    some_not = (STUCK,)
     term = _terminated([COIN, STUCK])
     cases = {
         ("terminated", "all_lead", True): "pure_discrete",
@@ -41,20 +46,19 @@ def test_verdict_table_is_total():
     }
     for (status, lead, prefix_ok), expected in cases.items():
         outcome = term if status == "terminated" else _budget()
-        analysis = all_lead if lead == "all_lead" else some_not
-        v = verdict(outcome, analysis, prefix_ok)
+        failing = all_lead if lead == "all_lead" else some_not
+        v = verdict(outcome, failing, prefix_ok)
         assert v.kind == expected, (status, lead, prefix_ok)
 
 
 def test_verdict_reasons():
     term = _terminated([STUCK])
-    some_not = {STUCK: {"is_coincidence": False,
-                        "leads_to_coincidence": False}}
+    some_not = (STUCK,)
     v = verdict(term, some_not, prefix_ok=False)
     assert v.kind == "inconclusive"
     assert v.reason == "prefix_condition_unmet"
     assert v.failing_pairs == (STUCK,)
-    v2 = verdict(_budget(), {}, prefix_ok=True)
+    v2 = verdict(_budget(), (), prefix_ok=True)
     assert v2.reason == "budget_exceeded"
     v3 = verdict(term, some_not, prefix_ok=True)
     assert v3.kind == "not_pure_discrete"
@@ -63,9 +67,8 @@ def test_verdict_reasons():
 
 def test_pure_discrete_never_from_budget():
     for prefix_ok in (True, False):
-        for analysis in ({}, {COIN: {"is_coincidence": True,
-                                     "leads_to_coincidence": True}}):
-            assert verdict(_budget(), analysis, prefix_ok).kind == \
+        for failing in ((), (STUCK,)):
+            assert verdict(_budget(), failing, prefix_ok).kind == \
                 "inconclusive"
 
 
@@ -157,6 +160,38 @@ def test_synthetic_not_pure_discrete_via_analyze():
     report = analyze(mt, config)
     cell = report.cells[0]
     assert cell.outcome.terminated
-    assert cell.all_lead is False
+    assert cell.verdict.failing_pairs  # not every pair leads
     assert cell.verdict.kind == "not_pure_discrete"
     assert len(cell.verdict.failing_pairs) >= 2
+
+
+@pytest.mark.parametrize("name, prefix", [("ex1", "1"),
+                                          ("pisot-rewrite", "122334")])
+def test_analyze_computes_children_once_per_pair(corpus, monkeypatch, name,
+                                                 prefix):
+    # general[lambda] alone runs no corollary, so one closure is all
+    calls = count_calls(monkeypatch, balpair.engine, "children")
+    subst = corpus[name]
+    report = analyze(subst, AnalysisConfig(
+        prefixes=[subst.alphabet.word_from_text(prefix)],
+        relations=[RelationSpec.general(LengthSpec.pf())]))
+    [cell] = report.cells
+    assert cell.outcome.terminated
+    assert len(calls) == len(cell.outcome.pairs)
+
+
+def test_analyze_computes_letter_classes_once(corpus, monkeypatch):
+    # the package re-exports verdict(), which hides the module attribute
+    verdict_module = importlib.import_module("balpair.verdict")
+    in_analyze = count_calls(monkeypatch, verdict_module,
+                             "letter_equiv_classes")
+    in_relations = count_calls(monkeypatch, balpair.equivalence,
+                               "letter_equiv_classes")
+    subst = corpus["exnoncon"]
+    report = analyze(subst, AnalysisConfig(
+        prefixes=[subst.alphabet.word_from_text("31")],
+        relations=[RelationSpec.letters(), RelationSpec.plain()],
+        budgets=Budgets(max_iterations=6, max_word_length=400)))
+    assert report.letter_classes == ((0,), (1, 2, 3))
+    assert report.cells[0].verdict.kind == "pure_discrete"
+    assert len(in_analyze) + len(in_relations) == 1
