@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: info (spectral data), bpa (one cell), verdict (full analysis),
-batch (verdict over a directory). Exit codes: 0 ok, 1 usage/parse error,
-2 at least one budget-exceeded cell, 3 undecidable numerics, 4 internal
-invariant violation.
+batch (verdict over a directory). Exit codes: 0 ok, 1 usage/parse error or
+a cell that failed on its input, 2 at least one budget-exceeded cell,
+3 undecidable numerics, 4 internal invariant violation; when several apply,
+the highest wins.
 """
 
 from __future__ import annotations
@@ -139,16 +140,21 @@ def _load(path: Path):
     return parse_substitution(path.read_text(encoding="utf-8"))
 
 
-def _exit_code_for(report):
-    if report.undecidable:
+def _cell_exit_code(cell):
+    if cell.exception is None:
+        return EXIT_OK if cell.outcome.terminated else EXIT_BUDGET
+    if isinstance(cell.exception, Undecidable):
         return EXIT_UNDECIDABLE
-    for cell in report.cells:
-        if cell.error and "Undecidable" in cell.error:
-            return EXIT_UNDECIDABLE
-    for cell in report.cells:
-        if cell.outcome is not None and not cell.outcome.terminated:
-            return EXIT_BUDGET
-    return EXIT_OK
+    if isinstance(cell.exception, InternalInvariantError):
+        return EXIT_INTERNAL
+    return EXIT_USAGE
+
+
+def _exit_code_for(report):
+    codes = [_cell_exit_code(cell) for cell in report.cells]
+    if report.undecidable:
+        codes.append(EXIT_UNDECIDABLE)
+    return max(codes, default=EXIT_OK)
 
 
 def _print_cells(report, out):

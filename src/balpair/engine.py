@@ -1,20 +1,21 @@
 """Balanced pairs: splitting, closure, the pair graph, and densities.
 
-The central routine is a two-pointer scan of a (top, bottom) pair of letter
-streams ordered by cumulative exact length. Candidate cut positions are
-exactly the positions where the two scaled lengths agree (equivalent prefix
-pairs must have equal L-length); at a candidate the full equivalence state is
-an integer-vector zero test. On success the pending component is emitted and
-the scan restarts; on failure both sides advance, which is sound because
-lengths are strictly increasing. Each emitted component is irreducible: every
-earlier candidate inside it was tested and failed.
+The central routine, `split`, cuts a (top, bottom) pair of letter streams
+exactly where the equivalence states of the two prefixes are equal. A
+state fixes the L-length, and lengths grow strictly on each side, so each
+prefix can match at most one prefix of the other side and the cuts come
+out in order. Integer enclosures of the scaled lengths say which side to
+read next and when a pending prefix can no longer match; no sign of an
+algebraic number is decided. Each emitted component is irreducible: it
+holds no earlier pair of equal prefix states.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import FieldScalar
@@ -142,102 +143,92 @@ class DensityStats:
         return float(self.ratio_decimal)
 
 
-class _Splitter:
-    """Streaming reduction of a (top, bottom) pair of letter iterators."""
+class _Side:
+    """One word of a split: the letters read since the last cut, and the
+    pending prefixes that may still match a prefix of the other word."""
 
-    def __init__(self, rel, top_iter, bottom_iter, component_cap=None,
-                 stretch_cap=None):
-        self.rel = rel
-        self.top = top_iter
-        self.bottom = bottom_iter
-        self.component_cap = component_cap
-        self.stretch_cap = stretch_cap  # top letters per component, hard stop
-        self.top_consumed = 0
-        self.shared = rel.letter_eq is rel.letter_weights
-        self._reset()
+    __slots__ = ("source", "done", "letters", "read", "state", "low", "high",
+                 "kept", "kept_at")
 
-    def _reset(self):
-        self.pend_top = []
-        self.pend_bottom = []
-        self.len_acc = list(self.rel.zero_len())
-        self.eq_acc = None if self.shared else list(self.rel.zero_eq())
+    def __init__(self, letters):
+        self.source = iter(letters)
+        self.done = False  # source exhausted
+        self.letters = []  # read since the last cut
+        self.read = 0  # letters read in all
+        self.state = 0  # packed equivalence state of everything read
+        self.low = self.high = 0  # integer enclosure of its scaled length
+        self.kept = deque()  # (high, state) of kept prefixes, shortest first
+        self.kept_at = {}  # state -> letters read, for the kept prefixes
 
-    def _push_top(self, letter):
-        self.pend_top.append(letter)
-        for t, v in enumerate(self.rel.letter_weights[letter]):
-            self.len_acc[t] += v
-        if not self.shared:
-            for t, v in enumerate(self.rel.letter_eq[letter]):
-                self.eq_acc[t] += v
-        self.top_consumed += 1
 
-    def _push_bottom(self, letter):
-        self.pend_bottom.append(letter)
-        for t, v in enumerate(self.rel.letter_weights[letter]):
-            self.len_acc[t] -= v
-        if not self.shared:
-            for t, v in enumerate(self.rel.letter_eq[letter]):
-                self.eq_acc[t] -= v
+def split(rel, top, bottom, cap, which="max_word_length"):
+    """Irreducible components of two letter sequences, in order.
 
-    def _equivalent(self):
-        if self.shared:
-            return not any(self.len_acc)
-        return not any(self.eq_acc)
+    Cuts sit exactly where the prefix equivalence states of the two sides
+    are equal. Equal states mean equal lengths, and lengths grow strictly
+    on each side, so each prefix matches at most one prefix of the other
+    side and the cuts come in order whichever side is read next. The side
+    whose length enclosure has the smaller lower end is read next; a
+    prefix is dropped once the other side's lower end passes its upper end,
+    and a prefix is kept at all only while the other side can still grow.
+    Letters read past a cut stay pending for the next component.
 
-    def _check_caps(self):
-        if (self.component_cap is not None
-                and max(len(self.pend_top), len(self.pend_bottom))
-                > self.component_cap):
+    Raises ScanOverflow(which) when a component would have more than cap
+    letters on a side, and NotBalanced when the letters end other than at a
+    cut.
+    """
+    states = rel.packed_states(cap)
+    lows, highs = rel.length_low, rel.length_high
+    top, bottom = _Side(top), _Side(bottom)
+    while True:
+        top_open = not top.done and len(top.letters) <= cap
+        bottom_open = not bottom.done and len(bottom.letters) <= cap
+        if top_open and (not bottom_open or top.low <= bottom.low):
+            side, other, other_open = top, bottom, bottom_open
+        elif bottom_open:
+            side, other, other_open = bottom, top, top_open
+        elif top.letters or bottom.letters:
+            if max(len(top.letters), len(bottom.letters)) > cap:
+                raise ScanOverflow(
+                    f"irreducible component exceeds {cap} letters",
+                    which=which)
+            raise NotBalanced("streams end on an unbalanced pair")
+        else:
+            return
+        letter = next(side.source, None)
+        if letter is None:
+            side.done = True
+            continue
+        side.letters.append(letter)
+        side.read += 1
+        side.state += states[letter]
+        side.low += lows[letter]
+        side.high += highs[letter]
+        kept, kept_at = other.kept, other.kept_at
+        while kept and kept[0][0] < side.low:
+            del kept_at[kept.popleft()[1]]
+        read = kept_at.get(side.state)
+        if read is None:
+            if other_open:
+                side.kept.append((side.high, side.state))
+                side.kept_at[side.state] = side.read
+            continue
+        # a cut: the other side's prefix of `read` letters matches
+        while kept and kept_at[kept[0][1]] <= read:
+            del kept_at[kept.popleft()[1]]
+        side.kept.clear()
+        side.kept_at.clear()
+        length = len(other.letters) - (other.read - read)
+        if max(len(side.letters), length) > cap:
             raise ScanOverflow(
-                f"irreducible component exceeds {self.component_cap} letters",
-                which="max_word_length")
-        if (self.stretch_cap is not None
-                and len(self.pend_top) > self.stretch_cap):
-            raise ScanOverflow(
-                f"no cut within {self.stretch_cap} letters",
-                which="max_scan_length")
-
-    def next_component(self):
-        """Next irreducible component, or None when both streams end."""
-        while True:
-            if not self.pend_top and not self.pend_bottom:
-                a = next(self.top, None)
-                if a is None:
-                    b = next(self.bottom, None)
-                    if b is None:
-                        return None
-                    raise NotBalanced("bottom stream longer than top")
-                b = next(self.bottom, None)
-                if b is None:
-                    raise NotBalanced("top stream longer than bottom")
-                self._push_top(a)
-                self._push_bottom(b)
-            else:
-                sgn = (self.len_acc[0] if self.rel.weight_dim == 1
-                       else self.rel.sign_of_scaled(self.len_acc))
-                if sgn < 0:
-                    a = next(self.top, None)
-                    if a is None:
-                        raise NotBalanced("streams end with unequal lengths")
-                    self._push_top(a)
-                elif sgn > 0:
-                    b = next(self.bottom, None)
-                    if b is None:
-                        raise NotBalanced("streams end with unequal lengths")
-                    self._push_bottom(b)
-                else:
-                    if self._equivalent():
-                        component = BalancedPair(tuple(self.pend_top),
-                                                 tuple(self.pend_bottom))
-                        self._reset()
-                        return component
-                    a = next(self.top, None)
-                    b = next(self.bottom, None)
-                    if a is None or b is None:
-                        raise NotBalanced("streams end on an unbalanced pair")
-                    self._push_top(a)
-                    self._push_bottom(b)
-            self._check_caps()
+                f"irreducible component exceeds {cap} letters", which=which)
+        cut = tuple(other.letters[:length])
+        del other.letters[:length]
+        if side is top:
+            yield BalancedPair(tuple(side.letters), cut)
+        else:
+            yield BalancedPair(cut, tuple(side.letters))
+        side.letters = []
 
 
 def reduce_pair(rel, u, v, *, max_word_length=None):
@@ -252,14 +243,8 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
         raise NotBalanced("pair words must be nonempty")
     if not rel.word_equiv(u, v):
         raise NotBalanced("words are not equivalent under the relation")
-    return _components(rel, u, v, max_word_length)
-
-
-def _components(rel, top, bottom, component_cap):
-    """Every irreducible component of the scan of two words, in order."""
-    splitter = _Splitter(rel, iter(top), iter(bottom),
-                         component_cap=component_cap)
-    return list(iter(splitter.next_component, None))
+    cap = max(len(u), len(v)) if max_word_length is None else max_word_length
+    return list(split(rel, u, v, cap))
 
 
 def substitute_pair(subst: Substitution, pair: BalancedPair):
@@ -268,9 +253,16 @@ def substitute_pair(subst: Substitution, pair: BalancedPair):
 
 
 def children(subst, rel, pair, *, max_word_length=None):
-    """Irreducible pairs in the reduction of the substituted pair, in order."""
-    top, bottom = substitute_pair(subst, pair)
-    return _components(rel, top, bottom, max_word_length)
+    """Irreducible pairs in the reduction of the substituted pair, in order.
+
+    The images are read letter by letter, never built whole.
+    """
+    top, bottom = (chain.from_iterable(subst.rules[a] for a in word)
+                   for word in (pair.top, pair.bottom))
+    if max_word_length is None:  # no component outgrows the images
+        max_word_length = (max(len(pair.top), len(pair.bottom))
+                           * max(map(len, subst.rules)))
+    return list(split(rel, top, bottom, max_word_length))
 
 
 def initial_pairs(subst, rel, w, budgets: Budgets,
@@ -281,10 +273,10 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
     irreducible pairs until no new pair shows up for a stability window of
     max(split_stability_window, 3x the current pair count) consecutive cuts.
 
-    Raises ScanOverflow when the scan runs max_scan_length letters without a
-    cut (or a component outgrows max_word_length), and StabilityNotReached
-    when the total scan or the pair budget is exhausted while new pairs are
-    still appearing.
+    Raises ScanOverflow when a component has more letters on a side than
+    the smaller of max_word_length and max_scan_length (named by which; a
+    tie names max_word_length), and StabilityNotReached when the total scan
+    or the pair budget is exhausted while new pairs are still appearing.
     """
     w = tuple(w)
     if not w:
@@ -293,15 +285,18 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
         stream = fixed_point_stream(subst)
     if stream.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
-    splitter = _Splitter(rel, stream.letters(0), stream.letters(len(w)),
-                         component_cap=budgets.max_word_length,
-                         stretch_cap=budgets.max_scan_length)
+    if budgets.max_scan_length < budgets.max_word_length:
+        cap, which = budgets.max_scan_length, "max_scan_length"
+    else:
+        cap, which = budgets.max_word_length, "max_word_length"
     pairs = PairSet()
     cuts = 0
     cuts_at_last_new = 0
-    while True:
-        component = splitter.next_component()
+    scanned = 0
+    for component in split(rel, stream.letters(0), stream.letters(len(w)),
+                           cap, which):
         cuts += 1
+        scanned += len(component.top)
         if pairs.add(component, 1):
             cuts_at_last_new = cuts
             if len(pairs) > budgets.max_pairs:
@@ -311,7 +306,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
         window = max(budgets.split_stability_window, 3 * len(pairs))
         if cuts - cuts_at_last_new >= window:
             return pairs
-        if splitter.top_consumed > budgets.max_scan_length:
+        if scanned > budgets.max_scan_length:
             raise StabilityNotReached(
                 f"still discovering after {budgets.max_scan_length} letters",
                 which="max_scan_length")
@@ -443,22 +438,24 @@ def coincidence_density(subst, rel, w, level, horizon,
         stream = fixed_point_stream(subst)
     if stream.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
-    splitter = _Splitter(rel, stream.letters(0),
-                         stream.letters(len(shift_word)),
-                         stretch_cap=max(horizon * 4, 10_000))
     coincident = None
     total = None
-    while splitter.top_consumed < horizon:
-        component = splitter.next_component()
+    scanned = 0
+    for component in split(rel, stream.letters(0),
+                           stream.letters(len(shift_word)),
+                           max(horizon * 4, 10_000), "max_scan_length"):
         mass = rel.length_of(component.top)
         total = mass if total is None else total + mass
         if component.is_coincidence:
             coincident = mass if coincident is None else coincident + mass
+        scanned += len(component.top)
+        if scanned >= horizon:
+            break
     if coincident is None:
         coincident = (total.field.zero() if isinstance(total, FieldScalar)
                       else Fraction(0))
     ratio = _exact_ratio(coincident, total)
-    return DensityStats(horizon=splitter.top_consumed,
+    return DensityStats(horizon=scanned,
                         coincident_mass=coincident, total_mass=total,
                         ratio_fraction=ratio[0], ratio_decimal=ratio[1])
 

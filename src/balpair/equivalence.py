@@ -3,26 +3,30 @@
 A Relation bundles a substitution with one of:
 
   plain     -- equal population vectors;
-  letters   -- equal counts per letter-equivalence class (Livshits);
+  letters   -- equal counts per letter-equivalence class (Livshits); the
+               images of the letters of one class need equal class counts;
   general   -- L . A^m (p(u) - p(v)) = 0 for all m, with a positive length
                vector L; truncated at m = n-1 by Cayley-Hamilton, and down to
                the single m = 0 test when L is the Perron left eigenvector.
 
-For scanning speed every relation precomputes integer tables: letter weights
-are the length-vector coordinates scaled by a common denominator, and the
-equivalence state of a pair of words is an integer vector that is zero
-exactly when the words are equivalent. Signs of scaled lengths (needed to
-drive the two-pointer scan) are decided by dyadic enclosures of powers of
-lambda, escalated until conclusive; nonzero values always resolve.
+For scanning speed every relation precomputes integer tables. The
+equivalence state of a word is an integer vector, linear in its population
+vector, and two words are equivalent exactly when their states are equal;
+equal states also mean equal L-lengths. Integer enclosures of each letter's
+scaled L-length (exact when the lengths are rational; for irrational
+lambda, the floor and ceiling of 2^64 * length over an interval enclosure)
+tell the splitter when one side is provably longer, so no sign of an
+algebraic number is ever decided.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
-from .errors import InternalInvariantError
 from .linalg import mat_powers
 from .numberfield import FieldScalar
 from .substitution import Substitution
@@ -90,63 +94,6 @@ def resolve_length_vector(subst: Substitution, spec: LengthSpec):
     raise ValueError(f"unknown length spec kind {spec.kind!r}")
 
 
-class _DyadicSign:
-    """Sign of sum(s[j] * lambda^j) from integer dyadic power enclosures."""
-
-    def __init__(self, field, bits=64):
-        self.field = field
-        self.bits = 0
-        self._set_bits(bits)
-
-    def _set_bits(self, bits):
-        self.bits = bits
-        f = self.field
-        f.refine_below(Fraction(1, 2 ** (bits // 2)))
-        lo, hi = f.interval
-        while lo <= 0:  # lambda > 0; push the bracket off zero
-            f.refine_once()
-            lo, hi = f.interval
-        one = 1 << bits
-        los = [one]
-        his = [one]
-        llo = (lo.numerator << bits) // lo.denominator
-        lhi = -((-hi.numerator << bits) // hi.denominator)
-        for _ in range(f.degree - 1):
-            los.append((los[-1] * llo) >> bits)
-            his.append(((his[-1] * lhi) >> bits) + 1)
-        self.low = los
-        self.high = his
-
-    def sign(self, s):
-        while True:
-            lo = hi = 0
-            for sj, pl, ph in zip(s, self.low, self.high):
-                if sj >= 0:
-                    lo += sj * pl
-                    hi += sj * ph
-                else:
-                    lo += sj * ph
-                    hi += sj * pl
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if not any(s):
-                return 0
-            if self.bits > 1 << 20:
-                raise InternalInvariantError("dyadic sign refinement exhausted")
-            self._set_bits(self.bits * 2)
-
-
-class _IntSign:
-    """Sign oracle for one-dimensional (rational) scaled lengths."""
-
-    @staticmethod
-    def sign(s):
-        v = s[0]
-        return (v > 0) - (v < 0)
-
-
 class Relation:
     """One balance notion over a fixed substitution; immutable once built."""
 
@@ -155,7 +102,8 @@ class Relation:
         self.subst = subst
         self.mode = mode
         self.partition = partition
-        self.lengths = lengths
+        # plain and letters measure words by their number of letters
+        self.lengths = lengths or (Fraction(1),) * subst.size
         self.spec = spec
         self.is_lambda = is_lambda
         self._build_tables()
@@ -188,13 +136,9 @@ class Relation:
     def _build_tables(self):
         n = self.subst.size
         if self.mode in (PLAIN, LETTERS):
-            self.weight_dim = 1
-            self.letter_weights = tuple((1,) for _ in range(n))
-            self._sign_oracle = _IntSign()
-            self._exact_lengths = tuple(Fraction(1) for _ in range(n))
+            self.length_low = self.length_high = (1,) * n
             if self.mode == PLAIN:
-                self.eq_dim = n
-                self.letter_eq = tuple(
+                letter_eq = tuple(
                     tuple(1 if j == i else 0 for j in range(n))
                     for i in range(n))
             else:
@@ -203,40 +147,44 @@ class Relation:
                 for ci, cls in enumerate(classes):
                     for letter in cls:
                         class_of[letter] = ci
-                self.eq_dim = len(classes)
-                self.letter_eq = tuple(
+                letter_eq = tuple(
                     tuple(1 if class_of[i] == c else 0
                           for c in range(len(classes)))
                     for i in range(n))
+                self._check_partition(class_of)
+            self._set_letter_eq(letter_eq)
             return
 
         # general mode: scale the length vector to integer coefficient vectors
         first = self.lengths[0]
         if isinstance(first, FieldScalar):
-            field = first.field
-            dim = field.degree
+            dim = first.field.degree
             coeff_rows = [list(v.coeffs) for v in self.lengths]
         else:
-            field = None
             dim = 1
             coeff_rows = [[Fraction(v)] for v in self.lengths]
         den = lcm(*(c.denominator for row in coeff_rows for c in row))
-        self.weight_dim = dim
-        self.letter_weights = tuple(
-            tuple(int(c * den) for c in row) for row in coeff_rows)
-        self._sign_oracle = (_DyadicSign(field) if field is not None
-                             and dim > 1 else _IntSign())
-        self._exact_lengths = tuple(self.lengths)
+        scaled = tuple(tuple(int(c * den) for c in row) for row in coeff_rows)
+        if dim == 1:
+            self.length_low = self.length_high = tuple(
+                row[0] for row in scaled)
+        else:
+            # floor and ceiling of 2^64 * l over an enclosure of l, taken on
+            # a copy of the field so the shared bracket is left as it is; a
+            # bracket a few bits finer than 2^-64 keeps each width near one
+            field = copy(first.field)
+            field.refine_below(Fraction(1, 1 << 72))
+            bounds = [field.enclose(v.coeffs) for v in self.lengths]
+            self.length_low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
+            self.length_high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
 
         if self.is_lambda:
             # L.A^m = lambda^m L, so the m = 0 test is the whole condition
-            self.eq_dim = dim
-            self.letter_eq = self.letter_weights
+            self._set_letter_eq(scaled)
             return
         # letter j contributes, for each m in 0..n-1, the coefficient vector
         # of den * (L . A^m)_j; equivalence is all blocks zero
         powers = mat_powers(self.subst.transition_matrix(), n)
-        self.eq_dim = n * dim
         letter_eq = []
         for j in range(n):
             vec = []
@@ -250,22 +198,57 @@ class Relation:
                             col[t] += a * w[t]
                 vec.extend(int(c * den) for c in col)
             letter_eq.append(tuple(vec))
-        self.letter_eq = tuple(letter_eq)
+        self._set_letter_eq(tuple(letter_eq))
+
+    def _set_letter_eq(self, letter_eq):
+        self.letter_eq = letter_eq
+        self.eq_dim = len(letter_eq[0])
+        self._eq_bound = max(abs(v) for row in letter_eq for v in row)
+        self._packed = {}
+
+    def _check_partition(self, class_of):
+        """Letters of one class must have images with equal class counts;
+        otherwise sigma does not map equivalent words to equivalent words."""
+        render = self.subst.alphabet.render
+        for first, *rest in self.partition:
+            counts = Counter(class_of[x] for x in self.subst.rules[first])
+            for a in rest:
+                if Counter(class_of[x] for x in self.subst.rules[a]) != counts:
+                    raise ValueError(
+                        f"letters {render((first,))} and {render((a,))} "
+                        "share a class, but their images have different "
+                        "class counts")
+
+    def packed_states(self, cap):
+        """Each letter's equivalence state packed into one int.
+
+        Coordinate t goes to bits [t * bits, (t + 1) * bits), signed, so
+        packing is linear and a word's packed state is the sum over its
+        letters. The split compares a top and a bottom prefix whose states
+        were equal at the last cut, so their difference is the state
+        difference of at most cap + 1 letters read since that cut on each
+        side. Each of its coordinates is at most 2 (cap + 1) M in absolute
+        value, M being the largest |letter_eq| entry; with 2^bits above
+        that, the packed difference is zero exactly when the state
+        difference is.
+        """
+        bits = (2 * (cap + 1) * self._eq_bound).bit_length()
+        packed = self._packed.get(bits)
+        if packed is None:
+            packed = self._packed[bits] = tuple(
+                sum(v << (bits * t) for t, v in enumerate(row))
+                for row in self.letter_eq)
+        return packed
 
     # -- predicates -----------------------------------------------------------
 
-    def zero_eq(self):
-        return (0,) * self.eq_dim
-
-    def zero_len(self):
-        return (0,) * self.weight_dim
-
     def sign_of_scaled(self, s):
-        return self._sign_oracle.sign(s)
+        """Exact sign of sum(s[j] * lambda^j) in the Perron field."""
+        return self.subst.spectrum().perron.sign_of(s)
 
     def word_equiv(self, u, v) -> bool:
         """Are two words equivalent under this relation?"""
-        acc = list(self.zero_eq())
+        acc = [0] * self.eq_dim
         for letter in u:
             for t, val in enumerate(self.letter_eq[letter]):
                 acc[t] += val
@@ -278,32 +261,28 @@ class Relation:
         """Exact L-length of a word (Fraction, or FieldScalar in lambda mode)."""
         total = None
         for letter in word:
-            w = self._exact_lengths[letter]
+            w = self.lengths[letter]
             total = w if total is None else total + w
         if total is None:
-            first = self._exact_lengths[0]
+            first = self.lengths[0]
             return (first.field.zero() if isinstance(first, FieldScalar)
                     else Fraction(0))
         return total
 
 
-def letter_equiv_classes(subst: Substitution):
+def letter_equiv_classes(subst: Substitution, ones=None):
     """Partition of letters: i ~ j iff all iterated image lengths agree.
 
-    This is word equivalence with the all-ones length vector applied to
-    single letters; the same machinery backs both tests.
+    That is word equivalence of the single letters under the all-ones
+    length vector, so letters with equal letter_eq rows of general[ones]
+    (passed as ones, or built here) share a class.
     """
-    rel = Relation.generalized(subst, LengthSpec.ones())
-    n = subst.size
-    classes = []
-    for i in range(n):
-        for cls in classes:
-            if rel.word_equiv((i,), (cls[0],)):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    return tuple(tuple(c) for c in classes)
+    if ones is None:
+        ones = Relation.generalized(subst, LengthSpec.ones())
+    classes = {}
+    for letter, row in enumerate(ones.letter_eq):
+        classes.setdefault(row, []).append(letter)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def in_pf_kernel(subst: Substitution, z) -> bool:

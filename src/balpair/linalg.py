@@ -178,9 +178,11 @@ def integer_form(vector):
 class Spectrum:
     """Exact spectral data of a primitive transition matrix, built once.
 
-    Sign tests refine the isolating interval of the shared Perron field in
-    place; rendering reads only pinned enclosures, so refinement never
-    changes an output.
+    Rendering and exact comparisons may refine the isolating interval of
+    the shared Perron field in place; rendered values read only pinned
+    enclosures, so refinement never changes an output. The closure leaves
+    the field as it is: relations enclose their lengths on a local copy of
+    the interval.
     """
 
     char_poly: RatPoly

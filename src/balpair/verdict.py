@@ -114,12 +114,18 @@ class CellResult:
     verdict: SpectrumVerdict | None = None
     corollary_check: dict | None = None
     densities: list | None = None
-    error: str | None = None
+    exception: Exception | None = None  # what stopped the cell, if any
     seconds: float = 0.0
 
     @property
     def relation_label(self):
         return self.spec.label()
+
+    @property
+    def error(self):
+        if self.exception is None:
+            return None
+        return f"{type(self.exception).__name__}: {self.exception}"
 
 
 @dataclass
@@ -177,13 +183,16 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     except Undecidable as exc:
         eigen = None
         undecidable = str(exc)
-    classes = letter_equiv_classes(subst)
+    ones_spec = RelationSpec.general(LengthSpec.ones())
+    ones_rel = ones_spec.build(subst)
+    classes = letter_equiv_classes(subst, ones_rel)
     timings["spectral"] = time.perf_counter() - t0
 
     relations = []
     for spec in config.relations:
         try:
-            relations.append((spec, spec.build(subst, classes)))
+            relations.append((spec, ones_rel if spec == ones_spec
+                              else spec.build(subst, classes)))
         except (BalpairError, ValueError) as exc:
             relations.append((spec, exc))
 
@@ -207,7 +216,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
             cell = CellResult(prefix=prefix, spec=spec, prefix_ok=prefix_ok)
             t0 = time.perf_counter()
             if isinstance(rel, Exception):
-                cell.error = str(rel)
+                cell.exception = rel
                 cell.seconds = time.perf_counter() - t0
                 cells.append(cell)
                 continue
@@ -234,7 +243,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                     cell.densities = _densities(subst, rel, prefix,
                                                 config.density_levels, stream)
             except BalpairError as exc:
-                cell.error = f"{type(exc).__name__}: {exc}"
+                cell.exception = exc
             cell.seconds = time.perf_counter() - t0
             cells.append(cell)
 

@@ -282,12 +282,8 @@ def _truncated(rel, z):
 def _brute(rel, a, z, horizon):
     current = tuple(z)
     for _ in range(horizon + 1):
-        acc = [0] * rel.weight_dim
-        for letter, count in enumerate(current):
-            if count:
-                for t, val in enumerate(rel.letter_weights[letter]):
-                    acc[t] += count * val
-        if any(acc):
+        if sum(length * count
+               for length, count in zip(rel.lengths, current)) != 0:
             return False
         current = mat_vec(a, current)
     return True

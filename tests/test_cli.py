@@ -1,9 +1,13 @@
+import importlib
 import json
+
+import pytest
 
 import balpair.engine
 from balpair.cli import main
 from balpair.engine import Budgets, pair_graph, run_bpa
 from balpair.equivalence import LengthSpec, Relation
+from balpair.errors import InternalInvariantError, NotBalanced, Undecidable
 from balpair.report import render_dot
 
 from conftest import count_calls, load_corpus
@@ -169,3 +173,33 @@ def test_verdict_eight_letters_exit_budget(tmp_path, capsys):
                            "--prefix", "1", "--length", "lambda")
     assert code == 2
     assert "budget exceeded" in out
+
+
+def test_verdict_letter_partition_error_exit_one(tmp_path, capsys):
+    # sigma maps letters 1 and 4 of one class to images with different
+    # class counts, so the letters relation cannot be built
+    path = tmp_path / "split-class.sub"
+    path.write_text("1 -> 414\n2 -> 41\n3 -> 1411\n4 -> 213\n")
+    code, out, _ = run_cli(capsys, "verdict", str(path),
+                           "--mode", "letters", "--prefix", "2")
+    assert code == 1
+    assert "ERROR ValueError: letters 1 and 4 share a class" in out
+
+
+@pytest.mark.parametrize("error, code", [
+    (Undecidable("no separation"), 3),
+    (InternalInvariantError("broken"), 4),
+    (NotBalanced("unbalanced"), 1),
+])
+def test_verdict_errored_cell_exit_code(fixtures_dir, capsys, monkeypatch,
+                                        error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    # the package re-exports verdict(), which hides the module attribute
+    monkeypatch.setattr(importlib.import_module("balpair.verdict"),
+                        "run_bpa", fail)
+    got, out, _ = run_cli(capsys, "verdict", str(fixtures_dir / "ex1.sub"),
+                          "--length", "ones", "--prefix", "1")
+    assert got == code
+    assert f"ERROR {type(error).__name__}" in out

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from balpair.engine import (BalancedPair, Budgets, PairSet, _Splitter,
-                            children, coincidence_analysis,
-                            coincidence_density, initial_pairs, pair_graph,
-                            reduce_pair, run_bpa, substitute_pair)
+from balpair.engine import (BalancedPair, Budgets, PairSet, children,
+                            coincidence_analysis, coincidence_density,
+                            initial_pairs, pair_graph, reduce_pair, run_bpa,
+                            split, substitute_pair)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (NotBalanced, NotClosed, ScanOverflow,
                             StabilityNotReached)
@@ -298,13 +298,13 @@ def test_coincidence_analysis_stranded_component():
 def test_density_identical_streams_is_one(ex1):
     rel = Relation.plain(ex1)
     stream = fixed_point_stream(ex1)
-    splitter = _Splitter(rel, stream.letters(0), stream.letters(0))
     total = coincident = 0
-    while splitter.top_consumed < 500:
-        comp = splitter.next_component()
+    for comp in split(rel, stream.letters(0), stream.letters(0), 10_000):
         total += len(comp.top)
         if comp.is_coincidence:
             coincident += len(comp.top)
+        if total >= 500:
+            break
     assert coincident == total
 
 

@@ -27,6 +27,15 @@ def test_letter_classes_examples(noncon):
     assert letter_equiv_classes(ex1) == ((0,), (1,))
 
 
+def test_letter_partition_must_be_respected_by_sigma():
+    # 1 and 4 have equal iterated image lengths, but sigma(1) = 414 has
+    # class counts (3, 0, 0) and sigma(4) = 213 has (1, 1, 1)
+    subst = parse_substitution("1 -> 414\n2 -> 41\n3 -> 1411\n4 -> 213")
+    assert letter_equiv_classes(subst) == ((0, 3), (1,), (2,))
+    with pytest.raises(ValueError, match="letters 1 and 4 share a class"):
+        Relation.letter_classes(subst)
+
+
 def test_length_spec_parsing():
     assert LengthSpec.parse("ones").kind == "ones"
     assert LengthSpec.parse("lambda").kind == "lambda"
@@ -178,14 +187,11 @@ def diff_equiv(rel, z):
 
 
 def brute_equiv(rel, a, z, horizon):
-    """L . A^m z == 0 for every m up to the horizon, via the scaled tables."""
+    """L . A^m z == 0 for every m up to the horizon, exactly from the lengths."""
     current = tuple(z)
     for _ in range(horizon + 1):
-        acc = [0] * rel.weight_dim
-        for letter, count in enumerate(current):
-            for t, val in enumerate(rel.letter_weights[letter]):
-                acc[t] += count * val
-        if any(acc):
+        if sum(length * count
+               for length, count in zip(rel.lengths, current)) != 0:
             return False
         current = mat_vec(a, current)
     return True

@@ -195,3 +195,12 @@ def test_analyze_computes_letter_classes_once(corpus, monkeypatch):
     assert report.letter_classes == ((0,), (1, 2, 3))
     assert report.cells[0].verdict.kind == "pure_discrete"
     assert len(in_analyze) + len(in_relations) == 1
+
+
+def test_analyze_builds_all_ones_relation_once(corpus, monkeypatch):
+    # the letter classes come from the general[ones] the cells use
+    builds = count_calls(monkeypatch, balpair.equivalence.Relation,
+                         "generalized")
+    subst = corpus["ex1"]
+    analyze(subst, AnalysisConfig(prefixes=[(0,)]))
+    assert [args[1].kind for args in builds] == ["ones", "lambda"]
