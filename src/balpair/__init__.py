@@ -18,8 +18,7 @@ from .equivalence import (LengthSpec, Relation, in_pf_kernel,
                           letter_equiv_classes, resolve_length_vector)
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      NoExpandingFixedPoint, NotBalanced, NotClosed,
-                     RuleSyntaxError, ScanOverflow, StabilityNotReached,
-                     Undecidable)
+                     RuleSyntaxError, ScanOverflow, StabilityNotReached)
 from .linalg import (EigenReport, char_poly, classify_spectrum, integer_form,
                      left_pf_eigenvector, perron_data)
 from .numberfield import FieldScalar, NumberField

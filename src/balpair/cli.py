@@ -3,8 +3,8 @@
 Subcommands: info (spectral data), bpa (one cell), verdict (full analysis),
 batch (verdict over a directory). Exit codes: 0 ok, 1 usage/parse error or
 a cell that failed on its input, 2 at least one budget-exceeded cell,
-3 undecidable numerics, 4 internal invariant violation; when several apply,
-the highest wins.
+4 internal invariant violation; when several apply, the highest wins. Code 3
+(once undecidable numerics) is retired and not reused.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import Budgets
 from .equivalence import LengthSpec, letter_equiv_classes
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
-                     RuleSyntaxError, Undecidable)
+                     RuleSyntaxError)
 from .linalg import char_poly, classify_spectrum, integer_form
 from .report import render_dot, render_json
 from .substitution import (admissible_prefixes, fixed_point_stream,
@@ -26,7 +26,6 @@ from .verdict import AnalysisConfig, RelationSpec, analyze
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
-EXIT_UNDECIDABLE = 3
 EXIT_INTERNAL = 4
 
 
@@ -48,8 +47,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--json", type=Path, default=None,
                        help="write the JSON report here")
-        p.add_argument("--precision", type=int, default=1024,
-                       help="max bits for numeric eigenvalue enclosures")
 
     def add_run_flags(p):
         p.add_argument("--prefix", default=None,
@@ -111,14 +108,9 @@ def _relation_specs(args):
 
 
 def _budgets(args):
-    budgets = Budgets()
-    if args.max_iter is not None:
-        budgets.max_iterations = args.max_iter
-    if args.max_pairs is not None:
-        budgets.max_pairs = args.max_pairs
-    if args.max_word_len is not None:
-        budgets.max_word_length = args.max_word_len
-    return budgets
+    flags = {"max_iterations": args.max_iter, "max_pairs": args.max_pairs,
+             "max_word_length": args.max_word_len}
+    return Budgets(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _config(args, subst):
@@ -132,7 +124,6 @@ def _config(args, subst):
         relations=_relation_specs(args),
         budgets=_budgets(args),
         density_levels=args.density_levels,
-        precision_bits=args.precision,
     )
 
 
@@ -143,18 +134,14 @@ def _load(path: Path):
 def _cell_exit_code(cell):
     if cell.exception is None:
         return EXIT_OK if cell.outcome.terminated else EXIT_BUDGET
-    if isinstance(cell.exception, Undecidable):
-        return EXIT_UNDECIDABLE
     if isinstance(cell.exception, InternalInvariantError):
         return EXIT_INTERNAL
     return EXIT_USAGE
 
 
 def _exit_code_for(report):
-    codes = [_cell_exit_code(cell) for cell in report.cells]
-    if report.undecidable:
-        codes.append(EXIT_UNDECIDABLE)
-    return max(codes, default=EXIT_OK)
+    return max((_cell_exit_code(cell) for cell in report.cells),
+               default=EXIT_OK)
 
 
 def _print_cells(report, out):
@@ -220,9 +207,7 @@ def cmd_info(args, out):
             _write_info_json(args.json, subst, cp, classes, None, None, out)
         return EXIT_OK
     nf = spectrum.perron
-    eigen = classify_spectrum(spectrum.factors, nf,
-                              constant_length=subst.is_constant_length(),
-                              precision_bits=args.precision)
+    eigen = classify_spectrum(spectrum.factors, nf)
     for fac, mult in spectrum.factors:
         print(f"factor: ({fac})^{mult}", file=out)
     print(f"perron eigenvalue: root of {nf.min_poly} ~ {nf.approx_str()}",
@@ -318,7 +303,7 @@ def cmd_batch(args, out):
             subst = _load(path)
             config = _config(args, subst)
             report = analyze(subst, config)
-        except BalpairError as exc:
+        except (BalpairError, ValueError) as exc:
             print(f"  error: {exc}", file=out)
             worst = max(worst, EXIT_USAGE)
             continue
@@ -342,9 +327,6 @@ def main(argv=None):
     except (RuleSyntaxError, EmptyConfig, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Undecidable as exc:
-        print(f"undecidable numerics: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDABLE
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

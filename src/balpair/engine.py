@@ -139,9 +139,6 @@ class DensityStats:
     ratio_fraction: Fraction | None
     ratio_decimal: str
 
-    def ratio_as_float(self):
-        return float(self.ratio_decimal)
-
 
 class _Side:
     """One word of a split: the letters read since the last cut, and the

@@ -19,17 +19,6 @@ class NoExpandingFixedPoint(BalpairError):
     """No power of the substitution has a letter seeding an infinite fixed word."""
 
 
-class Undecidable(BalpairError):
-    """A numeric enclosure could not separate a root modulus from 1.
-
-    Carries the offending factor so reports can point at it.
-    """
-
-    def __init__(self, message, factor=None):
-        self.factor = factor
-        super().__init__(message)
-
-
 class NotBalanced(BalpairError):
     """The two words of a pair are not equivalent under the active relation."""
 

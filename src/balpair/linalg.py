@@ -3,24 +3,22 @@
 Characteristic polynomials come from the Faddeev-LeVerrier recurrence (exact
 over Fraction, integer-valued for integer matrices). The Perron root is the
 largest real root across the irreducible factors, isolated by Sturm counts.
-The left eigenvector is solved exactly over Q(lambda). Eigenvalue moduli are
-classified algebraically wherever possible (zero roots, cyclotomic factors,
-Sturm counts for real roots, constant-term arguments for low-degree complex
-pairs); only complex pairs of quartic-or-larger factors fall back to floating
-enclosures on an escalating precision ladder.
+The left eigenvector is solved exactly over Q(lambda). Eigenvalues are
+classified by modulus from exact root counts per irreducible factor: a Sturm
+count on the trace polynomial of a self-reciprocal factor, and the
+Routh-Hurwitz count (a Cauchy index) after a Cayley map for any other.
+There is no floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalInvariantError, Undecidable
+from .errors import InternalInvariantError
 from .numberfield import NumberField
-from .polynomial import RatPoly, cyclotomics_up_to_degree, factor_poly
-
-PRECISION_LADDER = (64, 256, 1024)
+from .polynomial import RatPoly, factor_poly
 
 
 # -- small exact matrix helpers ---------------------------------------------
@@ -38,11 +36,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def vec_mat(v, a):
-    n = len(a)
-    return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(n))
 
 
 def mat_powers(a, count):
@@ -205,234 +198,85 @@ ZERO, SMALL, UNIT, LARGE, PERRON = "zero", "small", "unit", "large", "perron"
 
 
 @dataclass(frozen=True)
-class RootClass:
-    """One root (or conjugate pair member) of an irreducible factor."""
-
-    factor_index: int
-    kind: str  # zero / small / unit / large / perron
-    multiplicity: int
-    approx: str  # decimal modulus or value, report-friendly
-
-
-@dataclass
 class EigenReport:
-    roots: list = field(default_factory=list)  # RootClass entries
-    charpoly_irreducible: bool = False
-    pisot_type_literal: bool = False
-    pisot_type_allowing_zero: bool = False
-    constant_length: bool | None = None
-    dim_large: int = 0  # modulus >= 1, PF excluded
-    dim_small: int = 0  # modulus < 1, zeros included
+    counts: dict  # kind -> number of eigenvalues, multiplicities included
+    charpoly_irreducible: bool
+    pisot_type_literal: bool
+    pisot_type_allowing_zero: bool
+    dim_large: int  # modulus >= 1, PF excluded
+    dim_small: int  # modulus < 1, zeros included
 
     def kinds(self):
-        out = {}
-        for rc in self.roots:
-            out[rc.kind] = out.get(rc.kind, 0) + rc.multiplicity
-        return out
+        return self.counts
 
 
-def _real_root_intervals(poly, chain, lo, hi, count):
-    """Disjoint isolating intervals for the `count` real roots in (lo, hi]."""
-    if count == 0:
-        return []
-    if count == 1:
-        return [(lo, hi)]
-    while True:
-        mid = (lo + hi) / 2
-        while poly.eval(mid) == 0:
-            mid = (mid + hi) / 2
-        left = poly.count_roots(lo, mid, chain)
-        if 0 < left < count:
-            return (_real_root_intervals(poly, chain, lo, mid, left)
-                    + _real_root_intervals(poly, chain, mid, hi, count - left))
-        if left == 0:
-            lo = mid
-        else:
-            hi = mid
+def circle_counts(f):
+    """(inside, on, outside) counts of the roots of an irreducible f of
+    degree n >= 2 with respect to the unit circle, exactly.
 
-
-def _classify_real_root(poly, lo, hi):
-    """Modulus class of the single real root in the bracket, exactly.
-
-    Roots at +-1 belong to linear factors, which the caller classifies
-    directly, so refinement always separates the bracket from the circle.
+    A root on the circle makes f self-reciprocal: its reciprocal is
+    irreducible and shares the root 1/z = conj(z). Then every root z pairs
+    with 1/z, and f = x^m h(x + 1/x) has two roots on the circle per root of
+    h in (-2, 2); the others split evenly between inside and outside. Any
+    other f has no root on the circle. The Cayley map z = (w + 1)/(w - 1)
+    sends the inside of the circle to the left half-plane, where
+    q(w) = (w - 1)^n f((w + 1)/(w - 1)) has (n - I)/2 roots, I the Cauchy
+    index of B/A for i^-n q(iy) = A(y) + i B(y) (Routh-Hurwitz).
     """
-    while lo < -1 < hi or lo < 1 < hi:
-        lo, hi = poly.refine_root_interval(lo, hi)
-    if hi <= -1 or lo >= 1:
-        return LARGE
-    return SMALL
+    n = f.degree
+    if f.reciprocal() == f:
+        m = n // 2
+        # h = a_m + sum_k a_(m+k) T_k(t) with T_k(x + 1/x) = x^k + x^-k
+        t = RatPoly.x()
+        h = RatPoly((f.coeffs[m],))
+        prev, cur = RatPoly((2,)), t
+        for c in f.coeffs[m + 1:]:
+            h = h + cur * c
+            prev, cur = cur, t * cur - prev
+        on = 2 * h.count_roots(-2, 2)
+        inside = (n - on) // 2
+    else:
+        q = RatPoly.zero()
+        for k, c in enumerate(f.coeffs):
+            q = q + RatPoly((1, 1)) ** k * RatPoly((-1, 1)) ** (n - k) * c
+        # the term q_j (iy)^j of q(iy), times i^-n, is i^(j-n) q_j y^j
+        a = RatPoly([c * (1, 0, -1, 0)[(j - n) % 4]
+                     for j, c in enumerate(q.coeffs)])
+        b = RatPoly([c * (0, 1, 0, -1)[(j - n) % 4]
+                     for j, c in enumerate(q.coeffs)])
+        on = 0
+        inside = (n - a.cauchy_index(b)) // 2
+    return inside, on, n - on - inside
 
 
-def _complex_pair_classes(poly, real_intervals, precision_bits):
-    """Moduli of a factor's conjugate pairs, given its real-root brackets.
-
-    Exact shortcuts: a quadratic pair has |z|^2 = constant term; a cubic has
-    one real root rho and |z|^2 = |a0| / |rho|. Higher degrees use certified
-    floating enclosures: each approximate root z gets a disk of radius
-    (d * |p(z)| / |p'(z)|) that provably contains a root; disjoint disks for a
-    squarefree polynomial isolate one root each.
-    """
-    deg = poly.degree
-    n_pairs = (deg - len(real_intervals)) // 2
-    if n_pairs == 0:
-        return []
-    ints = poly.primitive_integer_coeffs()
-    lead = ints[-1]
-    if deg == 2:
-        mod2 = Fraction(ints[0], lead)  # product of the conjugate pair
-        return [_class_from_square(mod2, poly)]
-    if deg == 3:
-        # |z|^2 = |product of all roots| / |real root|
-        prod = abs(Fraction(ints[0], lead))
-        [(lo, hi)] = real_intervals  # the only real root
-        # compare |z|^2 against 1, i.e. prod against |rho|
-        for _ in range(10_000):
-            alo, ahi = (abs(x) for x in sorted((lo, hi), key=abs))
-            if lo <= 0 <= hi:
-                alo = Fraction(0)
-            if prod > ahi:
-                return [LARGE]
-            if prod < alo:
-                return [SMALL]
-            lo, hi = poly.refine_root_interval(lo, hi)
-        raise Undecidable("complex pair modulus refinement stalled", poly)
-    return _complex_enclosure_classes(poly, n_pairs, precision_bits)
-
-
-def _class_from_square(mod2, poly):
-    if mod2 > 1:
-        return LARGE
-    if mod2 < 1:
-        return SMALL
-    # |z| = 1 exactly but the factor is not cyclotomic: flag it
-    raise Undecidable("unit-modulus pair on a non-cyclotomic factor", poly)
-
-
-def _complex_enclosure_classes(poly, n_pairs, precision_bits):
-    import mpmath
-
-    ints = poly.primitive_integer_coeffs()
-    deg = poly.degree
-    coeffs_desc = [int(c) for c in reversed(ints)]
-    for bits in PRECISION_LADDER:
-        if bits > precision_bits:
-            break
-        with mpmath.workprec(bits):
-            try:
-                roots = mpmath.polyroots(coeffs_desc, maxsteps=200,
-                                         extraprec=bits)
-            except mpmath.libmp.NoConvergence:
-                continue
-            deriv = [c * (deg - i) for i, c in enumerate(coeffs_desc[:-1])]
-            disks = []
-            for z in roots:
-                pz = mpmath.polyval(coeffs_desc, z)
-                dz = mpmath.polyval(deriv, z)
-                if dz == 0:
-                    disks = None
-                    break
-                radius = deg * abs(pz) / abs(dz) * 2  # slack factor
-                disks.append((z, radius))
-            if disks is None:
-                continue
-            ok = all(abs(disks[i][0] - disks[j][0]) > disks[i][1] + disks[j][1]
-                     for i in range(len(disks)) for j in range(i))
-            if not ok:
-                continue
-            classes = []
-            resolved = True
-            for z, r in disks:
-                if mpmath.im(z) <= r:
-                    continue  # real root or lower-half representative
-                m = abs(z)
-                if m - r > 1:
-                    classes.append(LARGE)
-                elif m + r < 1:
-                    classes.append(SMALL)
-                else:
-                    resolved = False
-                    break
-            if resolved and len(classes) == n_pairs:
-                return classes
-    raise Undecidable(
-        f"cannot separate complex pair moduli from 1 at "
-        f"{min(precision_bits, PRECISION_LADDER[-1])} bits", poly)
-
-
-def classify_spectrum(factors, nf: NumberField, *, constant_length=None,
-                      precision_bits=PRECISION_LADDER[-1],
-                      approx_digits=8) -> EigenReport:
-    """Classify every eigenvalue modulus of a primitive transition matrix,
-    given the factors of its characteristic polynomial and its Perron field.
-
-    Raises Undecidable when a non-cyclotomic factor has a complex pair whose
-    modulus cannot be separated from 1 within the precision ladder.
-    """
-    n = sum(fac.degree * mult for fac, mult in factors)
-    cyclo = cyclotomics_up_to_degree(n)
-    report = EigenReport(charpoly_irreducible=(len(factors) == 1
-                                               and factors[0][1] == 1),
-                         constant_length=constant_length)
-
-    def add(idx, kind, mult, approx):
-        report.roots.append(RootClass(idx, kind, mult, approx))
-
-    for idx, (fac, mult) in enumerate(factors):
+def classify_spectrum(factors, nf: NumberField) -> EigenReport:
+    """Count the eigenvalues of a primitive transition matrix by modulus,
+    exactly, given the factors of its characteristic polynomial and its
+    Perron field."""
+    counts = dict.fromkeys((PERRON, UNIT, LARGE, SMALL, ZERO), 0)
+    for fac, mult in factors:
         if fac == RatPoly.x():
-            add(idx, ZERO, mult, "0")
-            continue
-        if fac.degree == 1:
-            root = -fac.coeffs[0]
+            counts[ZERO] += mult
+        elif fac == nf.min_poly and fac.degree == 1:
+            counts[PERRON] += mult
+        elif fac.degree == 1:
+            mag = abs(fac.coeffs[0])
+            counts[UNIT if mag == 1 else SMALL if mag < 1 else LARGE] += mult
+        else:
+            inside, on, outside = circle_counts(fac)
             if fac == nf.min_poly:
-                add(idx, PERRON, mult, str(root))
-                continue
-            mag = abs(root)
-            kind = UNIT if mag == 1 else (SMALL if mag < 1 else LARGE)
-            add(idx, kind, mult, str(root))
-            continue
-        if any(fac == q for q in cyclo.values()):
-            add(idx, UNIT, fac.degree * mult, "|z| = 1 (root of unity)")
-            continue
-        chain = fac.sturm_chain()
-        bound = fac.cauchy_bound()
-        n_real = fac.count_roots(-bound, bound, chain)
-        perron_here = fac == nf.min_poly
-        # intervals come back in ascending order; for the Perron factor the
-        # largest real root is lambda itself
-        intervals = _real_root_intervals(fac, chain, -bound, bound, n_real)
-        for pos, (lo, hi) in enumerate(intervals):
-            if perron_here and pos == len(intervals) - 1:
-                add(idx, PERRON, mult, nf.approx_str(digits=approx_digits))
-                continue
-            kind = _classify_real_root(fac, lo, hi)
-            add(idx, kind, mult, _approx_from_bracket(fac, lo, hi, approx_digits))
-        for kind in _complex_pair_classes(fac, intervals, precision_bits):
-            add(idx, kind, 2 * mult, f"conjugate pair, |z| {'>' if kind == LARGE else '<'} 1")
-
-    total = sum(rc.multiplicity for rc in report.roots)
-    if total != n:
+                counts[PERRON] += mult
+                outside -= 1
+            counts[SMALL] += inside * mult
+            counts[UNIT] += on * mult
+            counts[LARGE] += outside * mult
+    if counts[PERRON] != 1:
         raise InternalInvariantError(
-            f"classified {total} roots for an {n}x{n} matrix")
-    perron_count = sum(rc.multiplicity for rc in report.roots
-                       if rc.kind == PERRON)
-    if perron_count != 1:
-        raise InternalInvariantError(
-            f"{perron_count} Perron roots classified; matrix not primitive?")
-
-    kinds = report.kinds()
-    report.dim_large = kinds.get(UNIT, 0) + kinds.get(LARGE, 0)
-    report.dim_small = kinds.get(SMALL, 0) + kinds.get(ZERO, 0)
-    non_pf = [rc for rc in report.roots if rc.kind != PERRON]
-    report.pisot_type_allowing_zero = all(
-        rc.kind in (SMALL, ZERO) for rc in non_pf)
-    report.pisot_type_literal = all(rc.kind == SMALL for rc in non_pf)
-    return report
-
-
-def _approx_from_bracket(poly, lo, hi, digits):
-    target = Fraction(1, 10 ** (digits + 2))
-    while hi - lo > target:
-        lo, hi = poly.refine_root_interval(lo, hi)
-    from .numberfield import _format_decimal
-    return _format_decimal((lo + hi) / 2, digits)
+            f"{counts[PERRON]} Perron roots classified; matrix not primitive?")
+    return EigenReport(
+        counts={kind: c for kind, c in counts.items() if c},
+        charpoly_irreducible=len(factors) == 1 and factors[0][1] == 1,
+        pisot_type_literal=counts[UNIT] + counts[LARGE] + counts[ZERO] == 0,
+        pisot_type_allowing_zero=counts[UNIT] + counts[LARGE] == 0,
+        dim_large=counts[UNIT] + counts[LARGE],
+        dim_small=counts[SMALL] + counts[ZERO])

@@ -15,12 +15,10 @@ lifted at all.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from fractions import Fraction
-from types import MappingProxyType
 
 
 class RatPoly:
@@ -50,10 +48,6 @@ class RatPoly:
     @staticmethod
     def x():
         return RatPoly((0, 1))
-
-    @staticmethod
-    def constant(c):
-        return RatPoly((Fraction(c),))
 
     @property
     def is_zero(self):
@@ -160,9 +154,6 @@ class RatPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def divides(self, other):
-        return (other % self).is_zero
-
     def monic(self):
         if self.is_zero:
             return self
@@ -191,14 +182,6 @@ class RatPoly:
         """x^deg * p(1/x); reverses the coefficient list."""
         return RatPoly(tuple(reversed(self.coeffs)))
 
-    def compose_shift(self, k):
-        """p(x + k) for integer k (used for root bounds)."""
-        result = RatPoly.zero()
-        shift = RatPoly((k, 1))
-        for c in reversed(self.coeffs):
-            result = result * shift + RatPoly.constant(c)
-        return result
-
     # -- gcd / squarefree -------------------------------------------------
 
     def gcd(self, other):
@@ -207,11 +190,6 @@ class RatPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def squarefree_part(self):
-        if self.degree <= 0:
-            return self.monic()
-        return (self // self.gcd(self.derivative())).monic()
 
     def squarefree_decomposition(self):
         """Yun's algorithm: list of (squarefree factor, multiplicity), monic."""
@@ -251,8 +229,10 @@ class RatPoly:
 
     # -- real root machinery ----------------------------------------------
 
-    def sturm_chain(self):
-        chain = [self, self.derivative()]
+    def sturm_chain(self, other=None):
+        """Signed remainder sequence of (self, other); other defaults to the
+        derivative, which makes it the Sturm chain of self."""
+        chain = [self, self.derivative() if other is None else other]
         while not chain[-1].is_zero and chain[-1].degree > 0:
             chain.append(-(chain[-2] % chain[-1]))
         if chain[-1].is_zero:
@@ -260,13 +240,23 @@ class RatPoly:
         return chain
 
     @staticmethod
-    def _sign_changes(chain, x):
-        signs = []
-        for p in chain:
-            v = p.eval(x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
+    def _variations(signs):
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    @staticmethod
+    def _sign_changes(chain, x):
+        values = (p.eval(x) for p in chain)
+        return RatPoly._variations([v > 0 for v in values if v != 0])
+
+    def cauchy_index(self, other):
+        """Cauchy index of other/self over the real line: jumps from -inf to
+        +inf minus jumps from +inf to -inf at its real poles. It equals the
+        sign variations of the signed remainder sequence of (self, other) at
+        -inf minus those at +inf (Basu-Pollack-Roy, Theorem 2.58)."""
+        chain = self.sturm_chain(other)
+        at_plus = [p.leading > 0 for p in chain]
+        at_minus = [s != (p.degree % 2 == 1) for p, s in zip(chain, at_plus)]
+        return RatPoly._variations(at_minus) - RatPoly._variations(at_plus)
 
     def count_roots(self, lo, hi, chain=None):
         """Number of distinct real roots in the half-open interval (lo, hi]."""
@@ -597,49 +587,3 @@ def factor_poly(p):
             counts[f] = counts.get(f, 0) + mult
     return sorted(counts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
-
-# -- cyclotomic polynomials -------------------------------------------------
-
-
-def _euler_phi(d):
-    result = d
-    n = d
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            result -= result // f
-        f += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-@functools.cache
-def cyclotomics_up_to_degree(max_degree):
-    """All cyclotomic polynomials of degree <= max_degree, as a read-only
-    {order: RatPoly} mapping, built once per degree.
-
-    phi(d) >= sqrt(d/2), so orders up to 2*max_degree^2 suffice.
-    """
-    table = {}
-    for d in range(1, 2 * max_degree * max_degree + 3):
-        if _euler_phi(d) > max_degree:
-            continue
-        num = RatPoly([-1] + [0] * (d - 1) + [1])  # x^d - 1
-        for e, q in table.items():
-            if d % e == 0:
-                num = num // q
-        table[d] = num
-    return MappingProxyType(table)
-
-
-def is_cyclotomic(p, table=None):
-    """Order d with p == Phi_d, or None. p should be monic irreducible."""
-    if table is None:
-        table = cyclotomics_up_to_degree(max(p.degree, 1))
-    for d, q in table.items():
-        if q == p:
-            return d
-    return None

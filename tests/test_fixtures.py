@@ -58,8 +58,7 @@ def test_fixture_spectral_data(name):
     assert factors == expect["factors"]
 
     spectrum = subst.spectrum()
-    eigen = classify_spectrum(spectrum.factors, spectrum.perron,
-                              constant_length=subst.is_constant_length())
+    eigen = classify_spectrum(spectrum.factors, spectrum.perron)
     assert eigen.charpoly_irreducible == flags["charpoly_irreducible"]
     assert eigen.pisot_type_literal == flags["pisot_type_literal"]
 

@@ -1,9 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from balpair.errors import Undecidable
 from balpair.linalg import (Spectrum, char_poly, classify_spectrum,
                             integer_form, left_pf_eigenvector, mat_mul,
                             poly_of_matrix)
@@ -21,9 +18,9 @@ MT = ((1, 1, 1, 1), (1, 1, 1, 1), (1, 0, 2, 1), (1, 1, 1, 1))
 NONCON = ((1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))
 
 
-def classify(matrix, **kwargs):
+def classify(matrix):
     spectrum = Spectrum.of(matrix)
-    return classify_spectrum(spectrum.factors, spectrum.perron, **kwargs)
+    return classify_spectrum(spectrum.factors, spectrum.perron)
 
 
 def test_char_poly_examples():
@@ -133,7 +130,7 @@ def test_eigen_equation_exact(corpus):
 
 
 def test_classify_ex1():
-    report = classify(EX1, constant_length=False)
+    report = classify(EX1)
     assert report.charpoly_irreducible
     assert report.pisot_type_literal
     assert report.kinds() == {"perron": 1, "small": 1}
@@ -176,13 +173,16 @@ def test_classify_complex_quartic():
     assert kinds["small"] == 3  # negative real ~ -0.82 plus the complex pair
 
 
-def test_classify_undecidable_salem_like():
+def test_classify_salem_unit_pair():
     # x^4 - x^3 - x^2 - x + 1 is irreducible, self-reciprocal, and not
-    # cyclotomic: its complex pair lies exactly on the unit circle
+    # cyclotomic: a Salem number, its inverse, and a complex pair lying
+    # exactly on the unit circle
     companion = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
     assert char_poly(companion) == P(1, -1, -1, -1, 1)
-    with pytest.raises(Undecidable):
-        classify(companion)
+    report = classify(companion)
+    assert report.kinds() == {"perron": 1, "unit": 2, "small": 1}
+    assert (report.dim_large, report.dim_small) == (2, 1)
+    assert not report.pisot_type_allowing_zero
 
 
 def test_classify_random_small_matrices():
@@ -202,7 +202,7 @@ def test_classify_random_small_matrices():
         if not primitive:
             continue
         report = classify(matrix)
-        total = sum(rc.multiplicity for rc in report.roots)
+        total = sum(report.kinds().values())
         assert total == n
         assert report.kinds().get("perron") == 1
         assert report.dim_large + report.dim_small == n - 1

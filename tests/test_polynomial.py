@@ -3,8 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpair.polynomial import (RatPoly, cyclotomics_up_to_degree, factor_poly,
-                                is_cyclotomic)
+from balpair.polynomial import RatPoly, factor_poly
 
 
 def P(*coeffs):
@@ -124,17 +123,10 @@ def test_refine_root_interval_shrinks():
     assert p.count_roots(lo, hi) == 1
 
 
-# cyclotomics
-
-def test_cyclotomic_table():
-    table = cyclotomics_up_to_degree(4)
-    assert table[1] == P(-1, 1)
-    assert table[2] == P(1, 1)
-    assert table[6] == P(1, -1, 1)
-    assert table[12] == P(1, 0, -1, 0, 1)
-    assert all(q.degree <= 4 for q in table.values())
-
-
-def test_is_cyclotomic():
-    assert is_cyclotomic(P(1, 1, 1)) == 3
-    assert is_cyclotomic(P(1, -3, 1)) is None
+def test_cauchy_index_of_derivative_counts_real_roots():
+    for p in (P(-1, 0, 1), P(1, 0, 1), P(0, -2, 0, 1), P(-1, -1, 0, 0, 1)):
+        b = p.cauchy_bound()
+        assert p.cauchy_index(p.derivative()) == p.count_roots(-b, b)
+    assert P(1, 0, 1).cauchy_index(P(1)) == 0  # no real pole
+    assert P(0, 1).cauchy_index(P(1)) == 1  # 1/x jumps from -inf to +inf
+    assert P(0, 1).cauchy_index(P(-1)) == -1

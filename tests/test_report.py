@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import balpair
 from balpair.engine import Budgets, pair_graph, run_bpa
 from balpair.equivalence import LengthSpec, Relation
 from balpair.report import render_dot, render_json, report_document
@@ -110,3 +115,25 @@ def test_render_dot_empty_graph():
     dot = render_dot(PairGraph(vertices=[], edges={}),
                      parse_substitution("1 -> 11").alphabet)
     assert dot == "digraph balanced_pairs {\n  rankdir=LR;\n}\n"
+
+
+NO_MPMATH = """
+import sys
+from balpair import AnalysisConfig, Budgets, analyze, parse_substitution
+from balpair.report import render_json
+# the second input has a complex pair on the unit circle
+for text in ("1 -> 112\\n2 -> 12", "1 -> 2\\n2 -> 14\\n3 -> 23\\n4 -> 1233"):
+    render_json(analyze(parse_substitution(text), AnalysisConfig(
+        prefixes=[(0,)], budgets=Budgets(max_word_length=200))))
+print(sorted(name for name in sys.modules if name.startswith("mpmath")))
+"""
+
+
+def test_analysis_does_not_import_mpmath():
+    src = str(Path(balpair.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_MPMATH],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
