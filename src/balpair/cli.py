@@ -18,7 +18,7 @@ from .equivalence import LengthSpec, letter_equiv_classes
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError)
 from .linalg import char_poly, classify_spectrum, integer_form
-from .report import render_dot, render_json
+from .report import render_dot, render_json, spectral_fields
 from .substitution import (admissible_prefixes, fixed_point_stream,
                            parse_substitution)
 from .verdict import AnalysisConfig, RelationSpec, analyze
@@ -244,14 +244,9 @@ def _write_info_json(path, subst, cp, classes, eigen, spectrum, out):
                            for cls in classes],
     }
     if eigen is not None:
-        nf, vec = spectrum.perron, spectrum.l_lambda
-        doc["factors"] = [{"poly": [str(c) for c in f.coeffs],
-                           "multiplicity": m} for f, m in spectrum.factors]
-        doc["perron"] = {"min_poly": [str(c) for c in nf.min_poly.coeffs],
-                         "interval": [str(b) for b in nf.canonical_interval()],
-                         "approx": nf.approx_str()}
-        doc["l_lambda_approx"] = [v.decimal() for v in vec]
-        ints = integer_form(vec)
+        doc.update(spectral_fields(spectrum))
+        doc["l_lambda_approx"] = [v.decimal() for v in spectrum.l_lambda]
+        ints = integer_form(spectrum.l_lambda)
         doc["l_lambda_integer"] = list(ints) if ints else None
         doc["pisot_type_literal"] = eigen.pisot_type_literal
         doc["pisot_type_allowing_zero"] = eigen.pisot_type_allowing_zero

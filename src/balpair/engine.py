@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
-from .numberfield import FieldScalar
+from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
 from .substitution import FixedPointStream, Substitution, fixed_point_stream
 
 
@@ -463,7 +463,6 @@ def _exact_ratio(num, den):
             num = den.field.from_rational(num)
         value = num / den
         frac = value.as_fraction() if value.is_rational else None
-        return frac, value.decimal(12)
+        return frac, value.decimal()
     value = Fraction(num) / Fraction(den)
-    from .numberfield import _format_decimal
-    return value, _format_decimal(value, 12)
+    return value, _format_decimal(value, APPROX_DIGITS)

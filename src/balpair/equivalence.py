@@ -14,7 +14,8 @@ equivalence state of a word is an integer vector, linear in its population
 vector, and two words are equivalent exactly when their states are equal;
 equal states also mean equal L-lengths. Integer enclosures of each letter's
 scaled L-length (exact when the lengths are rational; for irrational
-lambda, the floor and ceiling of 2^64 * length over an interval enclosure)
+lambda, the floor and ceiling of 2^64 * length over its enclosure on
+lambda's dyadic bracket at 2^-72)
 tell the splitter when one side is provably longer, so no sign of an
 algebraic number is ever decided.
 """
@@ -22,7 +23,6 @@ algebraic number is ever decided.
 from __future__ import annotations
 
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -169,12 +169,10 @@ class Relation:
             self.length_low = self.length_high = tuple(
                 row[0] for row in scaled)
         else:
-            # floor and ceiling of 2^64 * l over an enclosure of l, taken on
-            # a copy of the field so the shared bracket is left as it is; a
-            # bracket a few bits finer than 2^-64 keeps each width near one
-            field = copy(first.field)
-            field.refine_below(Fraction(1, 1 << 72))
-            bounds = [field.enclose(v.coeffs) for v in self.lengths]
+            # floor and ceiling of 2^64 * l over an enclosure of l on
+            # lambda's bracket at 2^-72; a few bits finer than 2^-64 keeps
+            # each width near one
+            bounds = [first.field.enclose(v.coeffs, 72) for v in self.lengths]
             self.length_low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
             self.length_high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
 

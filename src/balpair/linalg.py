@@ -12,6 +12,7 @@ There is no floating point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,31 +85,19 @@ def perron_data(factors) -> NumberField:
     Picks the irreducible factor of the characteristic polynomial (given as
     its factor list) whose largest real root dominates every other factor's
     largest real root, with a Sturm-isolated interval around that root.
+    Distinct irreducible factors share no root, so at some precision one
+    bracket floor(root * 2^bits) is the largest alone.
     """
-    best = None  # (poly, lo, hi)
-    for poly, _mult in factors:
-        interval = poly.largest_real_root_interval()
-        if interval is None:
-            continue
-        if best is None:
-            best = (poly, *interval)
-            continue
-        bp, blo, bhi = best
-        lo, hi = interval
-        # refine both brackets until they are disjoint; roots of distinct
-        # irreducible factors are never equal
-        while not (hi < blo or bhi < lo):
-            blo, bhi = bp.refine_root_interval(blo, bhi)
-            lo, hi = poly.refine_root_interval(lo, hi)
-        if lo > bhi:
-            best = (poly, lo, hi)
-        else:
-            best = (bp, blo, bhi)
-    if best is None:
+    fields = [NumberField(poly, *interval) for poly, _mult in factors
+              if (interval := poly.largest_real_root_interval()) is not None]
+    if not fields:
         raise InternalInvariantError(
             "no real eigenvalue found; matrix cannot be primitive")
-    poly, lo, hi = best
-    return NumberField(poly, lo, hi)
+    for bits in itertools.count():
+        floors = [nf.bracket(bits) for nf in fields]
+        top = max(floors)
+        if floors.count(top) == 1:
+            return fields[floors.index(top)]
 
 
 def left_pf_eigenvector(matrix, nf: NumberField):
@@ -169,14 +158,7 @@ def integer_form(vector):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact spectral data of a primitive transition matrix, built once.
-
-    Rendering and exact comparisons may refine the isolating interval of
-    the shared Perron field in place; rendered values read only pinned
-    enclosures, so refinement never changes an output. The closure leaves
-    the field as it is: relations enclose their lengths on a local copy of
-    the interval.
-    """
+    """Exact spectral data of a primitive transition matrix, built once."""
 
     char_poly: RatPoly
     factors: tuple  # (irreducible RatPoly, multiplicity) pairs

@@ -3,28 +3,37 @@
 A NumberField carries a monic irreducible minimal polynomial together with a
 rational isolating interval that brackets exactly one real root (checked with
 a Sturm count at construction). FieldScalar elements are residues mod the
-minimal polynomial; equality and zero tests are exact coefficient tests,
-while signs and comparisons refine the isolating interval until the interval
-evaluation of the element excludes zero. Nonzero elements always resolve, so
-the refinement loop terminates; an escape hatch caps the work anyway.
+minimal polynomial; equality and zero tests are exact coefficient tests.
+
+lambda is enclosed in one way only: bracket(bits) is floor(lambda * 2^bits),
+found by bisecting the primitive integer minimal polynomial at dyadic points
+with integer sign tests. It is a pure function of bits; the bisection is
+memoised privately and no attribute of a field changes after construction.
+Signs, truncated decimals and the canonical interval read enclosures on that
+bracket at growing precision until the answer is settled, so every output is
+a pure function of lambda.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
 from .errors import InternalInvariantError
 from .polynomial import RatPoly
 
-# Hard ceiling on interval width during sign refinement, as a power of two.
-# Nonzero field elements separate from zero far earlier at desk scale.
+# Digits of the truncated decimals in reports.
+APPROX_DIGITS = 12
+
+# Hard ceiling, in bits, on the bracket precision that settles a sign or a
+# decimal. Nonzero field elements separate from zero far earlier at desk scale.
 MAX_REFINE_BITS = 100_000
 
 
 class NumberField:
     """Q(lambda) for the single real root of min_poly inside the interval."""
 
-    def __init__(self, min_poly: RatPoly, lo, hi, approx_digits: int = 12):
+    def __init__(self, min_poly: RatPoly, lo, hi):
         if min_poly.is_zero or min_poly.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
         self.min_poly = min_poly.monic()
@@ -38,79 +47,93 @@ class NumberField:
                 raise ValueError("empty isolating interval")
             if self.min_poly.count_roots(lo, hi) != 1:
                 raise ValueError("interval does not isolate exactly one root")
-        self._lo = lo
-        self._hi = hi
-        self.approx_digits = approx_digits
+        self.interval = (lo, hi)
+        # min_poly over Z, signed to be positive on (lambda, hi] and so
+        # negative on [lo, lambda)
+        sign = 1 if self.min_poly.eval(hi) > 0 else -1
+        self._ints = tuple(
+            sign * c for c in self.min_poly.primitive_integer_coeffs())
+        # [k, floor(lambda * 2^k)], from a k with |lambda| < 2^-k
+        k = -ceil(max(abs(lo), abs(hi))).bit_length()
+        self._floor = [k, 0 if self._at_least(0, 0) else -1]
 
-    # -- interval refinement -------------------------------------------------
+    # -- the enclosure of lambda -------------------------------------------
 
-    @property
-    def interval(self):
-        return self._lo, self._hi
+    def _at_least(self, a, k):
+        """lambda >= a / 2^k, by the sign of min_poly there; only points
+        inside the isolating interval are evaluated, so a rational lambda
+        never is."""
+        x = Fraction(a, 1 << k) if k >= 0 else Fraction(a << -k)
+        lo, hi = self.interval
+        if x <= lo:
+            return True
+        if x > hi:
+            return False
+        # den^n * min_poly(num / den) by integer Horner
+        num, den = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * num + c * power
+            power *= den
+        return acc <= 0
 
     def refine_once(self):
-        self._lo, self._hi = self.min_poly.refine_root_interval(self._lo, self._hi)
+        """One bisection step, floor(lambda 2^k) to floor(lambda 2^(k+1))."""
+        k, m = self._floor
+        self._floor[:] = k + 1, 2 * m + self._at_least(2 * m + 1, k + 1)
 
-    _refine_once = refine_once  # internal alias
+    def bracket(self, bits):
+        """floor(lambda * 2^bits) as an int, for bits >= 0."""
+        while self._floor[0] < bits:
+            self.refine_once()
+        k, m = self._floor
+        return m >> (k - bits)
 
-    def refine_below(self, width):
-        """Shrink the cached isolating interval below the given width."""
-        width = Fraction(width)
-        while self._hi - self._lo > width:
-            self._refine_once()
-
-    def enclose(self, coeffs):
-        """Rational interval containing sum(coeffs[j] * lambda^j)."""
+    def enclose(self, coeffs, bits):
+        """Rational interval containing sum(coeffs[j] * lambda^j), evaluated
+        over lambda's bracket [m, m + 1] / 2^bits."""
         if self.degree == 1:
-            v = RatPoly(coeffs).eval(self._lo)
+            v = RatPoly(coeffs).eval(self.interval[0])
             return v, v
-        return RatPoly(coeffs).eval_interval(self._lo, self._hi)
+        m = self.bracket(bits)
+        return RatPoly(coeffs).eval_interval(Fraction(m, 1 << bits),
+                                             Fraction(m + 1, 1 << bits))
+
+    def _settled_enclosure(self, coeffs, settled, bits):
+        """The first enclosure, at doubling precision from bits, on which
+        settled(lo, hi) holds."""
+        while bits <= MAX_REFINE_BITS:
+            lo, hi = self.enclose(coeffs, bits)
+            if settled(lo, hi):
+                return lo, hi
+            bits *= 2
+        raise InternalInvariantError(
+            "enclosure of a field element exhausted the precision ceiling")
 
     def sign_of(self, coeffs):
-        """Exact sign of the element with the given residue coefficients."""
-        if all(c == 0 for c in coeffs):
-            return 0
-        for _ in range(MAX_REFINE_BITS):
-            lo, hi = self.enclose(coeffs)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self._refine_once()
-        raise InternalInvariantError(
-            "sign refinement exhausted on a nonzero element")
+        """Exact sign of the element with the given residue coefficients;
+        a rational element has an exact enclosure."""
+        lo, hi = self._settled_enclosure(
+            coeffs, lambda lo, hi: lo > 0 or hi < 0 or lo == hi, 16)
+        return (lo > 0) - (hi < 0)
 
-    def _pinned_floor(self, coeffs, scale):
-        """floor(value * scale), exact; refines until the floor is pinned.
-
-        Independent of the current refinement state, so rendering is
-        deterministic across calls.
-        """
-        while True:
-            lo, hi = self.enclose(coeffs)
-            flo = (lo * scale).numerator // (lo * scale).denominator
-            fhi = (hi * scale).numerator // (hi * scale).denominator
-            if flo == fhi or lo == hi:
-                return flo
-            self.refine_once()
-
-    def approx_str(self, coeffs=None, digits=None):
+    def approx_str(self, coeffs=(0, 1), digits=APPROX_DIGITS):
         """Truncated decimal string of lambda (or of an element).
 
-        Truncation (not rounding) of a pinned enclosure keeps the string a
-        pure function of the value.
+        Truncation (not rounding) of an enclosure fine enough to pin
+        floor(value * 10^digits) keeps the string a pure function of the
+        value.
         """
-        digits = digits if digits is not None else self.approx_digits
-        coeffs = coeffs if coeffs is not None else (0, 1)
-        scaled = self._pinned_floor(coeffs, 10**digits)
-        return _format_scaled_decimal(scaled, digits)
+        scale = 10**digits
+        lo, _ = self._settled_enclosure(
+            coeffs, lambda lo, hi: floor(lo * scale) == floor(hi * scale),
+            scale.bit_length() + 16)
+        return _format_scaled_decimal(floor(lo * scale), digits)
 
     def canonical_interval(self, bits=48):
-        """Dyadic bracket [m, m+1] / 2^bits around the root; deterministic."""
-        if self.degree == 1:
-            return self._lo, self._hi
-        m = self._pinned_floor((0, 1), 1 << bits)
-        return Fraction(m, 1 << bits), Fraction(m + 1, 1 << bits)
+        """Dyadic bracket [m, m+1] / 2^bits around the root (the root itself
+        when it is rational); deterministic."""
+        return self.enclose((0, 1), bits)
 
     # -- element constructors -------------------------------------------------
 
@@ -129,20 +152,27 @@ class NumberField:
     def generator(self):
         """lambda itself as a field element."""
         if self.degree == 1:
-            return self.from_rational(self._lo)
+            return self.from_rational(self.interval[0])
         return FieldScalar(self, (0, 1))
 
     def __eq__(self, other):
-        return (isinstance(other, NumberField)
-                and self.min_poly == other.min_poly
-                and self._lo <= other._hi and other._lo <= self._hi)
+        """Same minimal polynomial and the same root: the two isolating
+        intervals share a root, so both isolate that one."""
+        if not (isinstance(other, NumberField)
+                and self.min_poly == other.min_poly):
+            return False
+        if self.degree == 1:
+            return True
+        lo = max(self.interval[0], other.interval[0])
+        hi = min(self.interval[1], other.interval[1])
+        return lo < hi and self.min_poly.count_roots(lo, hi) >= 1
 
     def __hash__(self):
         return hash(self.min_poly)
 
     def __repr__(self):
-        return (f"NumberField(min_poly={self.min_poly}, "
-                f"interval=({self._lo}, {self._hi}))")
+        lo, hi = self.interval
+        return f"NumberField(min_poly={self.min_poly}, interval=({lo}, {hi}))"
 
 
 def _format_scaled_decimal(scaled: int, digits: int) -> str:
@@ -301,7 +331,7 @@ class FieldScalar:
     def __ge__(self, other):
         return self._cmp_sign(other) >= 0
 
-    def decimal(self, digits=None):
+    def decimal(self, digits=APPROX_DIGITS):
         return self.field.approx_str(self.coeffs, digits)
 
     def __repr__(self):

@@ -298,19 +298,6 @@ class RatPoly:
                 hi = mid
         return lo, hi
 
-    def refine_root_interval(self, lo, hi):
-        """One bisection step of a sign-change bracket around a simple root."""
-        flo = self.eval(lo)
-        mid = (lo + hi) / 2
-        fmid = self.eval(mid)
-        if fmid == 0:
-            # rational root hit exactly; shrink symmetrically around it
-            eps = (hi - lo) / 4
-            return mid - eps, mid + eps
-        if (flo > 0) != (fmid > 0):
-            return lo, mid
-        return mid, hi
-
 
 # -- factorization ---------------------------------------------------------
 #

@@ -114,13 +114,27 @@ def _cell(cell, alphabet, pair_list_limit):
     return doc
 
 
+def spectral_fields(spectrum):
+    """The factors and the Perron root, as the report and `info --json`
+    both print them."""
+    perron = spectrum.perron
+    return {
+        "factors": [{"poly": _poly(f), "multiplicity": m}
+                    for f, m in spectrum.factors],
+        "perron": {
+            "min_poly": _poly(perron.min_poly),
+            "interval": [str(b) for b in perron.canonical_interval()],
+            "approx": perron.approx_str(),
+        },
+    }
+
+
 def report_document(report, pair_list_limit=1000):
     """The full report as a plain dict in canonical key order."""
     subst = report.subst
     alphabet = subst.alphabet
     eigen = report.eigen
     spectrum = report.spectrum
-    perron = spectrum.perron
     l_lambda_integer = integer_form(spectrum.l_lambda)
     doc = {
         "tool_version": __version__,
@@ -130,13 +144,7 @@ def report_document(report, pair_list_limit=1000):
             "alphabet": list(alphabet.tokens),
             "matrix": [list(row) for row in subst.transition_matrix()],
             "char_poly": _poly(spectrum.char_poly),
-            "factors": [{"poly": _poly(f), "multiplicity": m}
-                        for f, m in spectrum.factors],
-            "perron": {
-                "min_poly": _poly(perron.min_poly),
-                "interval": [str(b) for b in perron.canonical_interval()],
-                "approx": perron.approx_str(),
-            },
+            **spectral_fields(spectrum),
             "l_lambda": {
                 "exact": [_scalar(v) for v in spectrum.l_lambda],
                 "approx": [v.decimal() for v in spectrum.l_lambda],

@@ -59,6 +59,8 @@ def test_tracer_wraps_every_target_and_restores_it(bench_module):
         len(report.cells[0].outcome.pairs)
     assert metrics["engine.children_recomputed_share"] == 0.0
     assert metrics["engine.pair_graph_s"] == 0.0
+    # lambda is bisected in one traced place, NumberField.refine_once
+    assert metrics["numberfield.refine_calls"] > 0
 
 
 def test_every_workload_builds_its_config(bench_module):

@@ -55,6 +55,18 @@ def test_info_ex1(fixtures_dir, capsys):
     assert "pisot type (literal): True" in out
 
 
+def test_info_json_spectral_fields_match_the_report(tmp_path, fixtures_dir,
+                                                    capsys):
+    path = str(fixtures_dir / "pisot-rewrite.sub")
+    info_json, report_json = tmp_path / "info.json", tmp_path / "report.json"
+    assert run_cli(capsys, "info", path, "--json", str(info_json))[0] == 0
+    run_cli(capsys, "verdict", path, "--json", str(report_json))
+    info = json.loads(info_json.read_text())
+    report = json.loads(report_json.read_text())["substitution"]
+    assert info["perron"] == report["perron"]
+    assert info["factors"] == report["factors"]
+
+
 def test_info_reducible(fixtures_dir, capsys):
     code, out, _ = run_cli(capsys, "info",
                            str(fixtures_dir / "mt-rewrite.sub"))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor, isqrt
 
 import mpmath
 import pytest
@@ -98,7 +99,63 @@ def test_is_zero_matches_numeric_evaluation():
             assert elem.is_zero == (abs(numeric) < mpmath.mpf(10) ** -50)
 
 
+def sqrt2_field(lo, hi):
+    return NumberField(RatPoly((-2, 0, 1)), lo, hi)
+
+
 def test_cross_field_equality_is_false():
-    a = golden_field().generator()
-    b = NumberField(RatPoly((1, -3, 1)), 2, 3).generator()
-    assert a != b
+    pairs = [(golden_field(), NumberField(RatPoly((1, -3, 1)), 2, 3)),
+             # the same minimal polynomial, the other root: -sqrt2, sqrt2
+             (sqrt2_field(-2, 0), sqrt2_field(0, 2))]
+    for f, g in pairs:
+        a, b = f.generator(), g.generator()
+        for _ in range(2):  # rendering an element does not change equality
+            assert f != g and a != b
+            with pytest.raises(ValueError):
+                a + b
+            repr(a), repr(b)
+    # overlapping intervals around the same root give the same field
+    minus = sqrt2_field(-2, 0)
+    for _ in range(2):
+        assert minus == sqrt2_field(Fraction(-3, 2), -1)
+        repr(minus.generator())
+    assert (minus.generator() + sqrt2_field(-3, -1).generator()).coeffs == \
+        (0, 2)
+
+
+def test_bracket_of_golden_ratio_matches_integer_oracle():
+    # phi = (1 + sqrt 5) / 2: floor(phi 2^b) = floor((2^b + sqrt(5 4^b)) / 2)
+    nf = NumberField(RatPoly((-1, -1, 1)), 1, 2)
+    # its conjugate (1 - sqrt 5) / 2, where the polynomial falls through 0
+    conjugate = NumberField(RatPoly((-1, -1, 1)), -1, 0)
+    for bits in range(257):
+        root5 = isqrt(5 * 4**bits)
+        assert nf.bracket(bits) == (2**bits + root5) // 2, bits
+        assert conjugate.bracket(bits) == (2**bits - root5 - 1) // 2, bits
+    assert nf.bracket(3) == 12  # lower precision after higher
+    assert nf.interval == (1, 2)  # the isolating interval is never moved
+
+
+def test_bracket_of_tribonacci_matches_mpmath():
+    nf = NumberField(RatPoly((-1, -1, -1, 1)), 1, 2)
+    with mpmath.workdps(80):
+        root = mpmath.findroot(lambda x: x**3 - x**2 - x - 1,
+                               mpmath.mpf("1.84"))
+        for bits in range(201):
+            assert nf.bracket(bits) == int(mpmath.floor(root * 2**bits)), bits
+
+
+@pytest.mark.parametrize("root", [Fraction(7, 3), Fraction(-5, 2),
+                                  Fraction(5, 4), Fraction(0)])
+def test_bracket_of_rational_lambda_is_its_exact_floor(root):
+    nf = NumberField(RatPoly((-root, 1)), 0, 1)
+    for bits in range(80):
+        assert nf.bracket(bits) == floor(root * 2**bits), bits
+
+
+def test_bracket_shrinks_around_the_root():
+    p = RatPoly((1, -3, 1))
+    nf = NumberField(p, *p.largest_real_root_interval())
+    lo, hi = nf.canonical_interval(20)
+    assert hi - lo < Fraction(1, 10**5)
+    assert p.count_roots(lo, hi) == 1

@@ -114,15 +114,6 @@ def test_no_real_roots():
     assert P(1, 0, 1).largest_real_root_interval() is None
 
 
-def test_refine_root_interval_shrinks():
-    p = P(1, -3, 1)
-    lo, hi = p.largest_real_root_interval()
-    for _ in range(20):
-        lo, hi = p.refine_root_interval(lo, hi)
-    assert hi - lo < Fraction(1, 10**5)
-    assert p.count_roots(lo, hi) == 1
-
-
 def test_cauchy_index_of_derivative_counts_real_roots():
     for p in (P(-1, 0, 1), P(1, 0, 1), P(0, -2, 0, 1), P(-1, -1, 0, 0, 1)):
         b = p.cauchy_bound()

@@ -44,7 +44,7 @@ def test_one_analysis_factors_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ex1", "pisot-rewrite"])
 def test_reanalysis_matches_a_fresh_parse(name):
-    # the second analysis starts from a Perron field the first one refined
+    # the second analysis reads the Perron field the first one bisected
     config = AnalysisConfig(density_levels=0)
     subst = load_corpus(name)
     first = result_text(analyze(subst, config))
