@@ -4,10 +4,13 @@ The central routine, `split`, cuts a (top, bottom) pair of letter streams
 exactly where the equivalence states of the two prefixes are equal. A
 state fixes the L-length, and lengths grow strictly on each side, so each
 prefix can match at most one prefix of the other side and the cuts come
-out in order. Integer enclosures of the scaled lengths say which side to
-read next and when a pending prefix can no longer match; no sign of an
-algebraic number is decided. Each emitted component is irreducible: it
-holds no earlier pair of equal prefix states.
+out in order. Each side is read in chunks: a chunk's prefix states are
+summed and indexed by C-level iteration, and its cuts are the states it
+shares with the other side's kept chunks, so the Python-level work is per
+chunk and per cut, not per letter. Integer enclosures of the scaled lengths
+say which side to read next and when a kept chunk can no longer match; no
+sign of an algebraic number is decided. Each emitted component is
+irreducible: it holds no earlier pair of equal prefix states.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice
+from operator import mul
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
@@ -66,14 +70,10 @@ class PairSet:
         self._members = {}  # BalancedPair -> (insertion index, iteration)
 
     def add(self, pair, iteration):
-        """Record a pair; returns True when it is new."""
-        if pair in self._members:
-            return False
-        self._members[pair] = (len(self._members), iteration)
-        return True
-
-    def index(self, pair):
-        return self._members[pair][0]
+        """Record a pair; returns its vertex index and whether it is new."""
+        size = len(self._members)
+        index = self._members.setdefault(pair, (size, iteration))[0]
+        return index, index == size
 
     def discovered_at(self, pair):
         return self._members[pair][1]
@@ -140,50 +140,61 @@ class DensityStats:
     ratio_decimal: str
 
 
+CHUNK = 128  # letters a split reads from one side at a time
+
+
 class _Side:
     """One word of a split: the letters read since the last cut, and the
-    pending prefixes that may still match a prefix of the other word."""
+    blocks of prefix states that may still match a prefix of the other
+    word. A block is one chunk's {state: letters read} for its prefixes,
+    with the upper length end and the letter count of its last prefix."""
 
-    __slots__ = ("source", "done", "letters", "read", "state", "low", "high",
-                 "kept", "kept_at")
+    __slots__ = ("source", "done", "letters", "base", "read", "state", "low",
+                 "high", "blocks")
 
     def __init__(self, letters):
         self.source = iter(letters)
         self.done = False  # source exhausted
         self.letters = []  # read since the last cut
+        self.base = 0  # letters read up to the last cut
         self.read = 0  # letters read in all
         self.state = 0  # packed equivalence state of everything read
         self.low = self.high = 0  # integer enclosure of its scaled length
-        self.kept = deque()  # (high, state) of kept prefixes, shortest first
-        self.kept_at = {}  # state -> letters read, for the kept prefixes
+        self.blocks = deque()  # (high, read, {state: read}), oldest first
 
 
 def split(rel, top, bottom, cap, which="max_word_length"):
     """Irreducible components of two letter sequences, in order.
 
     Cuts sit exactly where the prefix equivalence states of the two sides
-    are equal. Equal states mean equal lengths, and lengths grow strictly
-    on each side, so each prefix matches at most one prefix of the other
-    side and the cuts come in order whichever side is read next. The side
-    whose length enclosure has the smaller lower end is read next; a
-    prefix is dropped once the other side's lower end passes its upper end,
-    and a prefix is kept at all only while the other side can still grow.
-    Letters read past a cut stay pending for the next component.
+    are equal. States are sums from the start of the streams, equal states
+    mean equal lengths, and lengths grow strictly on each side, so each
+    prefix matches at most one prefix of the other side and the cuts come
+    in order whichever side is read next. The side whose length enclosure
+    has the smaller lower end is read next, a chunk of up to CHUNK letters
+    at a time, and never more than cap + 1 letters past its last cut. The
+    chunk's prefix states are summed and indexed in one pass, and its cuts
+    are the states it shares with the other side's blocks. A block is
+    dropped once the reading side's lower end passes its last upper end or
+    the other side's last cut passes its last prefix, and a block is kept
+    at all only while the other side can still grow. Letters read past a
+    cut stay pending for the next component.
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, and NotBalanced when the letters end other than at a
     cut.
     """
-    states = rel.packed_states(cap)
+    states = rel.packed_states(cap).__getitem__
     lows, highs = rel.length_low, rel.length_high
+    alphabet = range(len(lows))
     top, bottom = _Side(top), _Side(bottom)
     while True:
         top_open = not top.done and len(top.letters) <= cap
         bottom_open = not bottom.done and len(bottom.letters) <= cap
         if top_open and (not bottom_open or top.low <= bottom.low):
-            side, other, other_open = top, bottom, bottom_open
+            side, other = top, bottom
         elif bottom_open:
-            side, other, other_open = bottom, top, top_open
+            side, other = bottom, top
         elif top.letters or bottom.letters:
             if max(len(top.letters), len(bottom.letters)) > cap:
                 raise ScanOverflow(
@@ -192,40 +203,51 @@ def split(rel, top, bottom, cap, which="max_word_length"):
             raise NotBalanced("streams end on an unbalanced pair")
         else:
             return
-        letter = next(side.source, None)
-        if letter is None:
+        want = min(CHUNK, cap + 1 - len(side.letters))
+        chunk = list(islice(side.source, want))
+        if len(chunk) < want:
             side.done = True
-            continue
-        side.letters.append(letter)
-        side.read += 1
-        side.state += states[letter]
-        side.low += lows[letter]
-        side.high += highs[letter]
-        kept, kept_at = other.kept, other.kept_at
-        while kept and kept[0][0] < side.low:
-            del kept_at[kept.popleft()[1]]
-        read = kept_at.get(side.state)
-        if read is None:
-            if other_open:
-                side.kept.append((side.high, side.state))
-                side.kept_at[side.state] = side.read
-            continue
-        # a cut: the other side's prefix of `read` letters matches
-        while kept and kept_at[kept[0][1]] <= read:
-            del kept_at[kept.popleft()[1]]
-        side.kept.clear()
-        side.kept_at.clear()
-        length = len(other.letters) - (other.read - read)
-        if max(len(side.letters), length) > cap:
-            raise ScanOverflow(
-                f"irreducible component exceeds {cap} letters", which=which)
-        cut = tuple(other.letters[:length])
-        del other.letters[:length]
-        if side is top:
-            yield BalancedPair(tuple(side.letters), cut)
+            if not chunk:
+                continue
+        start = side.read
+        side.read += len(chunk)
+        side.letters += chunk
+        counts = list(map(chunk.count, alphabet))  # few big-int products
+        side.low += sum(map(mul, counts, lows))
+        side.high += sum(map(mul, counts, highs))
+        prefixes = accumulate(map(states, chunk), initial=side.state)
+        next(prefixes)  # the state at `start`, read with the last chunk
+        at = dict(zip(prefixes, range(start + 1, side.read + 1)))
+        side.state = next(reversed(at))
+        found = sorted((at[state], block[state])
+                       for _high, _read, block in other.blocks
+                       for state in at.keys() & block.keys())
+        # Each match is the next cut. Kept prefixes lie within cap + 1
+        # letters of their side's last cut, so packed states compare
+        # exactly, and one at or before that cut is shorter than any prefix
+        # read since.
+        for mine, theirs in found:
+            mine -= side.base
+            theirs -= other.base
+            if max(mine, theirs) > cap:
+                raise ScanOverflow(
+                    f"irreducible component exceeds {cap} letters",
+                    which=which)
+            words = (tuple(side.letters[:mine]), tuple(other.letters[:theirs]))
+            side.letters = side.letters[mine:]
+            other.letters = other.letters[theirs:]
+            side.base += mine
+            other.base += theirs
+            yield BalancedPair(*(words if side is top else words[::-1]))
+        if found:
+            side.blocks.clear()
+        blocks, base = other.blocks, other.base
+        while blocks and (blocks[0][0] < side.low or blocks[0][1] <= base):
+            blocks.popleft()
+        if not other.done and len(other.letters) <= cap:
+            side.blocks.append((side.high, side.read, at))
         else:
-            yield BalancedPair(cut, tuple(side.letters))
-        side.letters = []
+            side.blocks.clear()
 
 
 def reduce_pair(rel, u, v, *, max_word_length=None):
@@ -252,9 +274,9 @@ def substitute_pair(subst: Substitution, pair: BalancedPair):
 def children(subst, rel, pair, *, max_word_length=None):
     """Irreducible pairs in the reduction of the substituted pair, in order.
 
-    The images are read letter by letter, never built whole.
+    The images are streamed into the split, never built whole.
     """
-    top, bottom = (chain.from_iterable(subst.rules[a] for a in word)
+    top, bottom = (chain.from_iterable(map(subst.rules.__getitem__, word))
                    for word in (pair.top, pair.bottom))
     if max_word_length is None:  # no component outgrows the images
         max_word_length = (max(len(pair.top), len(pair.bottom))
@@ -294,7 +316,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                            cap, which):
         cuts += 1
         scanned += len(component.top)
-        if pairs.add(component, 1):
+        if pairs.add(component, 1)[1]:
             cuts_at_last_new = cuts
             if len(pairs) > budgets.max_pairs:
                 raise StabilityNotReached(
@@ -333,7 +355,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                               pairs=None)
     trace = [(1, max(len(p.top) for p in pairs))]
     edges = {}
-    frontier = pairs.pairs()
+    frontier = list(enumerate(pairs))
     iteration = 1
     while frontier:
         iteration += 1
@@ -344,7 +366,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                 longest_pairs=_longest(pairs), pairs=pairs)
         new_frontier = []
         max_new = 0
-        for pair in frontier:
+        for vertex, pair in frontier:
             try:
                 kids = children(subst, rel, pair,
                                 max_word_length=budgets.max_word_length)
@@ -353,9 +375,12 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                     which="max_word_length", iterations_done=iteration,
                     pair_count=len(pairs), growth_trace=trace,
                     longest_pairs=_longest(pairs), pairs=pairs)
+            indices = []
             for kid in kids:
-                if pairs.add(kid, iteration):
-                    new_frontier.append(kid)
+                index, new = pairs.add(kid, iteration)
+                indices.append(index)
+                if new:
+                    new_frontier.append((index, kid))
                     max_new = max(max_new, len(kid.top))
                     if len(pairs) > budgets.max_pairs:
                         return BudgetExceeded(
@@ -363,8 +388,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                             pair_count=len(pairs), growth_trace=trace,
                             longest_pairs=_longest(pairs), pairs=pairs)
             # a Counter keeps first-occurrence order
-            counts = Counter(pairs.index(kid) for kid in kids)
-            edges[pairs.index(pair)] = list(counts.items())
+            edges[vertex] = list(Counter(indices).items())
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier

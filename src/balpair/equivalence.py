@@ -222,13 +222,13 @@ class Relation:
 
         Coordinate t goes to bits [t * bits, (t + 1) * bits), signed, so
         packing is linear and a word's packed state is the sum over its
-        letters. The split compares a top and a bottom prefix whose states
-        were equal at the last cut, so their difference is the state
-        difference of at most cap + 1 letters read since that cut on each
-        side. Each of its coordinates is at most 2 (cap + 1) M in absolute
-        value, M being the largest |letter_eq| entry; with 2^bits above
-        that, the packed difference is zero exactly when the state
-        difference is.
+        letters. The split compares a top and a bottom prefix that each lie
+        within cap + 1 letters of the last cut on their side, where the
+        states were equal, so their state difference sums at most
+        2 (cap + 1) letters. Each of its coordinates is at most
+        2 (cap + 1) M in absolute value, M being the largest |letter_eq|
+        entry; with 2^bits above that, the packed difference is zero
+        exactly when the state difference is.
         """
         bits = (2 * (cap + 1) * self._eq_bound).bit_length()
         packed = self._packed.get(bits)

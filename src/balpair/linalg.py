@@ -88,8 +88,12 @@ def perron_data(factors) -> NumberField:
     Distinct irreducible factors share no root, so at some precision one
     bracket floor(root * 2^bits) is the largest alone.
     """
-    fields = [NumberField(poly, *interval) for poly, _mult in factors
-              if (interval := poly.largest_real_root_interval()) is not None]
+    fields = []
+    for poly, _mult in factors:
+        chain = poly.sturm_chain()  # isolates the root and checks it
+        interval = poly.largest_real_root_interval(chain)
+        if interval is not None:
+            fields.append(NumberField(poly, *interval, chain))
     if not fields:
         raise InternalInvariantError(
             "no real eigenvalue found; matrix cannot be primitive")

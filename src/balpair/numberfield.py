@@ -31,9 +31,13 @@ MAX_REFINE_BITS = 100_000
 
 
 class NumberField:
-    """Q(lambda) for the single real root of min_poly inside the interval."""
+    """Q(lambda) for the single real root of min_poly inside the interval.
 
-    def __init__(self, min_poly: RatPoly, lo, hi):
+    chain is a Sturm chain of min_poly (or of a nonzero multiple of it), for
+    a caller that has already built one; the isolation check counts with it.
+    """
+
+    def __init__(self, min_poly: RatPoly, lo, hi, chain=None):
         if min_poly.is_zero or min_poly.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
         self.min_poly = min_poly.monic()
@@ -45,7 +49,7 @@ class NumberField:
         else:
             if not lo < hi:
                 raise ValueError("empty isolating interval")
-            if self.min_poly.count_roots(lo, hi) != 1:
+            if self.min_poly.count_roots(lo, hi, chain) != 1:
                 raise ValueError("interval does not isolate exactly one root")
         self.interval = (lo, hi)
         # min_poly over Z, signed to be positive on (lambda, hi] and so

@@ -277,13 +277,14 @@ class RatPoly:
         m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
         return Fraction(1) + m / lead
 
-    def largest_real_root_interval(self):
+    def largest_real_root_interval(self, chain=None):
         """Isolating interval (lo, hi] for the largest real root, or None.
 
         Sturm count over the returned interval is exactly 1 and the endpoints
         are not roots.
         """
-        chain = self.sturm_chain()
+        if chain is None:
+            chain = self.sturm_chain()
         bound = self.cauchy_bound()
         lo, hi = -bound, bound
         if self.count_roots(lo, hi, chain) == 0:

@@ -8,6 +8,7 @@ order of left-hand sides, and every report sticks to that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
 from .linalg import Spectrum
@@ -261,11 +262,19 @@ class FixedPointStream:
         return self._buffer[i]
 
     def letters(self, start=0):
-        """Infinite iterator over the fixed word from the given offset."""
-        i = start
+        """Infinite iterator over the fixed word from the given offset.
+
+        Reads each buffer in one run from where the last one ended; _grow
+        replaces the buffer and never changes one, so a run stays valid.
+        """
+        return chain.from_iterable(self._runs(start))
+
+    def _runs(self, i):
         while True:
-            yield self.letter(i)
-            i += 1
+            self._grow(i + 1)
+            buffer = self._buffer
+            yield islice(buffer, i, None)
+            i = len(buffer)
 
     def clone(self):
         fresh = FixedPointStream(self.subst, self.power, self.seed)

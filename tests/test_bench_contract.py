@@ -55,8 +55,12 @@ def test_tracer_wraps_every_target_and_restores_it(bench_module):
     metrics = tracer.summary()
     assert metrics["engine.run_bpa_calls"] == 1
     # the verdict reads the graph the closure computed
-    assert metrics["engine.children_calls"] == \
-        len(report.cells[0].outcome.pairs)
+    pairs = report.cells[0].outcome.pairs
+    assert metrics["engine.children_calls"] == len(pairs)
+    # children covers both images of every pair, so the tracer's letter
+    # count is the images' total length
+    assert metrics["engine.letters_scanned"] == sum(
+        len(subst.apply(p.top)) + len(subst.apply(p.bottom)) for p in pairs)
     assert metrics["engine.children_recomputed_share"] == 0.0
     assert metrics["engine.pair_graph_s"] == 0.0
     # lambda is bisected in one traced place, NumberField.refine_once

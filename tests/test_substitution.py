@@ -128,6 +128,24 @@ def test_letters_iterator_and_clone():
     assert clone.prefix(10) == stream.prefix(10)
 
 
+def test_interleaved_readers_across_buffer_growths():
+    # as initial_pairs reads u against its shift: two readers of one stream
+    # at different offsets, each growing the buffer under the other
+    subst = parse_substitution("1 -> 112\n2 -> 12")
+    stream, reference = fixed_point_stream(subst), fixed_point_stream(subst)
+    readers = {0: stream.letters(0), 7: stream.letters(7)}
+    read = dict.fromkeys(readers, 0)
+    sizes = []
+    for step in range(400):
+        offset = (0, 7)[step % 2]
+        for _ in range(1 + step % 11):
+            i = offset + read[offset]
+            assert next(readers[offset]) == reference.letter(i), (offset, i)
+            read[offset] += 1
+        sizes.append(len(stream._buffer))
+    assert len(set(sizes)) >= 5  # the buffer was replaced several times
+
+
 def test_admissible_prefixes():
     ex1 = parse_substitution("1 -> 112\n2 -> 12")
     stream = fixed_point_stream(ex1)
