@@ -10,10 +10,10 @@ resulting pair graph.
 
 __version__ = "0.1.0"
 
-from .engine import (BalancedPair, Budgets, BudgetExceeded, DensityStats,
-                     PairGraph, PairSet, Terminated, children,
-                     coincidence_analysis, coincidence_density, initial_pairs,
-                     pair_graph, reduce_pair, run_bpa, substitute_pair)
+from .engine import (BalancedPair, Budgets, Closure, DensityStats, PairGraph,
+                     children, coincidence_analysis, coincidence_density,
+                     initial_pairs, pair_graph, reduce_pair, run_bpa,
+                     substitute_pair)
 from .equivalence import (LengthSpec, Relation, in_pf_kernel,
                           letter_equiv_classes, resolve_length_vector)
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,

@@ -154,12 +154,12 @@ def _print_cells(report, out):
             continue
         outcome = cell.outcome
         if outcome.terminated:
-            status = (f"terminated: {len(outcome.pairs)} pairs by iteration "
-                      f"{outcome.closure_iteration}")
+            status = (f"terminated: {len(outcome.vertices)} pairs by "
+                      f"iteration {outcome.closure_iteration}")
         else:
             status = (f"budget exceeded ({outcome.which}) after "
                       f"{outcome.iterations_done} iterations, "
-                      f"{outcome.pair_count} pairs")
+                      f"{len(outcome.vertices)} pairs")
         v = cell.verdict
         verdict_text = v.kind + (f" ({v.reason})" if v.reason else "")
         print(f"  w={prefix} {cell.relation_label}: {status} -> {verdict_text}",
@@ -172,7 +172,7 @@ def _write_outputs(report, args, out):
         print(f"wrote {args.json}", file=out)
     dot_path = getattr(args, "dot", None)
     if dot_path is not None:
-        graphs = [cell.outcome.graph for cell in report.cells
+        graphs = [cell.outcome for cell in report.cells
                   if cell.outcome is not None and cell.outcome.terminated]
         if not graphs:
             print("no terminated cell; DOT graph not written", file=out)

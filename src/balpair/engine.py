@@ -11,6 +11,11 @@ chunk and per cut, not per letter. Integer enclosures of the scaled lengths
 say which side to read next and when a kept chunk can no longer match; no
 sign of an algebraic number is decided. Each emitted component is
 irreducible: it holds no earlier pair of equal prefix states.
+
+A pair is a named tuple of its two words, so it is its own key. The
+closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
+computed, the iteration that found each pair, and the budget that stopped
+it, if any.
 """
 
 from __future__ import annotations
@@ -20,14 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
+from typing import NamedTuple
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
 from .substitution import FixedPointStream, Substitution, fixed_point_stream
 
 
-@dataclass(frozen=True)
-class BalancedPair:
+class BalancedPair(NamedTuple):
     """An ordered pair of equivalent words; top is the fixed-word side."""
 
     top: tuple
@@ -37,15 +42,8 @@ class BalancedPair:
     def is_coincidence(self):
         return len(self.top) == 1 and self.top == self.bottom
 
-    @property
-    def key(self):
-        return (self.top, self.bottom)
-
     def render(self, alphabet):
         return f"|{alphabet.render(self.top)}/{alphabet.render(self.bottom)}|"
-
-    def __len__(self):
-        return len(self.top)
 
 
 @dataclass
@@ -62,35 +60,6 @@ class Budgets:
                 raise ValueError(f"budget {name} must be positive")
 
 
-class PairSet:
-    """Insertion-ordered set of BalancedPair with first-discovery iteration;
-    a pair's insertion index is its vertex index in the pair graph."""
-
-    def __init__(self):
-        self._members = {}  # BalancedPair -> (insertion index, iteration)
-
-    def add(self, pair, iteration):
-        """Record a pair; returns its vertex index and whether it is new."""
-        size = len(self._members)
-        index = self._members.setdefault(pair, (size, iteration))[0]
-        return index, index == size
-
-    def discovered_at(self, pair):
-        return self._members[pair][1]
-
-    def __contains__(self, pair):
-        return pair in self._members
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def __len__(self):
-        return len(self._members)
-
-    def pairs(self):
-        return list(self._members)
-
-
 @dataclass
 class PairGraph:
     """Directed multigraph on irreducible pairs; edges follow reductions."""
@@ -103,32 +72,29 @@ class PairGraph:
 
 
 @dataclass
-class Terminated:
-    """A closed pair set and the pair graph the closure computed: vertices
-    in insertion order, each edge list in first-occurrence order."""
+class Closure(PairGraph):
+    """What run_bpa computed: the pairs in discovery order, the edges of
+    every pair whose children were computed (each list in first-occurrence
+    order), and the budget that stopped the closure, None when the frontier
+    emptied."""
 
-    pairs: PairSet
-    closure_iteration: int
+    discovered: list  # iteration that found each vertex
     growth_trace: list  # (iteration, max new top length)
-    graph: PairGraph
+    iterations_done: int  # iterations begun
+    which: str | None = None
 
     @property
     def terminated(self):
-        return True
-
-
-@dataclass
-class BudgetExceeded:
-    which: str
-    iterations_done: int
-    pair_count: int
-    growth_trace: list  # (iteration, max new top length)
-    longest_pairs: list  # up to 5 longest pairs seen
-    pairs: PairSet | None = None
+        return self.which is None
 
     @property
-    def terminated(self):
-        return False
+    def closure_iteration(self):
+        return self.growth_trace[-1][0]
+
+    @property
+    def longest_pairs(self):
+        """Up to 5 longest pairs, longest first."""
+        return sorted(self.vertices, key=lambda p: (-len(p.top), p))[:5]
 
 
 @dataclass
@@ -285,12 +251,13 @@ def children(subst, rel, pair, *, max_word_length=None):
 
 
 def initial_pairs(subst, rel, w, budgets: Budgets,
-                  stream: FixedPointStream | None = None) -> PairSet:
+                  stream: FixedPointStream | None = None) -> list:
     """I_1(w): split the fixed word against its shift by |w|.
 
-    Streams the reduction of (u, sigma^{|w|} u) and collects distinct
-    irreducible pairs until no new pair shows up for a stability window of
-    max(split_stability_window, 3x the current pair count) consecutive cuts.
+    Streams the reduction of (u, sigma^{|w|} u) and returns the distinct
+    irreducible pairs in the order they first appear, once no new pair has
+    shown up for a stability window of max(split_stability_window, 3x the
+    current pair count) consecutive cuts.
 
     Raises ScanOverflow when a component has more letters on a side than
     the smaller of max_word_length and max_scan_length (named by which; a
@@ -308,7 +275,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
         cap, which = budgets.max_scan_length, "max_scan_length"
     else:
         cap, which = budgets.max_word_length, "max_word_length"
-    pairs = PairSet()
+    pairs = {}  # insertion-ordered set
     cuts = 0
     cuts_at_last_new = 0
     scanned = 0
@@ -316,7 +283,8 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                            cap, which):
         cuts += 1
         scanned += len(component.top)
-        if pairs.add(component, 1)[1]:
+        if component not in pairs:
+            pairs[component] = None
             cuts_at_last_new = cuts
             if len(pairs) > budgets.max_pairs:
                 raise StabilityNotReached(
@@ -324,46 +292,44 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                     which="max_pairs")
         window = max(budgets.split_stability_window, 3 * len(pairs))
         if cuts - cuts_at_last_new >= window:
-            return pairs
+            return list(pairs)
         if scanned > budgets.max_scan_length:
             raise StabilityNotReached(
                 f"still discovering after {budgets.max_scan_length} letters",
                 which="max_scan_length")
 
 
-def _longest(pairs, count=5):
-    ranked = sorted(pairs, key=lambda p: (-len(p.top), p.key))
-    return ranked[:count]
-
-
 def run_bpa(subst, rel, w, budgets: Budgets | None = None,
-            stream: FixedPointStream | None = None):
+            stream: FixedPointStream | None = None) -> Closure:
     """Worklist closure of the initial pairs under substitute-and-reduce.
 
-    Returns Terminated when the frontier empties, carrying the pair graph
-    whose edges are the children computed here, once per pair. Returns
-    BudgetExceeded (with the growth trace and the longest pairs seen, and no
-    graph) when any budget trips; budget overruns inside the initial split
-    are folded into BudgetExceeded as well.
+    Returns the Closure: every pair found, the iteration that found it, and
+    the edges of every pair whose children were computed, once per pair.
+    Its `which` names the budget that stopped the closure, or is None when
+    the frontier emptied; a budget overrun inside the initial split stops
+    it with no pairs at all.
     """
     budgets = budgets or Budgets()
+    vertices, discovered, edges, trace = [], [], {}, []
+
+    def stop(which, iterations_done):
+        return Closure(vertices=vertices, edges=edges, discovered=discovered,
+                       growth_trace=trace, iterations_done=iterations_done,
+                       which=which)
+
     try:
-        pairs = initial_pairs(subst, rel, w, budgets, stream=stream)
+        vertices += initial_pairs(subst, rel, w, budgets, stream=stream)
     except (ScanOverflow, StabilityNotReached) as exc:
-        return BudgetExceeded(which=exc.which, iterations_done=1,
-                              pair_count=0, growth_trace=[], longest_pairs=[],
-                              pairs=None)
-    trace = [(1, max(len(p.top) for p in pairs))]
-    edges = {}
-    frontier = list(enumerate(pairs))
+        return stop(exc.which, 1)
+    index = {pair: i for i, pair in enumerate(vertices)}
+    discovered += [1] * len(vertices)
+    trace.append((1, max(len(p.top) for p in vertices)))
+    frontier = list(enumerate(vertices))
     iteration = 1
     while frontier:
         iteration += 1
         if iteration > budgets.max_iterations:
-            return BudgetExceeded(
-                which="max_iterations", iterations_done=iteration - 1,
-                pair_count=len(pairs), growth_trace=trace,
-                longest_pairs=_longest(pairs), pairs=pairs)
+            return stop("max_iterations", iteration - 1)
         new_frontier = []
         max_new = 0
         for vertex, pair in frontier:
@@ -371,31 +337,24 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                 kids = children(subst, rel, pair,
                                 max_word_length=budgets.max_word_length)
             except ScanOverflow:
-                return BudgetExceeded(
-                    which="max_word_length", iterations_done=iteration,
-                    pair_count=len(pairs), growth_trace=trace,
-                    longest_pairs=_longest(pairs), pairs=pairs)
+                return stop("max_word_length", iteration)
             indices = []
             for kid in kids:
-                index, new = pairs.add(kid, iteration)
-                indices.append(index)
-                if new:
-                    new_frontier.append((index, kid))
+                i = index.setdefault(kid, len(vertices))
+                indices.append(i)
+                if i == len(vertices):
+                    vertices.append(kid)
+                    discovered.append(iteration)
+                    new_frontier.append((i, kid))
                     max_new = max(max_new, len(kid.top))
-                    if len(pairs) > budgets.max_pairs:
-                        return BudgetExceeded(
-                            which="max_pairs", iterations_done=iteration,
-                            pair_count=len(pairs), growth_trace=trace,
-                            longest_pairs=_longest(pairs), pairs=pairs)
+                    if len(vertices) > budgets.max_pairs:
+                        return stop("max_pairs", iteration)
             # a Counter keeps first-occurrence order
             edges[vertex] = list(Counter(indices).items())
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier
-    closure_iteration = trace[-1][0]
-    return Terminated(pairs=pairs, closure_iteration=closure_iteration,
-                      growth_trace=trace,
-                      graph=PairGraph(vertices=pairs.pairs(), edges=edges))
+    return stop(None, iteration)
 
 
 def pair_graph(subst, rel, pairs) -> PairGraph:
@@ -415,7 +374,7 @@ def pair_graph(subst, rel, pairs) -> PairGraph:
             raise NotClosed("children exceed the longest member; set not closed")
         for kid in kids:
             if kid not in index:
-                raise NotClosed(f"child {kid.key} missing from the pair set")
+                raise NotClosed(f"child {kid} missing from the pair set")
         edges[i] = list(Counter(index[kid] for kid in kids).items())
     return PairGraph(vertices=vertices, edges=edges)
 

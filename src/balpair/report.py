@@ -38,28 +38,25 @@ def _pair(pair, alphabet):
 
 
 def _outcome(outcome, alphabet, pair_list_limit):
-    if outcome is None:
-        return None
+    vertices = outcome.vertices
     doc = {"status": "terminated" if outcome.terminated else "budget_exceeded"}
     if outcome.terminated:
         doc["closure_iteration"] = outcome.closure_iteration
-        doc["pair_count"] = len(outcome.pairs)
+        doc["pair_count"] = len(vertices)
     else:
         doc["which_budget"] = outcome.which
         doc["iterations_done"] = outcome.iterations_done
-        doc["pair_count"] = outcome.pair_count
+        doc["pair_count"] = len(vertices)
         doc["longest_pairs"] = [_pair(p, alphabet)
                                 for p in outcome.longest_pairs]
     doc["growth_trace"] = [[it, ln] for it, ln in outcome.growth_trace]
-    pairs = outcome.pairs
-    if pairs is not None and len(pairs) <= pair_list_limit:
-        doc["pairs"] = [
-            {**_pair(p, alphabet), "discovered": pairs.discovered_at(p)}
-            for p in pairs]
-    elif pairs is not None:
-        doc["pairs_omitted"] = len(pairs)
-        doc["pair_sample"] = [_pair(p, alphabet)
-                              for p in pairs.pairs()[:10]]
+    # an initial-split overrun found no pairs and lists none
+    if len(vertices) > pair_list_limit:
+        doc["pairs_omitted"] = len(vertices)
+        doc["pair_sample"] = [_pair(p, alphabet) for p in vertices[:10]]
+    elif vertices:
+        doc["pairs"] = [{**_pair(p, alphabet), "discovered": iteration}
+                        for p, iteration in zip(vertices, outcome.discovered)]
     return doc
 
 
@@ -86,13 +83,13 @@ def _cell(cell, alphabet, pair_list_limit):
     if cell.error is not None:
         doc["error"] = cell.error
         return doc
-    doc["outcome"] = _outcome(cell.outcome, alphabet, pair_list_limit)
-    if cell.outcome.terminated:
-        graph = cell.outcome.graph
+    outcome = cell.outcome
+    doc["outcome"] = _outcome(outcome, alphabet, pair_list_limit)
+    if outcome.terminated:
         failing = cell.verdict.failing_pairs
         doc["graph_stats"] = {
-            "vertices": len(graph.vertices),
-            "coincidences": len(graph.coincidence_indices()),
+            "vertices": len(outcome.vertices),
+            "coincidences": len(outcome.coincidence_indices()),
         }
         doc["coincidence"] = {"all_lead": not failing,
                               "failing_pairs": [p.render(alphabet)
@@ -159,7 +156,7 @@ def report_document(report, pair_list_limit=1000):
                 "pisot_type_allowing_zero": eigen.pisot_type_allowing_zero,
                 "dim_large_eigenspaces": eigen.dim_large,
                 "dim_small_eigenspaces": eigen.dim_small,
-                "pisot_transfer_to_shift": report.pisot_transfer,
+                "pisot_transfer_to_shift": eigen.pisot_type_literal,
                 # constant; every bench/reference.json digest includes the key
                 "undecidable": None,
             },

@@ -60,7 +60,7 @@ class Alphabet:
 
     def render(self, word):
         sep = "" if self.joined else " "
-        return sep.join(self.tokens[i] for i in word)
+        return sep.join([self.tokens[i] for i in word])
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.tokens == other.tokens

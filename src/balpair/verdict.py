@@ -13,8 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .engine import (Budgets, coincidence_analysis, coincidence_density,
-                     run_bpa)
+from .engine import (Budgets, Closure, coincidence_analysis,
+                     coincidence_density, run_bpa)
 from .equivalence import LengthSpec, Relation, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
 from .linalg import EigenReport, Spectrum, classify_spectrum
@@ -29,31 +29,25 @@ INCONCLUSIVE = "inconclusive"
 class SpectrumVerdict:
     kind: str  # pure_discrete | not_pure_discrete | inconclusive
     reason: str | None = None  # budget_exceeded | prefix_condition_unmet
-    witness_prefix: tuple | None = None
-    relation: str | None = None
     failing_pairs: tuple = ()
     # conclusions always concern the tiling flow with the PF length vector
     scope: str = "tiling flow with the Perron length vector"
 
 
-def verdict(outcome, failing, prefix_ok, *, prefix=None, relation=None):
+def verdict(outcome, failing, prefix_ok):
     """Apply the coincidence criterion's decision table to one cell.
 
     failing is the tuple of pairs, in vertex order, that reach no
-    coincidence in the outcome's pair graph; it is ignored unless the
-    outcome terminated.
+    coincidence in the closure's pair graph; it is ignored unless the
+    closure terminated.
     """
     if not outcome.terminated:
-        return SpectrumVerdict(INCONCLUSIVE, reason="budget_exceeded",
-                               witness_prefix=prefix, relation=relation)
+        return SpectrumVerdict(INCONCLUSIVE, reason="budget_exceeded")
     if not failing:
-        return SpectrumVerdict(PURE_DISCRETE, witness_prefix=prefix,
-                               relation=relation)
+        return SpectrumVerdict(PURE_DISCRETE)
     if prefix_ok:
-        return SpectrumVerdict(NOT_PURE_DISCRETE, witness_prefix=prefix,
-                               relation=relation, failing_pairs=failing)
+        return SpectrumVerdict(NOT_PURE_DISCRETE, failing_pairs=failing)
     return SpectrumVerdict(INCONCLUSIVE, reason="prefix_condition_unmet",
-                           witness_prefix=prefix, relation=relation,
                            failing_pairs=failing)
 
 
@@ -101,14 +95,13 @@ class AnalysisConfig:
     ])
     budgets: Budgets = field(default_factory=Budgets)
     density_levels: int | None = None  # compute densities for l = 0..levels
-    pair_list_limit: int = 1000  # JSON embeds pair lists only below this
 
 
 @dataclass
 class CellResult:
     prefix: tuple
     spec: RelationSpec
-    outcome: object = None  # Terminated | BudgetExceeded
+    outcome: Closure | None = None
     prefix_ok: bool = False
     verdict: SpectrumVerdict | None = None
     corollary_check: dict | None = None
@@ -138,7 +131,6 @@ class AnalysisReport:
     letter_classes: tuple
     cells: list
     corollary_ok: bool
-    pisot_transfer: bool
     timings: dict
 
 
@@ -216,12 +208,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 cell.outcome = outcome
                 failing = ()
                 if outcome.terminated:
-                    graph = outcome.graph
-                    reached = coincidence_analysis(graph)
-                    failing = tuple(p for i, p in enumerate(graph.vertices)
+                    reached = coincidence_analysis(outcome)
+                    failing = tuple(p for i, p in enumerate(outcome.vertices)
                                     if i not in reached)
-                cell.verdict = verdict(outcome, failing, prefix_ok,
-                                       prefix=prefix, relation=spec.label())
+                cell.verdict = verdict(outcome, failing, prefix_ok)
                 if outcome.terminated and spec != pf_spec:
                     pf_outcome = run_cell(prefix, pf_spec.label(), pf_rel)
                     cell.corollary_check = {
@@ -249,7 +239,6 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         letter_classes=classes,
         cells=cells,
         corollary_ok=corollary_ok,
-        pisot_transfer=eigen.pisot_type_literal,
         timings=timings,
     )
 

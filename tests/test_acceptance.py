@@ -59,10 +59,10 @@ def test_criterion_01_ex1_exact_closure(capfd):
     outcome = run_bpa(subst, rel, w, Budgets())
     elapsed = time.perf_counter() - started
     assert outcome.terminated
-    rendered = {p.render(subst.alphabet) for p in outcome.pairs}
+    rendered = {p.render(subst.alphabet) for p in outcome.vertices}
     assert rendered == {"|1/1|", "|12/21|", "|2/2|"}
     assert outcome.closure_iteration == 2
-    graph = outcome.graph
+    graph = outcome
     reached = coincidence_analysis(graph)
     assert reached == set(range(len(graph.vertices)))
     failing = tuple(p for i, p in enumerate(graph.vertices)
@@ -85,7 +85,7 @@ def test_criterion_02_constant_length(capfd):
 
     letters = run_bpa(subst, Relation.letter_classes(subst), w, Budgets())
     assert letters.terminated
-    graph = letters.graph
+    graph = letters
     assert coincidence_analysis(graph) == set(range(len(graph.vertices)))
     announce(capfd, 2, "PASS",
              f"plain grows strictly over {strict_run} iterations; "
@@ -205,9 +205,9 @@ def test_criterion_06_rewritten_pisot(capfd):
     w = subst.alphabet.word_from_text("122334")
     outcome = run_bpa(subst, rel, w, Budgets())
     assert outcome.terminated
-    ordered = len(outcome.pairs)
-    unordered = len({frozenset((p.top, p.bottom)) for p in outcome.pairs})
-    longest = max(len(p.top) for p in outcome.pairs)
+    ordered = len(outcome.vertices)
+    unordered = len({frozenset((p.top, p.bottom)) for p in outcome.vertices})
+    longest = max(len(p.top) for p in outcome.vertices)
     assert longest == 11  # matches the literature value
 
     if ordered != 30:
@@ -386,18 +386,18 @@ def test_criterion_11_engine_fuzzing(capfd):
             except NotBalanced:  # pragma: no cover - plain mode never raises
                 raise
             closures += 1
-            assert [p.key for p in out1.pairs] == [p.key for p in out2.pairs]
+            assert out1.vertices == out2.vertices
             assert out1.growth_trace == out2.growth_trace
             if out1.terminated:
                 terminated += 1
-                members = set(out1.pairs)
-                for pair in out1.pairs:
+                members = set(out1.vertices)
+                for pair in out1.vertices:
                     for kid in children(subst, rel, pair,
                                         max_word_length=10_000):
                         assert kid in members
-                oracle = pair_graph(subst, rel, out1.pairs)
-                assert out1.graph.vertices == oracle.vertices
-                assert list(out1.graph.edges.items()) == \
+                oracle = pair_graph(subst, rel, out1.vertices)
+                assert out1.vertices == oracle.vertices
+                assert list(out1.edges.items()) == \
                     list(oracle.edges.items())
     announce(capfd, 11, "PASS",
              f"500 substitutions fuzzed; {closures} closures "

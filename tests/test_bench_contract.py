@@ -8,12 +8,14 @@ they are and exercise those names.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from balpair.engine import Budgets
 from balpair.equivalence import LengthSpec
+from balpair.report import render_json
 from balpair.substitution import parse_substitution
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze
 
@@ -55,7 +57,7 @@ def test_tracer_wraps_every_target_and_restores_it(bench_module):
     metrics = tracer.summary()
     assert metrics["engine.run_bpa_calls"] == 1
     # the verdict reads the graph the closure computed
-    pairs = report.cells[0].outcome.pairs
+    pairs = report.cells[0].outcome.vertices
     assert metrics["engine.children_calls"] == len(pairs)
     # children covers both images of every pair, so the tracer's letter
     # count is the images' total length
@@ -74,3 +76,20 @@ def test_every_workload_builds_its_config(bench_module):
         config = job.config(parse_substitution(job.text))
         assert isinstance(config, AnalysisConfig), name
         assert isinstance(config.budgets, Budgets), name
+
+
+def test_batch_and_spectral_results_match_reference(bench_module):
+    """The result part of every seed-0 `batch` and `spectral` report hashes
+    to the digest `bench/reference.json` records, so a change to the
+    result bytes fails here and not only in a bench run."""
+    workloads = bench_module("workloads")
+    check = bench_module("check")
+    reference = check.load_reference()
+    differ = []
+    for name in ("batch", "spectral"):
+        for job in workloads.jobs_for(name, 0):
+            subst = parse_substitution(job.text)
+            doc = json.loads(render_json(analyze(subst, job.config(subst))))
+            if check.result_digest(doc) != reference[check.job_key(job)]:
+                differ.append(f"{name}/{job.name}")
+    assert differ == []

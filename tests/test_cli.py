@@ -105,8 +105,8 @@ def test_verdict_writes_dot(tmp_path, fixtures_dir, capsys, monkeypatch):
     subst = load_corpus("ex1")
     rel = Relation.generalized(subst, LengthSpec.pf())
     outcome = run_bpa(subst, rel, (0,), Budgets())
-    assert children_calls == len(outcome.pairs)
-    assert text == render_dot(pair_graph(subst, rel, outcome.pairs),
+    assert children_calls == len(outcome.vertices)
+    assert text == render_dot(pair_graph(subst, rel, outcome.vertices),
                               subst.alphabet)
 
 

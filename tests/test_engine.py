@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from balpair.engine import (BalancedPair, Budgets, PairSet, children,
+from balpair.engine import (BalancedPair, Budgets, children,
                             coincidence_analysis, coincidence_density,
                             initial_pairs, pair_graph, reduce_pair, run_bpa,
                             split, substitute_pair)
@@ -152,7 +152,9 @@ def test_initial_pairs_ex1(ex1):
     rel = Relation.plain(ex1)
     pairs = initial_pairs(ex1, rel, W(ex1, "1"), Budgets())
     assert rendered(ex1, pairs) == ["|1/1|", "|12/21|"]
-    assert all(pairs.discovered_at(p) == 1 for p in pairs)
+    out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
+    assert out.vertices[:len(pairs)] == pairs
+    assert out.discovered[:len(pairs)] == [1] * len(pairs)
 
 
 def test_initial_pairs_constant_length():
@@ -167,7 +169,7 @@ def test_initial_pairs_troubling_word_in_closure(three):
     rel = Relation.plain(three)
     out = run_bpa(three, rel, W(three, "11"), Budgets())
     assert not out.terminated
-    assert "|11223/23211|" in rendered(three, out.pairs)
+    assert "|11223/23211|" in rendered(three, out.vertices)
 
 
 def test_initial_pairs_validates_prefix(three):
@@ -191,7 +193,7 @@ def test_run_bpa_ex1_terminates(ex1):
     out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
     assert out.terminated
     assert out.closure_iteration == 2
-    assert set(rendered(ex1, out.pairs)) == {"|1/1|", "|12/21|", "|2/2|"}
+    assert set(rendered(ex1, out.vertices)) == {"|1/1|", "|12/21|", "|2/2|"}
 
 
 def test_run_bpa_morse_thue_budget():
@@ -216,8 +218,8 @@ def test_run_bpa_closure_property(three):
     rel = Relation.generalized(three, LengthSpec.pf())
     out = run_bpa(three, rel, W(three, "11"), Budgets())
     assert out.terminated
-    members = set(out.pairs)
-    for pair in out.pairs:
+    members = set(out.vertices)
+    for pair in out.vertices:
         for kid in children(three, rel, pair):
             assert kid in members
 
@@ -225,7 +227,7 @@ def test_run_bpa_closure_property(three):
 def test_run_bpa_monotone_discovery(three):
     rel = Relation.generalized(three, LengthSpec.pf())
     out = run_bpa(three, rel, W(three, "11"), Budgets())
-    iterations = [out.pairs.discovered_at(p) for p in out.pairs]
+    iterations = out.discovered
     assert iterations == sorted(iterations)
     assert iterations[0] == 1
 
@@ -234,7 +236,7 @@ def test_run_bpa_deterministic(three):
     rel = Relation.generalized(three, LengthSpec.pf())
     out1 = run_bpa(three, rel, W(three, "11"), Budgets())
     out2 = run_bpa(three, rel, W(three, "11"), Budgets())
-    assert [p.key for p in out1.pairs] == [p.key for p in out2.pairs]
+    assert out1.vertices == out2.vertices
     assert out1.growth_trace == out2.growth_trace
 
 
@@ -243,7 +245,7 @@ def test_run_bpa_deterministic(three):
 def test_pair_graph_ex1(ex1):
     rel = Relation.plain(ex1)
     out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
-    graph = pair_graph(ex1, rel, out.pairs)
+    graph = pair_graph(ex1, rel, out.vertices)
     assert len(graph.vertices) == 3
     labels = {p.render(ex1.alphabet): i for i, p in enumerate(graph.vertices)}
     edges = {graph.vertices[i].render(ex1.alphabet):
@@ -259,8 +261,7 @@ def test_pair_graph_ex1(ex1):
 
 def test_pair_graph_not_closed(ex1):
     rel = Relation.plain(ex1)
-    partial = PairSet()
-    partial.add(BalancedPair(W(ex1, "12"), W(ex1, "21")), 1)
+    partial = [BalancedPair(W(ex1, "12"), W(ex1, "21"))]
     with pytest.raises(NotClosed):
         pair_graph(ex1, rel, partial)
 
@@ -268,8 +269,7 @@ def test_pair_graph_not_closed(ex1):
 def test_singleton_coincidence_graph():
     ident = parse_substitution("1 -> 11\n2 -> 12")
     rel = Relation.plain(ident)
-    pairs = PairSet()
-    pairs.add(BalancedPair((0,), (0,)), 1)
+    pairs = [BalancedPair((0,), (0,))]
     graph = pair_graph(ident, rel, pairs)
     assert graph.edges[0] == [(0, 2)]  # |1/1| -> |1/1| twice
 
@@ -277,7 +277,7 @@ def test_singleton_coincidence_graph():
 def test_coincidence_analysis_ex1(ex1):
     rel = Relation.plain(ex1)
     out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
-    graph = pair_graph(ex1, rel, out.pairs)
+    graph = pair_graph(ex1, rel, out.vertices)
     reached = coincidence_analysis(graph)
     assert reached == set(range(len(graph.vertices)))
     coincidences = [p for p in graph.vertices if p.is_coincidence]

@@ -130,14 +130,14 @@ def test_fixture_cells(name):
         label = f"{name} w={cell['prefix']} {cell['mode']}"
         if spec["outcome"] == "terminated":
             assert outcome.terminated, label
-            assert len(outcome.pairs) == spec["pairs"], label
+            assert len(outcome.vertices) == spec["pairs"], label
             if "closure_iteration" in spec:
                 assert outcome.closure_iteration == spec["closure_iteration"]
             if "longest_top" in spec:
-                assert max(len(p.top) for p in outcome.pairs) == \
+                assert max(len(p.top) for p in outcome.vertices) == \
                     spec["longest_top"], label
-            graph = outcome.graph
-            oracle = pair_graph(subst, rel, outcome.pairs)
+            graph = outcome
+            oracle = pair_graph(subst, rel, outcome.vertices)
             assert graph.vertices == oracle.vertices, label
             assert list(graph.edges.items()) == \
                 list(oracle.edges.items()), label

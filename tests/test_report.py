@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import balpair
 from balpair.engine import Budgets, pair_graph, run_bpa
 from balpair.equivalence import LengthSpec, Relation
@@ -79,6 +81,79 @@ def test_json_integer_form_and_rational_scalars():
                                         "length vector"}
 
 
+def _pairs(text):
+    """'1/1 12/21' -> the JSON entries of those pairs."""
+    return [dict(zip(("top", "bottom"), pair.split("/")))
+            for pair in text.split()]
+
+
+def _discovered(text, iterations):
+    return [{**pair, "discovered": iteration}
+            for pair, iteration in zip(_pairs(text), iterations)]
+
+
+EX1 = "1 -> 112\n2 -> 12"
+CONST_LEN = "1 -> 112\n2 -> 122"  # plain closure grows without end
+
+# the rule text, the budgets and the outcome block, in key order
+CLOSURE_ENDS = {
+    "terminated": (EX1, {}, {
+        "status": "terminated",
+        "closure_iteration": 2,
+        "pair_count": 3,
+        "growth_trace": [[1, 2], [2, 1]],
+        "pairs": _discovered("1/1 12/21 2/2", [1, 1, 2])}),
+    "max_iterations": (CONST_LEN, {"max_iterations": 2}, {
+        "status": "budget_exceeded",
+        "which_budget": "max_iterations",
+        "iterations_done": 2,
+        "pair_count": 6,
+        "longest_pairs": _pairs(
+            "1212212/2212211 1212/2211 122/221 12/21 1/1"),
+        "growth_trace": [[1, 3], [2, 7]],
+        "pairs": _discovered(
+            "1/1 12/21 122/221 2/2 1212/2211 1212212/2212211",
+            [1, 1, 1, 2, 2, 2])}),
+    "max_pairs": (EX1, {"max_pairs": 2}, {
+        "status": "budget_exceeded",
+        "which_budget": "max_pairs",
+        "iterations_done": 2,
+        "pair_count": 3,
+        "longest_pairs": _pairs("12/21 1/1 2/2"),
+        "growth_trace": [[1, 2]],
+        "pairs": _discovered("1/1 12/21 2/2", [1, 1, 2])}),
+    # a child of |122/221| outgrows 6 letters in iteration 2
+    "max_word_length": (CONST_LEN, {"max_word_length": 6}, {
+        "status": "budget_exceeded",
+        "which_budget": "max_word_length",
+        "iterations_done": 2,
+        "pair_count": 5,
+        "longest_pairs": _pairs("1212/2211 122/221 12/21 1/1 2/2"),
+        "growth_trace": [[1, 3]],
+        "pairs": _discovered("1/1 12/21 122/221 2/2 1212/2211",
+                             [1, 1, 1, 2, 2])}),
+    # the initial split finds a second distinct pair and stops
+    "initial_split": (EX1, {"max_pairs": 1}, {
+        "status": "budget_exceeded",
+        "which_budget": "max_pairs",
+        "iterations_done": 1,
+        "pair_count": 0,
+        "longest_pairs": [],
+        "growth_trace": []}),
+}
+
+
+@pytest.mark.parametrize("end", CLOSURE_ENDS)
+def test_outcome_block_for_every_closure_end(end):
+    text, budgets, expected = CLOSURE_ENDS[end]
+    subst = parse_substitution(text)
+    report = analyze(subst, AnalysisConfig(
+        prefixes=[(0,)], relations=[RelationSpec.plain()],
+        budgets=Budgets(**budgets)))
+    outcome = report_document(report)["cells"][0]["outcome"]
+    assert list(outcome.items()) == list(expected.items())
+
+
 def test_json_pair_list_threshold():
     _, report = ex1_report()
     small = json.loads(render_json(report, pair_list_limit=1000))
@@ -102,7 +177,7 @@ def test_render_dot_ex1():
     subst = parse_substitution("1 -> 112\n2 -> 12")
     rel = Relation.plain(subst)
     out = run_bpa(subst, rel, (0,), Budgets())
-    dot = render_dot(pair_graph(subst, rel, out.pairs), subst.alphabet)
+    dot = render_dot(pair_graph(subst, rel, out.vertices), subst.alphabet)
     assert dot.count("doublecircle") == 2
     assert 'label="12/21"' in dot
     assert 'label="2"' in dot  # the multiplicity-2 edge |12/21| -> |1/1|

@@ -4,7 +4,7 @@ import pytest
 
 import balpair.engine
 import balpair.equivalence
-from balpair.engine import BalancedPair, Budgets, BudgetExceeded, PairSet
+from balpair.engine import BalancedPair, Budgets, Closure
 from balpair.equivalence import LengthSpec
 from balpair.errors import EmptyConfig
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze, verdict
@@ -13,17 +13,13 @@ from conftest import count_calls
 
 
 def _terminated(pairs):
-    from balpair.engine import PairGraph, Terminated
-    ps = PairSet()
-    for i, p in enumerate(pairs):
-        ps.add(p, 1)
-    return Terminated(pairs=ps, closure_iteration=1, growth_trace=[(1, 1)],
-                      graph=PairGraph(vertices=ps.pairs(), edges={}))
+    return Closure(vertices=list(pairs), edges={}, discovered=[1] * len(pairs),
+                   growth_trace=[(1, 1)], iterations_done=2)
 
 
 def _budget():
-    return BudgetExceeded(which="max_pairs", iterations_done=3, pair_count=9,
-                          growth_trace=[(1, 2)], longest_pairs=[])
+    return Closure(vertices=[], edges={}, discovered=[],
+                   growth_trace=[(1, 2)], iterations_done=3, which="max_pairs")
 
 
 COIN = BalancedPair((0,), (0,))
@@ -119,7 +115,8 @@ def test_analyze_auto_prefixes(corpus):
     rendered = [ex1.alphabet.render(c.prefix) for c in report.cells]
     assert rendered == ["1", "112", "1121"]
     assert all(c.verdict.kind == "pure_discrete" for c in report.cells)
-    assert report.pisot_transfer  # two-letter Pisot: flow result moves to shift
+    # two-letter Pisot: flow result moves to shift
+    assert report.eigen.pisot_type_literal
 
 
 def test_analyze_cells_fail_independently(corpus):
@@ -177,7 +174,7 @@ def test_analyze_computes_children_once_per_pair(corpus, monkeypatch, name,
         relations=[RelationSpec.general(LengthSpec.pf())]))
     [cell] = report.cells
     assert cell.outcome.terminated
-    assert len(calls) == len(cell.outcome.pairs)
+    assert len(calls) == len(cell.outcome.vertices)
 
 
 def test_analyze_computes_letter_classes_once(corpus, monkeypatch):
