@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 from .engine import (BalancedPair, Budgets, Closure, DensityStats, PairGraph,
                      children, coincidence_analysis, coincidence_density,
-                     initial_pairs, pair_graph, reduce_pair, run_bpa,
-                     substitute_pair)
-from .equivalence import (LengthSpec, Relation, in_pf_kernel,
-                          letter_equiv_classes, resolve_length_vector)
+                     initial_pairs, pair_graph, run_bpa)
+from .equivalence import (LengthSpec, Relation, letter_equiv_classes,
+                          resolve_length_vector)
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      NoExpandingFixedPoint, NotBalanced, NotClosed,
                      RuleSyntaxError, ScanOverflow, StabilityNotReached)
@@ -24,8 +23,9 @@ from .linalg import (EigenReport, char_poly, classify_spectrum, integer_form,
 from .numberfield import FieldScalar, NumberField
 from .polynomial import RatPoly, factor_poly
 from .substitution import (Alphabet, FixedPointStream, Letter, Substitution,
-                           admissible_prefixes, fixed_point_stream,
-                           parse_substitution, population_vector)
+                           admissible_prefixes, auto_prefixes,
+                           fixed_point_stream, parse_substitution,
+                           population_vector)
 from .verdict import (AnalysisConfig, AnalysisReport, CellResult,
                       RelationSpec, SpectrumVerdict, analyze, verdict)
 

@@ -19,7 +19,7 @@ from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError)
 from .linalg import char_poly, classify_spectrum, integer_form
 from .report import render_dot, render_json, spectral_fields
-from .substitution import (admissible_prefixes, fixed_point_stream,
+from .substitution import (auto_prefixes, fixed_point_stream,
                            parse_substitution)
 from .verdict import AnalysisConfig, RelationSpec, analyze
 
@@ -144,8 +144,13 @@ def _exit_code_for(report):
                default=EXIT_OK)
 
 
-def _print_cells(report, out):
+def _print_cells(report, args, out):
     alphabet = report.subst.alphabet
+    first = report.cells[0].prefix
+    if args.prefix is None and len(first) > args.prefix_auto:
+        print(f"  no returning prefix has at most {args.prefix_auto} letters; "
+              f"using the shortest, {alphabet.render(first)} "
+              f"({len(first)} letters)", file=out)
     for cell in report.cells:
         prefix = alphabet.render(cell.prefix)
         if cell.error:
@@ -259,14 +264,14 @@ def cmd_bpa(args, out):
     subst = _load(args.input)
     config = _config(args, subst)
     # one cell: first prefix, first relation; analyze reports a
-    # non-primitive input, or an empty list of auto prefixes
+    # non-primitive input
     config.relations = config.relations[:1]
     if not config.prefixes and subst.is_primitive():
-        config.prefixes = admissible_prefixes(
+        config.prefixes = auto_prefixes(
             fixed_point_stream(subst), config.auto_max_len,
             config.require_return)[:1]
     report = analyze(subst, config)
-    _print_cells(report, out)
+    _print_cells(report, args, out)
     _write_outputs(report, args, out)
     return _exit_code_for(report)
 
@@ -275,7 +280,7 @@ def cmd_verdict(args, out):
     subst = _load(args.input)
     config = _config(args, subst)
     report = analyze(subst, config)
-    _print_cells(report, out)
+    _print_cells(report, args, out)
     _write_outputs(report, args, out)
     return _exit_code_for(report)
 
@@ -302,7 +307,7 @@ def cmd_batch(args, out):
             print(f"  error: {exc}", file=out)
             worst = max(worst, EXIT_USAGE)
             continue
-        _print_cells(report, out)
+        _print_cells(report, args, out)
         if args.out_dir is not None:
             target = args.out_dir / (path.stem + ".json")
             target.write_bytes(render_json(report))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
-from .substitution import FixedPointStream, Substitution, fixed_point_stream
+from .substitution import FixedPointStream, fixed_point_stream
 
 
 class BalancedPair(NamedTuple):
@@ -214,27 +214,6 @@ def split(rel, top, bottom, cap, which="max_word_length"):
             side.blocks.append((side.high, side.read, at))
         else:
             side.blocks.clear()
-
-
-def reduce_pair(rel, u, v, *, max_word_length=None):
-    """Split an equivalent pair of words into irreducible balanced pairs.
-
-    Raises NotBalanced when u and v are not equivalent under the relation,
-    and ScanOverflow when one component would exceed max_word_length.
-    Concatenating the output reproduces (u, v).
-    """
-    u, v = tuple(u), tuple(v)
-    if not u or not v:
-        raise NotBalanced("pair words must be nonempty")
-    if not rel.word_equiv(u, v):
-        raise NotBalanced("words are not equivalent under the relation")
-    cap = max(len(u), len(v)) if max_word_length is None else max_word_length
-    return list(split(rel, u, v, cap))
-
-
-def substitute_pair(subst: Substitution, pair: BalancedPair):
-    """Images of both sides under the substitution."""
-    return subst.apply(pair.top), subst.apply(pair.bottom)
 
 
 def children(subst, rel, pair, *, max_word_length=None):

@@ -244,17 +244,6 @@ class Relation:
         """Exact sign of sum(s[j] * lambda^j) in the Perron field."""
         return self.subst.spectrum().perron.sign_of(s)
 
-    def word_equiv(self, u, v) -> bool:
-        """Are two words equivalent under this relation?"""
-        acc = [0] * self.eq_dim
-        for letter in u:
-            for t, val in enumerate(self.letter_eq[letter]):
-                acc[t] += val
-        for letter in v:
-            for t, val in enumerate(self.letter_eq[letter]):
-                acc[t] -= val
-        return not any(acc)
-
     def length_of(self, word):
         """Exact L-length of a word (Fraction, or FieldScalar in lambda mode)."""
         total = None
@@ -282,9 +271,3 @@ def letter_equiv_classes(subst: Substitution, ones=None):
         classes.setdefault(row, []).append(letter)
     return tuple(tuple(c) for c in classes.values())
 
-
-def in_pf_kernel(subst: Substitution, z) -> bool:
-    """True iff the PF left eigenvector annihilates the integer vector z."""
-    spectrum = subst.spectrum()
-    terms = (weight * zi for weight, zi in zip(spectrum.l_lambda, z))
-    return sum(terms, spectrum.perron.zero()).is_zero

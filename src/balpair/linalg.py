@@ -1,9 +1,12 @@
-"""Exact linear algebra on transition matrices.
+"""Exact linear algebra on transition matrices, in integer arithmetic.
 
-Characteristic polynomials come from the Faddeev-LeVerrier recurrence (exact
-over Fraction, integer-valued for integer matrices). The Perron root is the
+The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
+run over the integers: for an integer matrix every coefficient is an integer
+(Newton's identities), so each division is exact. The Perron root is the
 largest real root across the irreducible factors, isolated by Sturm counts.
-The left eigenvector is solved exactly over Q(lambda). Eigenvalues are
+The left eigenvector is row 1 of adj(lambda I - A) = q(A), with
+q(x) = chi(x) / (x - lambda): integer polynomials in lambda read off the
+integer rows e_1 A^k, scaled by one field inverse. Eigenvalues are
 classified by modulus from exact root counts per irreducible factor: a Sturm
 count on the trace polynomial of a self-reciprocal factor, and the
 Routh-Hurwitz count (a Cauchy index) after a Cayley map for any other.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InternalInvariantError
@@ -35,10 +37,6 @@ def mat_mul(a, b):
                        for j in range(p)) for i in range(n))
 
 
-def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def mat_powers(a, count):
     """[I, A, A^2, ..., A^(count-1)]."""
     out = [mat_identity(len(a))]
@@ -48,32 +46,22 @@ def mat_powers(a, count):
 
 
 def char_poly(matrix) -> RatPoly:
-    """Monic characteristic polynomial det(xI - A), Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - A), by Faddeev-LeVerrier.
+
+    M_1 = I, c_(n-k) = -tr(A M_k) / k and M_(k+1) = A M_k + c_(n-k) I. For an
+    integer matrix each c_(n-k) is an integer by Newton's identities, so the
+    recurrence stays in the integers and the division is exact.
+    """
     n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
+    coeffs = [0] * n + [1]
+    m = mat_identity(n)
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = -sum(am[i][i] for i in range(n)) / k
+        am = mat_mul(matrix, m)
+        c = -sum(am[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)]
-             for i in range(n)]
+        m = tuple(tuple(v + c if i == j else v for j, v in enumerate(row))
+                  for i, row in enumerate(am))
     return RatPoly(coeffs)
-
-
-def poly_of_matrix(p: RatPoly, matrix):
-    """p(A) with exact arithmetic (for Cayley-Hamilton checks)."""
-    n = len(matrix)
-    acc = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    for c in reversed(p.coeffs):
-        acc = mat_mul(acc, matrix)
-        acc = tuple(tuple(acc[i][j] + (c if i == j else 0) for j in range(n))
-                    for i in range(n))
-    return acc
 
 
 # -- Perron data -------------------------------------------------------------
@@ -104,45 +92,33 @@ def perron_data(factors) -> NumberField:
             return fields[floors.index(top)]
 
 
-def left_pf_eigenvector(matrix, nf: NumberField):
+def left_pf_eigenvector(matrix, cp: RatPoly, nf: NumberField):
     """Exact left eigenvector L with L*A = lambda*L and first coordinate 1.
 
-    Solves (A^T - lambda I) y = 0 over Q(lambda) by Gaussian elimination;
-    Perron-Frobenius makes the kernel one-dimensional for primitive A.
+    cp is chi, the characteristic polynomial of A. With
+    q(x) = chi(x) / (x - lambda), q(A) = adj(lambda I - A), so
+    (lambda I - A) q(A) = chi(lambda) I = 0 and each row of q(A) is a left
+    eigenvector. At the simple Perron root q(A) has rank one, and row 1 is
+    nonzero because the right PF eigenvector is positive. Synthetic division
+    gives q = sum_m lambda^m sum_k c_(k+m+1) x^k, so coordinate j of row 1
+    is the integer polynomial P_j(lambda) = sum_m lambda^m sum_k
+    c_(k+m+1) (e_1 A^k)_j, one field element per coordinate; one inverse
+    scales the first coordinate to 1. adj(lambda I - A) = 0 exactly when
+    rank(lambda I - A) < n - 1, so the zero-coordinate check also rejects a
+    kernel of dimension above one.
     """
     n = len(matrix)
-    lam = nf.generator()
-    rows = [[nf.from_rational(matrix[j][i]) - (lam if i == j else 0)
-             for j in range(n)] for i in range(n)]
-    # forward elimination with exact pivoting on nonzero entries
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != n - 1:
+    c = [int(v) for v in cp.coeffs]
+    rows = [tuple(int(j == 0) for j in range(n))]  # e_1 A^k, k = 0..n-1
+    for _ in range(n - 1):
+        rows.append(mat_mul(rows[-1:], matrix)[0])
+    vec = [nf.element([sum(c[k + m + 1] * rows[k][j] for k in range(n - m))
+                       for m in range(n)]) for j in range(n)]
+    if vec[0].is_zero:
         raise InternalInvariantError(
-            f"PF kernel dimension {n - r}, expected 1; matrix not primitive?")
-    free = next(c for c in range(n) if c not in pivots)
-    sol = [nf.zero()] * n
-    sol[free] = nf.one()
-    for row, c in zip(rows, pivots):
-        sol[c] = -row[free]
-    first = sol[0]
-    if first.is_zero:
-        raise InternalInvariantError("PF eigenvector has a zero coordinate")
-    inv = first.inverse()
-    vec = [v * inv for v in sol]
+            "PF eigenvector has a zero coordinate; matrix not primitive?")
+    inv = vec[0].inverse()
+    vec = [v * inv for v in vec]
     for v in vec:
         if v.sign() <= 0:
             raise InternalInvariantError("PF eigenvector not strictly positive")
@@ -175,7 +151,7 @@ class Spectrum:
         factors = tuple(factor_poly(cp))
         nf = perron_data(factors)
         return Spectrum(cp, factors, nf,
-                        tuple(left_pf_eigenvector(matrix, nf)))
+                        tuple(left_pf_eigenvector(matrix, cp, nf)))
 
 
 # -- eigenvalue classification ------------------------------------------------
@@ -191,9 +167,6 @@ class EigenReport:
     pisot_type_allowing_zero: bool
     dim_large: int  # modulus >= 1, PF excluded
     dim_small: int  # modulus < 1, zeros included
-
-    def kinds(self):
-        return self.counts
 
 
 def circle_counts(f):

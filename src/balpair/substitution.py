@@ -164,12 +164,6 @@ class Substitution:
         return Substitution(self.alphabet,
                             [self.apply((i,), k) for i in range(self.size)])
 
-    def render_rules(self):
-        lines = []
-        for i, img in enumerate(self.rules):
-            lines.append(f"{self.alphabet.tokens[i]} -> {self.alphabet.render(img)}")
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other):
         return (isinstance(other, Substitution)
                 and self.alphabet == other.alphabet
@@ -234,8 +228,7 @@ class FixedPointStream:
     """Prefixes of the right-infinite word fixed by phi^power, seeded at one letter.
 
     The buffer grows geometrically by reapplying phi^power to itself, so
-    producing a length-m prefix costs O(m) amortized. Single consumer; use
-    clone() to fork an independent reader.
+    producing a length-m prefix costs O(m) amortized.
     """
 
     def __init__(self, subst: Substitution, power: int, seed: int):
@@ -276,11 +269,6 @@ class FixedPointStream:
             yield islice(buffer, i, None)
             i = len(buffer)
 
-    def clone(self):
-        fresh = FixedPointStream(self.subst, self.power, self.seed)
-        fresh._buffer = list(self._buffer)
-        return fresh
-
 
 def fixed_point_stream(subst: Substitution) -> FixedPointStream:
     """Smallest k >= 1 and first seed letter a with phi^k(a) starting at a.
@@ -319,3 +307,17 @@ def admissible_prefixes(stream: FixedPointStream, max_len: int,
             continue
         out.append(head[: m + 1])
     return out
+
+
+def auto_prefixes(stream: FixedPointStream, max_len: int,
+                  require_return: bool = True):
+    """admissible_prefixes, or, when no returning prefix has at most max_len
+    letters, the shortest returning prefix of the fixed word alone. The
+    fixed word of a primitive substitution returns to its first letter, so
+    the list is never empty."""
+    prefixes = admissible_prefixes(stream, max_len, require_return)
+    if prefixes:
+        return prefixes
+    first = stream.letter(0)
+    end = next(i for i, a in enumerate(stream.letters(1), 1) if a == first)
+    return [stream.prefix(end)]

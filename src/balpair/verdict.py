@@ -18,7 +18,7 @@ from .engine import (Budgets, Closure, coincidence_analysis,
 from .equivalence import LengthSpec, Relation, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
 from .linalg import EigenReport, Spectrum, classify_spectrum
-from .substitution import Substitution, admissible_prefixes, fixed_point_stream
+from .substitution import Substitution, auto_prefixes, fixed_point_stream
 
 PURE_DISCRETE = "pure_discrete"
 NOT_PURE_DISCRETE = "not_pure_discrete"
@@ -157,11 +157,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                     f"prefix {subst.alphabet.render(w)!r} does not start "
                     "the fixed word")
     else:
-        prefixes = admissible_prefixes(stream, config.auto_max_len,
-                                       config.require_return)
-        if not prefixes:
-            raise EmptyConfig("no admissible prefixes under the return "
-                              "condition; pass --prefix explicitly")
+        prefixes = auto_prefixes(stream, config.auto_max_len,
+                                 config.require_return)
 
     t0 = time.perf_counter()
     spectrum = subst.spectrum()

@@ -271,3 +271,20 @@ def test_salem_input_is_classified(tmp_path, capsys):
     assert None not in flags.values()
     assert (flags["dim_large_eigenspaces"],
             flags["dim_small_eigenspaces"]) == (2, 1)
+
+
+def test_verdict_falls_back_to_the_shortest_returning_prefix(tmp_path,
+                                                             capsys):
+    # the fixed word 21434311334 2... first returns to its first letter
+    # after 11 letters, past the default --prefix-auto 8
+    path = tmp_path / "late-return.sub"
+    path.write_text("1 -> 343\n2 -> 214\n3 -> 42\n4 -> 1133\n")
+    out_json = tmp_path / "late-return.json"
+    code, out, _ = run_cli(capsys, "verdict", str(path), "--length", "lambda",
+                           "--json", str(out_json))
+    assert code == 0
+    assert out.splitlines()[0] == ("  no returning prefix has at most 8 "
+                                   "letters; using the shortest, "
+                                   "21434311334 (11 letters)")
+    [cell] = json.loads(out_json.read_text())["cells"]
+    assert cell["prefix"] == "21434311334"

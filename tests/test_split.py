@@ -1,7 +1,7 @@
 """The split routine against a naive quadratic reference.
 
 The reference cuts at every (i, j) with top[:i] ~ bottom[:j], checked with
-`Relation.word_equiv` on the two prefixes, and reads the components off
+`word_equiv` on the two prefixes, and reads the components off
 between consecutive cuts.
 """
 
@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpair.engine import CHUNK, BalancedPair, reduce_pair, run_bpa, split
+from balpair.engine import CHUNK, BalancedPair, run_bpa, split
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import NotBalanced, ScanOverflow
 from balpair.numberfield import NumberField
 from balpair.substitution import fixed_point_stream, parse_substitution
 
 from conftest import count_calls, load_corpus
+from oracles import reduce_pair, word_equiv
 
 RULES = {
     "ex1": "1 -> 112\n2 -> 12",  # lambda = (3 + sqrt 5) / 2
@@ -40,7 +41,7 @@ WHICH = ("max_word_length", "max_scan_length")
 def reference_split(rel, top, bottom, cap, which):
     cuts = [(i, j) for i in range(1, len(top) + 1)
             for j in range(1, len(bottom) + 1)
-            if rel.word_equiv(top[:i], bottom[:j])]
+            if word_equiv(rel, top[:i], bottom[:j])]
     return list(_components(top, bottom, cuts, cap, which))
 
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balpair.errors import NoExpandingFixedPoint, RuleSyntaxError
-from balpair.linalg import mat_mul, mat_vec
-from balpair.substitution import (admissible_prefixes, fixed_point_stream,
-                                  parse_substitution)
+from balpair.linalg import mat_mul
+from balpair.substitution import (admissible_prefixes, auto_prefixes,
+                                  fixed_point_stream, parse_substitution)
+
+from oracles import clone, mat_vec, render_rules
 
 
 def test_parse_basic():
@@ -124,8 +126,8 @@ def test_letters_iterator_and_clone():
     it = stream.letters(2)
     head = [next(it) for _ in range(4)]
     assert tuple(head) == stream.prefix(6)[2:]
-    clone = stream.clone()
-    assert clone.prefix(10) == stream.prefix(10)
+    twin = clone(stream)
+    assert twin.prefix(10) == stream.prefix(10)
 
 
 def test_interleaved_readers_across_buffer_growths():
@@ -154,6 +156,20 @@ def test_admissible_prefixes():
     assert [render(w) for w in returning] == ["1"]  # u_1 = 1; u_2 = 2 excludes "11"
     everything = admissible_prefixes(stream, 4, require_return=False)
     assert [render(w) for w in everything] == ["1", "11", "112", "1121"]
+
+
+def test_auto_prefixes_fall_back_to_the_shortest_returning_prefix():
+    ex1 = parse_substitution("1 -> 112\n2 -> 12")
+    stream = fixed_point_stream(ex1)
+    assert auto_prefixes(stream, 4) == admissible_prefixes(stream, 4)
+    late = parse_substitution("1 -> 343\n2 -> 214\n3 -> 42\n4 -> 1133")
+    stream = fixed_point_stream(late)
+    assert admissible_prefixes(stream, 8) == []
+    [prefix] = auto_prefixes(stream, 8)
+    assert late.alphabet.render(prefix) == "21434311334"
+    assert auto_prefixes(stream, 8) == admissible_prefixes(stream, 11)
+    assert auto_prefixes(stream, 8, require_return=False) == \
+        admissible_prefixes(stream, 8, require_return=False)
 
 
 # randomized substitutions for property checks
@@ -211,4 +227,4 @@ def test_power_matrix_identity(corpus):
 
 def test_round_trip_render(corpus):
     for subst in corpus.values():
-        assert parse_substitution(subst.render_rules()) == subst
+        assert parse_substitution(render_rules(subst)) == subst
