@@ -14,14 +14,15 @@ import sys
 from pathlib import Path
 
 from .engine import Budgets
-from .equivalence import LengthSpec, letter_equiv_classes
+from .equivalence import (GENERAL, LETTERS, PLAIN, LengthSpec, RelationSpec,
+                          letter_equiv_classes)
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError)
 from .linalg import char_poly, classify_spectrum, integer_form
 from .report import render_dot, render_json, spectral_fields
 from .substitution import (auto_prefixes, fixed_point_stream,
                            parse_substitution)
-from .verdict import AnalysisConfig, RelationSpec, analyze
+from .verdict import AnalysisConfig, analyze
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,13 +39,29 @@ def _bool_flag(text):
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _levels(text):
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad flags and values exit with EXIT_USAGE; argparse's own 2 would
+    read as EXIT_BUDGET. Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balpair",
         description="Balanced pair analysis of primitive substitutions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_json(p):
         p.add_argument("--json", type=Path, default=None,
                        help="write the JSON report here")
 
@@ -59,48 +76,43 @@ def build_parser():
         p.add_argument("--length", action="append", default=None,
                        metavar="SPEC",
                        help="length vector: ones | lambda | a,b,c (repeatable)")
-        p.add_argument("--mode", choices=("plain", "letters", "general"),
+        p.add_argument("--mode", choices=(PLAIN, LETTERS, GENERAL),
                        default=None,
                        help="balance notion (default: general over --length, "
                             "or over lambda and ones)")
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--max-pairs", type=int, default=None)
         p.add_argument("--max-word-len", type=int, default=None)
-        p.add_argument("--dot", type=Path, default=None,
-                       help="write the pair graph of the first terminated "
-                            "cell as DOT")
-        p.add_argument("--density-levels", type=int, default=None,
+        p.add_argument("--density-levels", type=_levels, default=None,
                        metavar="L", help="also compute densities for 0..L")
 
     p_info = sub.add_parser("info", help="matrix, spectral and letter-class data")
     p_info.add_argument("input", type=Path)
-    add_common(p_info)
+    add_json(p_info)
 
-    p_bpa = sub.add_parser("bpa", help="run a single (prefix, relation) cell")
-    p_bpa.add_argument("input", type=Path)
-    add_common(p_bpa)
-    add_run_flags(p_bpa)
+    for name, help_text in (("bpa", "run a single (prefix, relation) cell"),
+                            ("verdict", "full analysis and verdicts")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", type=Path)
+        add_json(p)
+        add_run_flags(p)
+        p.add_argument("--dot", type=Path, default=None,
+                       help="write the pair graph of the first terminated "
+                            "cell as DOT")
 
-    p_verdict = sub.add_parser("verdict", help="full analysis and verdicts")
-    p_verdict.add_argument("input", type=Path)
-    add_common(p_verdict)
-    add_run_flags(p_verdict)
-
+    # batch writes only under --out-dir
     p_batch = sub.add_parser("batch", help="verdicts for every .sub in a directory")
     p_batch.add_argument("input", type=Path, help="directory of .sub files")
     p_batch.add_argument("--out-dir", type=Path, default=None,
                          help="write one JSON report per input file here")
-    add_common(p_batch)
     add_run_flags(p_batch)
 
     return parser
 
 
 def _relation_specs(args):
-    if args.mode == "plain":
-        return [RelationSpec.plain()]
-    if args.mode == "letters":
-        return [RelationSpec.letters()]
+    if args.mode in (PLAIN, LETTERS):
+        return [RelationSpec(args.mode)]
     lengths = args.length
     if lengths is None:
         lengths = ["lambda", "ones"]
@@ -154,7 +166,7 @@ def _print_cells(report, args, out):
     for cell in report.cells:
         prefix = alphabet.render(cell.prefix)
         if cell.error:
-            print(f"  w={prefix} {cell.relation_label}: ERROR {cell.error}",
+            print(f"  w={prefix} {cell.spec.label()}: ERROR {cell.error}",
                   file=out)
             continue
         outcome = cell.outcome
@@ -167,7 +179,7 @@ def _print_cells(report, args, out):
                       f"{len(outcome.vertices)} pairs")
         v = cell.verdict
         verdict_text = v.kind + (f" ({v.reason})" if v.reason else "")
-        print(f"  w={prefix} {cell.relation_label}: {status} -> {verdict_text}",
+        print(f"  w={prefix} {cell.spec.label()}: {status} -> {verdict_text}",
               file=out)
 
 
@@ -175,7 +187,7 @@ def _write_outputs(report, args, out):
     if args.json is not None:
         args.json.write_bytes(render_json(report))
         print(f"wrote {args.json}", file=out)
-    dot_path = getattr(args, "dot", None)
+    dot_path = args.dot
     if dot_path is not None:
         graphs = [cell.outcome for cell in report.cells
                   if cell.outcome is not None and cell.outcome.terminated]

@@ -1,6 +1,7 @@
 """The three balance notions used by the pair-splitting engine.
 
-A Relation bundles a substitution with one of:
+A RelationSpec names one of them, and a Relation holds its tables over
+one substitution:
 
   plain     -- equal population vectors;
   letters   -- equal counts per letter-equivalence class (Livshits); the
@@ -94,128 +95,117 @@ def resolve_length_vector(subst: Substitution, spec: LengthSpec):
     raise ValueError(f"unknown length spec kind {spec.kind!r}")
 
 
-class Relation:
-    """One balance notion over a fixed substitution; immutable once built."""
+@dataclass(frozen=True)
+class RelationSpec:
+    """The name of a relation: plain, letters, or general with a length spec."""
 
-    def __init__(self, subst, mode, *, partition=None, lengths=None,
-                 spec=None, is_lambda=False):
+    mode: str  # PLAIN | LETTERS | GENERAL
+    length: LengthSpec | None = None
+
+    @staticmethod
+    def plain():
+        return RelationSpec(PLAIN)
+
+    @staticmethod
+    def letters():
+        return RelationSpec(LETTERS)
+
+    @staticmethod
+    def general(length: LengthSpec):
+        return RelationSpec(GENERAL, length)
+
+    def label(self):
+        if self.mode == GENERAL:
+            return f"general[{self.length.label()}]"
+        return self.mode
+
+    def build(self, subst, classes=None):
+        """The relation; classes, when given, are subst's letter classes."""
+        if self.mode == PLAIN:
+            return Relation.plain(subst)
+        if self.mode == LETTERS:
+            return Relation.letter_classes(subst, partition=classes)
+        return Relation.generalized(subst, self.length)
+
+
+class Relation:
+    """A relation's integer tables over a fixed substitution; immutable.
+
+    letter_eq[j] is letter j's equivalence state; length_low[j] and
+    length_high[j] enclose its scaled L-length, and lengths[j] is its
+    exact L-length.
+    """
+
+    def __init__(self, subst, spec, letter_eq, length_low, length_high=None,
+                 lengths=None):
         self.subst = subst
-        self.mode = mode
-        self.partition = partition
+        self.spec = spec
+        self.letter_eq = letter_eq
+        self.eq_dim = len(letter_eq[0])
+        self._eq_bound = max(abs(v) for row in letter_eq for v in row)
+        self._packed = {}
+        self.length_low = length_low
+        self.length_high = length_high or length_low
         # plain and letters measure words by their number of letters
         self.lengths = lengths or (Fraction(1),) * subst.size
-        self.spec = spec
-        self.is_lambda = is_lambda
-        self._build_tables()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def plain(subst):
-        return Relation(subst, PLAIN)
+        n = subst.size
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return Relation(subst, RelationSpec.plain(), eye, (1,) * n)
 
     @staticmethod
     def letter_classes(subst, partition=None):
         if partition is None:
             partition = letter_equiv_classes(subst)
-        return Relation(subst, LETTERS, partition=partition)
+        class_of = {letter: c for c, cls in enumerate(partition)
+                    for letter in cls}
+        _check_partition(subst, partition, class_of)
+        table = tuple(tuple(int(class_of[i] == c)
+                            for c in range(len(partition)))
+                      for i in range(subst.size))
+        return Relation(subst, RelationSpec.letters(), table,
+                        (1,) * subst.size)
 
     @staticmethod
     def generalized(subst, spec: LengthSpec):
         lengths = resolve_length_vector(subst, spec)
-        return Relation(subst, GENERAL, lengths=lengths, spec=spec,
-                        is_lambda=(spec.kind == "lambda"))
-
-    def label(self):
-        if self.mode == GENERAL:
-            return f"general[{self.spec.label()}]"
-        return self.mode
-
-    # -- scanner tables ------------------------------------------------------
-
-    def _build_tables(self):
-        n = self.subst.size
-        if self.mode in (PLAIN, LETTERS):
-            self.length_low = self.length_high = (1,) * n
-            if self.mode == PLAIN:
-                letter_eq = tuple(
-                    tuple(1 if j == i else 0 for j in range(n))
-                    for i in range(n))
-            else:
-                classes = self.partition
-                class_of = {}
-                for ci, cls in enumerate(classes):
-                    for letter in cls:
-                        class_of[letter] = ci
-                letter_eq = tuple(
-                    tuple(1 if class_of[i] == c else 0
-                          for c in range(len(classes)))
-                    for i in range(n))
-                self._check_partition(class_of)
-            self._set_letter_eq(letter_eq)
-            return
-
-        # general mode: scale the length vector to integer coefficient vectors
-        first = self.lengths[0]
-        if isinstance(first, FieldScalar):
-            dim = first.field.degree
-            coeff_rows = [list(v.coeffs) for v in self.lengths]
-        else:
-            dim = 1
-            coeff_rows = [[Fraction(v)] for v in self.lengths]
-        den = lcm(*(c.denominator for row in coeff_rows for c in row))
-        scaled = tuple(tuple(int(c * den) for c in row) for row in coeff_rows)
+        # scale the length vector to integer coefficient vectors
+        rows = [v.coeffs if isinstance(v, FieldScalar) else (v,)
+                for v in lengths]
+        den = lcm(*(c.denominator for row in rows for c in row))
+        scaled = tuple(tuple(int(c * den) for c in row) for row in rows)
+        dim = len(scaled[0])
         if dim == 1:
-            self.length_low = self.length_high = tuple(
-                row[0] for row in scaled)
+            low = high = tuple(row[0] for row in scaled)
         else:
             # floor and ceiling of 2^64 * l over an enclosure of l on
             # lambda's bracket at 2^-72; a few bits finer than 2^-64 keeps
             # each width near one
-            bounds = [first.field.enclose(v.coeffs, 72) for v in self.lengths]
-            self.length_low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
-            self.length_high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
-
-        if self.is_lambda:
+            bounds = [v.field.enclose(v.coeffs, 72) for v in lengths]
+            low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
+            high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
+        if spec.kind == "lambda":
             # L.A^m = lambda^m L, so the m = 0 test is the whole condition
-            self._set_letter_eq(scaled)
-            return
-        # letter j contributes, for each m in 0..n-1, the coefficient vector
-        # of den * (L . A^m)_j; equivalence is all blocks zero
-        powers = mat_powers(self.subst.transition_matrix(), n)
-        letter_eq = []
-        for j in range(n):
-            vec = []
-            for power in powers:
-                col = [Fraction(0)] * dim
-                for i in range(n):
-                    w = coeff_rows[i]
-                    a = power[i][j]
-                    if a:
-                        for t in range(dim):
-                            col[t] += a * w[t]
-                vec.extend(int(c * den) for c in col)
-            letter_eq.append(tuple(vec))
-        self._set_letter_eq(tuple(letter_eq))
+            letter_eq = scaled
+        else:
+            # block m of letter j is den * (L . A^m)_j, summed over the
+            # scaled rows; equivalence is all blocks zero
+            powers = mat_powers(subst.transition_matrix(), subst.size)
+            letter_eq = tuple(
+                tuple(sum(power[i][j] * row[t] for i, row in enumerate(scaled))
+                      for power in powers for t in range(dim))
+                for j in range(subst.size))
+        return Relation(subst, RelationSpec.general(spec), letter_eq, low,
+                        high, lengths)
 
-    def _set_letter_eq(self, letter_eq):
-        self.letter_eq = letter_eq
-        self.eq_dim = len(letter_eq[0])
-        self._eq_bound = max(abs(v) for row in letter_eq for v in row)
-        self._packed = {}
+    def label(self):
+        return self.spec.label()
 
-    def _check_partition(self, class_of):
-        """Letters of one class must have images with equal class counts;
-        otherwise sigma does not map equivalent words to equivalent words."""
-        render = self.subst.alphabet.render
-        for first, *rest in self.partition:
-            counts = Counter(class_of[x] for x in self.subst.rules[first])
-            for a in rest:
-                if Counter(class_of[x] for x in self.subst.rules[a]) != counts:
-                    raise ValueError(
-                        f"letters {render((first,))} and {render((a,))} "
-                        "share a class, but their images have different "
-                        "class counts")
+    # -- scanner tables ------------------------------------------------------
 
     def packed_states(self, cap):
         """Each letter's equivalence state packed into one int.
@@ -271,3 +261,17 @@ def letter_equiv_classes(subst: Substitution, ones=None):
         classes.setdefault(row, []).append(letter)
     return tuple(tuple(c) for c in classes.values())
 
+
+
+def _check_partition(subst, partition, class_of):
+    """Letters of one class must have images with equal class counts;
+    otherwise sigma does not map equivalent words to equivalent words."""
+    render = subst.alphabet.render
+    for first, *rest in partition:
+        counts = Counter(class_of[x] for x in subst.rules[first])
+        for a in rest:
+            if Counter(class_of[x] for x in subst.rules[a]) != counts:
+                raise ValueError(
+                    f"letters {render((first,))} and {render((a,))} "
+                    "share a class, but their images have different "
+                    "class counts")

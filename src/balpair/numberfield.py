@@ -153,12 +153,6 @@ class NumberField:
     def one(self):
         return self.from_rational(1)
 
-    def generator(self):
-        """lambda itself as a field element."""
-        if self.degree == 1:
-            return self.from_rational(self.interval[0])
-        return FieldScalar(self, (0, 1))
-
     def __eq__(self, other):
         """Same minimal polynomial and the same root: the two isolating
         intervals share a root, so both isolate that one."""

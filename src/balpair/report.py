@@ -76,7 +76,7 @@ def _cell(cell, alphabet, pair_list_limit):
     length = cell.spec.length
     doc = {
         "prefix": alphabet.render(cell.prefix),
-        "relation": cell.relation_label,
+        "relation": cell.spec.label(),
         "length_spec": length.label() if length is not None else None,
         "prefix_returns": cell.prefix_ok,
     }

@@ -7,21 +7,12 @@ order of left-hand sides, and every report sticks to that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
 from .linalg import Spectrum
 
 Word = tuple  # tuple of int letter indices
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A letter as shown in reports: 1-based index plus its display token."""
-
-    index: int
-    token: str
 
 
 class Alphabet:
@@ -39,9 +30,6 @@ class Alphabet:
     @property
     def size(self):
         return len(self.tokens)
-
-    def letters(self):
-        return [Letter(i + 1, t) for i, t in enumerate(self.tokens)]
 
     def index_of(self, token):
         return self._index[token]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .engine import (Budgets, Closure, coincidence_analysis,
                      coincidence_density, run_bpa)
-from .equivalence import LengthSpec, Relation, letter_equiv_classes
+from .equivalence import LengthSpec, RelationSpec, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
 from .linalg import EigenReport, Spectrum, classify_spectrum
 from .substitution import Substitution, auto_prefixes, fixed_point_stream
@@ -51,39 +51,6 @@ def verdict(outcome, failing, prefix_ok):
                            failing_pairs=failing)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    """A relation request: plain, letters, or general with a length spec."""
-
-    mode: str
-    length: LengthSpec | None = None
-
-    @staticmethod
-    def plain():
-        return RelationSpec("plain")
-
-    @staticmethod
-    def letters():
-        return RelationSpec("letters")
-
-    @staticmethod
-    def general(length: LengthSpec):
-        return RelationSpec("general", length)
-
-    def label(self):
-        if self.mode == "general":
-            return f"general[{self.length.label()}]"
-        return self.mode
-
-    def build(self, subst, classes=None):
-        """The relation; classes, when given, are subst's letter classes."""
-        if self.mode == "plain":
-            return Relation.plain(subst)
-        if self.mode == "letters":
-            return Relation.letter_classes(subst, partition=classes)
-        return Relation.generalized(subst, self.length)
-
-
 @dataclass
 class AnalysisConfig:
     prefixes: list = field(default_factory=list)  # words; empty means auto
@@ -108,10 +75,6 @@ class CellResult:
     densities: list | None = None
     exception: Exception | None = None  # what stopped the cell, if any
     seconds: float = 0.0
-
-    @property
-    def relation_label(self):
-        return self.spec.label()
 
     @property
     def error(self):
@@ -139,7 +102,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     Cells fail independently; whenever a non-PF relation terminates, the same
     prefix is rerun with the PF length vector and the corollary consistency
-    (it must terminate too) is recorded.
+    (it must terminate too) is recorded. Each relation is built at most once
+    per analysis, the PF one only when such a rerun needs it.
     """
     if not config.relations:
         raise EmptyConfig("no relations requested")
@@ -163,45 +127,44 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     t0 = time.perf_counter()
     spectrum = subst.spectrum()
     eigen = classify_spectrum(spectrum.factors, spectrum.perron)
-    ones_spec = RelationSpec.general(LengthSpec.ones())
-    ones_rel = ones_spec.build(subst)
-    classes = letter_equiv_classes(subst, ones_rel)
+    ones = RelationSpec.general(LengthSpec.ones())
+    relations = {ones: ones.build(subst)}  # spec -> relation or exception
+    classes = letter_equiv_classes(subst, relations[ones])
     timings["spectral"] = time.perf_counter() - t0
 
-    relations = []
-    for spec in config.relations:
-        try:
-            relations.append((spec, ones_rel if spec == ones_spec
-                              else spec.build(subst, classes)))
-        except (BalpairError, ValueError) as exc:
-            relations.append((spec, exc))
+    def relation(spec):
+        if spec not in relations:
+            try:
+                relations[spec] = spec.build(subst, classes)
+            except (BalpairError, ValueError) as exc:
+                relations[spec] = exc
+        return relations[spec]
 
-    pf_spec = RelationSpec.general(LengthSpec.pf())
-    pf_rel = dict(relations).get(pf_spec) or pf_spec.build(subst)
+    outcomes = {}
 
-    outcome_cache = {}
+    def run_cell(prefix, spec):
+        key = (prefix, spec)
+        if key not in outcomes:
+            outcomes[key] = run_bpa(subst, relation(spec), prefix,
+                                    config.budgets, stream=stream)
+        return outcomes[key]
 
-    def run_cell(prefix, label, rel):
-        key = (prefix, label)
-        if key not in outcome_cache:
-            outcome_cache[key] = run_bpa(subst, rel, prefix,
-                                         config.budgets, stream=stream)
-        return outcome_cache[key]
-
+    pf = RelationSpec.general(LengthSpec.pf())
     cells = []
     corollary_ok = True
     for prefix in prefixes:
         prefix_ok = stream.letter(len(prefix)) == stream.letter(0)
-        for spec, rel in relations:
+        for spec in config.relations:
             cell = CellResult(prefix=prefix, spec=spec, prefix_ok=prefix_ok)
             t0 = time.perf_counter()
+            rel = relation(spec)
             if isinstance(rel, Exception):
                 cell.exception = rel
                 cell.seconds = time.perf_counter() - t0
                 cells.append(cell)
                 continue
             try:
-                outcome = run_cell(prefix, spec.label(), rel)
+                outcome = run_cell(prefix, spec)
                 cell.outcome = outcome
                 failing = ()
                 if outcome.terminated:
@@ -209,10 +172,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                     failing = tuple(p for i, p in enumerate(outcome.vertices)
                                     if i not in reached)
                 cell.verdict = verdict(outcome, failing, prefix_ok)
-                if outcome.terminated and spec != pf_spec:
-                    pf_outcome = run_cell(prefix, pf_spec.label(), pf_rel)
+                if outcome.terminated and spec != pf:
+                    pf_outcome = run_cell(prefix, pf)
                     cell.corollary_check = {
-                        "relation": pf_spec.label(),
+                        "relation": pf.label(),
                         "terminated": pf_outcome.terminated,
                     }
                     if not pf_outcome.terminated:

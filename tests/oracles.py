@@ -57,7 +57,7 @@ def left_pf_eigenvector_elimination(matrix, nf: NumberField):
     Perron-Frobenius makes the kernel one-dimensional for primitive A.
     """
     n = len(matrix)
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     rows = [[nf.from_rational(matrix[j][i]) - (lam if i == j else 0)
              for j in range(n)] for i in range(n)]
     # forward elimination with exact pivoting on nonzero entries

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import balpair
 from balpair.engine import Budgets
 from balpair.equivalence import LengthSpec
 from balpair.report import render_json
@@ -67,6 +68,15 @@ def test_tracer_wraps_every_target_and_restores_it(bench_module):
     assert metrics["engine.pair_graph_s"] == 0.0
     # lambda is bisected in one traced place, NumberField.refine_once
     assert metrics["numberfield.refine_calls"] > 0
+
+
+def test_relation_spec_is_one_class():
+    """bench/workloads.py imports RelationSpec from the package; tests and
+    older callers import it from balpair.verdict."""
+    verdict_module = importlib.import_module("balpair.verdict")
+    equivalence = importlib.import_module("balpair.equivalence")
+    assert balpair.RelationSpec is verdict_module.RelationSpec
+    assert balpair.RelationSpec is equivalence.RelationSpec
 
 
 def test_every_workload_builds_its_config(bench_module):

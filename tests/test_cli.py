@@ -146,6 +146,48 @@ def test_usage_error_unknown_length(fixtures_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verdict", "ex1.sub", "--bogus"],
+    ["verdict", "ex1.sub", "--max-iter", "abc"],
+    ["bpa", "ex1.sub", "--mode", "bogus"],
+    ["batch", ".", "--require-return", "maybe"],
+    ["info"],
+    ["nonsense"],
+])
+def test_parse_errors_exit_one(fixtures_dir, capsys, argv):
+    argv = [str(fixtures_dir / arg) if arg.endswith(".sub") or arg == "."
+            else arg for arg in argv]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verdict", "--help"])
+    assert stop.value.code == 0
+    assert "--density-levels" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flags", [
+    # batch writes only under --out-dir
+    ("batch", ["--json", "out.json"]),
+    ("batch", ["--dot", "out.dot"]),
+    ("verdict", ["--density-levels", "-1", "--json", "out.json"]),
+    ("batch", ["--density-levels", "-1", "--out-dir", "out"]),
+])
+def test_ignored_or_invalid_flags_are_rejected(tmp_path, fixtures_dir, capsys,
+                                               command, flags):
+    target = fixtures_dir / ("ex1.sub" if command == "verdict" else "")
+    flags = [str(tmp_path / f) if f.startswith("out") else f for f in flags]
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(target), *flags])
+    assert stop.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bpa_plain_mode_single_cell(fixtures_dir, capsys):
     code, out, _ = run_cli(capsys, "bpa", str(fixtures_dir / "ex1.sub"),
                            "--mode", "plain")

@@ -214,7 +214,7 @@ def test_truncated_test_matches_brute_force(three):
 def test_lambda_scaling_of_lengths(three):
     rel = Relation.generalized(three, LengthSpec.pf())
     nf = three.spectrum().perron
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     rng = random.Random(29)
     for _ in range(30):
         w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))

@@ -23,7 +23,7 @@ def test_construction_validates_interval():
 
 def test_degree_one_field_is_rational():
     nf = NumberField(RatPoly((-4, 1)), 0, 10)
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     assert lam.is_rational and lam.as_fraction() == 4
     assert (lam * lam).as_fraction() == 16
     assert lam.sign() == 1
@@ -32,13 +32,13 @@ def test_degree_one_field_is_rational():
 
 def test_reduction_by_min_poly():
     nf = golden_field()
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     assert (lam * lam).coeffs == (Fraction(1), Fraction(3))  # lambda^2 = 3l+1
 
 
 def test_sign_by_refinement():
     nf = golden_field()
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     assert (lam - 3).sign() == 1
     assert (lam - 4).sign() == -1
     assert (lam - lam).sign() == 0
@@ -55,7 +55,7 @@ def test_zero_and_subtraction():
 
 def test_inverse_and_division():
     nf = golden_field()
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     a = lam * 2 - 7
     assert (a * a.inverse()) == nf.one()
     assert (a / a) == 1
@@ -65,7 +65,7 @@ def test_inverse_and_division():
 
 def test_pow():
     nf = golden_field()
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     assert lam ** 3 == lam * lam * lam
     assert lam ** 0 == 1
     assert lam ** -1 == lam.inverse()
@@ -73,7 +73,7 @@ def test_pow():
 
 def test_mixed_arithmetic_with_rationals():
     nf = golden_field()
-    lam = nf.generator()
+    lam = nf.element((0, 1))
     assert (1 + lam) - lam == 1
     assert Fraction(1, 2) * lam == lam / 2
 
@@ -81,7 +81,7 @@ def test_mixed_arithmetic_with_rationals():
 def test_decimal_rendering():
     nf = golden_field()
     assert nf.approx_str(digits=4) == "3.3027"  # truncated, not rounded
-    assert nf.generator().decimal(4) == "3.3027"
+    assert nf.element((0, 1)).decimal(4) == "3.3027"
 
 
 def test_is_zero_matches_numeric_evaluation():
@@ -108,7 +108,7 @@ def test_cross_field_equality_is_false():
              # the same minimal polynomial, the other root: -sqrt2, sqrt2
              (sqrt2_field(-2, 0), sqrt2_field(0, 2))]
     for f, g in pairs:
-        a, b = f.generator(), g.generator()
+        a, b = f.element((0, 1)), g.element((0, 1))
         for _ in range(2):  # rendering an element does not change equality
             assert f != g and a != b
             with pytest.raises(ValueError):
@@ -118,9 +118,9 @@ def test_cross_field_equality_is_false():
     minus = sqrt2_field(-2, 0)
     for _ in range(2):
         assert minus == sqrt2_field(Fraction(-3, 2), -1)
-        repr(minus.generator())
-    assert (minus.generator() + sqrt2_field(-3, -1).generator()).coeffs == \
-        (0, 2)
+        repr(minus.element((0, 1)))
+    twin = sqrt2_field(-3, -1)
+    assert (minus.element((0, 1)) + twin.element((0, 1))).coeffs == (0, 2)
 
 
 def test_bracket_of_golden_ratio_matches_integer_oracle():

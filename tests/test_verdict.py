@@ -5,7 +5,7 @@ import pytest
 import balpair.engine
 import balpair.equivalence
 from balpair.engine import BalancedPair, Budgets, Closure
-from balpair.equivalence import LengthSpec
+from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import EmptyConfig
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze, verdict
 
@@ -201,3 +201,33 @@ def test_analyze_builds_all_ones_relation_once(corpus, monkeypatch):
     subst = corpus["ex1"]
     analyze(subst, AnalysisConfig(prefixes=[(0,)]))
     assert [args[1].kind for args in builds] == ["ones", "lambda"]
+
+
+PF = RelationSpec.general(LengthSpec.pf())
+ONES = RelationSpec.general(LengthSpec.ones())
+
+
+@pytest.mark.parametrize("name, requested, expected", [
+    ("reducible3", [PF, ONES, RelationSpec.letters()],
+     [ONES, PF, RelationSpec.letters()]),
+    # ones terminates, so its PF corollary builds PF on first use
+    ("reducible3", [ONES, RelationSpec.letters()],
+     [ONES, PF, RelationSpec.letters()]),
+    # plain never terminates on mt-rewrite, so no corollary needs PF
+    ("mt-rewrite", [RelationSpec.plain()], [ONES, RelationSpec.plain()]),
+])
+def test_analyze_builds_each_relation_once(corpus, monkeypatch, name,
+                                           requested, expected):
+    built = []
+    for constructor in ("plain", "letter_classes", "generalized"):
+        def wrapper(*args, _original=getattr(Relation, constructor),
+                    **kwargs):
+            rel = _original(*args, **kwargs)
+            built.append(rel.spec)
+            return rel
+        monkeypatch.setattr(Relation, constructor, staticmethod(wrapper))
+    report = analyze(corpus[name], AnalysisConfig(
+        relations=requested,
+        budgets=Budgets(max_iterations=6, max_word_length=400)))
+    assert len({cell.prefix for cell in report.cells}) > 1
+    assert built == expected
