@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import Budgets
@@ -39,11 +40,14 @@ def _bool_flag(text):
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _levels(text):
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low):
+    """An argparse type: an integer of at least `low`."""
+    def parse(text):
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +72,8 @@ def build_parser():
     def add_run_flags(p):
         p.add_argument("--prefix", default=None,
                        help="explicit fixed-word prefix w")
-        p.add_argument("--prefix-auto", type=int, default=8, metavar="MAXLEN",
+        p.add_argument("--prefix-auto", type=_at_least(1), default=8,
+                       metavar="MAXLEN",
                        help="collect admissible prefixes up to this length")
         p.add_argument("--require-return", type=_bool_flag, default=True,
                        metavar="BOOL",
@@ -83,7 +88,7 @@ def build_parser():
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--max-pairs", type=int, default=None)
         p.add_argument("--max-word-len", type=int, default=None)
-        p.add_argument("--density-levels", type=_levels, default=None,
+        p.add_argument("--density-levels", type=_at_least(0), default=None,
                        metavar="L", help="also compute densities for 0..L")
 
     p_info = sub.add_parser("info", help="matrix, spectral and letter-class data")
@@ -125,18 +130,24 @@ def _budgets(args):
     return Budgets(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _config(args, subst):
-    prefixes = []
-    if args.prefix is not None:
-        prefixes = [subst.alphabet.word_from_text(args.prefix)]
+def _config(args):
+    """The settings the flags give, less an explicit --prefix; a bad value
+    raises ValueError before any input is read."""
     return AnalysisConfig(
-        prefixes=prefixes,
         auto_max_len=args.prefix_auto,
         require_return=args.require_return,
         relations=_relation_specs(args),
         budgets=_budgets(args),
         density_levels=args.density_levels,
     )
+
+
+def _with_prefix(config, args, subst):
+    """config with the explicit --prefix, a word over subst's alphabet."""
+    if args.prefix is None:
+        return config
+    return replace(config,
+                   prefixes=[subst.alphabet.word_from_text(args.prefix)])
 
 
 def _load(path: Path):
@@ -274,7 +285,7 @@ def _write_info_json(path, subst, cp, classes, eigen, spectrum, out):
 
 def cmd_bpa(args, out):
     subst = _load(args.input)
-    config = _config(args, subst)
+    config = _with_prefix(_config(args), args, subst)
     # one cell: first prefix, first relation; analyze reports a
     # non-primitive input
     config.relations = config.relations[:1]
@@ -290,14 +301,14 @@ def cmd_bpa(args, out):
 
 def cmd_verdict(args, out):
     subst = _load(args.input)
-    config = _config(args, subst)
-    report = analyze(subst, config)
+    report = analyze(subst, _with_prefix(_config(args), args, subst))
     _print_cells(report, args, out)
     _write_outputs(report, args, out)
     return _exit_code_for(report)
 
 
 def cmd_batch(args, out):
+    config = _config(args)  # a bad flag is one usage error, not one per file
     directory = args.input
     if not directory.is_dir():
         print(f"not a directory: {directory}", file=sys.stderr)
@@ -313,8 +324,7 @@ def cmd_batch(args, out):
         print(f"== {path.name}", file=out)
         try:
             subst = _load(path)
-            config = _config(args, subst)
-            report = analyze(subst, config)
+            report = analyze(subst, _with_prefix(config, args, subst))
         except (BalpairError, ValueError) as exc:
             print(f"  error: {exc}", file=out)
             worst = max(worst, EXIT_USAGE)

@@ -12,6 +12,11 @@ say which side to read next and when a kept chunk can no longer match; no
 sign of an algebraic number is decided. Each emitted component is
 irreducible: it holds no earlier pair of equal prefix states.
 
+The initial split I(w) and the coincidence densities cut the fixed word u
+against its own shift, and `shift_split` does that in one pass: the
+bottom's prefix states are the top's plus the state of the shift word, so
+u is read, summed and indexed once. `split` serves the closure's children.
+
 A pair is a named tuple of its two words, so it is its own key. The
 closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
 computed, the iteration that found each pair, and the budget that stopped
@@ -23,6 +28,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, islice
 from operator import mul
 from typing import NamedTuple
@@ -216,6 +222,87 @@ def split(rel, top, bottom, cap, which="max_word_length"):
             side.blocks.clear()
 
 
+def shift_split(rel, stream, shift, cap, which="max_word_length"):
+    """Irreducible components of the fixed word u against its shift by
+    `shift` letters, in one pass: what split(rel, stream.letters(0),
+    stream.letters(shift), cap, which) yields.
+
+    With T(p) the state of u[:p], the bottom prefix of p - shift letters
+    has state T(p) - T(shift), so top prefix i meets bottom prefix
+    p - shift exactly where T(i) + T(shift) = T(p). u is read once, CHUNK
+    letters at a time, and each chunk's prefix states become one block
+    {T(p): p}, with the lower end of the integer length enclosure before
+    it and both ends after it. The top takes the blocks in order: a
+    block's cuts are its states plus T(shift), intersected with the blocks
+    whose bottom prefixes may be as long as its top prefixes. u is read
+    ahead until the last block's bottom prefixes are longer than the top
+    block's, and a block is dropped once the top has passed it.
+
+    Exactness: the packed states are sums from position 0 and a whole
+    block is matched at once, so a packed hit between positions far from
+    the last cut may be a collision. A hit is accepted only within cap
+    letters of the last cut on both sides. There the state difference is
+    the difference of two words of at most cap letters, since it was zero
+    at the last cut, and the packing keeps apart any state difference of
+    up to 2 (max(cap, CHUNK) + 1) letters, so such a hit is a cut; the
+    CHUNK term keeps the prefixes of one block apart. Every cut is a hit,
+    so the first accepted hit is the next cut, and once the top has passed
+    cap letters beyond its last cut with none accepted, the next component
+    has more than cap letters on a side: the top's cap decides overflow.
+
+    Raises ScanOverflow(which) when a component would have more than cap
+    letters on a side, after yielding every earlier component.
+    """
+    states = rel.packed_states(max(cap, CHUNK)).__getitem__
+    lows, highs = rel.length_low, rel.length_high
+    alphabet = range(len(lows))
+    head = stream.prefix(shift)
+    offset = sum(map(states, head))  # T(shift)
+    head_low = sum(map(lows.__getitem__, head))
+    head_high = sum(map(highs.__getitem__, head))
+    source = stream.letters(0)
+    pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
+    window, origin = [], 0  # the letters u[origin:read]
+    blocks = deque()  # (read before, low before, low, high, {T(p): p})
+    read = state = low = high = 0
+    top, bottom = 0, shift  # the last cut: T(top) + T(shift) = T(bottom)
+    while True:
+        while not blocks or blocks[-1][2] - head_low <= blocks[0][3]:
+            chunk = list(islice(source, CHUNK))
+            window += chunk
+            counts = list(map(chunk.count, alphabet))  # few big-int products
+            before = low
+            low += sum(map(mul, counts, lows))
+            high += sum(map(mul, counts, highs))
+            prefixes = accumulate(map(states, chunk), initial=state)
+            next(prefixes)  # T(read), the last state of the block before
+            at = dict(zip(prefixes, range(read + 1, read + CHUNK + 1)))
+            state = next(reversed(at))
+            blocks.append((read, before, low, high, at))
+            read += CHUNK
+        start, top_low, _low, top_high, mine = blocks[0]
+        keys = set(map(offset.__add__, mine))
+        found = []
+        for _read, bottom_low, _low, bottom_high, theirs in blocks:
+            if bottom_low - head_low > top_high:
+                break
+            if bottom_high - head_high >= top_low:
+                found += [(mine[s - offset], theirs[s])
+                          for s in keys & theirs.keys()]
+        found.sort()
+        for i, p in found:
+            if top < i <= top + cap and bottom < p <= bottom + cap:
+                yield pair((tuple(window[top - origin:i - origin]),
+                            tuple(window[bottom - origin:p - origin])))
+                top, bottom = i, p
+        if start + CHUNK - top >= cap:
+            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                               which=which)
+        blocks.popleft()
+        del window[:top - origin]
+        origin = top
+
+
 def children(subst, rel, pair, *, max_word_length=None):
     """Irreducible pairs in the reduction of the substituted pair, in order.
 
@@ -233,10 +320,11 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                   stream: FixedPointStream | None = None) -> list:
     """I_1(w): split the fixed word against its shift by |w|.
 
-    Streams the reduction of (u, sigma^{|w|} u) and returns the distinct
-    irreducible pairs in the order they first appear, once no new pair has
-    shown up for a stability window of max(split_stability_window, 3x the
-    current pair count) consecutive cuts.
+    Streams the reduction of u against its shift by |w| letters (u less
+    its first |w| letters) and returns the distinct irreducible pairs in
+    the order they first appear, once no new pair has shown up for a
+    stability window of max(split_stability_window, 3x the current pair
+    count) consecutive cuts.
 
     Raises ScanOverflow when a component has more letters on a side than
     the smaller of max_word_length and max_scan_length (named by which; a
@@ -258,8 +346,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
     cuts = 0
     cuts_at_last_new = 0
     scanned = 0
-    for component in split(rel, stream.letters(0), stream.letters(len(w)),
-                           cap, which):
+    for component in shift_split(rel, stream, len(w), cap, which):
         cuts += 1
         scanned += len(component.top)
         if component not in pairs:
@@ -400,9 +487,8 @@ def coincidence_density(subst, rel, w, level, horizon,
     coincident = None
     total = None
     scanned = 0
-    for component in split(rel, stream.letters(0),
-                           stream.letters(len(shift_word)),
-                           max(horizon * 4, 10_000), "max_scan_length"):
+    for component in shift_split(rel, stream, len(shift_word),
+                                 max(horizon * 4, 10_000), "max_scan_length"):
         mass = rel.length_of(component.top)
         total = mass if total is None else total + mass
         if component.is_coincidence:

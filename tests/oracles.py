@@ -3,18 +3,20 @@
 Each is an independent, slower or more literal form of something the
 library computes another way: the Fraction Faddeev-LeVerrier recurrence and
 the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
-arithmetic, a per-letter word equivalence, a whole-word `reduce_pair`, and
+arithmetic, a per-letter word equivalence, a whole-word `reduce_pair`, the
+initial split of the fixed word and its shift as two separate streams, and
 small matrix and rendering helpers.
 """
 
 from fractions import Fraction
 
-from balpair.engine import split
-from balpair.errors import InternalInvariantError, NotBalanced
+from balpair.engine import Budgets, split
+from balpair.errors import (InternalInvariantError, NotBalanced,
+                            StabilityNotReached)
 from balpair.linalg import mat_mul
 from balpair.numberfield import NumberField
 from balpair.polynomial import RatPoly
-from balpair.substitution import FixedPointStream
+from balpair.substitution import FixedPointStream, fixed_point_stream
 
 
 def mat_vec(a, v):
@@ -121,6 +123,45 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
         raise NotBalanced("words are not equivalent under the relation")
     cap = max(len(u), len(v)) if max_word_length is None else max_word_length
     return list(split(rel, u, v, cap))
+
+
+def initial_pairs_two_streams(subst, rel, w, budgets: Budgets,
+                              stream: FixedPointStream | None = None) -> list:
+    """engine.initial_pairs with the fixed word and its shift read as two
+    unrelated streams by engine.split."""
+    w = tuple(w)
+    if not w:
+        raise ValueError("prefix must be nonempty")
+    if stream is None:
+        stream = fixed_point_stream(subst)
+    if stream.prefix(len(w)) != w:
+        raise ValueError("w is not a prefix of the fixed word")
+    if budgets.max_scan_length < budgets.max_word_length:
+        cap, which = budgets.max_scan_length, "max_scan_length"
+    else:
+        cap, which = budgets.max_word_length, "max_word_length"
+    pairs = {}  # insertion-ordered set
+    cuts = 0
+    cuts_at_last_new = 0
+    scanned = 0
+    for component in split(rel, stream.letters(0), stream.letters(len(w)),
+                           cap, which):
+        cuts += 1
+        scanned += len(component.top)
+        if component not in pairs:
+            pairs[component] = None
+            cuts_at_last_new = cuts
+            if len(pairs) > budgets.max_pairs:
+                raise StabilityNotReached(
+                    f"more than {budgets.max_pairs} distinct initial pairs",
+                    which="max_pairs")
+        window = max(budgets.split_stability_window, 3 * len(pairs))
+        if cuts - cuts_at_last_new >= window:
+            return list(pairs)
+        if scanned > budgets.max_scan_length:
+            raise StabilityNotReached(
+                f"still discovering after {budgets.max_scan_length} letters",
+                which="max_scan_length")
 
 
 def substitute_pair(subst, pair):

@@ -141,9 +141,11 @@ def test_batch_requires_directory(tmp_path, capsys):
 
 
 def test_usage_error_unknown_length(fixtures_dir, capsys):
-    code, _, err = run_cli(capsys, "verdict", str(fixtures_dir / "ex1.sub"),
-                           "--length", "bogus")
-    assert code == 1
+    # batch checks its flags once, before the first file
+    for command, target in (("verdict", fixtures_dir / "ex1.sub"),
+                            ("batch", fixtures_dir)):
+        got = run_cli(capsys, command, str(target), "--length", "bogus")
+        assert got == (1, "", "error: bad length spec 'bogus'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,6 +178,7 @@ def test_help_exits_zero(capsys):
     ("batch", ["--dot", "out.dot"]),
     ("verdict", ["--density-levels", "-1", "--json", "out.json"]),
     ("batch", ["--density-levels", "-1", "--out-dir", "out"]),
+    ("batch", ["--prefix-auto", "0", "--out-dir", "out"]),
 ])
 def test_ignored_or_invalid_flags_are_rejected(tmp_path, fixtures_dir, capsys,
                                                command, flags):
@@ -277,16 +280,21 @@ def test_batch_keeps_going_after_a_failed_file(tmp_path, capsys, extra):
     assert "w=12 general[lambda]: terminated" in blocks["c.sub"]
 
 
+BUDGET_FLAGS = [("--max-iter", "max_iterations"),
+                ("--max-pairs", "max_pairs"),
+                ("--max-word-len", "max_word_length")]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("flag, name", [
-    ("--max-iter", "max_iterations"),
-    ("--max-pairs", "max_pairs"),
-    ("--max-word-len", "max_word_length"),
-])
-def test_budget_flags_must_be_positive(fixtures_dir, capsys, flag, name,
-                                       value):
-    code, out, err = run_cli(capsys, "verdict", str(fixtures_dir / "ex1.sub"),
-                             flag, value)
+@pytest.mark.parametrize("command, flag, name", [
+    pytest.param(command, flag, name, id=f"{prefix}{flag}-{name}")
+    for command, prefix in (("verdict", ""), ("batch", "batch"))
+    for flag, name in BUDGET_FLAGS])
+def test_budget_flags_must_be_positive(fixtures_dir, capsys, command, flag,
+                                       name, value):
+    # batch checks its flags once, before the first file
+    target = fixtures_dir / ("ex1.sub" if command == "verdict" else "")
+    code, out, err = run_cli(capsys, command, str(target), flag, value)
     assert code == 1
     assert err == f"error: budget {name} must be positive\n"
     assert out == ""

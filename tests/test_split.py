@@ -1,8 +1,11 @@
-"""The split routine against a naive quadratic reference.
+"""The split routines against slower references.
 
-The reference cuts at every (i, j) with top[:i] ~ bottom[:j], checked with
-`word_equiv` on the two prefixes, and reads the components off
-between consecutive cuts.
+`split` is checked against a naive quadratic reference, which cuts at
+every (i, j) with top[:i] ~ bottom[:j], checked with `word_equiv` on the
+two prefixes, and reads the components off between consecutive cuts, and
+against a linear whole-word one. `shift_split`, the one-pass split of a
+fixed word against its own shift, is checked against `split` of the two
+streams, and `initial_pairs` against the same loop over `split`.
 """
 
 import functools
@@ -12,17 +15,19 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from balpair.engine import CHUNK, BalancedPair, run_bpa, split
+from balpair.engine import (CHUNK, BalancedPair, Budgets, initial_pairs,
+                            run_bpa, shift_split, split)
 from balpair.equivalence import LengthSpec, Relation
-from balpair.errors import NotBalanced, ScanOverflow
+from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
 from balpair.substitution import fixed_point_stream, parse_substitution
 
+import oracles
 from conftest import count_calls, load_corpus
-from oracles import reduce_pair, word_equiv
+from oracles import initial_pairs_two_streams, reduce_pair, word_equiv
 
 RULES = {
     "ex1": "1 -> 112\n2 -> 12",  # lambda = (3 + sqrt 5) / 2
@@ -83,8 +88,8 @@ def _components(top, bottom, cuts, cap, which):
 def _outcome(fn):
     try:
         return fn()
-    except ScanOverflow as exc:
-        return ("ScanOverflow", exc.which)
+    except (ScanOverflow, StabilityNotReached) as exc:
+        return (type(exc).__name__, exc.which)
     except NotBalanced:
         return ("NotBalanced",)
 
@@ -305,6 +310,18 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
     # no side reads more than cap + 1 letters past the last cut
     assert read_top[0] <= sum(len(p.top) for p in head) + cap + 1
     assert read_bottom[0] <= sum(len(p.bottom) for p in head) + cap + 1
+    # shift_split reads u once. Past the last cut the top finishes its
+    # block of under CHUNK letters, and u is read on until a block's bottom
+    # prefixes outgrow that block: at most ratio bottom letters for each
+    # top letter, and one more block
+    read = [0]
+    letters = stream.letters
+    stream.letters = lambda start: _counted(letters(start), read)
+    lazy = shift_split(rel, stream, 3, cap)
+    assert list(islice(lazy, len(head))) == head
+    ratio = -(-max(rel.length_high) // min(rel.length_low))
+    last_cut = 3 + sum(len(p.bottom) for p in head)
+    assert read[0] <= last_cut + (ratio + 1) * CHUNK
 
 
 def test_one_long_component_keeps_a_bounded_window():
@@ -325,3 +342,107 @@ def test_one_long_component_keeps_a_bounded_window():
         tracemalloc.stop()
     assert pair == BalancedPair(top, bottom)
     assert peak < 12_000_000
+    # u = 1 2 2 2 ... against its shift by one never cuts, so shift_split
+    # reads n + 1 letters of u into one component. It holds those letters
+    # and a few blocks of prefix states: its peak measured 1.8 MB on
+    # CPython 3.11.
+    stream = fixed_point_stream(parse_substitution("1 -> 12\n2 -> 22"))
+    stream.prefix(n + 4 * CHUNK)  # the fixed word itself is not counted
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanOverflow):
+            next(shift_split(rel, stream, 1, n))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
+# -- the fixed word against its own shift -------------------------------------
+
+SHIFT_CAPS = (1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 400)
+
+
+def _shift_outcomes(subst, rel, shift, cap, which, count):
+    """The first `count` components of u against its shift by `shift`, and
+    the error that ends them, from split of two streams and shift_split."""
+    stream = fixed_point_stream(subst)
+    two = split(rel, stream.letters(0), stream.letters(shift), cap, which)
+    one = shift_split(rel, fixed_point_stream(subst), shift, cap, which)
+    return _drain(islice(two, count)), _drain(islice(one, count))
+
+
+@pytest.mark.parametrize("kind", ["plain", "letters", "ones", "lambda"])
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_shift_split_matches_split_of_two_streams(name, kind):
+    subst = SUBSTS[name]
+    rel = _relation(subst, kind)
+    for shift in range(1, 13):
+        for cap in SHIFT_CAPS:
+            for which in WHICH:
+                expected, got = _shift_outcomes(subst, rel, shift, cap,
+                                                which, 600)
+                assert got == expected, (shift, cap, which)
+
+
+@st.composite
+def primitive_substitutions(draw):
+    size = draw(st.integers(2, 4))
+    images = st.lists(st.integers(0, size - 1), min_size=1, max_size=4)
+    rules = draw(st.lists(images, min_size=size, max_size=size))
+    text = "".join(f"{i + 1} -> {''.join(str(a + 1) for a in image)}\n"
+                   for i, image in enumerate(rules))
+    subst = parse_substitution(text)
+    assume(subst.is_primitive())
+    return subst
+
+
+@settings(max_examples=150, deadline=None)
+@given(primitive_substitutions(), st.sampled_from(
+    ("plain", "letters", "ones", "lambda")), st.integers(1, 12),
+    st.sampled_from(SHIFT_CAPS), st.sampled_from(WHICH))
+def test_shift_split_of_random_substitutions(subst, kind, shift, cap, which):
+    try:
+        rel = _relation(subst, kind)
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    expected, got = _shift_outcomes(subst, rel, shift, cap, which, 600)
+    assert got == expected
+
+
+def _scan_stops(subst, rel, w, window, monkeypatch):
+    """Letters scanned at each cut up to the window stop of the reference,
+    with no scan budget in the way."""
+    scanned = [0]
+
+    def counted(*args):
+        for component in split(*args):
+            scanned.append(scanned[-1] + len(component.top))
+            yield component
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "split", counted)
+        initial_pairs_two_streams(
+            subst, rel, w, Budgets(split_stability_window=window))
+    return scanned[1:]
+
+
+@pytest.mark.parametrize("kind", ["plain", "lambda"])
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
+    # the window stop and the scan stop, each at, just before and just
+    # after the cut where the two-stream reference stops; a scan budget
+    # below the longest component also caps the split
+    subst = SUBSTS[name]
+    rel = _relation(subst, kind)
+    w = fixed_word(name)[:2]
+    for window in (1, 40, 500):
+        scanned = _scan_stops(subst, rel, w, window, monkeypatch)
+        limits = {1, 2, 3} | {n + d for n in scanned[-3:] for d in (-1, 0, 1)}
+        for max_scan_length in sorted(limits):
+            budgets = Budgets(split_stability_window=window,
+                              max_scan_length=max_scan_length)
+            expected = _outcome(lambda: initial_pairs_two_streams(
+                subst, rel, w, budgets))
+            got = _outcome(lambda: initial_pairs(subst, rel, w, budgets))
+            assert got == expected, (window, max_scan_length)
