@@ -325,6 +325,10 @@ def cmd_batch(args, out):
         try:
             subst = _load(path)
             report = analyze(subst, _with_prefix(config, args, subst))
+        except InternalInvariantError as exc:
+            print(f"internal invariant violation: {exc}", file=sys.stderr)
+            worst = max(worst, EXIT_INTERNAL)
+            continue
         except (BalpairError, ValueError) as exc:
             print(f"  error: {exc}", file=out)
             worst = max(worst, EXIT_USAGE)

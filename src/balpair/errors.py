@@ -26,7 +26,7 @@ class NotBalanced(BalpairError):
 class ScanOverflow(BalpairError):
     """A splitting scan ran past a length budget without finding a cut."""
 
-    def __init__(self, message, which="max_scan_length"):
+    def __init__(self, message, which):
         self.which = which
         super().__init__(message)
 
@@ -34,7 +34,7 @@ class ScanOverflow(BalpairError):
 class StabilityNotReached(BalpairError):
     """Initial-pair collection kept discovering new pairs until its budget ran out."""
 
-    def __init__(self, message, which="split_stability_window"):
+    def __init__(self, message, which):
         self.which = which
         super().__init__(message)
 

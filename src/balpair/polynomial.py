@@ -3,14 +3,14 @@
 Coefficients are stored densely, lowest degree first, normalized so the
 leading coefficient is nonzero (the zero polynomial has no coefficients).
 Everything here is exact: Fraction coefficients, Sturm-based root counting,
-and factorization into irreducibles over Q at any degree by the Zassenhaus
-method. Each squarefree part (Yun) is made primitive over Z and factored
-modulo a small prime that keeps it squarefree (distinct-degree factorization,
-then Cantor-Zassenhaus equal-degree splitting); the modular factors are
-Hensel-lifted past twice the Landau-Mignotte coefficient bound and recombined
-into the factors over Z by trial division. When the degree patterns of a few
-primes admit no proper factor degree, the part is irreducible and is not
-lifted at all.
+and factorization into irreducibles over Q at any degree by the big-prime
+Zassenhaus method. Each squarefree part (Yun) is made primitive over Z and
+factored modulo one prime above twice its Landau-Mignotte coefficient bound
+that keeps it squarefree (distinct-degree factorization, then
+Cantor-Zassenhaus equal-degree splitting). The modulus exceeds twice every
+coefficient of the leading coefficient times a monic factor, so nothing is
+lifted: products of modular factors are read with symmetric residues and
+recombined into the factors over Z by trial division.
 """
 
 from __future__ import annotations
@@ -305,10 +305,6 @@ class RatPoly:
 # Polynomials over Z and over Z/m are plain int lists, lowest degree first,
 # with no trailing zeros; a list reduced mod m has entries in [0, m).
 
-# Good primes tried before choosing the one with the fewest modular factors.
-PRIMES_TRIED = 5
-
-
 def _trim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -319,17 +315,11 @@ def _reduce(a, m):
     return _trim([c % m for c in a])
 
 
-def _add_mod(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _reduce(out, m)
-
-
 def _sub_mod(a, b, m):
-    return _add_mod(a, [-c for c in b], m)
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _reduce(out, m)
 
 
 def _mul_mod(a, b, m):
@@ -369,18 +359,6 @@ def _gcd_mod(a, b, p):
     while b:
         a, b = b, _divmod_mod(a, b, p)[1]
     return _monic_mod(a, p)
-
-
-def _gcdex_mod(a, b, p):
-    """(s, t) with s*a + t*b = 1 in GF(p)[x], for coprime a and b."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
-        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return _reduce([c * inv for c in s0], p), _reduce([c * inv for c in t0], p)
 
 
 def _powmod(a, e, f, p):
@@ -431,106 +409,43 @@ def _equal_degree(f, d, p, rng):
             + _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng))
 
 
-def _odd_primes():
-    p = 3
-    while True:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-        p += 2
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """Lift f = g*h, s*g + t*h = 1 from mod sqrt(m) to mod m; h is monic."""
-    e = _sub_mod(f, _mul_mod(g, h, m), m)
-    q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
-    g = _add_mod(g, _add_mod(_mul_mod(t, e, m), _mul_mod(q, g, m), m), m)
-    h = _add_mod(h, r, m)
-    b = _sub_mod(_add_mod(_mul_mod(s, g, m), _mul_mod(t, h, m), m), [1], m)
-    c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
-    s = _sub_mod(s, d, m)
-    t = _sub_mod(t, _add_mod(_mul_mod(t, b, m), _mul_mod(c, g, m), m), m)
-    return g, h, s, t
-
-
-def _hensel_lift(f, factors, p, steps):
-    """Monic F_i with f = lc(f) * prod F_i mod p^(2^steps) and F_i = f_i mod
-    p, for pairwise coprime monic f_i with f = lc(f) * prod f_i mod p."""
-    if len(factors) == 1:
-        m = p ** (2 ** steps)
-        inv = pow(f[-1], -1, m)
-        return [_reduce([c * inv for c in f], m)]
-    half = len(factors) // 2
-    g = [f[-1] % p]
-    for fi in factors[:half]:
-        g = _mul_mod(g, fi, p)
-    h = [1]
-    for fi in factors[half:]:
-        h = _mul_mod(h, fi, p)
-    s, t = _gcdex_mod(g, h, p)
-    m = p
-    for _ in range(steps):
-        m *= m
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-    return (_hensel_lift(g, factors[:half], p, steps)
-            + _hensel_lift(h, factors[half:], p, steps))
+def _is_prime(p):
+    """Primality of an integer p > 2 by trial division; the base-2 Fermat
+    test, which every prime passes, skips most composites cheaply."""
+    return (pow(2, p - 1, p) == 1
+            and all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
 
 
 def _zassenhaus(f):
     """Irreducible factors in Z[x] of a squarefree primitive f (int list)
-    with positive leading coefficient, each primitive with positive lead."""
+    with positive leading coefficient, each primitive with positive lead.
+
+    f is factored modulo p, the least prime above twice the Landau-Mignotte
+    bound B that keeps f squarefree. Since p > 2B >= 2 lc(f), lc(f) is a
+    unit mod p.
+    """
     n = len(f) - 1
     if n == 1:
         return [f]
-    lc = f[-1]
-    df = [k * c for k, c in enumerate(f)][1:]
-    # bit d of `degrees` is set while d can still be the degree of a factor:
-    # a factor's degree is a sum of modular factor degrees for every prime
-    degrees = (1 << (n + 1)) - 1
-    best = None
-    tried = 0
-    for p in _odd_primes():
-        if tried == PRIMES_TRIED:
-            break
-        if lc % p == 0:
-            continue
-        fp = _monic_mod(_reduce(f, p), p)
-        if len(_gcd_mod(fp, _reduce(df, p), p)) > 1:
-            continue  # not squarefree mod p
-        tried += 1
-        ddf = _distinct_degree(fp, p)
-        sums, count = 1, 0
-        for d, g in ddf:
-            for _ in range((len(g) - 1) // d):
-                sums |= sums << d
-                count += 1
-        degrees &= sums
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
-        if degrees == 1 | 1 << n:
-            break  # no proper factor degree is left: irreducible
-    if degrees == 1 | 1 << n:
-        return [f]
-    _, p, ddf = best
-    rng = random.Random(0)
-    modular = [g for d, gd in ddf for g in _equal_degree(gd, d, p, rng)]
     # coefficients of lc(f) * (factor / its lc) are bounded by the
-    # Landau-Mignotte bound; lift past twice it to read them symmetrically
-    bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1) * lc
-    steps = 0
-    while p ** (2 ** steps) <= 2 * bound:
-        steps += 1
-    m = p ** (2 ** steps)
-    lifted = _hensel_lift(f, modular, p, steps)
+    # Landau-Mignotte bound; a modulus past twice it reads them symmetrically
+    bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1) * f[-1]
+    df = [k * c for k, c in enumerate(f)][1:]
+    p = 2 * bound + 1
+    while not (_is_prime(p)
+               and len(_gcd_mod(_reduce(f, p), _reduce(df, p), p)) == 1):
+        p += 1
+    rng = random.Random(0)
+    modular = [g for d, gd in _distinct_degree(_monic_mod(f, p), p)
+               for g in _equal_degree(gd, d, p, rng)]
     factors = []
     size = 1
-    while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
-            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
-                continue
+    while 2 * size <= len(modular):
+        for subset in itertools.combinations(range(len(modular)), size):
             g = [f[-1]]
             for i in subset:
-                g = _mul_mod(g, lifted[i], m)
-            g = [c - m if 2 * c > m else c for c in g]
+                g = _mul_mod(g, modular[i], p)
+            g = [c - p if 2 * c > p else c for c in g]
             content = math.gcd(*g)
             g = [c // content for c in g]
             q, r = RatPoly(f).divmod(RatPoly(g))
@@ -538,7 +453,8 @@ def _zassenhaus(f):
                 # g is primitive, so the quotient is in Z[x] (Gauss)
                 factors.append(g)
                 f = [int(c) for c in q.coeffs]
-                lifted = [F for i, F in enumerate(lifted) if i not in subset]
+                modular = [h for i, h in enumerate(modular)
+                           if i not in subset]
                 break
         else:
             size += 1
@@ -560,10 +476,11 @@ def _factor_squarefree(p):
 def factor_poly(p):
     """Factor a nonzero RatPoly into monic irreducibles with multiplicities.
 
-    Each squarefree part from Yun's decomposition is factored over Z by the
-    Zassenhaus method (see `_zassenhaus`), at any degree. Returns a list of
-    (RatPoly, multiplicity) sorted by degree then by coefficients, so the
-    output order is deterministic.
+    Each squarefree part from Yun's decomposition is factored over Z modulo
+    one prime above twice its Landau-Mignotte bound, with no lifting (see
+    `_zassenhaus`), at any degree. Returns a list of (RatPoly, multiplicity)
+    sorted by degree then by coefficients, so the output order is
+    deterministic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")

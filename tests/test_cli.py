@@ -262,6 +262,21 @@ def test_verdict_errored_cell_exit_code(fixtures_dir, capsys, monkeypatch,
     assert f"ERROR {type(error).__name__}" in out
 
 
+@pytest.mark.parametrize("command", ["verdict", "batch"])
+def test_internal_invariant_error_exits_four(tmp_path, fixtures_dir, capsys,
+                                             monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise InternalInvariantError("broken")
+
+    monkeypatch.setattr(importlib.import_module("balpair.linalg"),
+                        "left_pf_eigenvector", fail)
+    (tmp_path / "ex1.sub").write_text((fixtures_dir / "ex1.sub").read_text())
+    target = tmp_path / "ex1.sub" if command == "verdict" else tmp_path
+    code, _, err = run_cli(capsys, command, str(target))
+    assert code == 4
+    assert err == "internal invariant violation: broken\n"
+
+
 @pytest.mark.parametrize("extra", [[], ["--prefix", "12"]],
                          ids=["auto-prefix", "prefix-12"])
 def test_batch_keeps_going_after_a_failed_file(tmp_path, capsys, extra):

@@ -45,8 +45,12 @@ def multinacci(k):
     P(1, 1, 1, 1, 1, 1, 1) * P(1, -1, 0, 1, -1, 1, 0, -1, 1),
     P(1, 1, 1) * P(2, 0, 1),
     *(multinacci(k) for k in range(6, 11)),
+    P(-5, 1, 0, 1),  # 97, the least prime above 2B, divides the discriminant
+    P(1, 0, 0, 0, 1) * P(1, 0, -10, 0, 1),  # recombination drops a factor
+    P(1, 0, 2) * P(1, -1, 0, 3),  # lc 6 changes once a factor is divided out
 ], ids=["x4+1", "x4-10x2+1", "phi7*phi15", "quadratics",
-        *(f"multinacci-{k}" for k in range(6, 11))])
+        *(f"multinacci-{k}" for k in range(6, 11)),
+        "x3+x-5", "(x4+1)(x4-10x2+1)", "(2x2+1)(3x3-x+1)"])
 def test_fixed_cases_match_sympy(p):
     assert factor_poly(p) == oracle(p)
 

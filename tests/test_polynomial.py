@@ -74,8 +74,8 @@ def test_factor_quartic_two_quadratics():
     assert factor_poly(p) == [(P(1, 1, 1), 1), (P(2, 0, 1), 1)]
 
 
-def test_factor_degree_cap():
-    # x^9 - x - 1 is irreducible (Selmer); no degree cap applies
+def test_factor_selmer_trinomial_irreducible():
+    # x^9 - x - 1 is irreducible (Selmer)
     selmer = P(-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
     assert factor_poly(selmer) == [(selmer, 1)]
 
