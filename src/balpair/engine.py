@@ -1,21 +1,21 @@
 """Balanced pairs: splitting, closure, the pair graph, and densities.
 
-The central routine, `split`, cuts a (top, bottom) pair of letter streams
+One cut loop, `_split`, cuts a (top, bottom) pair of letter streams
 exactly where the equivalence states of the two prefixes are equal. A
 state fixes the L-length, and lengths grow strictly on each side, so each
 prefix can match at most one prefix of the other side and the cuts come
-out in order. Each side is read in chunks: a chunk's prefix states are
-summed and indexed by C-level iteration, and its cuts are the states it
-shares with the other side's kept chunks, so the Python-level work is per
-chunk and per cut, not per letter. Integer enclosures of the scaled lengths
-say which side to read next and when a kept chunk can no longer match; no
-sign of an algebraic number is decided. Each emitted component is
-irreducible: it holds no earlier pair of equal prefix states.
+out in order. Each side is read in blocks of CHUNK letters whose prefix
+states are summed and indexed by C-level iteration, so the Python-level
+work is per block and per cut, not per letter; integer enclosures of the
+scaled lengths say how far to read ahead, and no sign of an algebraic
+number is decided. Each emitted component is irreducible: it holds no
+earlier pair of equal prefix states.
 
+`split` runs the loop over two streams and serves the closure's children.
 The initial split I(w) and the coincidence densities cut the fixed word u
-against its own shift, and `shift_split` does that in one pass: the
-bottom's prefix states are the top's plus the state of the shift word, so
-u is read, summed and indexed once. `split` serves the closure's children.
+against its own shift, and `shift_split` runs the loop over one reader of
+u: the bottom's prefix states are the top's plus the state of the shift
+word, so u is read, summed and indexed once.
 
 A pair is a named tuple of its two words, so it is its own key. The
 closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
@@ -29,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, tee
 from operator import mul
 from typing import NamedTuple
 
@@ -112,27 +112,102 @@ class DensityStats:
     ratio_decimal: str
 
 
-CHUNK = 128  # letters a split reads from one side at a time
+CHUNK = 128  # letters in one block of a split's reader
 
 
-class _Side:
-    """One word of a split: the letters read since the last cut, and the
-    blocks of prefix states that may still match a prefix of the other
-    word. A block is one chunk's {state: letters read} for its prefixes,
-    with the upper length end and the letter count of its last prefix."""
+def _blocks(states, lows, highs, letters):
+    """The letters in blocks of CHUNK, each with its prefix states.
 
-    __slots__ = ("source", "done", "letters", "base", "read", "state", "low",
-                 "high", "blocks")
+    Yields (letters before, low before, low, high, {packed state: letters
+    read}, chunk) per block, low and high enclosing the scaled length of
+    everything read and the dict holding the block's prefixes.
+    """
+    source = iter(letters)
+    alphabet = range(len(lows))
+    read = state = low = high = 0
+    while chunk := list(islice(source, CHUNK)):
+        counts = list(map(chunk.count, alphabet))  # few big-int products
+        before = low
+        low += sum(map(mul, counts, lows))
+        high += sum(map(mul, counts, highs))
+        prefixes = accumulate(map(states, chunk), initial=state)
+        next(prefixes)  # the state before the block
+        at = dict(zip(prefixes, range(read + 1, read + CHUNK + 1)))
+        state = next(reversed(at))
+        yield read, before, low, high, at, chunk
+        read += len(chunk)
 
-    def __init__(self, letters):
-        self.source = iter(letters)
-        self.done = False  # source exhausted
-        self.letters = []  # read since the last cut
-        self.base = 0  # letters read up to the last cut
-        self.read = 0  # letters read in all
-        self.state = 0  # packed equivalence state of everything read
-        self.low = self.high = 0  # integer enclosure of its scaled length
-        self.blocks = deque()  # (high, read, {state: read}), oldest first
+
+def _split(tops, bottoms, cap, which, start=0, head=(0, 0)):
+    """Irreducible components of two block readers, in order.
+
+    The bottom's word starts at letter `start`, where its state equals the
+    top's initial one, and head encloses the scaled length of its first
+    `start` letters; a top and a bottom prefix meet exactly where their
+    states are equal. The top takes its blocks in order. The bottom is read
+    ahead until its last block's prefixes are longer than the top block's,
+    and a bottom block is dropped once its prefixes are shorter than the
+    top block's. A top block's hits are the states it shares with the
+    bottom blocks whose length enclosures overlap its own.
+
+    Exactness: the packed states are sums from the start of the readers and
+    a whole block is matched at once, so a packed hit between positions far
+    from the last cut may be a collision. A hit is accepted only within cap
+    letters of the last cut on both sides. There the state difference is
+    the difference of two words of at most cap letters, since it was zero
+    at the last cut, and the packing, for max(cap, CHUNK), keeps apart any
+    state difference of up to 2 (max(cap, CHUNK) + 1) letters, so such a
+    hit is a cut; the CHUNK term keeps the prefixes of one block apart.
+    Every cut is a hit, so the first accepted hit is the next cut, and once
+    the top is more than cap letters past its last cut with none accepted,
+    the next component has more than cap letters on a side.
+
+    Raises ScanOverflow(which) when a component would have more than cap
+    letters on a side, after yielding every earlier component, and
+    NotBalanced when the letters end other than at a cut.
+    """
+    head_low, head_high = head
+    pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
+    window = deque()  # bottom blocks that may still match
+    top_letters, bottom_letters = [], []  # from top_from, bottom_from on
+    top_from = bottom_from = 0
+    top, bottom = 0, start  # the last cut
+    for first, top_low, _low, top_high, mine, chunk in tops:
+        top_letters += chunk
+        while not window or window[-1][2] - head_low <= top_high:
+            if not (block := next(bottoms, None)):
+                break
+            window.append(block)
+            bottom_letters += block[5]
+        while window and window[0][3] - head_high < top_low:
+            window.popleft()
+        found = []
+        for _read, bottom_low, _low, _high, theirs, _chunk in window:
+            if bottom_low - head_low > top_high:
+                break
+            found += [(mine[s], theirs[s])
+                      for s in mine.keys() & theirs.keys()]
+        found.sort()
+        for i, p in found:
+            if top < i <= top + cap and bottom < p <= bottom + cap:
+                yield pair((tuple(top_letters[top - top_from:i - top_from]),
+                            tuple(bottom_letters[bottom - bottom_from:
+                                                 p - bottom_from])))
+                top, bottom = i, p
+        if first + len(chunk) - top > cap:
+            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                               which=which)
+        del top_letters[:top - top_from]
+        del bottom_letters[:bottom - bottom_from]
+        top_from, bottom_from = top, bottom
+    read = bottom_from + len(bottom_letters)  # bottom letters read
+    while read - bottom <= cap and (block := next(bottoms, None)):
+        read += len(block[5])
+    if read - bottom > cap:
+        raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                           which=which)
+    if top_letters or read > bottom:
+        raise NotBalanced("streams end on an unbalanced pair")
 
 
 def split(rel, top, bottom, cap, which="max_word_length"):
@@ -142,84 +217,20 @@ def split(rel, top, bottom, cap, which="max_word_length"):
     are equal. States are sums from the start of the streams, equal states
     mean equal lengths, and lengths grow strictly on each side, so each
     prefix matches at most one prefix of the other side and the cuts come
-    in order whichever side is read next. The side whose length enclosure
-    has the smaller lower end is read next, a chunk of up to CHUNK letters
-    at a time, and never more than cap + 1 letters past its last cut. The
-    chunk's prefix states are summed and indexed in one pass, and its cuts
-    are the states it shares with the other side's blocks. A block is
-    dropped once the reading side's lower end passes its last upper end or
-    the other side's last cut passes its last prefix, and a block is kept
-    at all only while the other side can still grow. Letters read past a
-    cut stay pending for the next component.
+    in order. Each side is read in blocks of CHUNK letters (see _split), so
+    past the last cut of two unending streams the top reads under CHUNK
+    letters and the bottom at most (ratio + 1) CHUNK, ratio bounding the
+    longest letter over the shortest, whatever the cap: below a cap of
+    about 2 CHUNK, that is more than cap + 1 letters.
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, and NotBalanced when the letters end other than at a
     cut.
     """
-    states = rel.packed_states(cap).__getitem__
+    states = rel.packed_states(max(cap, CHUNK)).__getitem__
     lows, highs = rel.length_low, rel.length_high
-    alphabet = range(len(lows))
-    top, bottom = _Side(top), _Side(bottom)
-    while True:
-        top_open = not top.done and len(top.letters) <= cap
-        bottom_open = not bottom.done and len(bottom.letters) <= cap
-        if top_open and (not bottom_open or top.low <= bottom.low):
-            side, other = top, bottom
-        elif bottom_open:
-            side, other = bottom, top
-        elif top.letters or bottom.letters:
-            if max(len(top.letters), len(bottom.letters)) > cap:
-                raise ScanOverflow(
-                    f"irreducible component exceeds {cap} letters",
-                    which=which)
-            raise NotBalanced("streams end on an unbalanced pair")
-        else:
-            return
-        want = min(CHUNK, cap + 1 - len(side.letters))
-        chunk = list(islice(side.source, want))
-        if len(chunk) < want:
-            side.done = True
-            if not chunk:
-                continue
-        start = side.read
-        side.read += len(chunk)
-        side.letters += chunk
-        counts = list(map(chunk.count, alphabet))  # few big-int products
-        side.low += sum(map(mul, counts, lows))
-        side.high += sum(map(mul, counts, highs))
-        prefixes = accumulate(map(states, chunk), initial=side.state)
-        next(prefixes)  # the state at `start`, read with the last chunk
-        at = dict(zip(prefixes, range(start + 1, side.read + 1)))
-        side.state = next(reversed(at))
-        found = sorted((at[state], block[state])
-                       for _high, _read, block in other.blocks
-                       for state in at.keys() & block.keys())
-        # Each match is the next cut. Kept prefixes lie within cap + 1
-        # letters of their side's last cut, so packed states compare
-        # exactly, and one at or before that cut is shorter than any prefix
-        # read since.
-        for mine, theirs in found:
-            mine -= side.base
-            theirs -= other.base
-            if max(mine, theirs) > cap:
-                raise ScanOverflow(
-                    f"irreducible component exceeds {cap} letters",
-                    which=which)
-            words = (tuple(side.letters[:mine]), tuple(other.letters[:theirs]))
-            side.letters = side.letters[mine:]
-            other.letters = other.letters[theirs:]
-            side.base += mine
-            other.base += theirs
-            yield BalancedPair(*(words if side is top else words[::-1]))
-        if found:
-            side.blocks.clear()
-        blocks, base = other.blocks, other.base
-        while blocks and (blocks[0][0] < side.low or blocks[0][1] <= base):
-            blocks.popleft()
-        if not other.done and len(other.letters) <= cap:
-            side.blocks.append((side.high, side.read, at))
-        else:
-            side.blocks.clear()
+    return _split(_blocks(states, lows, highs, top),
+                  _blocks(states, lows, highs, bottom), cap, which)
 
 
 def shift_split(rel, stream, shift, cap, which="max_word_length"):
@@ -228,79 +239,24 @@ def shift_split(rel, stream, shift, cap, which="max_word_length"):
     stream.letters(shift), cap, which) yields.
 
     With T(p) the state of u[:p], the bottom prefix of p - shift letters
-    has state T(p) - T(shift), so top prefix i meets bottom prefix
-    p - shift exactly where T(i) + T(shift) = T(p). u is read once, CHUNK
-    letters at a time, and each chunk's prefix states become one block
-    {T(p): p}, with the lower end of the integer length enclosure before
-    it and both ends after it. The top takes the blocks in order: a
-    block's cuts are its states plus T(shift), intersected with the blocks
-    whose bottom prefixes may be as long as its top prefixes. u is read
-    ahead until the last block's bottom prefixes are longer than the top
-    block's, and a block is dropped once the top has passed it.
-
-    Exactness: the packed states are sums from position 0 and a whole
-    block is matched at once, so a packed hit between positions far from
-    the last cut may be a collision. A hit is accepted only within cap
-    letters of the last cut on both sides. There the state difference is
-    the difference of two words of at most cap letters, since it was zero
-    at the last cut, and the packing keeps apart any state difference of
-    up to 2 (max(cap, CHUNK) + 1) letters, so such a hit is a cut; the
-    CHUNK term keeps the prefixes of one block apart. Every cut is a hit,
-    so the first accepted hit is the next cut, and once the top has passed
-    cap letters beyond its last cut with none accepted, the next component
-    has more than cap letters on a side: the top's cap decides overflow.
+    has state T(p) - T(shift), so both sides of the split read the blocks
+    of one reader of u, the bottom from letter `shift` on and the top with
+    T(shift) added to its states, and u is read, summed and indexed once.
+    The reader's blocks are held only between the top's and the bottom's
+    positions.
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component.
     """
     states = rel.packed_states(max(cap, CHUNK)).__getitem__
     lows, highs = rel.length_low, rel.length_high
-    alphabet = range(len(lows))
-    head = stream.prefix(shift)
-    offset = sum(map(states, head))  # T(shift)
-    head_low = sum(map(lows.__getitem__, head))
-    head_high = sum(map(highs.__getitem__, head))
-    source = stream.letters(0)
-    pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
-    window, origin = [], 0  # the letters u[origin:read]
-    blocks = deque()  # (read before, low before, low, high, {T(p): p})
-    read = state = low = high = 0
-    top, bottom = 0, shift  # the last cut: T(top) + T(shift) = T(bottom)
-    while True:
-        while not blocks or blocks[-1][2] - head_low <= blocks[0][3]:
-            chunk = list(islice(source, CHUNK))
-            window += chunk
-            counts = list(map(chunk.count, alphabet))  # few big-int products
-            before = low
-            low += sum(map(mul, counts, lows))
-            high += sum(map(mul, counts, highs))
-            prefixes = accumulate(map(states, chunk), initial=state)
-            next(prefixes)  # T(read), the last state of the block before
-            at = dict(zip(prefixes, range(read + 1, read + CHUNK + 1)))
-            state = next(reversed(at))
-            blocks.append((read, before, low, high, at))
-            read += CHUNK
-        start, top_low, _low, top_high, mine = blocks[0]
-        keys = set(map(offset.__add__, mine))
-        found = []
-        for _read, bottom_low, _low, bottom_high, theirs in blocks:
-            if bottom_low - head_low > top_high:
-                break
-            if bottom_high - head_high >= top_low:
-                found += [(mine[s - offset], theirs[s])
-                          for s in keys & theirs.keys()]
-        found.sort()
-        for i, p in found:
-            if top < i <= top + cap and bottom < p <= bottom + cap:
-                yield pair((tuple(window[top - origin:i - origin]),
-                            tuple(window[bottom - origin:p - origin])))
-                top, bottom = i, p
-        if start + CHUNK - top >= cap:
-            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
-                               which=which)
-        blocks.popleft()
-        del window[:top - origin]
-        origin = top
+    w = stream.prefix(shift)
+    head = sum(map(lows.__getitem__, w)), sum(map(highs.__getitem__, w))
+    offset = sum(map(states, w)).__add__
+    tops, bottoms = tee(_blocks(states, lows, highs, stream.letters(0)))
+    tops = ((first, before, low, high, dict(zip(map(offset, at), at.values())),
+             chunk) for first, before, low, high, at, chunk in tops)
+    return _split(tops, bottoms, cap, which, shift, head)
 
 
 def children(subst, rel, pair, *, max_word_length=None):
@@ -484,21 +440,17 @@ def coincidence_density(subst, rel, w, level, horizon,
         stream = fixed_point_stream(subst)
     if stream.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
-    coincident = None
-    total = None
+    coincident = total = rel.length_of(())
     scanned = 0
     for component in shift_split(rel, stream, len(shift_word),
                                  max(horizon * 4, 10_000), "max_scan_length"):
         mass = rel.length_of(component.top)
-        total = mass if total is None else total + mass
+        total += mass
         if component.is_coincidence:
-            coincident = mass if coincident is None else coincident + mass
+            coincident += mass
         scanned += len(component.top)
         if scanned >= horizon:
             break
-    if coincident is None:
-        coincident = (total.field.zero() if isinstance(total, FieldScalar)
-                      else Fraction(0))
     ratio = _exact_ratio(coincident, total)
     return DensityStats(horizon=scanned,
                         coincident_mass=coincident, total_mass=total,
@@ -506,11 +458,8 @@ def coincidence_density(subst, rel, w, level, horizon,
 
 
 def _exact_ratio(num, den):
-    if isinstance(num, FieldScalar) or isinstance(den, FieldScalar):
-        if not isinstance(num, FieldScalar):
-            num = den.field.from_rational(num)
-        value = num / den
+    value = num / den
+    if isinstance(value, FieldScalar):
         frac = value.as_fraction() if value.is_rational else None
         return frac, value.decimal()
-    value = Fraction(num) / Fraction(den)
     return value, _format_decimal(value, APPROX_DIGITS)

@@ -212,13 +212,13 @@ class Relation:
 
         Coordinate t goes to bits [t * bits, (t + 1) * bits), signed, so
         packing is linear and a word's packed state is the sum over its
-        letters. The split compares a top and a bottom prefix that each lie
-        within cap + 1 letters of the last cut on their side, where the
-        states were equal, so their state difference sums at most
-        2 (cap + 1) letters. Each of its coordinates is at most
-        2 (cap + 1) M in absolute value, M being the largest |letter_eq|
-        entry; with 2^bits above that, the packed difference is zero
-        exactly when the state difference is.
+        letters. A state difference of at most 2 (cap + 1) letters has
+        each coordinate at most 2 (cap + 1) M in absolute value, M being
+        the largest |letter_eq| entry; with 2^bits above that, its packed
+        value is zero exactly when it is. The split accepts a match of a
+        top and a bottom prefix only within cap letters of the last cut on
+        each side, where the states were equal, and packs for at least its
+        cap.
         """
         bits = (2 * (cap + 1) * self._eq_bound).bit_length()
         packed = self._packed.get(bits)

@@ -409,11 +409,32 @@ def _equal_degree(f, d, p, rng):
             + _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least composite that passes the strong test to every base of
+# _MR_BASES (Sorenson and Webster 2015)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p):
-    """Primality of an integer p > 2 by trial division; the base-2 Fermat
-    test, which every prime passes, skips most composites cheaply."""
-    return (pow(2, p - 1, p) == 1
-            and all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+    """Primality of an integer p > 2: the strong probable-prime test to the
+    prime bases 2 to 41, which every prime passes and no composite below
+    _MR_LIMIT does; from _MR_LIMIT on, trial division decides."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d, d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        if a % p == 0:
+            continue
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return p < _MR_LIMIT or all(p % q
+                                for q in range(3, math.isqrt(p) + 1, 2))
 
 
 def _zassenhaus(f):

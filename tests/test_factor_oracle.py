@@ -39,6 +39,11 @@ def multinacci(k):
     return RatPoly([-1] * k + [1])
 
 
+def random_monic(degree, bound, seed):
+    rng = random.Random(seed)
+    return RatPoly([rng.randint(-bound, bound) for _ in range(degree)] + [1])
+
+
 @pytest.mark.parametrize("p", [
     P(1, 0, 0, 0, 1),  # reducible mod every prime
     P(1, 0, -10, 0, 1),  # reducible mod every prime
@@ -48,9 +53,11 @@ def multinacci(k):
     P(-5, 1, 0, 1),  # 97, the least prime above 2B, divides the discriminant
     P(1, 0, 0, 0, 1) * P(1, 0, -10, 0, 1),  # recombination drops a factor
     P(1, 0, 2) * P(1, -1, 0, 3),  # lc 6 changes once a factor is divided out
+    random_monic(40, 1000, 40),  # 2B is about 8e15: no trial division to it
 ], ids=["x4+1", "x4-10x2+1", "phi7*phi15", "quadratics",
         *(f"multinacci-{k}" for k in range(6, 11)),
-        "x3+x-5", "(x4+1)(x4-10x2+1)", "(2x2+1)(3x3-x+1)"])
+        "x3+x-5", "(x4+1)(x4-10x2+1)", "(2x2+1)(3x3-x+1)",
+        "random-degree-40"])
 def test_fixed_cases_match_sympy(p):
     assert factor_poly(p) == oracle(p)
 

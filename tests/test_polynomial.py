@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpair.polynomial import RatPoly, factor_poly
+from balpair.polynomial import RatPoly, _is_prime, factor_poly
 
 
 def P(*coeffs):
@@ -78,6 +79,21 @@ def test_factor_selmer_trinomial_irreducible():
     # x^9 - x - 1 is irreducible (Selmer)
     selmer = P(-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
     assert factor_poly(selmer) == [(selmer, 1)]
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(3, 20_000, 2):
+        assert _is_prime(n) == all(n % q for q in range(3, isqrt(n) + 1, 2))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1 to 12
+    # (k = 7, 8 and k = 9, 10, 11 share one); the last passes bases 2 to 37
+    # and falls only to base 41
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=3),

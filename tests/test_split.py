@@ -1,11 +1,14 @@
 """The split routines against slower references.
 
-`split` is checked against a naive quadratic reference, which cuts at
-every (i, j) with top[:i] ~ bottom[:j], checked with `word_equiv` on the
-two prefixes, and reads the components off between consecutive cuts, and
-against a linear whole-word one. `shift_split`, the one-pass split of a
-fixed word against its own shift, is checked against `split` of the two
-streams, and `initial_pairs` against the same loop over `split`.
+`split` and `shift_split` run one cut loop over blocks of CHUNK letters:
+the top takes its blocks in order and the bottom is read ahead. `split` is
+checked against a naive quadratic reference, which cuts at every (i, j)
+with top[:i] ~ bottom[:j], checked with `word_equiv` on the two prefixes,
+and reads the components off between consecutive cuts, and against a
+linear whole-word one, on long words whose bottom may run many blocks
+ahead, at caps below, at and above CHUNK. `shift_split`, the one-pass split
+of a fixed word against its own shift, is checked against `split` of the
+two streams, and `initial_pairs` against the same loop over `split`.
 """
 
 import functools
@@ -228,10 +231,26 @@ def _relation(subst, kind):
 
 
 @st.composite
+def long_relations(draw, subst):
+    """A relation of one of the four kinds, or custom letter lengths of 1
+    and 1000, scaled 2^70 apart or not as in relations(): then one top block
+    may be longer than many bottom blocks, which the bottom reads ahead."""
+    kind = draw(st.sampled_from(("plain", "letters", "ones", "lambda",
+                                 "skewed")))
+    if kind != "skewed":
+        return _relation(subst, kind)
+    scale = draw(st.sampled_from((1, 2 ** 70 + 1)))
+    values = draw(st.lists(st.sampled_from((1, 1000)), min_size=subst.size,
+                           max_size=subst.size))
+    values = [Fraction(v) * scale if i % 2 else Fraction(v, scale)
+              for i, v in enumerate(values)]
+    return Relation.generalized(subst, LengthSpec.custom(values))
+
+
+@st.composite
 def windows(draw):
     name = draw(st.sampled_from(sorted(SUBSTS)))
-    rel = _relation(SUBSTS[name], draw(st.sampled_from(
-        ("plain", "letters", "ones", "lambda"))))
+    rel = draw(long_relations(SUBSTS[name]))
     word = fixed_word(name)
     start = draw(st.integers(0, 2000))
     shift = draw(st.integers(0, 400))  # a long shift makes long components
@@ -256,17 +275,32 @@ def test_split_of_long_windows_matches_linear_oracle(case):
 def uneven_blocks(draw):
     """Long balanced words from equivalent blocks, of different letter
     counts where the relation has them, so that the two sides' chunks end
-    at different lengths."""
+    at different lengths. Now and then a long stretch is lighter on the
+    bottom, so the bottom reads ahead over many blocks: the shortest word of
+    a group repeated against its longest, or one letter against a long run
+    of another, under skewed lengths."""
     name = draw(st.sampled_from(sorted(SUBSTS)))
     size = SUBSTS[name].size
-    rel = _relation(SUBSTS[name], draw(st.sampled_from(
-        ("plain", "letters", "ones", "lambda"))))
+    rel = draw(long_relations(SUBSTS[name]))
     groups = [g for g in equivalent_multisets(rel, size)
               if len({len(w) for w in g}) > 1]
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     top, bottom = [], []
     for _ in range(draw(st.integers(50, 600))):
-        if groups and rng.random() < 0.7:
+        roll = rng.random()
+        if roll < 0.01 and groups:  # fewer letters a cut on the top
+            group = sorted(rng.choice(groups), key=len)
+            count = rng.randint(CHUNK // 2, 2 * CHUNK)
+            top += group[0] * count
+            bottom += group[-1] * count
+            continue
+        if roll < 0.02:
+            a, b = rng.sample(range(size), 2)
+            run = [b] * rng.randint(CHUNK, 8 * CHUNK)
+            top += [a] + run
+            bottom += run + [a]
+            continue
+        if groups and roll < 0.7:
             group = rng.choice(groups)
             blocks = [rng.choice(group), rng.choice(group)]
         else:
@@ -322,6 +356,20 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
     ratio = -(-max(rel.length_high) // min(rel.length_low))
     last_cut = 3 + sum(len(p.bottom) for p in head)
     assert read[0] <= last_cut + (ratio + 1) * CHUNK
+    # below CHUNK the blocks, not the cap, bound the read of split too: past
+    # the last cut the top finishes its block, and the bottom reads at most
+    # ratio letters for each of those and one more block
+    for cap in (1, CHUNK - 1):
+        head, error = _drain(split(rel, word[:4000], word[3:4000], cap))
+        read_top, read_bottom = [0], [0]
+        lazy = split(rel, _counted(letters(0), read_top),
+                     _counted(letters(3), read_bottom), cap)
+        assert list(islice(lazy, len(head))) == head
+        assert read_top[0] <= sum(len(p.top) for p in head) + CHUNK
+        assert read_bottom[0] <= (sum(len(p.bottom) for p in head)
+                                  + (ratio + 1) * CHUNK)
+        if cap == 1:  # an early overflow, the same on unending streams
+            assert _drain(lazy) == ([], error)
 
 
 def test_one_long_component_keeps_a_bounded_window():
@@ -343,9 +391,9 @@ def test_one_long_component_keeps_a_bounded_window():
     assert pair == BalancedPair(top, bottom)
     assert peak < 12_000_000
     # u = 1 2 2 2 ... against its shift by one never cuts, so shift_split
-    # reads n + 1 letters of u into one component. It holds those letters
-    # and a few blocks of prefix states: its peak measured 1.8 MB on
-    # CPython 3.11.
+    # reads n + 1 letters of u into one component. It holds those letters,
+    # once for each side, and a few blocks of prefix states: its peak
+    # measured 4.3 MB on CPython 3.11.
     stream = fixed_point_stream(parse_substitution("1 -> 12\n2 -> 22"))
     stream.prefix(n + 4 * CHUNK)  # the fixed word itself is not counted
     tracemalloc.start()
