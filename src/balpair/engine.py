@@ -1,21 +1,24 @@
 """Balanced pairs: splitting, closure, the pair graph, and densities.
 
-One cut loop, `_split`, cuts a (top, bottom) pair of letter streams
-exactly where the equivalence states of the two prefixes are equal. A
-state fixes the L-length, and lengths grow strictly on each side, so each
-prefix can match at most one prefix of the other side and the cuts come
-out in order. Each side is read in blocks of CHUNK letters whose prefix
-states are summed and indexed by C-level iteration, so the Python-level
-work is per block and per cut, not per letter; integer enclosures of the
-scaled lengths say how far to read ahead, and no sign of an algebraic
+A pair of words is cut exactly where the equivalence states of the two
+prefixes are equal. A state fixes the L-length, and lengths grow strictly
+on each side, so each prefix can match at most one prefix of the other side
+and the cuts come out in order. Integer enclosures of the scaled lengths
+say which parts of the two sides may meet, and no sign of an algebraic
 number is decided. Each emitted component is irreducible: it holds no
 earlier pair of equal prefix states.
 
-`split` runs the loop over two streams and serves the closure's children.
+The closure's children, `children`, walk the two parent words one letter at
+a time: states are linear, so the cuts inside the images of a top and a
+bottom parent letter are one lookup in a per-letter-pair table of image
+prefix-state differences (Relation.image_tables), whose entries number
+(sum_a |sigma(a)|)^2 in all. Only the pending component's letters are held.
+
 The initial split I(w) and the coincidence densities cut the fixed word u
-against its own shift, and `shift_split` runs the loop over one reader of
-u: the bottom's prefix states are the top's plus the state of the shift
-word, so u is read, summed and indexed once.
+against its own shift. `shift_split` runs one cut loop, `_split`, over one
+reader of u in blocks of CHUNK letters whose prefix states are summed and
+indexed by C-level iteration: the bottom's prefix states are the top's plus
+the state of the shift word, so u is read, summed and indexed once.
 
 A pair is a named tuple of its two words, so it is its own key. The
 closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
@@ -29,7 +32,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice, tee
+from itertools import accumulate, islice, tee
 from operator import mul
 from typing import NamedTuple
 
@@ -50,6 +53,9 @@ class BalancedPair(NamedTuple):
 
     def render(self, alphabet):
         return f"|{alphabet.render(self.top)}/{alphabet.render(self.bottom)}|"
+
+
+_pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
 
 
 @dataclass
@@ -167,7 +173,6 @@ def _split(tops, bottoms, cap, which, start=0, head=(0, 0)):
     NotBalanced when the letters end other than at a cut.
     """
     head_low, head_high = head
-    pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
     window = deque()  # bottom blocks that may still match
     top_letters, bottom_letters = [], []  # from top_from, bottom_from on
     top_from = bottom_from = 0
@@ -190,9 +195,9 @@ def _split(tops, bottoms, cap, which, start=0, head=(0, 0)):
         found.sort()
         for i, p in found:
             if top < i <= top + cap and bottom < p <= bottom + cap:
-                yield pair((tuple(top_letters[top - top_from:i - top_from]),
-                            tuple(bottom_letters[bottom - bottom_from:
-                                                 p - bottom_from])))
+                yield _pair((tuple(top_letters[top - top_from:i - top_from]),
+                             tuple(bottom_letters[bottom - bottom_from:
+                                                  p - bottom_from])))
                 top, bottom = i, p
         if first + len(chunk) - top > cap:
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
@@ -210,33 +215,10 @@ def _split(tops, bottoms, cap, which, start=0, head=(0, 0)):
         raise NotBalanced("streams end on an unbalanced pair")
 
 
-def split(rel, top, bottom, cap, which="max_word_length"):
-    """Irreducible components of two letter sequences, in order.
-
-    Cuts sit exactly where the prefix equivalence states of the two sides
-    are equal. States are sums from the start of the streams, equal states
-    mean equal lengths, and lengths grow strictly on each side, so each
-    prefix matches at most one prefix of the other side and the cuts come
-    in order. Each side is read in blocks of CHUNK letters (see _split), so
-    past the last cut of two unending streams the top reads under CHUNK
-    letters and the bottom at most (ratio + 1) CHUNK, ratio bounding the
-    longest letter over the shortest, whatever the cap: below a cap of
-    about 2 CHUNK, that is more than cap + 1 letters.
-
-    Raises ScanOverflow(which) when a component would have more than cap
-    letters on a side, and NotBalanced when the letters end other than at a
-    cut.
-    """
-    states = rel.packed_states(max(cap, CHUNK)).__getitem__
-    lows, highs = rel.length_low, rel.length_high
-    return _split(_blocks(states, lows, highs, top),
-                  _blocks(states, lows, highs, bottom), cap, which)
-
-
 def shift_split(rel, stream, shift, cap, which="max_word_length"):
     """Irreducible components of the fixed word u against its shift by
-    `shift` letters, in one pass: what split(rel, stream.letters(0),
-    stream.letters(shift), cap, which) yields.
+    `shift` letters, in one pass: what _split yields over two block readers
+    of u, one from letter 0 and one from letter `shift`.
 
     With T(p) the state of u[:p], the bottom prefix of p - shift letters
     has state T(p) - T(shift), so both sides of the split read the blocks
@@ -259,17 +241,94 @@ def shift_split(rel, stream, shift, cap, which="max_word_length"):
     return _split(tops, bottoms, cap, which, shift, head)
 
 
+def _letters(word, tables):
+    """Per letter of a parent word, in order: the low enclosure of the
+    scaled length of the image before it and the high one of the image up
+    to and including it, the letter, and the packed state and the letter
+    count of the image before it."""
+    return zip(accumulate(map(tables.low.__getitem__, word), initial=0),
+               accumulate(map(tables.high.__getitem__, word)),
+               word,
+               accumulate(map(tables.states.__getitem__, word), initial=0),
+               accumulate(map(tables.sizes.__getitem__, word), initial=0))
+
+
 def children(subst, rel, pair, *, max_word_length=None):
     """Irreducible pairs in the reduction of the substituted pair, in order.
 
-    The images are streamed into the split, never built whole.
+    The split of sigma(top) against sigma(bottom), walked one parent letter
+    at a time. States are linear, so the state r letters into the image of
+    top[i] = a is S_top(i) + P_a[r], S_top(i) being the state of
+    sigma(top[:i]) and P_a[r] that of sigma(a)[:r]; it equals the state s
+    letters into the image of bottom[j] = b exactly when S_top(i) -
+    S_bot(j) = P_b[s] - P_a[r]. So the cuts inside the images of top[i]
+    and bottom[j] are one lookup in rel.image_tables' entry for (a, b);
+    the entries hold (sum_a |sigma(a)|)^2 pairs in all, built once per
+    relation and packing width. A cut lies after the start and at or
+    before the end of both images, so a bottom letter is looked up while
+    the length enclosures allow that: it enters once its image may start
+    before the top letter's ends, and leaves once its image surely ends at
+    or before the top letter's start. The lookups number about |top| +
+    |bottom|.
+
+    Exactness is the split's (see _split): a hit counts only within cap
+    letters of the last cut on both sides, where the two states differ by
+    the states of two words of at most cap letters, which the packing for
+    cap keeps apart; so every accepted hit is a cut. The hits come in order
+    of the bottom letter, then of r, and cuts increase on both sides, so
+    the cuts come in order. Only the letters of the pending component are
+    held, never a whole image.
+
+    Raises ScanOverflow("max_word_length") when a component would have more
+    than max_word_length letters on a side, and NotBalanced when the images
+    end other than at a cut.
     """
-    top, bottom = (chain.from_iterable(map(subst.rules.__getitem__, word))
-                   for word in (pair.top, pair.bottom))
-    if max_word_length is None:  # no component outgrows the images
-        max_word_length = (max(len(pair.top), len(pair.bottom))
-                           * max(map(len, subst.rules)))
-    return list(split(rel, top, bottom, max_word_length))
+    rules = subst.rules
+    cap = max_word_length
+    if cap is None:  # no component outgrows the images
+        cap = max(len(pair.top), len(pair.bottom)) * max(map(len, rules))
+    tables = rel.image_tables(cap)
+    rows, sizes = tables.rows, tables.sizes
+    kids = []
+    bottoms = _letters(pair.bottom, tables)
+    ahead = next(bottoms, None)  # the next bottom letter to enter
+    window = deque()  # bottom letters (low, high, b, ...) that may overlap
+    top_letters, bottom_letters = [], []  # from top_from, bottom_from on
+    top_from = bottom_from = 0
+    top = bottom = 0  # the last cut
+    for low, high, a, state, first in _letters(pair.top, tables):
+        if first - top > cap:  # the images before this letter overflow
+            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                               which="max_word_length")
+        top_letters += rules[a]
+        while ahead and ahead[0] < high:
+            window.append(ahead)
+            bottom_letters += rules[ahead[2]]
+            ahead = next(bottoms, None)
+        while window and window[0][1] <= low:
+            window.popleft()
+        row = rows[a]
+        for _low, _high, b, theirs, start in window:
+            if hits := row[b].get(state - theirs):
+                for r, s in hits:
+                    i, p = first + r, start + s
+                    if top < i <= top + cap and bottom < p <= bottom + cap:
+                        kids.append(_pair((
+                            tuple(top_letters[top - top_from:i - top_from]),
+                            tuple(bottom_letters[bottom - bottom_from:
+                                                 p - bottom_from]))))
+                        top, bottom = i, p
+        if top != top_from:
+            del top_letters[:top - top_from]
+            del bottom_letters[:bottom - bottom_from]
+            top_from, bottom_from = top, bottom
+    if max(sum(map(sizes.__getitem__, pair.top)) - top,
+           sum(map(sizes.__getitem__, pair.bottom)) - bottom) > cap:
+        raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                           which="max_word_length")
+    if top_letters or bottom_letters or ahead:
+        raise NotBalanced("images end on an unbalanced pair")
+    return kids
 
 
 def initial_pairs(subst, rel, w, budgets: Budgets,

@@ -26,7 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor, lcm
+from typing import NamedTuple
 
 from .linalg import mat_powers
 from .numberfield import FieldScalar
@@ -128,6 +130,32 @@ class RelationSpec:
         return Relation.generalized(subst, self.length)
 
 
+class ImageTables(NamedTuple):
+    """Per-letter image data of a relation; see Relation.image_tables."""
+
+    states: tuple  # packed state of sigma(a)
+    low: tuple  # enclosure of sigma(a)'s scaled length
+    high: tuple
+    sizes: tuple  # |sigma(a)|
+    rows: tuple  # rows[a][b]: {P_b[s] - P_a[r]: [(r, s), ...]}
+
+
+class _ImageRow(dict):
+    """Row a of the image tables, each entry built on first use."""
+
+    def __init__(self, prefixes, a):
+        super().__init__()
+        self.prefixes = prefixes
+        self.a = a
+
+    def __missing__(self, b):
+        entry = self[b] = {}
+        for r, mine in enumerate(self.prefixes[self.a], 1):
+            for s, theirs in enumerate(self.prefixes[b], 1):
+                entry.setdefault(theirs - mine, []).append((r, s))
+        return entry
+
+
 class Relation:
     """A relation's integer tables over a fixed substitution; immutable.
 
@@ -144,6 +172,7 @@ class Relation:
         self.eq_dim = len(letter_eq[0])
         self._eq_bound = max(abs(v) for row in letter_eq for v in row)
         self._packed = {}
+        self._images = {}
         self.length_low = length_low
         self.length_high = length_high or length_low
         # plain and letters measure words by their number of letters
@@ -207,6 +236,9 @@ class Relation:
 
     # -- scanner tables ------------------------------------------------------
 
+    def _bits(self, cap):
+        return (2 * (cap + 1) * self._eq_bound).bit_length()
+
     def packed_states(self, cap):
         """Each letter's equivalence state packed into one int.
 
@@ -218,15 +250,43 @@ class Relation:
         value is zero exactly when it is. The split accepts a match of a
         top and a bottom prefix only within cap letters of the last cut on
         each side, where the states were equal, and packs for at least its
-        cap.
+        cap; so do the children's image tables (image_tables).
         """
-        bits = (2 * (cap + 1) * self._eq_bound).bit_length()
+        bits = self._bits(cap)
         packed = self._packed.get(bits)
         if packed is None:
             packed = self._packed[bits] = tuple(
                 sum(v << (bits * t) for t, v in enumerate(row))
                 for row in self.letter_eq)
         return packed
+
+    def image_tables(self, cap):
+        """The tables `engine.children` reads, packed as packed_states(cap).
+
+        Per letter a: the packed state of its image sigma(a), the integer
+        enclosure of the image's scaled length, and its letter count. The
+        row of a maps each letter b to {P_b[s] - P_a[r]: [(r, s), ...]}
+        over 1 <= r <= |sigma(a)| and 1 <= s <= |sigma(b)|, P_a[r] being the
+        packed state of sigma(a)[:r] and the pairs in order; an entry is
+        built on first use. All entries together hold (sum_a |sigma(a)|)^2
+        pairs.
+        """
+        bits = self._bits(cap)
+        tables = self._images.get(bits)
+        if tables is None:
+            packed = self.packed_states(cap)
+            images = self.subst.rules
+            prefixes = [list(accumulate(map(packed.__getitem__, image)))
+                        for image in images]
+            tables = self._images[bits] = ImageTables(
+                states=tuple(p[-1] for p in prefixes),
+                low=tuple(sum(map(self.length_low.__getitem__, image))
+                          for image in images),
+                high=tuple(sum(map(self.length_high.__getitem__, image))
+                           for image in images),
+                sizes=tuple(map(len, images)),
+                rows=tuple(_ImageRow(prefixes, a) for a in range(len(images))))
+        return tables
 
     # -- predicates -----------------------------------------------------------
 

@@ -265,10 +265,6 @@ class RatPoly:
         return (RatPoly._sign_changes(chain, lo)
                 - RatPoly._sign_changes(chain, hi))
 
-    def count_real_roots(self, chain=None):
-        b = self.cauchy_bound()
-        return self.count_roots(-b, b, chain)
-
     def cauchy_bound(self):
         """Rational B with every complex root of modulus < B."""
         if self.degree < 1:

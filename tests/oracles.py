@@ -3,15 +3,17 @@
 Each is an independent, slower or more literal form of something the
 library computes another way: the Fraction Faddeev-LeVerrier recurrence and
 the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
-arithmetic, a per-letter word equivalence, a whole-word `reduce_pair`, the
-initial split of the fixed word and its shift as two separate streams, and
-small matrix and rendering helpers.
+arithmetic, a per-letter word equivalence, the splits of two words or
+streams (the engine's cut loop over two block readers, a linear whole-word
+split and a quadratic one), a whole-word `reduce_pair`, the initial split of
+the fixed word and its shift as two separate streams, and small matrix and
+rendering helpers.
 """
 
 from fractions import Fraction
 
-from balpair.engine import Budgets, split
-from balpair.errors import (InternalInvariantError, NotBalanced,
+from balpair.engine import CHUNK, BalancedPair, Budgets, _blocks, _split
+from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
                             StabilityNotReached)
 from balpair.linalg import mat_mul
 from balpair.numberfield import NumberField
@@ -107,6 +109,67 @@ def word_equiv(rel, u, v) -> bool:
         for t, val in enumerate(rel.letter_eq[letter]):
             acc[t] -= val
     return not any(acc)
+
+
+def split(rel, top, bottom, cap, which="max_word_length"):
+    """Irreducible components of two letter sequences, in order: the
+    engine's cut loop, `_split`, over two block readers.
+
+    Each side is read in blocks of CHUNK letters, so past the last cut of
+    two unending streams the top reads under CHUNK letters and the bottom
+    at most (ratio + 1) CHUNK, ratio bounding the longest letter over the
+    shortest, whatever the cap. Raises ScanOverflow(which) when a component
+    would have more than cap letters on a side, and NotBalanced when the
+    letters end other than at a cut.
+    """
+    states = rel.packed_states(max(cap, CHUNK)).__getitem__
+    lows, highs = rel.length_low, rel.length_high
+    return _split(_blocks(states, lows, highs, top),
+                  _blocks(states, lows, highs, bottom), cap, which)
+
+
+def linear_cuts(rel, top, bottom):
+    """Every (i, j) with equal exact prefix states: the sorted intersection
+    of the two sides' prefix-state dicts."""
+    def prefix_states(word):
+        state = [0] * rel.eq_dim
+        at = {}
+        for i, letter in enumerate(word, 1):
+            for t, value in enumerate(rel.letter_eq[letter]):
+                state[t] += value
+            at[tuple(state)] = i
+        return at
+
+    top_at, bottom_at = prefix_states(top), prefix_states(bottom)
+    return sorted((top_at[s], bottom_at[s])
+                  for s in top_at.keys() & bottom_at.keys())
+
+
+def linear_split(rel, top, bottom, cap, which="max_word_length"):
+    """The whole-word split, lazy like split."""
+    return _components(top, bottom, linear_cuts(rel, top, bottom), cap, which)
+
+
+def reference_split(rel, top, bottom, cap, which="max_word_length"):
+    """The quadratic split: a cut at every (i, j) with top[:i] ~
+    bottom[:j], checked with word_equiv on the two prefixes."""
+    cuts = [(i, j) for i in range(1, len(top) + 1)
+            for j in range(1, len(bottom) + 1)
+            if word_equiv(rel, top[:i], bottom[:j])]
+    return list(_components(top, bottom, cuts, cap, which))
+
+
+def _components(top, bottom, cuts, cap, which):
+    i0 = j0 = 0
+    for i, j in cuts:
+        if max(i - i0, j - j0) > cap:
+            raise ScanOverflow("component too long", which=which)
+        yield BalancedPair(top[i0:i], bottom[j0:j])
+        i0, j0 = i, j
+    if (i0, j0) != (len(top), len(bottom)):
+        if max(len(top) - i0, len(bottom) - j0) > cap:
+            raise ScanOverflow("remainder too long", which=which)
+        raise NotBalanced("no cut at the end")
 
 
 def reduce_pair(rel, u, v, *, max_word_length=None):

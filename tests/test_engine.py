@@ -5,13 +5,13 @@ import pytest
 
 from balpair.engine import (BalancedPair, Budgets, children,
                             coincidence_analysis, coincidence_density,
-                            initial_pairs, pair_graph, run_bpa, split)
+                            initial_pairs, pair_graph, run_bpa)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (NotBalanced, NotClosed, ScanOverflow,
                             StabilityNotReached)
 from balpair.substitution import fixed_point_stream, parse_substitution
 
-from oracles import reduce_pair, substitute_pair, word_equiv
+from oracles import reduce_pair, split, substitute_pair, word_equiv
 
 
 @pytest.fixture(scope="module")

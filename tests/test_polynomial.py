@@ -115,7 +115,8 @@ def test_sturm_counts():
     assert p.count_roots(Fraction(0), Fraction(1)) == 1
     assert p.count_roots(Fraction(1), Fraction(3)) == 1
     assert p.count_roots(Fraction(0), Fraction(3)) == 2
-    assert p.count_real_roots() == 2
+    b = p.cauchy_bound()
+    assert p.count_roots(-b, b) == 2
 
 
 def test_largest_real_root_interval():

@@ -1,14 +1,16 @@
 """The split routines against slower references.
 
-`split` and `shift_split` run one cut loop over blocks of CHUNK letters:
-the top takes its blocks in order and the bottom is read ahead. `split` is
-checked against a naive quadratic reference, which cuts at every (i, j)
-with top[:i] ~ bottom[:j], checked with `word_equiv` on the two prefixes,
-and reads the components off between consecutive cuts, and against a
-linear whole-word one, on long words whose bottom may run many blocks
-ahead, at caps below, at and above CHUNK. `shift_split`, the one-pass split
-of a fixed word against its own shift, is checked against `split` of the
-two streams, and `initial_pairs` against the same loop over `split`.
+The engine's cut loop, `_split`, reads blocks of CHUNK letters: the top
+takes its blocks in order and the bottom is read ahead. The oracle `split`
+runs it over two block readers, and is checked against a naive quadratic
+reference, which cuts at every (i, j) with top[:i] ~ bottom[:j], checked
+with `word_equiv` on the two prefixes, and reads the components off between
+consecutive cuts, and against a linear whole-word one, on long words whose
+bottom may run many blocks ahead, at caps below, at and above CHUNK.
+`shift_split`, the one-pass split of a fixed word against its own shift, is
+checked against `split` of the two streams, and `initial_pairs` against the
+same loop over `split`. `children`, the parent-letter walk over image
+tables, is checked against the linear split of the whole images.
 """
 
 import functools
@@ -21,8 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from balpair.engine import (CHUNK, BalancedPair, Budgets, initial_pairs,
-                            run_bpa, shift_split, split)
+from balpair.engine import (CHUNK, BalancedPair, Budgets, children,
+                            initial_pairs, run_bpa, shift_split)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
@@ -30,7 +32,8 @@ from balpair.substitution import fixed_point_stream, parse_substitution
 
 import oracles
 from conftest import count_calls, load_corpus
-from oracles import initial_pairs_two_streams, reduce_pair, word_equiv
+from oracles import (initial_pairs_two_streams, linear_cuts, linear_split,
+                     reduce_pair, reference_split, split)
 
 RULES = {
     "ex1": "1 -> 112\n2 -> 12",  # lambda = (3 + sqrt 5) / 2
@@ -44,48 +47,6 @@ RULES = {
 }
 SUBSTS = {name: parse_substitution(text) for name, text in RULES.items()}
 WHICH = ("max_word_length", "max_scan_length")
-
-
-def reference_split(rel, top, bottom, cap, which):
-    cuts = [(i, j) for i in range(1, len(top) + 1)
-            for j in range(1, len(bottom) + 1)
-            if word_equiv(rel, top[:i], bottom[:j])]
-    return list(_components(top, bottom, cuts, cap, which))
-
-
-def linear_cuts(rel, top, bottom):
-    """Every (i, j) with equal exact prefix states: the sorted intersection
-    of the two sides' prefix-state dicts."""
-    def prefix_states(word):
-        state = [0] * rel.eq_dim
-        at = {}
-        for i, letter in enumerate(word, 1):
-            for t, value in enumerate(rel.letter_eq[letter]):
-                state[t] += value
-            at[tuple(state)] = i
-        return at
-
-    top_at, bottom_at = prefix_states(top), prefix_states(bottom)
-    return sorted((top_at[s], bottom_at[s])
-                  for s in top_at.keys() & bottom_at.keys())
-
-
-def linear_split(rel, top, bottom, cap, which):
-    """The whole-word oracle, lazy like split."""
-    return _components(top, bottom, linear_cuts(rel, top, bottom), cap, which)
-
-
-def _components(top, bottom, cuts, cap, which):
-    i0 = j0 = 0
-    for i, j in cuts:
-        if max(i - i0, j - j0) > cap:
-            raise ScanOverflow("component too long", which=which)
-        yield BalancedPair(top[i0:i], bottom[j0:j])
-        i0, j0 = i, j
-    if (i0, j0) != (len(top), len(bottom)):
-        if max(len(top) - i0, len(bottom) - j0) > cap:
-            raise ScanOverflow("remainder too long", which=which)
-        raise NotBalanced("no cut at the end")
 
 
 def _outcome(fn):
@@ -434,9 +395,9 @@ def test_shift_split_matches_split_of_two_streams(name, kind):
 
 
 @st.composite
-def primitive_substitutions(draw):
+def primitive_substitutions(draw, longest=4):
     size = draw(st.integers(2, 4))
-    images = st.lists(st.integers(0, size - 1), min_size=1, max_size=4)
+    images = st.lists(st.integers(0, size - 1), min_size=1, max_size=longest)
     rules = draw(st.lists(images, min_size=size, max_size=size))
     text = "".join(f"{i + 1} -> {''.join(str(a + 1) for a in image)}\n"
                    for i, image in enumerate(rules))
@@ -494,3 +455,133 @@ def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
                 subst, rel, w, budgets))
             got = _outcome(lambda: initial_pairs(subst, rel, w, budgets))
             assert got == expected, (window, max_scan_length)
+
+
+# -- the closure's children ---------------------------------------------------
+
+def _children_outcomes(subst, rel, pair, cap):
+    """children of the pair, and the linear split of the whole images at
+    the same cap, each as its list of components or its error."""
+    top, bottom = subst.apply(pair.top), subst.apply(pair.bottom)
+    whole = cap
+    if whole is None:
+        whole = (max(len(pair.top), len(pair.bottom))
+                 * max(map(len, subst.rules)))
+    expected = _outcome(lambda: list(linear_split(rel, top, bottom, whole,
+                                                  "max_word_length")))
+    got = _outcome(lambda: children(subst, rel, pair, max_word_length=cap))
+    return got, expected
+
+
+def _closure_pairs(subst, rel):
+    """The pairs of a short closure from the fixed word's first letter."""
+    budgets = Budgets(max_iterations=4, max_pairs=60, max_word_length=80)
+    return run_bpa(subst, rel, fixed_point_stream(subst).prefix(1),
+                   budgets).vertices
+
+
+@st.composite
+def children_cases(draw):
+    """A pair from a short closure, two such pairs end to end (several
+    components), or the top of one against the bottom of another (mostly
+    unbalanced), under random images of 1-7 letters."""
+    subst = draw(primitive_substitutions(longest=7))
+    try:
+        rel = draw(long_relations(subst))
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    pairs = _closure_pairs(subst, rel)
+    assume(pairs)
+    first, second = draw(st.sampled_from(pairs)), draw(st.sampled_from(pairs))
+    pair = draw(st.sampled_from((
+        first,
+        BalancedPair(first.top + second.top, first.bottom + second.bottom),
+        BalancedPair(first.top, second.bottom))))
+    longest = max(map(len, subst.rules))
+    cap = draw(st.one_of(st.none(), st.just(1),
+                         st.integers(1, max(1, longest - 1)),
+                         st.integers(1, 300)))
+    return subst, rel, pair, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(children_cases())
+def test_children_matches_linear_oracle(case):
+    got, expected = _children_outcomes(*case)
+    assert got == expected
+
+
+def test_children_of_long_images_match_linear_oracle():
+    # 64-letter images: each letter pair's table holds 4096 (r, s) pairs,
+    # and a parent letter's image spans many of the other side's
+    rng = random.Random(64)
+    text = "".join(f"{i} -> {''.join(rng.choice('12') for _ in range(64))}\n"
+                   for i in (1, 2))
+    subst = parse_substitution(text)
+    assert subst.is_primitive()
+    for kind in ("plain", "ones", "lambda"):
+        rel = _relation(subst, kind)
+        pairs = [BalancedPair((0, 1), (1, 0)),
+                 BalancedPair((0, 0, 1, 1), (1, 0, 1, 0)),
+                 BalancedPair((0, 1), (0, 0))]
+        pairs += _closure_pairs(subst, rel)[:12]
+        for pair in pairs:
+            for cap in (1, 63, 64, 65, 200, None):
+                got, expected = _children_outcomes(subst, rel, pair, cap)
+                assert got == expected, (kind, pair, cap)
+
+
+def test_children_overflow_inside_the_last_top_letter():
+    # 1 against 1: one cut, then the top's image goes on for four letters
+    # where the bottom's has ended, more than a cap of 2 and not of 4
+    subst = parse_substitution("1 -> 12222\n2 -> 1")
+    rel = Relation.plain(subst)
+    pair = BalancedPair((0,), (1,))
+    for cap, outcome in ((2, ("ScanOverflow", "max_word_length")),
+                         (4, ("NotBalanced",))):
+        got, expected = _children_outcomes(subst, rel, pair, cap)
+        assert got == expected == outcome
+
+
+def test_children_stop_reading_at_an_overflow():
+    # a^N b against b a^N: once the top is more than cap letters past its
+    # last cut, the walk raises without reading the rest of either parent
+    class Counted(tuple):
+        read = 0  # the most letters any one reader has taken
+
+        def __iter__(self):
+            for read, letter in enumerate(tuple.__iter__(self), 1):
+                self.read = max(self.read, read)
+                yield letter
+
+    n, cap = 10_000, 50
+    subst = SUBSTS["const-len"]
+    top, bottom = Counted((0,) * n + (1,)), Counted((1,) + (0,) * n)
+    with pytest.raises(ScanOverflow):
+        children(subst, Relation.plain(subst), BalancedPair(top, bottom),
+                 max_word_length=cap)
+    assert top.read <= cap + 2 and bottom.read <= cap + 2
+
+
+def test_children_of_a_growth_pair_keep_a_bounded_peak():
+    # const-len under plain balance grows a pair about x3 an iteration. Its
+    # longest pair under a 20 000-letter budget has 19 684 letters a side,
+    # and its middle child 59 050. The walk holds the pending component's
+    # letters and the output: its peak measured 2.4 MB on CPython 3.11, and
+    # the block split of the streamed images it replaced 2.5 MB. A join of
+    # the whole images, the two images and a packed prefix-state dict per
+    # side, measured 14 MB.
+    subst = parse_substitution("1 -> 112\n2 -> 122")
+    rel = Relation.plain(subst)
+    closure = run_bpa(subst, rel, (0,), Budgets(max_word_length=20_000))
+    assert closure.which == "max_word_length"
+    pair = max(closure.vertices, key=lambda p: len(p.top))
+    assert len(pair.top) == 19_684
+    tracemalloc.start()
+    try:
+        kids = children(subst, rel, pair)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
+    assert peak < 3_750_000
