@@ -8,17 +8,16 @@ say which parts of the two sides may meet, and no sign of an algebraic
 number is decided. Each emitted component is irreducible: it holds no
 earlier pair of equal prefix states.
 
-The closure's children, `children`, walk the two parent words one letter at
-a time: states are linear, so the cuts inside the images of a top and a
-bottom parent letter are one lookup in a per-letter-pair table of image
-prefix-state differences (Relation.image_tables), whose entries number
-(sum_a |sigma(a)|)^2 in all. Only the pending component's letters are held.
-
-The initial split I(w) and the coincidence densities cut the fixed word u
-against its own shift. `shift_split` runs one cut loop, `_split`, over one
-reader of u in blocks of CHUNK letters whose prefix states are summed and
-indexed by C-level iteration: the bottom's prefix states are the top's plus
-the state of the shift word, so u is read, summed and indexed once.
+Every split here is of two images, and one cut loop, `_walk`, runs them
+all one parent letter at a time: states are linear, so the cuts inside the
+images of a top and a bottom parent letter are one lookup in a
+per-letter-pair table of image prefix-state differences
+(Relation.image_tables), whose entries number (sum_a |sigma(a)|)^2 in all.
+The closure's children, `children`, walk the two words of a pair. The
+initial split I(w) and the coincidence densities, `shift_split`, cut the
+fixed word u against its own shift: u = sigma(v) for a fixed word v, so
+they walk v against a suffix of v, the bottom dropping the first letters
+of its first image. Only the pending component's letters are held.
 
 A pair is a named tuple of its two words, so it is its own key. The
 closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
@@ -32,8 +31,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice, tee
-from operator import mul
+from itertools import accumulate, chain, tee
 from typing import NamedTuple
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
@@ -118,217 +116,138 @@ class DensityStats:
     ratio_decimal: str
 
 
-CHUNK = 128  # letters in one block of a split's reader
+def _letters(word, tables, low=0, high=0, state=0):
+    """Per letter of a parent word, in order: the low enclosure of the
+    scaled length of the images before it and the high one of the images up
+    to and including it, the letter, and the packed state and the letter
+    count of the images before it. The enclosures and the state start at
+    low, high and state. The word is read five times, so an iterator is
+    tee'd."""
+    words = tee(word, 5) if iter(word) is word else (word,) * 5
+    highs = accumulate(map(tables.high.__getitem__, words[1]), initial=high)
+    next(highs)  # the start itself, before any image
+    return zip(accumulate(map(tables.low.__getitem__, words[0]), initial=low),
+               highs,
+               words[2],
+               accumulate(map(tables.states.__getitem__, words[3]),
+                          initial=state),
+               accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
 
 
-def _blocks(states, lows, highs, letters):
-    """The letters in blocks of CHUNK, each with its prefix states.
+def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
+    """Irreducible components of sigma(top_word) against
+    sigma(bottom_word)[start:], in order, walked one parent letter at a
+    time. head is the packed state and the low and high length enclosures
+    of the `start` letters the bottom drops; its states start at minus head.
 
-    Yields (letters before, low before, low, high, {packed state: letters
-    read}, chunk) per block, low and high enclosing the scaled length of
-    everything read and the dict holding the block's prefixes.
-    """
-    source = iter(letters)
-    alphabet = range(len(lows))
-    read = state = low = high = 0
-    while chunk := list(islice(source, CHUNK)):
-        counts = list(map(chunk.count, alphabet))  # few big-int products
-        before = low
-        low += sum(map(mul, counts, lows))
-        high += sum(map(mul, counts, highs))
-        prefixes = accumulate(map(states, chunk), initial=state)
-        next(prefixes)  # the state before the block
-        at = dict(zip(prefixes, range(read + 1, read + CHUNK + 1)))
-        state = next(reversed(at))
-        yield read, before, low, high, at, chunk
-        read += len(chunk)
+    States are linear, so the state r letters into the image of top letter
+    a is S_top + P_a[r], S_top being the state of the images before it and
+    P_a[r] that of sigma(a)[:r]; it equals the state s letters into the
+    image of bottom letter b exactly when S_top - S_bot = P_b[s] - P_a[r],
+    so the cuts inside the two images are one lookup in tables.rows[a][b].
+    A bottom letter is looked up from when its image may start before the
+    top letter's ends until its image surely ends at or before the top
+    letter's start, as the length enclosures tell.
 
-
-def _split(tops, bottoms, cap, which, start=0, head=(0, 0)):
-    """Irreducible components of two block readers, in order.
-
-    The bottom's word starts at letter `start`, where its state equals the
-    top's initial one, and head encloses the scaled length of its first
-    `start` letters; a top and a bottom prefix meet exactly where their
-    states are equal. The top takes its blocks in order. The bottom is read
-    ahead until its last block's prefixes are longer than the top block's,
-    and a bottom block is dropped once its prefixes are shorter than the
-    top block's. A top block's hits are the states it shares with the
-    bottom blocks whose length enclosures overlap its own.
-
-    Exactness: the packed states are sums from the start of the readers and
-    a whole block is matched at once, so a packed hit between positions far
-    from the last cut may be a collision. A hit is accepted only within cap
-    letters of the last cut on both sides. There the state difference is
-    the difference of two words of at most cap letters, since it was zero
-    at the last cut, and the packing, for max(cap, CHUNK), keeps apart any
-    state difference of up to 2 (max(cap, CHUNK) + 1) letters, so such a
-    hit is a cut; the CHUNK term keeps the prefixes of one block apart.
-    Every cut is a hit, so the first accepted hit is the next cut, and once
-    the top is more than cap letters past its last cut with none accepted,
-    the next component has more than cap letters on a side.
+    Exactness: a hit counts only within cap letters of the last cut on both
+    sides, where the two states differ by those of two words of at most cap
+    letters, which the packing for cap keeps apart; so every accepted hit
+    is a cut. The hits come in order of the bottom letter, then of r, so
+    the first accepted hit is the next cut. Only the pending component's
+    letters and a window of bottom parent letters are held.
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component, and
-    NotBalanced when the letters end other than at a cut.
+    NotBalanced when the images end other than at a cut.
     """
-    head_low, head_high = head
-    window = deque()  # bottom blocks that may still match
-    top_letters, bottom_letters = [], []  # from top_from, bottom_from on
-    top_from = bottom_from = 0
-    top, bottom = 0, start  # the last cut
-    for first, top_low, _low, top_high, mine, chunk in tops:
-        top_letters += chunk
-        while not window or window[-1][2] - head_low <= top_high:
-            if not (block := next(bottoms, None)):
-                break
-            window.append(block)
-            bottom_letters += block[5]
-        while window and window[0][3] - head_high < top_low:
-            window.popleft()
-        found = []
-        for _read, bottom_low, _low, _high, theirs, _chunk in window:
-            if bottom_low - head_low > top_high:
-                break
-            found += [(mine[s], theirs[s])
-                      for s in mine.keys() & theirs.keys()]
-        found.sort()
-        for i, p in found:
-            if top < i <= top + cap and bottom < p <= bottom + cap:
-                yield _pair((tuple(top_letters[top - top_from:i - top_from]),
-                             tuple(bottom_letters[bottom - bottom_from:
-                                                  p - bottom_from])))
-                top, bottom = i, p
-        if first + len(chunk) - top > cap:
-            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
-                               which=which)
-        del top_letters[:top - top_from]
-        del bottom_letters[:bottom - bottom_from]
-        top_from, bottom_from = top, bottom
-    read = bottom_from + len(bottom_letters)  # bottom letters read
-    while read - bottom <= cap and (block := next(bottoms, None)):
-        read += len(block[5])
-    if read - bottom > cap:
-        raise ScanOverflow(f"irreducible component exceeds {cap} letters",
-                           which=which)
-    if top_letters or read > bottom:
-        raise NotBalanced("streams end on an unbalanced pair")
-
-
-def shift_split(rel, stream, shift, cap, which="max_word_length"):
-    """Irreducible components of the fixed word u against its shift by
-    `shift` letters, in one pass: what _split yields over two block readers
-    of u, one from letter 0 and one from letter `shift`.
-
-    With T(p) the state of u[:p], the bottom prefix of p - shift letters
-    has state T(p) - T(shift), so both sides of the split read the blocks
-    of one reader of u, the bottom from letter `shift` on and the top with
-    T(shift) added to its states, and u is read, summed and indexed once.
-    The reader's blocks are held only between the top's and the bottom's
-    positions.
-
-    Raises ScanOverflow(which) when a component would have more than cap
-    letters on a side, after yielding every earlier component.
-    """
-    states = rel.packed_states(max(cap, CHUNK)).__getitem__
-    lows, highs = rel.length_low, rel.length_high
-    w = stream.prefix(shift)
-    head = sum(map(lows.__getitem__, w)), sum(map(highs.__getitem__, w))
-    offset = sum(map(states, w)).__add__
-    tops, bottoms = tee(_blocks(states, lows, highs, stream.letters(0)))
-    tops = ((first, before, low, high, dict(zip(map(offset, at), at.values())),
-             chunk) for first, before, low, high, at, chunk in tops)
-    return _split(tops, bottoms, cap, which, shift, head)
-
-
-def _letters(word, tables):
-    """Per letter of a parent word, in order: the low enclosure of the
-    scaled length of the image before it and the high one of the image up
-    to and including it, the letter, and the packed state and the letter
-    count of the image before it."""
-    return zip(accumulate(map(tables.low.__getitem__, word), initial=0),
-               accumulate(map(tables.high.__getitem__, word)),
-               word,
-               accumulate(map(tables.states.__getitem__, word), initial=0),
-               accumulate(map(tables.sizes.__getitem__, word), initial=0))
-
-
-def children(subst, rel, pair, *, max_word_length=None):
-    """Irreducible pairs in the reduction of the substituted pair, in order.
-
-    The split of sigma(top) against sigma(bottom), walked one parent letter
-    at a time. States are linear, so the state r letters into the image of
-    top[i] = a is S_top(i) + P_a[r], S_top(i) being the state of
-    sigma(top[:i]) and P_a[r] that of sigma(a)[:r]; it equals the state s
-    letters into the image of bottom[j] = b exactly when S_top(i) -
-    S_bot(j) = P_b[s] - P_a[r]. So the cuts inside the images of top[i]
-    and bottom[j] are one lookup in rel.image_tables' entry for (a, b);
-    the entries hold (sum_a |sigma(a)|)^2 pairs in all, built once per
-    relation and packing width. A cut lies after the start and at or
-    before the end of both images, so a bottom letter is looked up while
-    the length enclosures allow that: it enters once its image may start
-    before the top letter's ends, and leaves once its image surely ends at
-    or before the top letter's start. The lookups number about |top| +
-    |bottom|.
-
-    Exactness is the split's (see _split): a hit counts only within cap
-    letters of the last cut on both sides, where the two states differ by
-    the states of two words of at most cap letters, which the packing for
-    cap keeps apart; so every accepted hit is a cut. The hits come in order
-    of the bottom letter, then of r, and cuts increase on both sides, so
-    the cuts come in order. Only the letters of the pending component are
-    held, never a whole image.
-
-    Raises ScanOverflow("max_word_length") when a component would have more
-    than max_word_length letters on a side, and NotBalanced when the images
-    end other than at a cut.
-    """
-    rules = subst.rules
-    cap = max_word_length
-    if cap is None:  # no component outgrows the images
-        cap = max(len(pair.top), len(pair.bottom)) * max(map(len, rules))
-    tables = rel.image_tables(cap)
-    rows, sizes = tables.rows, tables.sizes
-    kids = []
-    bottoms = _letters(pair.bottom, tables)
+    rows, sizes, images = tables.rows, tables.sizes, tables.images
+    state, low, high = head
+    bottoms = _letters(bottom_word, tables, -high, -low, -state)
     ahead = next(bottoms, None)  # the next bottom letter to enter
     window = deque()  # bottom letters (low, high, b, ...) that may overlap
     top_letters, bottom_letters = [], []  # from top_from, bottom_from on
     top_from = bottom_from = 0
-    top = bottom = 0  # the last cut
-    for low, high, a, state, first in _letters(pair.top, tables):
+    top, bottom = 0, start  # the last cut
+    for low, high, a, state, first in _letters(top_word, tables):
         if first - top > cap:  # the images before this letter overflow
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
-                               which="max_word_length")
-        top_letters += rules[a]
+                               which=which)
+        top_letters += images[a]
         while ahead and ahead[0] < high:
             window.append(ahead)
-            bottom_letters += rules[ahead[2]]
+            bottom_letters += images[ahead[2]]
             ahead = next(bottoms, None)
         while window and window[0][1] <= low:
             window.popleft()
         row = rows[a]
-        for _low, _high, b, theirs, start in window:
+        for _low, _high, b, theirs, first_b in window:
             if hits := row[b].get(state - theirs):
                 for r, s in hits:
-                    i, p = first + r, start + s
+                    i, p = first + r, first_b + s
                     if top < i <= top + cap and bottom < p <= bottom + cap:
-                        kids.append(_pair((
+                        yield _pair((
                             tuple(top_letters[top - top_from:i - top_from]),
                             tuple(bottom_letters[bottom - bottom_from:
-                                                 p - bottom_from]))))
+                                                 p - bottom_from])))
                         top, bottom = i, p
         if top != top_from:
             del top_letters[:top - top_from]
             del bottom_letters[:bottom - bottom_from]
             top_from, bottom_from = top, bottom
-    if max(sum(map(sizes.__getitem__, pair.top)) - top,
-           sum(map(sizes.__getitem__, pair.bottom)) - bottom) > cap:
+    top_left = len(top_letters)  # top_from is top here
+    bottom_left = bottom_from + len(bottom_letters) - bottom
+    if ahead:  # bottom letters that never entered
+        bottom_left += sum(sizes[entry[2]] for entry in chain((ahead,), bottoms))
+    if max(top_left, bottom_left) > cap:
         raise ScanOverflow(f"irreducible component exceeds {cap} letters",
-                           which="max_word_length")
-    if top_letters or bottom_letters or ahead:
+                           which=which)
+    if top_left or bottom_left:
         raise NotBalanced("images end on an unbalanced pair")
-    return kids
+
+
+def shift_split(rel, stream, shift, cap, which="max_word_length"):
+    """Irreducible components of the fixed word u against its shift by
+    `shift` letters, walked over the parent word v = stream.parents.
+
+    u = sigma(v), so u less its first `shift` letters is sigma(v[j:]) less
+    its first d letters, where sigma(v[:j]) has shift - d letters and d <
+    |sigma(v[j])|: the walk of v against v[j:], the bottom dropping d
+    letters.
+
+    Raises ScanOverflow(which) when a component would have more than cap
+    letters on a side, after yielding every earlier component, and
+    ValueError when the stream and the relation are over different
+    substitutions.
+    """
+    if stream.subst != rel.subst:
+        raise ValueError("the stream and the relation are over different "
+                         "substitutions")
+    tables, parents = rel.image_tables(cap), stream.parents
+    j, d = 0, shift
+    while d >= len(image := tables.images[parents.letter(j)]):
+        j, d = j + 1, d - len(image)
+    dropped = image[:d]
+    head = (sum(map(rel.packed_states(cap).__getitem__, dropped)),
+            sum(map(rel.length_low.__getitem__, dropped)),
+            sum(map(rel.length_high.__getitem__, dropped)))
+    return _walk(tables, parents.letters(0), parents.letters(j), cap, which,
+                 d, head)
+
+
+def children(subst, rel, pair, *, max_word_length=None):
+    """Irreducible pairs in the reduction of the substituted pair, in order:
+    the walk of sigma(top) against sigma(bottom) over rel.image_tables. The
+    lookups number about |top| + |bottom|, and no whole image is held.
+
+    Raises ScanOverflow("max_word_length") when a component would have more
+    than max_word_length letters on a side, and NotBalanced when the images
+    end other than at a cut.
+    """
+    cap = max_word_length
+    if cap is None:  # no component outgrows the images
+        cap = max(len(pair.top), len(pair.bottom)) * max(map(len, subst.rules))
+    return list(_walk(rel.image_tables(cap), pair.top, pair.bottom, cap,
+                      "max_word_length"))
 
 
 def initial_pairs(subst, rel, w, budgets: Budgets,

@@ -137,6 +137,7 @@ class ImageTables(NamedTuple):
     low: tuple  # enclosure of sigma(a)'s scaled length
     high: tuple
     sizes: tuple  # |sigma(a)|
+    images: tuple  # sigma(a), from the relation's substitution
     rows: tuple  # rows[a][b]: {P_b[s] - P_a[r]: [(r, s), ...]}
 
 
@@ -247,10 +248,10 @@ class Relation:
         letters. A state difference of at most 2 (cap + 1) letters has
         each coordinate at most 2 (cap + 1) M in absolute value, M being
         the largest |letter_eq| entry; with 2^bits above that, its packed
-        value is zero exactly when it is. The split accepts a match of a
-        top and a bottom prefix only within cap letters of the last cut on
-        each side, where the states were equal, and packs for at least its
-        cap; so do the children's image tables (image_tables).
+        value is zero exactly when it is. The splits' walk accepts a match
+        of a top and a bottom prefix only within cap letters of the last
+        cut on each side, where the states were equal, and reads image
+        tables packed for its cap (image_tables).
         """
         bits = self._bits(cap)
         packed = self._packed.get(bits)
@@ -261,15 +262,15 @@ class Relation:
         return packed
 
     def image_tables(self, cap):
-        """The tables `engine.children` reads, packed as packed_states(cap).
+        """The tables the splits' walk reads, packed as packed_states(cap).
 
         Per letter a: the packed state of its image sigma(a), the integer
-        enclosure of the image's scaled length, and its letter count. The
-        row of a maps each letter b to {P_b[s] - P_a[r]: [(r, s), ...]}
-        over 1 <= r <= |sigma(a)| and 1 <= s <= |sigma(b)|, P_a[r] being the
-        packed state of sigma(a)[:r] and the pairs in order; an entry is
-        built on first use. All entries together hold (sum_a |sigma(a)|)^2
-        pairs.
+        enclosure of the image's scaled length, its letter count and the
+        image itself. The row of a maps each letter b to {P_b[s] - P_a[r]:
+        [(r, s), ...]} over 1 <= r <= |sigma(a)| and 1 <= s <= |sigma(b)|,
+        P_a[r] being the packed state of sigma(a)[:r] and the pairs in
+        order; an entry is built on first use. All entries together hold
+        (sum_a |sigma(a)|)^2 pairs.
         """
         bits = self._bits(cap)
         tables = self._images.get(bits)
@@ -285,6 +286,7 @@ class Relation:
                 high=tuple(sum(map(self.length_high.__getitem__, image))
                            for image in images),
                 sizes=tuple(map(len, images)),
+                images=images,
                 rows=tuple(_ImageRow(prefixes, a) for a in range(len(images))))
         return tables
 

@@ -7,6 +7,7 @@ order of left-hand sides, and every report sticks to that order.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, islice
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
@@ -226,6 +227,18 @@ class FixedPointStream:
         self._buffer = list(subst.apply((seed,), power))
         if not (self._buffer[0] == seed and len(self._buffer) >= 2):
             raise ValueError("seed does not start an expanding fixed word")
+
+    @cached_property
+    def parents(self):
+        """The word v = phi^(power-1)(u) with phi(v) = u: fixed by
+        phi^power from the letter before the seed on its first-letter
+        cycle, and the fixed word itself when power is 1."""
+        if self.power == 1:
+            return self
+        seed = self.seed
+        for _ in range(self.power - 1):
+            seed = self.subst.rules[seed][0]
+        return FixedPointStream(self.subst, self.power, seed)
 
     def _grow(self, need):
         while len(self._buffer) < need:

@@ -3,16 +3,16 @@
 Each is an independent, slower or more literal form of something the
 library computes another way: the Fraction Faddeev-LeVerrier recurrence and
 the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
-arithmetic, a per-letter word equivalence, the splits of two words or
-streams (the engine's cut loop over two block readers, a linear whole-word
-split and a quadratic one), a whole-word `reduce_pair`, the initial split of
-the fixed word and its shift as two separate streams, and small matrix and
+arithmetic, a per-letter word equivalence, the splits of two words (a
+linear whole-word split and a quadratic one), the split of the fixed word
+against its shift from whole-word splits of its prefixes, a whole-word
+`reduce_pair`, the initial split on that prefix split, and small matrix and
 rendering helpers.
 """
 
 from fractions import Fraction
 
-from balpair.engine import CHUNK, BalancedPair, Budgets, _blocks, _split
+from balpair.engine import BalancedPair, Budgets
 from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
                             StabilityNotReached)
 from balpair.linalg import mat_mul
@@ -111,23 +111,6 @@ def word_equiv(rel, u, v) -> bool:
     return not any(acc)
 
 
-def split(rel, top, bottom, cap, which="max_word_length"):
-    """Irreducible components of two letter sequences, in order: the
-    engine's cut loop, `_split`, over two block readers.
-
-    Each side is read in blocks of CHUNK letters, so past the last cut of
-    two unending streams the top reads under CHUNK letters and the bottom
-    at most (ratio + 1) CHUNK, ratio bounding the longest letter over the
-    shortest, whatever the cap. Raises ScanOverflow(which) when a component
-    would have more than cap letters on a side, and NotBalanced when the
-    letters end other than at a cut.
-    """
-    states = rel.packed_states(max(cap, CHUNK)).__getitem__
-    lows, highs = rel.length_low, rel.length_high
-    return _split(_blocks(states, lows, highs, top),
-                  _blocks(states, lows, highs, bottom), cap, which)
-
-
 def linear_cuts(rel, top, bottom):
     """Every (i, j) with equal exact prefix states: the sorted intersection
     of the two sides' prefix-state dicts."""
@@ -145,9 +128,43 @@ def linear_cuts(rel, top, bottom):
                   for s in top_at.keys() & bottom_at.keys())
 
 
-def linear_split(rel, top, bottom, cap, which="max_word_length"):
-    """The whole-word split, lazy like split."""
+def split(rel, top, bottom, cap, which="max_word_length"):
+    """Irreducible components of two words, in order: the linear whole-word
+    split, lazy. Raises ScanOverflow(which) when a component would have
+    more than cap letters on a side, and NotBalanced when the words end
+    other than at a cut."""
     return _components(top, bottom, linear_cuts(rel, top, bottom), cap, which)
+
+
+def shift_components(stream, rel, shift, cap, which="max_word_length"):
+    """Irreducible components of the fixed word u against its shift by
+    `shift` letters, exactly, from whole-word splits of prefixes of u.
+
+    With (top, bottom) the last cut, the next cuts are those of u[top:]
+    against u[shift + bottom:], whose states start equal; no cut lies
+    between two cuts found in prefixes of those. When the cuts found run
+    out more than cap letters before the end of both prefixes, the next
+    component has more than cap letters on a side; otherwise the prefixes
+    are doubled and split again from the last cut.
+
+    Raises ScanOverflow(which) at the first component of more than cap
+    letters on a side, after yielding every earlier component.
+    """
+    top = bottom = 0  # the last cut, bottom counted from letter `shift`
+    length = shift + cap + 1
+    while True:
+        length *= 2
+        word = stream.prefix(length)
+        upper, lower = word[top:], word[shift + bottom:]
+        i0 = j0 = 0
+        for i, j in linear_cuts(rel, upper, lower):
+            if max(i - i0, j - j0) > cap:
+                raise ScanOverflow("component too long", which=which)
+            yield BalancedPair(upper[i0:i], lower[j0:j])
+            i0, j0 = i, j
+        if min(len(upper) - i0, len(lower) - j0) > cap:
+            raise ScanOverflow("component too long", which=which)
+        top, bottom = top + i0, bottom + j0
 
 
 def reference_split(rel, top, bottom, cap, which="max_word_length"):
@@ -188,10 +205,10 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
     return list(split(rel, u, v, cap))
 
 
-def initial_pairs_two_streams(subst, rel, w, budgets: Budgets,
-                              stream: FixedPointStream | None = None) -> list:
-    """engine.initial_pairs with the fixed word and its shift read as two
-    unrelated streams by engine.split."""
+def reference_initial_pairs(subst, rel, w, budgets: Budgets,
+                            stream: FixedPointStream | None = None) -> list:
+    """engine.initial_pairs with the split of the fixed word against its
+    shift taken from shift_components."""
     w = tuple(w)
     if not w:
         raise ValueError("prefix must be nonempty")
@@ -207,8 +224,7 @@ def initial_pairs_two_streams(subst, rel, w, budgets: Budgets,
     cuts = 0
     cuts_at_last_new = 0
     scanned = 0
-    for component in split(rel, stream.letters(0), stream.letters(len(w)),
-                           cap, which):
+    for component in shift_components(stream, rel, len(w), cap, which):
         cuts += 1
         scanned += len(component.top)
         if component not in pairs:

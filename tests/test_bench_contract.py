@@ -103,3 +103,22 @@ def test_batch_and_spectral_results_match_reference(bench_module):
             if check.result_digest(doc) != reference[check.job_key(job)]:
                 differ.append(f"{name}/{job.name}")
     assert differ == []
+
+
+def test_closure_jobs_reach_their_recorded_closures(bench_module):
+    """Every seed-0 `closure` job reports the result `bench/reference.json`
+    records for it, and each terminating one closes with the pair count
+    its manifest names (big-1232 2353 pairs, big-2343 830, big-132 590).
+    The other three stop at a budget; their digests pin where."""
+    workloads = bench_module("workloads")
+    check = bench_module("check")
+    reference = check.load_reference()
+    problems = []
+    for job in workloads.jobs_for("closure", 0):
+        subst = parse_substitution(job.text)
+        doc = json.loads(render_json(analyze(subst, job.config(subst))))
+        if job.expect_pairs is not None:
+            problems += check.closure_problems(doc, job.expect_pairs)
+        if check.result_digest(doc) != reference[check.job_key(job)]:
+            problems.append(f"{job.name}: result differs from the reference")
+    assert problems == []

@@ -1,16 +1,17 @@
-"""The split routines against slower references.
+"""The walk of the engine's splits against slower references.
 
-The engine's cut loop, `_split`, reads blocks of CHUNK letters: the top
-takes its blocks in order and the bottom is read ahead. The oracle `split`
-runs it over two block readers, and is checked against a naive quadratic
-reference, which cuts at every (i, j) with top[:i] ~ bottom[:j], checked
-with `word_equiv` on the two prefixes, and reads the components off between
-consecutive cuts, and against a linear whole-word one, on long words whose
-bottom may run many blocks ahead, at caps below, at and above CHUNK.
-`shift_split`, the one-pass split of a fixed word against its own shift, is
-checked against `split` of the two streams, and `initial_pairs` against the
-same loop over `split`. `children`, the parent-letter walk over image
-tables, is checked against the linear split of the whole images.
+`children` and `shift_split` run one cut loop, `_walk`, over parent words
+and the image tables: the cuts inside the images of a top and a bottom
+parent letter are one table lookup, accepted only within cap letters of
+the last cut. The oracle `split`, the linear whole-word split, is checked
+against a naive quadratic reference, which cuts at every (i, j) with
+top[:i] ~ bottom[:j], checked with `word_equiv` on the two prefixes, and
+reads the components off between consecutive cuts. `children` is checked
+against `split` of the whole images, on long parent windows and on images
+with long runs of one letter, at caps around the longest image.
+`shift_split`, the split of a fixed word against its own shift, is checked
+against `shift_components`, the linear split of prefixes of that word, and
+`initial_pairs` against the same loop over `shift_components`.
 """
 
 import functools
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from balpair.engine import (CHUNK, BalancedPair, Budgets, children,
-                            initial_pairs, run_bpa, shift_split)
+from balpair.engine import (BalancedPair, Budgets, children, initial_pairs,
+                            run_bpa, shift_split)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
@@ -32,8 +33,8 @@ from balpair.substitution import fixed_point_stream, parse_substitution
 
 import oracles
 from conftest import count_calls, load_corpus
-from oracles import (initial_pairs_two_streams, linear_cuts, linear_split,
-                     reduce_pair, reference_split, split)
+from oracles import (linear_cuts, reduce_pair, reference_initial_pairs,
+                     reference_split, shift_components, split)
 
 RULES = {
     "ex1": "1 -> 112\n2 -> 12",  # lambda = (3 + sqrt 5) / 2
@@ -44,6 +45,9 @@ RULES = {
     # lambda = (3 + sqrt 13) / 2 with lengths (1, 1 / (3 lambda), 1 / 3):
     # one letter's lambda-length is rational but not dyadic
     "third": "1 -> 121212\n2 -> 3\n3 -> 12",
+    # u is fixed by sigma^2 from 1 and is the image of the word fixed by
+    # sigma^2 from 2, so shift_split walks a parent word other than u
+    "two-cycle": "1 -> 21\n2 -> 112",
 }
 SUBSTS = {name: parse_substitution(text) for name, text in RULES.items()}
 WHICH = ("max_word_length", "max_scan_length")
@@ -134,10 +138,19 @@ def test_split_matches_reference(case):
 
 def test_lambda_rational_non_dyadic_length_is_enclosed():
     # 3331 ~ 11 under lambda: the length 1/3 of letter 3 has no exact
-    # floor(2^64 * l), so its enclosure must not have width zero
-    rel = Relation.generalized(SUBSTS["third"], LengthSpec.pf())
+    # floor(2^64 * l), so its enclosure must not have width zero. The
+    # images of 2223 and 3222, 33312 and 12333, cut there first
+    subst = SUBSTS["third"]
+    rel = Relation.generalized(subst, LengthSpec.pf())
+    assert rel.length_low[2] < rel.length_high[2]
     assert reduce_pair(rel, (2, 2, 2, 0), (0, 0)) == [
         BalancedPair((2, 2, 2), (0,)), BalancedPair((0,), (0,))]
+    pair = BalancedPair((1, 1, 1, 2), (2, 1, 1, 1))
+    assert children(subst, rel, pair) == [
+        BalancedPair((2, 2, 2), (0,)), BalancedPair((0, 1), (1, 2, 2, 2))]
+    # the second component is over a cap of 3 on its bottom side alone
+    assert _children_outcomes(subst, rel, pair, 3) == (
+        ("ScanOverflow", "max_word_length"),) * 2
 
 
 @pytest.mark.parametrize("name", ["ex1", "pisot-rewrite"])
@@ -172,9 +185,14 @@ def test_packed_states_tell_states_apart_up_to_the_cap(cap):
                             assert (i * packed[a] == j * packed[b]) == same
 
 
-# -- the chunked read: long windows of fixed words ---------------------------
+# -- the walk over long parent words -------------------------------------------
 
-CAPS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 1, 10_000)
+def _caps(subst):
+    """Small caps, caps around the longest image, which one parent
+    letter's lookup spans, and 400."""
+    longest = max(map(len, subst.rules))
+    return sorted({1, 2, 3, longest - 1, longest, longest + 1,
+                   2 * longest + 1, 400} - {0})
 
 
 @functools.cache
@@ -194,8 +212,9 @@ def _relation(subst, kind):
 @st.composite
 def long_relations(draw, subst):
     """A relation of one of the four kinds, or custom letter lengths of 1
-    and 1000, scaled 2^70 apart or not as in relations(): then one top block
-    may be longer than many bottom blocks, which the bottom reads ahead."""
+    and 1000, scaled 2^70 apart or not as in relations(): then one top
+    image may be longer than many bottom images, which the walk holds in
+    its window."""
     kind = draw(st.sampled_from(("plain", "letters", "ones", "lambda",
                                  "skewed")))
     if kind != "skewed":
@@ -208,78 +227,75 @@ def long_relations(draw, subst):
     return Relation.generalized(subst, LengthSpec.custom(values))
 
 
-@st.composite
-def windows(draw):
-    name = draw(st.sampled_from(sorted(SUBSTS)))
-    rel = draw(long_relations(SUBSTS[name]))
-    word = fixed_word(name)
-    start = draw(st.integers(0, 2000))
-    shift = draw(st.integers(0, 400))  # a long shift makes long components
-    top = word[start:start + draw(st.integers(300, 3000))]
-    bottom = word[start + shift:start + shift + draw(st.integers(300, 3000))]
-    if draw(st.booleans()):  # end both words at their last cut
+def _windows(draw, rel, word, longest):
+    """Parent windows of a fixed word against a shifted window, ended at
+    their last cut or not: the images of windows ended at a cut end at a
+    cut too."""
+    start = draw(st.integers(0, len(word) // 3))
+    shift = draw(st.integers(0, 200))  # a long shift makes long components
+    top = word[start:start + draw(st.integers(1, longest))]
+    bottom = word[start + shift:start + shift + draw(st.integers(1, longest))]
+    if draw(st.booleans()):
         cuts = linear_cuts(rel, top, bottom)
         if cuts:
             top, bottom = top[:cuts[-1][0]], bottom[:cuts[-1][1]]
-    return rel, top, bottom, draw(st.sampled_from(CAPS))
+    return BalancedPair(top, bottom)
+
+
+@st.composite
+def windows(draw):
+    name = draw(st.sampled_from(sorted(SUBSTS)))
+    subst = SUBSTS[name]
+    rel = draw(long_relations(subst))
+    pair = _windows(draw, rel, fixed_word(name), 1000)
+    return subst, rel, pair, draw(st.sampled_from(_caps(subst) + [10_000]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(windows())
 def test_split_of_long_windows_matches_linear_oracle(case):
-    rel, top, bottom, cap = case
-    expected = _drain(linear_split(rel, top, bottom, cap, "max_word_length"))
-    assert _drain(split(rel, top, bottom, cap)) == expected
+    got, expected = _children_outcomes(*case)
+    assert got == expected
 
 
 @st.composite
-def uneven_blocks(draw):
-    """Long balanced words from equivalent blocks, of different letter
-    counts where the relation has them, so that the two sides' chunks end
-    at different lengths. Now and then a long stretch is lighter on the
-    bottom, so the bottom reads ahead over many blocks: the shortest word of
-    a group repeated against its longest, or one letter against a long run
-    of another, under skewed lengths."""
-    name = draw(st.sampled_from(sorted(SUBSTS)))
-    size = SUBSTS[name].size
-    rel = draw(long_relations(SUBSTS[name]))
-    groups = [g for g in equivalent_multisets(rel, size)
-              if len({len(w) for w in g}) > 1]
+def long_runs(draw):
+    """Images of 2-3 letters, each with a run of up to 60 copies of one
+    letter, so that one top image spans many bottom images and a letter
+    pair's table entry holds many (r, s) pairs of one state difference,
+    most of them past the cap. The parent words are windows of the fixed
+    word, or one letter moved across a run of another, whose images are
+    long runs against long runs."""
+    size = draw(st.integers(2, 3))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    top, bottom = [], []
-    for _ in range(draw(st.integers(50, 600))):
-        roll = rng.random()
-        if roll < 0.01 and groups:  # fewer letters a cut on the top
-            group = sorted(rng.choice(groups), key=len)
-            count = rng.randint(CHUNK // 2, 2 * CHUNK)
-            top += group[0] * count
-            bottom += group[-1] * count
-            continue
-        if roll < 0.02:
-            a, b = rng.sample(range(size), 2)
-            run = [b] * rng.randint(CHUNK, 8 * CHUNK)
-            top += [a] + run
-            bottom += run + [a]
-            continue
-        if groups and roll < 0.7:
-            group = rng.choice(groups)
-            blocks = [rng.choice(group), rng.choice(group)]
-        else:
-            blocks = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]]
-            blocks.append(blocks[0])
-        for side, block in zip((top, bottom), blocks):
-            block = list(block)
-            rng.shuffle(block)
-            side += block
-    return rel, tuple(top), tuple(bottom), draw(st.sampled_from(CAPS))
+    rules = []
+    for _ in range(size):
+        image = [rng.randrange(size) for _ in range(rng.randint(0, 3))]
+        image += [rng.randrange(size)] * rng.randint(1, 60)
+        image += [rng.randrange(size) for _ in range(rng.randint(0, 3))]
+        rules.append("".join(str(a + 1) for a in image))
+    subst = parse_substitution("".join(f"{i + 1} -> {image}\n"
+                                       for i, image in enumerate(rules)))
+    assume(subst.is_primitive())
+    try:
+        rel = draw(long_relations(subst))
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    if draw(st.booleans()):
+        word = fixed_point_stream(subst).prefix(400)
+        pair = _windows(draw, rel, word, 100)
+    else:
+        a, b = rng.sample(range(size), 2)
+        run = (b,) * rng.randint(1, 100)
+        pair = BalancedPair((a,) + run, run + (a,))
+    return subst, rel, pair, draw(st.sampled_from(_caps(subst) + [10_000]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(uneven_blocks())
-def test_split_of_uneven_blocks_matches_linear_oracle(case):
-    rel, top, bottom, cap = case
-    expected = _drain(linear_split(rel, top, bottom, cap, "max_word_length"))
-    assert _drain(split(rel, top, bottom, cap)) == expected
+@given(long_runs())
+def test_split_of_long_runs_matches_linear_oracle(case):
+    got, expected = _children_outcomes(*case)
+    assert got == expected
 
 
 def _counted(letters, tally):
@@ -288,75 +304,69 @@ def _counted(letters, tally):
         yield letter
 
 
+def _parents_through(rules, parents, letters):
+    """The fewest parent letters whose images hold `letters` letters."""
+    count = total = 0
+    while total < letters:
+        total += len(rules[parents[count]])
+        count += 1
+    return count
+
+
 @pytest.mark.parametrize("kind", ["plain", "letters", "ones", "lambda"])
-@pytest.mark.parametrize("name", ["ex1", "tribonacci", "three"])
+@pytest.mark.parametrize("name", ["ex1", "tribonacci", "three", "two-cycle"])
 def test_split_of_infinite_streams_is_lazy(name, kind):
-    # u against its shift by 3, as initial_pairs reads it: the components
-    # of finite words are the head of the components of the streams
-    rel = _relation(SUBSTS[name], kind)
-    word, cap = fixed_word(name), 2 * CHUNK + 1
-    head, _error = _drain(split(rel, word[:4000], word[3:4000], cap))
-    assert len(head) > 10
-    stream = fixed_point_stream(SUBSTS[name])
-    read_top, read_bottom = [0], [0]
-    lazy = split(rel, _counted(stream.letters(0), read_top),
-                 _counted(stream.letters(3), read_bottom), cap)
-    assert list(islice(lazy, len(head))) == head
-    # no side reads more than cap + 1 letters past the last cut
-    assert read_top[0] <= sum(len(p.top) for p in head) + cap + 1
-    assert read_bottom[0] <= sum(len(p.bottom) for p in head) + cap + 1
-    # shift_split reads u once. Past the last cut the top finishes its
-    # block of under CHUNK letters, and u is read on until a block's bottom
-    # prefixes outgrow that block: at most ratio bottom letters for each
-    # top letter, and one more block
-    read = [0]
-    letters = stream.letters
-    stream.letters = lambda start: _counted(letters(start), read)
-    lazy = shift_split(rel, stream, 3, cap)
-    assert list(islice(lazy, len(head))) == head
-    ratio = -(-max(rel.length_high) // min(rel.length_low))
-    last_cut = 3 + sum(len(p.bottom) for p in head)
-    assert read[0] <= last_cut + (ratio + 1) * CHUNK
-    # below CHUNK the blocks, not the cap, bound the read of split too: past
-    # the last cut the top finishes its block, and the bottom reads at most
-    # ratio letters for each of those and one more block
-    for cap in (1, CHUNK - 1):
-        head, error = _drain(split(rel, word[:4000], word[3:4000], cap))
-        read_top, read_bottom = [0], [0]
-        lazy = split(rel, _counted(letters(0), read_top),
-                     _counted(letters(3), read_bottom), cap)
-        assert list(islice(lazy, len(head))) == head
-        assert read_top[0] <= sum(len(p.top) for p in head) + CHUNK
-        assert read_bottom[0] <= (sum(len(p.bottom) for p in head)
-                                  + (ratio + 1) * CHUNK)
-        if cap == 1:  # an early overflow, the same on unending streams
-            assert _drain(lazy) == ([], error)
+    # u against its shift by 3, as initial_pairs reads it. shift_split
+    # walks the parent word v, with u = sigma(v), once from its first
+    # letter for the top and once from the letter whose image holds u's
+    # letter 3 for the bottom. Right after a component, the top has read
+    # the parent letters up to the one whose image holds the cut. The
+    # bottom has read those whose images may start before the end of that
+    # top image, and one more: past the parent letter holding its cut, at
+    # most `ratio` whole images, ratio bounding the longest image's scaled
+    # length over the shortest's, and two more
+    subst = SUBSTS[name]
+    rel = _relation(subst, kind)
+    stream = fixed_point_stream(subst)
+    head = list(islice(shift_components(stream, rel, 3, 400), 200))
+    assert len(head) == 200
+    parents = stream.parents
+    reads = []
+    letters = parents.letters
+
+    def counted(start):
+        reads.append([0])
+        return _counted(letters(start), reads[-1])
+
+    parents.letters = counted
+    lazy = shift_split(rel, stream, 3, 400)
+    tables = rel.image_tables(400)
+    ratio = -(-max(tables.high) // min(tables.low))
+    word = parents.prefix(4000)
+    bottom_start = _parents_through(subst.rules, word, 4) - 1
+    top = bottom = 0
+    for component in head:
+        assert next(lazy) == component
+        top += len(component.top)
+        bottom += len(component.bottom)
+        [read_top], [read_bottom] = reads
+        assert read_top == _parents_through(subst.rules, word, top)
+        assert (bottom_start + read_bottom
+                <= _parents_through(subst.rules, word, 3 + bottom) + ratio + 2)
 
 
 def test_one_long_component_keeps_a_bounded_window():
-    # a^N b against b a^N is one plain component whose 2N prefix states
-    # all differ. The split holds the pending letters and the output, 8
-    # bytes a letter in lists and tuples, and a window of O(CHUNK) prefix
-    # states: its peak measured 8.2 MB on CPython 3.11. A dict of each
-    # side's prefix states over the whole component, as a whole-component
-    # join keeps, measured 50 MB.
+    # u = 1 2 2 2 ... against its shift by one never cuts under plain
+    # balance, so shift_split reads n + 1 letters of u into one component.
+    # It holds those letters, once for each side, and a window of bottom
+    # parent letters: its peak measured 3.3 MB on CPython 3.11. The
+    # relation is over the stream's own substitution, whose images the
+    # walk reads from the relation's tables.
     n = 200_000
-    rel = Relation.plain(SUBSTS["ex1"])
-    top, bottom = (0,) * n + (1,), (1,) + (0,) * n
-    tracemalloc.start()
-    try:
-        [pair] = split(rel, top, bottom, n + 1)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert pair == BalancedPair(top, bottom)
-    assert peak < 12_000_000
-    # u = 1 2 2 2 ... against its shift by one never cuts, so shift_split
-    # reads n + 1 letters of u into one component. It holds those letters,
-    # once for each side, and a few blocks of prefix states: its peak
-    # measured 4.3 MB on CPython 3.11.
-    stream = fixed_point_stream(parse_substitution("1 -> 12\n2 -> 22"))
-    stream.prefix(n + 4 * CHUNK)  # the fixed word itself is not counted
+    subst = parse_substitution("1 -> 12\n2 -> 22")
+    rel = Relation.plain(subst)
+    stream = fixed_point_stream(subst)
+    stream.prefix(n)  # the fixed word itself is not counted
     tracemalloc.start()
     try:
         with pytest.raises(ScanOverflow):
@@ -365,33 +375,46 @@ def test_one_long_component_keeps_a_bounded_window():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+    with pytest.raises(ValueError):  # a relation over another substitution
+        shift_split(Relation.plain(SUBSTS["ex1"]), stream, 1, n)
 
 
 # -- the fixed word against its own shift -------------------------------------
 
-SHIFT_CAPS = (1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 400)
-
-
-def _shift_outcomes(subst, rel, shift, cap, which, count):
-    """The first `count` components of u against its shift by `shift`, and
-    the error that ends them, from split of two streams and shift_split."""
+def _shift_outcomes(subst, rel, shift, caps, count):
+    """Per cap and which: the first `count` components of u against its
+    shift by `shift`, and the error that ends them, expected and got.
+    Expected are those of shift_components at the largest cap, up to the
+    first of more than cap letters on a side, which ends them at a smaller
+    cap; got are those of shift_split."""
     stream = fixed_point_stream(subst)
-    two = split(rel, stream.letters(0), stream.letters(shift), cap, which)
-    one = shift_split(rel, fixed_point_stream(subst), shift, cap, which)
-    return _drain(islice(two, count)), _drain(islice(one, count))
+    components, error = _drain(islice(
+        shift_components(stream, rel, shift, max(caps)), count))
+    for cap in caps:
+        long = [k for k, pair in enumerate(components)
+                if max(len(pair.top), len(pair.bottom)) > cap]
+        for which in WHICH:
+            overflow = ("ScanOverflow", which)
+            if long:
+                expected = components[:long[0]], overflow
+            else:
+                expected = components, error and overflow
+            got = _drain(islice(shift_split(rel, stream, shift, cap, which),
+                                count))
+            yield (cap, which), expected, got
 
 
 @pytest.mark.parametrize("kind", ["plain", "letters", "ones", "lambda"])
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_shift_split_matches_split_of_two_streams(name, kind):
+    # shifts 1-12 land inside images and on image boundaries of the parent
+    # word, at caps around the longest image
     subst = SUBSTS[name]
     rel = _relation(subst, kind)
     for shift in range(1, 13):
-        for cap in SHIFT_CAPS:
-            for which in WHICH:
-                expected, got = _shift_outcomes(subst, rel, shift, cap,
-                                                which, 600)
-                assert got == expected, (shift, cap, which)
+        for case, expected, got in _shift_outcomes(subst, rel, shift,
+                                                   _caps(subst), 600):
+            assert got == expected, (shift, case)
 
 
 @st.composite
@@ -407,16 +430,16 @@ def primitive_substitutions(draw, longest=4):
 
 
 @settings(max_examples=150, deadline=None)
-@given(primitive_substitutions(), st.sampled_from(
-    ("plain", "letters", "ones", "lambda")), st.integers(1, 12),
-    st.sampled_from(SHIFT_CAPS), st.sampled_from(WHICH))
-def test_shift_split_of_random_substitutions(subst, kind, shift, cap, which):
+@given(primitive_substitutions(longest=5), st.sampled_from(
+    ("plain", "letters", "ones", "lambda")), st.integers(1, 12))
+def test_shift_split_of_random_substitutions(subst, kind, shift):
     try:
         rel = _relation(subst, kind)
     except ValueError:  # letter classes whose images disagree
         assume(False)
-    expected, got = _shift_outcomes(subst, rel, shift, cap, which, 600)
-    assert got == expected
+    for case, expected, got in _shift_outcomes(subst, rel, shift,
+                                               _caps(subst), 600):
+        assert got == expected, case
 
 
 def _scan_stops(subst, rel, w, window, monkeypatch):
@@ -425,13 +448,13 @@ def _scan_stops(subst, rel, w, window, monkeypatch):
     scanned = [0]
 
     def counted(*args):
-        for component in split(*args):
+        for component in shift_components(*args):
             scanned.append(scanned[-1] + len(component.top))
             yield component
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracles, "split", counted)
-        initial_pairs_two_streams(
+        patch.setattr(oracles, "shift_components", counted)
+        reference_initial_pairs(
             subst, rel, w, Budgets(split_stability_window=window))
     return scanned[1:]
 
@@ -440,7 +463,7 @@ def _scan_stops(subst, rel, w, window, monkeypatch):
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
     # the window stop and the scan stop, each at, just before and just
-    # after the cut where the two-stream reference stops; a scan budget
+    # after the cut where the reference stops; a scan budget
     # below the longest component also caps the split
     subst = SUBSTS[name]
     rel = _relation(subst, kind)
@@ -451,7 +474,7 @@ def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
         for max_scan_length in sorted(limits):
             budgets = Budgets(split_stability_window=window,
                               max_scan_length=max_scan_length)
-            expected = _outcome(lambda: initial_pairs_two_streams(
+            expected = _outcome(lambda: reference_initial_pairs(
                 subst, rel, w, budgets))
             got = _outcome(lambda: initial_pairs(subst, rel, w, budgets))
             assert got == expected, (window, max_scan_length)
@@ -467,8 +490,8 @@ def _children_outcomes(subst, rel, pair, cap):
     if whole is None:
         whole = (max(len(pair.top), len(pair.bottom))
                  * max(map(len, subst.rules)))
-    expected = _outcome(lambda: list(linear_split(rel, top, bottom, whole,
-                                                  "max_word_length")))
+    expected = _outcome(lambda: list(split(rel, top, bottom, whole,
+                                           "max_word_length")))
     got = _outcome(lambda: children(subst, rel, pair, max_word_length=cap))
     return got, expected
 
@@ -560,7 +583,10 @@ def test_children_stop_reading_at_an_overflow():
     with pytest.raises(ScanOverflow):
         children(subst, Relation.plain(subst), BalancedPair(top, bottom),
                  max_word_length=cap)
-    assert top.read <= cap + 2 and bottom.read <= cap + 2
+    # the images have 3 letters and the first cut is at letter 1, so the
+    # top overflows at its 19th parent letter, whose images before it hold
+    # 54 letters; the bottom has read no further
+    assert top.read <= cap // 3 + 3 and bottom.read <= cap // 3 + 3
 
 
 def test_children_of_a_growth_pair_keep_a_bounded_peak():

@@ -111,6 +111,24 @@ def test_fixed_point_needs_power_two():
     assert subst.apply(prefix, 2)[:6] == prefix
 
 
+@pytest.mark.parametrize("text, power", [
+    ("1 -> 112\n2 -> 12", 1),
+    ("1 -> 21\n2 -> 112", 2),
+    ("1 -> 21\n2 -> 31\n3 -> 123", 3),  # first letters cycle 1, 2, 3
+])
+def test_parents_map_onto_the_fixed_word(text, power):
+    # u = sigma(v) for v = sigma^(power-1)(u), itself fixed by sigma^power
+    subst = parse_substitution(text)
+    stream = fixed_point_stream(subst)
+    parents = stream.parents
+    assert stream.power == parents.power == power
+    assert (parents is stream) == (power == 1)
+    assert parents is stream.parents  # built once
+    v = parents.prefix(300)
+    assert subst.apply(v)[:300] == stream.prefix(300)
+    assert subst.apply(v, power)[:300] == v
+
+
 def test_prefix_stability():
     subst = parse_substitution("1 -> 112\n2 -> 12")
     stream = fixed_point_stream(subst)
