@@ -11,13 +11,16 @@ earlier pair of equal prefix states.
 Every split here is of two images, and one cut loop, `_walk`, runs them
 all one parent letter at a time: states are linear, so the cuts inside the
 images of a top and a bottom parent letter are one lookup in a
-per-letter-pair table of image prefix-state differences
-(Relation.image_tables), whose entries number (sum_a |sigma(a)|)^2 in all.
-The closure's children, `children`, walk the two words of a pair. The
-initial split I(w) and the coincidence densities, `shift_split`, cut the
-fixed word u against its own shift: u = sigma(v) for a fixed word v, so
-they walk v against a suffix of v, the bottom dropping the first letters
-of its first image. Only the pending component's letters are held.
+per-letter-pair table (Relation.image_tables) that maps a state difference
+to the image prefix pairs it cuts at, built on the difference's first
+lookup. The closure's children, `children`, walk the two words of a pair
+under sigma. The initial split I(w) and the coincidence densities,
+`shift_split`, cut the fixed word u against its own shift: u =
+sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix of
+v_k under sigma^k, the bottom dropping the first letters of its first
+image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
+images take one loop step per sigma^k image rather than per letter of u.
+Only the pending component's letters are held.
 
 A pair is a named tuple of its two words, so it is its own key. The
 closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
@@ -54,6 +57,10 @@ class BalancedPair(NamedTuple):
 
 
 _pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
+
+# shift_split walks under the largest sigma^k whose images hold at most
+# this many letters in all, or under sigma when its own images hold more
+WALK_LETTERS = 96
 
 
 @dataclass
@@ -135,19 +142,22 @@ def _letters(word, tables, low=0, high=0, state=0):
 
 
 def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
-    """Irreducible components of sigma(top_word) against
-    sigma(bottom_word)[start:], in order, walked one parent letter at a
-    time. head is the packed state and the low and high length enclosures
-    of the `start` letters the bottom drops; its states start at minus head.
+    """Irreducible components of tau(top_word) against
+    tau(bottom_word)[start:], in order, walked one parent letter at a time,
+    tau being the map sigma^k whose images the tables hold (sigma for the
+    closure's children). head is the packed state and the low and high
+    length enclosures of the `start` letters the bottom drops; its states
+    start at minus head.
 
     States are linear, so the state r letters into the image of top letter
     a is S_top + P_a[r], S_top being the state of the images before it and
-    P_a[r] that of sigma(a)[:r]; it equals the state s letters into the
-    image of bottom letter b exactly when S_top - S_bot = P_b[s] - P_a[r],
-    so the cuts inside the two images are one lookup in tables.rows[a][b].
-    A bottom letter is looked up from when its image may start before the
-    top letter's ends until its image surely ends at or before the top
-    letter's start, as the length enclosures tell.
+    P_a[r] that of tau(a)[:r]; it equals the state s letters into the
+    image of bottom letter b exactly when P_a[r] + S_top - S_bot = P_b[s],
+    so the cuts inside the two images are one lookup of S_top - S_bot in
+    tables.rows[a][b]. A bottom letter is looked up from when its image may
+    start before the top letter's ends until its image surely ends at or
+    before the top letter's start, as the length enclosures tell; so which
+    cuts are found does not depend on k.
 
     Exactness: a hit counts only within cap letters of the last cut on both
     sides, where the two states differ by those of two words of at most cap
@@ -181,7 +191,7 @@ def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
             window.popleft()
         row = rows[a]
         for _low, _high, b, theirs, first_b in window:
-            if hits := row[b].get(state - theirs):
+            if hits := row[b][state - theirs]:
                 for r, s in hits:
                     i, p = first + r, first_b + s
                     if top < i <= top + cap and bottom < p <= bottom + cap:
@@ -205,14 +215,28 @@ def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
         raise NotBalanced("images end on an unbalanced pair")
 
 
+def _walk_power(subst):
+    """The power k of sigma whose images shift_split walks: the largest
+    k >= 1 with sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
+    rules, k = subst.rules, 1
+    sizes = list(map(len, rules))
+    while sum(grown := [sum(map(sizes.__getitem__, image))
+                        for image in rules]) <= WALK_LETTERS:
+        sizes, k = grown, k + 1
+    return k
+
+
 def shift_split(rel, stream, shift, cap, which="max_word_length"):
     """Irreducible components of the fixed word u against its shift by
-    `shift` letters, walked over the parent word v = stream.parents.
+    `shift` letters, walked over the ancestor word v = stream.ancestor(k)
+    under sigma^k, for k = _walk_power(rel.subst).
 
-    u = sigma(v), so u less its first `shift` letters is sigma(v[j:]) less
-    its first d letters, where sigma(v[:j]) has shift - d letters and d <
-    |sigma(v[j])|: the walk of v against v[j:], the bottom dropping d
-    letters.
+    u = sigma^k(v), so u less its first `shift` letters is sigma^k(v[j:])
+    less its first d letters, where sigma^k(v[:j]) has shift - d letters
+    and d < |sigma^k(v[j])|: the walk of v against v[j:], the bottom
+    dropping d letters. The walk reads whole sigma^k images: past its last
+    cut the top reads the rest of one, and the bottom as many as the
+    longest image's length spans of the shortest, plus two.
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component, and
@@ -222,15 +246,16 @@ def shift_split(rel, stream, shift, cap, which="max_word_length"):
     if stream.subst != rel.subst:
         raise ValueError("the stream and the relation are over different "
                          "substitutions")
-    tables, parents = rel.image_tables(cap), stream.parents
+    k = _walk_power(rel.subst)
+    tables, ancestor = rel.image_tables(cap, k), stream.ancestor(k)
     j, d = 0, shift
-    while d >= len(image := tables.images[parents.letter(j)]):
+    while d >= len(image := tables.images[ancestor.letter(j)]):
         j, d = j + 1, d - len(image)
     dropped = image[:d]
     head = (sum(map(rel.packed_states(cap).__getitem__, dropped)),
             sum(map(rel.length_low.__getitem__, dropped)),
             sum(map(rel.length_high.__getitem__, dropped)))
-    return _walk(tables, parents.letters(0), parents.letters(j), cap, which,
+    return _walk(tables, ancestor.letters(0), ancestor.letters(j), cap, which,
                  d, head)
 
 
@@ -280,6 +305,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
     cuts = 0
     cuts_at_last_new = 0
     scanned = 0
+    window = budgets.split_stability_window
     for component in shift_split(rel, stream, len(w), cap, which):
         cuts += 1
         scanned += len(component.top)
@@ -290,7 +316,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                 raise StabilityNotReached(
                     f"more than {budgets.max_pairs} distinct initial pairs",
                     which="max_pairs")
-        window = max(budgets.split_stability_window, 3 * len(pairs))
+            window = max(budgets.split_stability_window, 3 * len(pairs))
         if cuts - cuts_at_last_new >= window:
             return list(pairs)
         if scanned > budgets.max_scan_length:

@@ -133,28 +133,33 @@ class RelationSpec:
 class ImageTables(NamedTuple):
     """Per-letter image data of a relation; see Relation.image_tables."""
 
-    states: tuple  # packed state of sigma(a)
-    low: tuple  # enclosure of sigma(a)'s scaled length
+    states: tuple  # packed state of sigma^k(a)
+    low: tuple  # enclosure of sigma^k(a)'s scaled length
     high: tuple
-    sizes: tuple  # |sigma(a)|
-    images: tuple  # sigma(a), from the relation's substitution
-    rows: tuple  # rows[a][b]: {P_b[s] - P_a[r]: [(r, s), ...]}
+    sizes: tuple  # |sigma^k(a)|
+    images: tuple  # sigma^k(a), from the relation's substitution
+    rows: tuple  # rows[a][b][D]: ((r, s), ...) with P_a[r] + D = P_b[s]
 
 
-class _ImageRow(dict):
-    """Row a of the image tables, each entry built on first use."""
+class _Hits(dict):
+    """Entry (a, b) of the image tables: a state difference D maps to the
+    pairs (r, s) with P_a[r] + D = P_b[s], in order, each built on the
+    first lookup of D from b's prefix-state index {P_b[s]: (s, ...)}. A
+    miss stores the shared empty tuple."""
 
-    def __init__(self, prefixes, a):
+    __slots__ = ("prefixes", "index")
+
+    def __init__(self, prefixes, index):
         super().__init__()
         self.prefixes = prefixes
-        self.a = a
+        self.index = index
 
-    def __missing__(self, b):
-        entry = self[b] = {}
-        for r, mine in enumerate(self.prefixes[self.a], 1):
-            for s, theirs in enumerate(self.prefixes[b], 1):
-                entry.setdefault(theirs - mine, []).append((r, s))
-        return entry
+    def __missing__(self, diff):
+        index = self.index
+        hits = self[diff] = tuple(
+            (r, s) for r, mine in enumerate(self.prefixes, 1)
+            for s in index.get(mine + diff, ()))
+        return hits
 
 
 class Relation:
@@ -261,25 +266,34 @@ class Relation:
                 for row in self.letter_eq)
         return packed
 
-    def image_tables(self, cap):
-        """The tables the splits' walk reads, packed as packed_states(cap).
+    def image_tables(self, cap, k=1):
+        """The tables the splits' walk reads for sigma^k, packed as
+        packed_states(cap); built once per packing width and k.
 
-        Per letter a: the packed state of its image sigma(a), the integer
+        Per letter a: the packed state of its image sigma^k(a), the integer
         enclosure of the image's scaled length, its letter count and the
-        image itself. The row of a maps each letter b to {P_b[s] - P_a[r]:
-        [(r, s), ...]} over 1 <= r <= |sigma(a)| and 1 <= s <= |sigma(b)|,
-        P_a[r] being the packed state of sigma(a)[:r] and the pairs in
-        order; an entry is built on first use. All entries together hold
-        (sum_a |sigma(a)|)^2 pairs.
+        image itself. Entry rows[a][b] maps a state difference D to the
+        pairs (r, s) with P_a[r] + D = P_b[s], over 1 <= r <= |sigma^k(a)|
+        and 1 <= s <= |sigma^k(b)|, in order, P_a[r] being the packed state
+        of sigma^k(a)[:r]. It is built on the first lookup of D, one pass
+        over P_a against an index of P_b, so the work follows the lookups
+        made; a D with no pair maps to the empty tuple.
         """
         bits = self._bits(cap)
-        tables = self._images.get(bits)
+        tables = self._images.get((bits, k))
         if tables is None:
             packed = self.packed_states(cap)
-            images = self.subst.rules
+            images = tuple(self.subst.apply((a,), k)
+                           for a in range(self.subst.size))
             prefixes = [list(accumulate(map(packed.__getitem__, image)))
                         for image in images]
-            tables = self._images[bits] = ImageTables(
+            indices = []
+            for prefix in prefixes:
+                index = {}  # an image longer than cap may repeat a value
+                for s, theirs in enumerate(prefix, 1):
+                    index[theirs] = index.get(theirs, ()) + (s,)
+                indices.append(index)
+            tables = self._images[bits, k] = ImageTables(
                 states=tuple(p[-1] for p in prefixes),
                 low=tuple(sum(map(self.length_low.__getitem__, image))
                           for image in images),
@@ -287,7 +301,8 @@ class Relation:
                            for image in images),
                 sizes=tuple(map(len, images)),
                 images=images,
-                rows=tuple(_ImageRow(prefixes, a) for a in range(len(images))))
+                rows=tuple(tuple(_Hits(mine, index) for index in indices)
+                           for mine in prefixes))
         return tables
 
     # -- predicates -----------------------------------------------------------

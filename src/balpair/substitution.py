@@ -7,7 +7,6 @@ order of left-hand sides, and every report sticks to that order.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, islice
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
@@ -227,18 +226,23 @@ class FixedPointStream:
         self._buffer = list(subst.apply((seed,), power))
         if not (self._buffer[0] == seed and len(self._buffer) >= 2):
             raise ValueError("seed does not start an expanding fixed word")
+        self._ancestors = {}
 
-    @cached_property
-    def parents(self):
-        """The word v = phi^(power-1)(u) with phi(v) = u: fixed by
-        phi^power from the letter before the seed on its first-letter
-        cycle, and the fixed word itself when power is 1."""
-        if self.power == 1:
+    def ancestor(self, k):
+        """The word v_k with phi^k(v_k) = u, for k >= 0: fixed by phi^power
+        from the letter k steps before the seed on its first-letter cycle,
+        so the fixed word itself when power divides k. Built once per
+        letter of the cycle."""
+        ahead = -k % self.power  # k steps back is this many ahead
+        if not ahead:
             return self
-        seed = self.seed
-        for _ in range(self.power - 1):
-            seed = self.subst.rules[seed][0]
-        return FixedPointStream(self.subst, self.power, seed)
+        if ahead not in self._ancestors:
+            seed = self.seed
+            for _ in range(ahead):
+                seed = self.subst.rules[seed][0]
+            self._ancestors[ahead] = FixedPointStream(self.subst, self.power,
+                                                      seed)
+        return self._ancestors[ahead]
 
     def _grow(self, need):
         while len(self._buffer) < need:

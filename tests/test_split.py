@@ -9,24 +9,29 @@ top[:i] ~ bottom[:j], checked with `word_equiv` on the two prefixes, and
 reads the components off between consecutive cuts. `children` is checked
 against `split` of the whole images, on long parent windows and on images
 with long runs of one letter, at caps around the longest image.
-`shift_split`, the split of a fixed word against its own shift, is checked
-against `shift_components`, the linear split of prefixes of that word, and
-`initial_pairs` against the same loop over `shift_components`.
+`shift_split`, the split of a fixed word against its own shift, walks an
+ancestor word under sigma^k; it is checked against `shift_components`, the
+linear split of prefixes of that word, at its own k and at forced k of 1,
+2 and 3, and `initial_pairs` against the same loop over `shift_components`.
+The image tables' hit lists, built per state difference, are checked
+against entries built whole.
 """
 
 import functools
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import (accumulate, combinations_with_replacement, islice,
+                       product)
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from balpair.engine import (BalancedPair, Budgets, children, initial_pairs,
-                            run_bpa, shift_split)
-from balpair.equivalence import LengthSpec, Relation
+from balpair import engine
+from balpair.engine import (BalancedPair, Budgets, _walk_power, children,
+                            initial_pairs, run_bpa, shift_split)
+from balpair.equivalence import LengthSpec, Relation, RelationSpec
 from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
 from balpair.substitution import fixed_point_stream, parse_substitution
@@ -304,11 +309,11 @@ def _counted(letters, tally):
         yield letter
 
 
-def _parents_through(rules, parents, letters):
+def _parents_through(images, parents, letters):
     """The fewest parent letters whose images hold `letters` letters."""
     count = total = 0
     while total < letters:
-        total += len(rules[parents[count]])
+        total += len(images[parents[count]])
         count += 1
     return count
 
@@ -317,20 +322,23 @@ def _parents_through(rules, parents, letters):
 @pytest.mark.parametrize("name", ["ex1", "tribonacci", "three", "two-cycle"])
 def test_split_of_infinite_streams_is_lazy(name, kind):
     # u against its shift by 3, as initial_pairs reads it. shift_split
-    # walks the parent word v, with u = sigma(v), once from its first
+    # walks the ancestor word v, with u = sigma^k(v), once from its first
     # letter for the top and once from the letter whose image holds u's
     # letter 3 for the bottom. Right after a component, the top has read
     # the parent letters up to the one whose image holds the cut. The
     # bottom has read those whose images may start before the end of that
     # top image, and one more: past the parent letter holding its cut, at
-    # most `ratio` whole images, ratio bounding the longest image's scaled
-    # length over the shortest's, and two more
+    # most `ratio` whole images, ratio bounding the longest sigma^k
+    # image's scaled length over the shortest's, and two more. In letters
+    # of u, each side reads up to about (ratio + 2) max |sigma^k(a)| ahead
     subst = SUBSTS[name]
     rel = _relation(subst, kind)
     stream = fixed_point_stream(subst)
     head = list(islice(shift_components(stream, rel, 3, 400), 200))
     assert len(head) == 200
-    parents = stream.parents
+    k = _walk_power(subst)
+    assert k > 1  # short images: the walk is over sigma^k images
+    parents = stream.ancestor(k)
     reads = []
     letters = parents.letters
 
@@ -340,19 +348,20 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
 
     parents.letters = counted
     lazy = shift_split(rel, stream, 3, 400)
-    tables = rel.image_tables(400)
+    tables = rel.image_tables(400, k)
     ratio = -(-max(tables.high) // min(tables.low))
-    word = parents.prefix(4000)
-    bottom_start = _parents_through(subst.rules, word, 4) - 1
+    word = parents.prefix(1000)
+    bottom_start = _parents_through(tables.images, word, 4) - 1
     top = bottom = 0
     for component in head:
         assert next(lazy) == component
         top += len(component.top)
         bottom += len(component.bottom)
         [read_top], [read_bottom] = reads
-        assert read_top == _parents_through(subst.rules, word, top)
+        assert read_top == _parents_through(tables.images, word, top)
         assert (bottom_start + read_bottom
-                <= _parents_through(subst.rules, word, 3 + bottom) + ratio + 2)
+                <= _parents_through(tables.images, word, 3 + bottom)
+                + ratio + 2)
 
 
 def test_one_long_component_keeps_a_bounded_window():
@@ -478,6 +487,175 @@ def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
                 subst, rel, w, budgets))
             got = _outcome(lambda: initial_pairs(subst, rel, w, budgets))
             assert got == expected, (window, max_scan_length)
+
+
+# -- walks under sigma^k ------------------------------------------------------
+
+def _assert_hits_match_whole_entries(tables, prefixes, rng):
+    """Each difference's hits, looked up in a random order, equal those of
+    the entry built whole: every (r, s) grouped by P_b[s] - P_a[r], in
+    order. The lookups are of every difference with a pair, its
+    neighbours and one far miss."""
+    for a, b in product(range(len(prefixes)), repeat=2):
+        whole = {}
+        for r, mine in enumerate(prefixes[a], 1):
+            for s, theirs in enumerate(prefixes[b], 1):
+                whole.setdefault(theirs - mine, []).append((r, s))
+        diffs = [d + e for d in whole for e in (-1, 0, 1)]
+        diffs.append(rng.randrange(-2 ** 80, 2 ** 80))
+        rng.shuffle(diffs)
+        for diff in diffs:
+            assert list(tables.rows[a][b][diff]) == whole.get(diff, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(primitive_substitutions(), st.sampled_from(
+    ("plain", "letters", "ones", "lambda")), st.integers(1, 3),
+    st.sampled_from((1, 2, 5, 400)), st.randoms(use_true_random=False))
+def test_image_table_hits_match_whole_entries(subst, kind, k, cap, rng):
+    try:
+        rel = _relation(subst, kind)
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    tables = rel.image_tables(cap, k)
+    assert rel.image_tables(cap, k) is tables
+    packed = rel.packed_states(cap)
+    images = tuple(subst.apply((a,), k) for a in range(subst.size))
+    assert tables.images == images
+    assert tables.sizes == tuple(map(len, images))
+    prefixes = [list(accumulate(map(packed.__getitem__, image)))
+                for image in images]
+    assert tables.states == tuple(p[-1] for p in prefixes)
+    _assert_hits_match_whole_entries(tables, prefixes, rng)
+
+
+def test_image_table_hits_keep_repeated_prefix_states():
+    # packed for cap 1, letter 1's state (8, -1) is -56 and letter 2's
+    # (8, 0) is 8, so the nine-letter image 2 1 2222222 repeats the packed
+    # prefix state 8 at s = 1 and s = 9: a state difference of more than
+    # 2 (cap + 1) letters may pack to zero. Each s is kept
+    subst = parse_substitution("1 -> 212222222\n2 -> 12")
+    rel = Relation(subst, RelationSpec.plain(), ((8, -1), (8, 0)), (1, 1))
+    tables = rel.image_tables(1)
+    prefixes = [list(accumulate(map(rel.packed_states(1).__getitem__, image)))
+                for image in subst.rules]
+    assert prefixes[0][0] == prefixes[0][8] == 8
+    assert tables.rows[0][0][0] == ((1, 1), (1, 9), (2, 2), (3, 3), (4, 4),
+                                    (5, 5), (6, 6), (7, 7), (8, 8), (9, 1),
+                                    (9, 9))
+    _assert_hits_match_whole_entries(tables, prefixes, random.Random(0))
+
+
+def test_walk_power_is_the_largest_under_the_letter_bound():
+    # ex1's sigma^k images hold 5, 13, 34, 89, 233 letters in all, so it
+    # walks sigma^4 under 96 and sigma^3 under 88; images that already
+    # hold more than 96 letters are walked under sigma itself
+    assert engine.WALK_LETTERS == 96
+    assert _walk_power(SUBSTS["ex1"]) == 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "WALK_LETTERS", 88)
+        assert _walk_power(SUBSTS["ex1"]) == 3
+    assert _walk_power(parse_substitution(
+        f"1 -> {'12' * 25}\n2 -> {'21' * 25}")) == 1
+
+
+def _walk_letters(subst, k):
+    """A WALK_LETTERS under which shift_split walks sigma^k images."""
+    return sum(len(subst.apply((a,), k)) for a in range(subst.size))
+
+
+def _forced_outcomes(subst, rel, k, count):
+    """_shift_outcomes with shift_split forced to walk sigma^k images, at
+    shifts inside the first sigma^k image of the ancestor word, on its end
+    and just past it, and caps around the longest sigma^k image."""
+    stream = fixed_point_stream(subst)
+    first = len(subst.apply((stream.ancestor(k).letter(0),), k))
+    longest = max(len(subst.apply((a,), k)) for a in range(subst.size))
+    caps = sorted({1, 2, longest - 1, longest, longest + 1, 400} - {0})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "WALK_LETTERS", _walk_letters(subst, k))
+        assert _walk_power(subst) == k
+        for shift in sorted({1, first - 1, first, first + 1} - {0}):
+            for case, expected, got in _shift_outcomes(subst, rel, shift,
+                                                       caps, count):
+                yield (shift, longest) + case, expected, got
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["ex1", "tribonacci", "const-len",
+                                  "two-cycle"])
+def test_shift_split_under_a_forced_power(name, k):
+    # power-1 words and the power-2 two-cycle, walked over sigma^k images;
+    # caps below the longest image end in the same ScanOverflow after the
+    # same components, which some case here covers
+    subst = SUBSTS[name]
+    overflows = 0
+    for kind in ("plain", "lambda"):
+        rel = _relation(subst, kind)
+        for case, expected, got in _forced_outcomes(subst, rel, k, 300):
+            assert got == expected, (kind, case)
+            shift, longest, cap, which = case
+            components, error = expected
+            overflows += (cap < longest and bool(components)
+                          and error == ("ScanOverflow", which))
+    assert overflows
+
+
+@st.composite
+def powered_substitutions(draw):
+    """Primitive substitutions on 2-4 letters with images of 1-4 letters,
+    whose fixed word is fixed by sigma or, when the first letters of 1
+    and 2 swap and no image starts with its own letter, by sigma^2."""
+    size = draw(st.integers(2, 4))
+    power = draw(st.integers(1, 2))
+    letters = st.integers(0, size - 1)
+    rules = draw(st.lists(st.lists(letters, min_size=1, max_size=4),
+                          min_size=size, max_size=size))
+    if power == 2:
+        rules[0][0], rules[1][0] = 1, 0
+        for image in rules[2:]:
+            image[0] = draw(st.integers(0, 1))
+    text = "".join(f"{i + 1} -> {''.join(str(a + 1) for a in image)}\n"
+                   for i, image in enumerate(rules))
+    subst = parse_substitution(text)
+    assume(subst.is_primitive())
+    assume(fixed_point_stream(subst).power == power)
+    return subst
+
+
+@settings(max_examples=100, deadline=None)
+@given(powered_substitutions(), st.sampled_from(
+    ("plain", "letters", "ones", "lambda")), st.integers(1, 3))
+def test_shift_split_under_a_forced_power_of_random_substitutions(subst,
+                                                                  kind, k):
+    try:
+        rel = _relation(subst, kind)
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    for case, expected, got in _forced_outcomes(subst, rel, k, 200):
+        assert got == expected, case
+
+
+def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
+    # tetranacci walks sigma^5 images, 94 letters in all. The tables hold
+    # the lookups made, a few differences per letter pair, and the walk
+    # the pending component: 20 000 components peaked at 27 kB on CPython
+    # 3.11. Entries holding every (r, s) of the 94-letter images would
+    # hold 8836 pairs, over half a megabyte
+    subst = parse_substitution("1 -> 12\n2 -> 13\n3 -> 14\n4 -> 1")
+    rel = Relation.plain(subst)
+    stream = fixed_point_stream(subst)
+    assert _walk_power(subst) == 5
+    stream.prefix(100_000)  # the fixed word itself is not counted
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in islice(shift_split(rel, stream, 1, 400),
+                                      20_000))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 20_000
+    assert peak < 250_000
 
 
 # -- the closure's children ---------------------------------------------------

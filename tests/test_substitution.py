@@ -116,17 +116,22 @@ def test_fixed_point_needs_power_two():
     ("1 -> 21\n2 -> 112", 2),
     ("1 -> 21\n2 -> 31\n3 -> 123", 3),  # first letters cycle 1, 2, 3
 ])
-def test_parents_map_onto_the_fixed_word(text, power):
-    # u = sigma(v) for v = sigma^(power-1)(u), itself fixed by sigma^power
+def test_ancestors_map_onto_the_fixed_word(text, power):
+    # u = sigma^k(v_k) for each k, with v_k fixed by sigma^power; v_k is u
+    # itself when power divides k
     subst = parse_substitution(text)
     stream = fixed_point_stream(subst)
-    parents = stream.parents
-    assert stream.power == parents.power == power
-    assert (parents is stream) == (power == 1)
-    assert parents is stream.parents  # built once
-    v = parents.prefix(300)
-    assert subst.apply(v)[:300] == stream.prefix(300)
-    assert subst.apply(v, power)[:300] == v
+    assert stream.power == power
+    u = stream.prefix(300)
+    for k in range(1, 2 * power + 1):
+        ancestor = stream.ancestor(k)
+        assert ancestor.power == power
+        assert (ancestor is stream) == (k % power == 0)
+        assert ancestor is stream.ancestor(k)  # built once
+        assert ancestor is stream.ancestor(k + power)
+        v = ancestor.prefix(300)
+        assert subst.apply(v, k)[:300] == u
+        assert subst.apply(v, power)[:300] == v
 
 
 def test_prefix_stability():
