@@ -21,8 +21,7 @@ from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError)
 from .linalg import char_poly, classify_spectrum, integer_form
 from .report import render_dot, render_json, spectral_fields
-from .substitution import (auto_prefixes, fixed_point_stream,
-                           parse_substitution)
+from .substitution import auto_prefixes, parse_substitution
 from .verdict import AnalysisConfig, analyze
 
 EXIT_OK = 0
@@ -291,7 +290,7 @@ def cmd_bpa(args, out):
     config.relations = config.relations[:1]
     if not config.prefixes and subst.is_primitive():
         config.prefixes = auto_prefixes(
-            fixed_point_stream(subst), config.auto_max_len,
+            subst.fixed_point(), config.auto_max_len,
             config.require_return)[:1]
     report = analyze(subst, config)
     _print_cells(report, args, out)

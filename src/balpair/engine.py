@@ -22,10 +22,12 @@ image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
 images take one loop step per sigma^k image rather than per letter of u.
 Only the pending component's letters are held.
 
-A pair is a named tuple of its two words, so it is its own key. The
-closure, `run_bpa`, returns one record, a `Closure`: the pair graph it
-computed, the iteration that found each pair, and the budget that stopped
-it, if any.
+Each entry point takes a relation, which names its substitution sigma
+(rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
+substitution. A pair is a named tuple of its two words, so it is its own
+key. The closure, `run_bpa`, returns one record, a `Closure`: the pair
+graph it computed, the iteration that found each pair, and the budget that
+stopped it, if any.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import NamedTuple
 
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
-from .substitution import FixedPointStream, fixed_point_stream
 
 
 class BalancedPair(NamedTuple):
@@ -226,10 +227,10 @@ def _walk_power(subst):
     return k
 
 
-def shift_split(rel, stream, shift, cap, which="max_word_length"):
-    """Irreducible components of the fixed word u against its shift by
-    `shift` letters, walked over the ancestor word v = stream.ancestor(k)
-    under sigma^k, for k = _walk_power(rel.subst).
+def shift_split(rel, shift, cap, which="max_word_length"):
+    """Irreducible components of the fixed word u of rel.subst against its
+    shift by `shift` letters, walked over the ancestor word v =
+    u.ancestor(k) under sigma^k, for k = _walk_power(rel.subst).
 
     u = sigma^k(v), so u less its first `shift` letters is sigma^k(v[j:])
     less its first d letters, where sigma^k(v[:j]) has shift - d letters
@@ -239,15 +240,11 @@ def shift_split(rel, stream, shift, cap, which="max_word_length"):
     longest image's length spans of the shortest, plus two.
 
     Raises ScanOverflow(which) when a component would have more than cap
-    letters on a side, after yielding every earlier component, and
-    ValueError when the stream and the relation are over different
-    substitutions.
+    letters on a side, after yielding every earlier component.
     """
-    if stream.subst != rel.subst:
-        raise ValueError("the stream and the relation are over different "
-                         "substitutions")
     k = _walk_power(rel.subst)
-    tables, ancestor = rel.image_tables(cap, k), stream.ancestor(k)
+    tables = rel.image_tables(cap, k)
+    ancestor = rel.subst.fixed_point().ancestor(k)
     j, d = 0, shift
     while d >= len(image := tables.images[ancestor.letter(j)]):
         j, d = j + 1, d - len(image)
@@ -259,25 +256,23 @@ def shift_split(rel, stream, shift, cap, which="max_word_length"):
                  d, head)
 
 
-def children(subst, rel, pair, *, max_word_length=None):
-    """Irreducible pairs in the reduction of the substituted pair, in order:
-    the walk of sigma(top) against sigma(bottom) over rel.image_tables. The
-    lookups number about |top| + |bottom|, and no whole image is held.
+def children(rel, pair, *, max_word_length):
+    """Irreducible pairs in the reduction of the pair substituted by
+    rel.subst, in order: the walk of sigma(top) against sigma(bottom) over
+    rel.image_tables. The lookups number about |top| + |bottom|, and no
+    whole image is held. A cap of at least max(|top|, |bottom|) times the
+    longest image never overflows.
 
     Raises ScanOverflow("max_word_length") when a component would have more
     than max_word_length letters on a side, and NotBalanced when the images
     end other than at a cut.
     """
-    cap = max_word_length
-    if cap is None:  # no component outgrows the images
-        cap = max(len(pair.top), len(pair.bottom)) * max(map(len, subst.rules))
-    return list(_walk(rel.image_tables(cap), pair.top, pair.bottom, cap,
-                      "max_word_length"))
+    return list(_walk(rel.image_tables(max_word_length), pair.top,
+                      pair.bottom, max_word_length, "max_word_length"))
 
 
-def initial_pairs(subst, rel, w, budgets: Budgets,
-                  stream: FixedPointStream | None = None) -> list:
-    """I_1(w): split the fixed word against its shift by |w|.
+def initial_pairs(rel, w, budgets: Budgets) -> list:
+    """I_1(w): split the fixed word u of rel.subst against its shift by |w|.
 
     Streams the reduction of u against its shift by |w| letters (u less
     its first |w| letters) and returns the distinct irreducible pairs in
@@ -293,9 +288,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
     w = tuple(w)
     if not w:
         raise ValueError("prefix must be nonempty")
-    if stream is None:
-        stream = fixed_point_stream(subst)
-    if stream.prefix(len(w)) != w:
+    if rel.subst.fixed_point().prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
     if budgets.max_scan_length < budgets.max_word_length:
         cap, which = budgets.max_scan_length, "max_scan_length"
@@ -306,7 +299,7 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
     cuts_at_last_new = 0
     scanned = 0
     window = budgets.split_stability_window
-    for component in shift_split(rel, stream, len(w), cap, which):
+    for component in shift_split(rel, len(w), cap, which):
         cuts += 1
         scanned += len(component.top)
         if component not in pairs:
@@ -325,9 +318,9 @@ def initial_pairs(subst, rel, w, budgets: Budgets,
                 which="max_scan_length")
 
 
-def run_bpa(subst, rel, w, budgets: Budgets | None = None,
-            stream: FixedPointStream | None = None) -> Closure:
-    """Worklist closure of the initial pairs under substitute-and-reduce.
+def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
+    """Worklist closure of the initial pairs I_1(w) under
+    substitute-and-reduce by rel.subst.
 
     Returns the Closure: every pair found, the iteration that found it, and
     the edges of every pair whose children were computed, once per pair.
@@ -344,7 +337,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
                        which=which)
 
     try:
-        vertices += initial_pairs(subst, rel, w, budgets, stream=stream)
+        vertices += initial_pairs(rel, w, budgets)
     except (ScanOverflow, StabilityNotReached) as exc:
         return stop(exc.which, 1)
     index = {pair: i for i, pair in enumerate(vertices)}
@@ -360,7 +353,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
         max_new = 0
         for vertex, pair in frontier:
             try:
-                kids = children(subst, rel, pair,
+                kids = children(rel, pair,
                                 max_word_length=budgets.max_word_length)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
@@ -383,7 +376,7 @@ def run_bpa(subst, rel, w, budgets: Budgets | None = None,
     return stop(None, iteration)
 
 
-def pair_graph(subst, rel, pairs) -> PairGraph:
+def pair_graph(rel, pairs) -> PairGraph:
     """Build the pair graph of a closed pair set, recomputing all children.
 
     The reference run_bpa's graph is tested against. Raises NotClosed when
@@ -395,7 +388,7 @@ def pair_graph(subst, rel, pairs) -> PairGraph:
     edges = {}
     for i, pair in enumerate(vertices):
         try:
-            kids = children(subst, rel, pair, max_word_length=cap)
+            kids = children(rel, pair, max_word_length=cap)
         except ScanOverflow:
             raise NotClosed("children exceed the longest member; set not closed")
         for kid in kids:
@@ -425,36 +418,36 @@ def coincidence_analysis(graph: PairGraph):
     return reached
 
 
-def coincidence_density(subst, rel, w, level, horizon,
-                        stream: FixedPointStream | None = None) -> DensityStats:
-    """Empirical coincident-length density when u is matched against its
-    shift by phi^level(w).
+def coincidence_density(rel, w, level, horizon) -> DensityStats:
+    """Empirical coincident-length density when the fixed word u of
+    rel.subst is matched against its shift by phi^level(w).
 
     Coincident positions sit exactly in the single-letter |a/a| components of
     the reduction, so the ratio is coincidence mass over total mass across the
-    complete components covering the first `horizon` letters.
+    complete components covering the first `horizon` letters. The tops of
+    those components are u's first letters, so the total mass is that of a
+    prefix of u; both masses are measured once, from letter counts.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     w = tuple(w)
-    shift_word = subst.apply(w, level)
+    shift_word = rel.subst.apply(w, level)
     if horizon < len(shift_word):
         raise ValueError("horizon shorter than the shift word")
-    if stream is None:
-        stream = fixed_point_stream(subst)
-    if stream.prefix(len(w)) != w:
+    u = rel.subst.fixed_point()
+    if u.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
-    coincident = total = rel.length_of(())
+    letters = []  # the tops of the coincident components
     scanned = 0
-    for component in shift_split(rel, stream, len(shift_word),
+    for component in shift_split(rel, len(shift_word),
                                  max(horizon * 4, 10_000), "max_scan_length"):
-        mass = rel.length_of(component.top)
-        total += mass
         if component.is_coincidence:
-            coincident += mass
+            letters += component.top
         scanned += len(component.top)
         if scanned >= horizon:
             break
+    coincident = rel.length_of(letters)
+    total = rel.length_of(u.prefix(scanned))
     ratio = _exact_ratio(coincident, total)
     return DensityStats(horizon=scanned,
                         coincident_mass=coincident, total_mass=total,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import mat_powers
@@ -312,16 +313,9 @@ class Relation:
         return self.subst.spectrum().perron.sign_of(s)
 
     def length_of(self, word):
-        """Exact L-length of a word (Fraction, or FieldScalar in lambda mode)."""
-        total = None
-        for letter in word:
-            w = self.lengths[letter]
-            total = w if total is None else total + w
-        if total is None:
-            first = self.lengths[0]
-            return (first.field.zero() if isinstance(first, FieldScalar)
-                    else Fraction(0))
-        return total
+        """Exact L-length of a word (Fraction, or FieldScalar in lambda
+        mode): its population vector dotted with the lengths."""
+        return sum(map(mul, self.subst.population_vector(word), self.lengths))
 
 
 def letter_equiv_classes(subst: Substitution, ones=None):

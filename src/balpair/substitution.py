@@ -85,6 +85,7 @@ class Substitution:
         self._matrix = None
         self._primitive = None
         self._spectrum = None
+        self._fixed_point = None
 
     @property
     def size(self):
@@ -143,6 +144,12 @@ class Substitution:
                 raise ValueError("spectral data needs a primitive matrix")
             self._spectrum = Spectrum.of(self.transition_matrix())
         return self._spectrum
+
+    def fixed_point(self) -> FixedPointStream:
+        """The fixed word u, as fixed_point_stream finds it; built once."""
+        if self._fixed_point is None:
+            self._fixed_point = fixed_point_stream(self)
+        return self._fixed_point
 
     def is_constant_length(self):
         return len({len(img) for img in self.rules}) == 1

@@ -18,7 +18,7 @@ from .engine import (Budgets, Closure, coincidence_analysis,
 from .equivalence import LengthSpec, RelationSpec, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
 from .linalg import EigenReport, Spectrum, classify_spectrum
-from .substitution import Substitution, auto_prefixes, fixed_point_stream
+from .substitution import Substitution, auto_prefixes
 
 PURE_DISCRETE = "pure_discrete"
 NOT_PURE_DISCRETE = "not_pure_discrete"
@@ -112,7 +112,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     t_start = time.perf_counter()
     timings = {}
-    stream = fixed_point_stream(subst)
+    stream = subst.fixed_point()
     if config.prefixes:
         prefixes = [tuple(w) for w in config.prefixes]
         for w in prefixes:
@@ -145,8 +145,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     def run_cell(prefix, spec):
         key = (prefix, spec)
         if key not in outcomes:
-            outcomes[key] = run_bpa(subst, relation(spec), prefix,
-                                    config.budgets, stream=stream)
+            outcomes[key] = run_bpa(relation(spec), prefix, config.budgets)
         return outcomes[key]
 
     pf = RelationSpec.general(LengthSpec.pf())
@@ -181,8 +180,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                     if not pf_outcome.terminated:
                         corollary_ok = False
                 if config.density_levels is not None:
-                    cell.densities = _densities(subst, rel, prefix,
-                                                config.density_levels, stream)
+                    cell.densities = _densities(rel, prefix,
+                                                config.density_levels)
             except BalpairError as exc:
                 cell.exception = exc
             cell.seconds = time.perf_counter() - t0
@@ -203,11 +202,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     )
 
 
-def _densities(subst, rel, prefix, levels, stream):
+def _densities(rel, prefix, levels):
     out = []
     for level in range(levels + 1):
-        shift = len(subst.apply(prefix, level))
+        shift = len(rel.subst.apply(prefix, level))
         horizon = max(2 * shift, 4000)
-        out.append(coincidence_density(subst, rel, prefix, level, horizon,
-                                       stream=stream))
+        out.append(coincidence_density(rel, prefix, level, horizon))
     return out

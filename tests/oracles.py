@@ -6,13 +6,14 @@ the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
 arithmetic, a per-letter word equivalence, the splits of two words (a
 linear whole-word split and a quadratic one), the split of the fixed word
 against its shift from whole-word splits of its prefixes, a whole-word
-`reduce_pair`, the initial split on that prefix split, and small matrix and
-rendering helpers.
+`reduce_pair`, the initial split on that prefix split, the coincidence
+density masses summed per component, and small matrix and rendering
+helpers.
 """
 
 from fractions import Fraction
 
-from balpair.engine import BalancedPair, Budgets
+from balpair.engine import BalancedPair, Budgets, shift_split
 from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
                             StabilityNotReached)
 from balpair.linalg import mat_mul
@@ -205,15 +206,13 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
     return list(split(rel, u, v, cap))
 
 
-def reference_initial_pairs(subst, rel, w, budgets: Budgets,
-                            stream: FixedPointStream | None = None) -> list:
+def reference_initial_pairs(rel, w, budgets: Budgets) -> list:
     """engine.initial_pairs with the split of the fixed word against its
-    shift taken from shift_components."""
+    shift taken from shift_components, over a fixed word of its own."""
     w = tuple(w)
     if not w:
         raise ValueError("prefix must be nonempty")
-    if stream is None:
-        stream = fixed_point_stream(subst)
+    stream = fixed_point_stream(rel.subst)
     if stream.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
     if budgets.max_scan_length < budgets.max_word_length:
@@ -241,6 +240,25 @@ def reference_initial_pairs(subst, rel, w, budgets: Budgets,
             raise StabilityNotReached(
                 f"still discovering after {budgets.max_scan_length} letters",
                 which="max_scan_length")
+
+
+def reference_density_masses(rel, w, level, horizon):
+    """The coincident and total masses of engine.coincidence_density,
+    summed over the same components one at a time, each component's
+    L-length letter by letter."""
+    zero = rel.lengths[0] * 0
+    coincident = total = zero
+    scanned = 0
+    shift = len(rel.subst.apply(tuple(w), level))
+    for component in shift_split(rel, shift, max(horizon * 4, 10_000),
+                                 "max_scan_length"):
+        mass = sum((rel.lengths[letter] for letter in component.top), zero)
+        total += mass
+        if component.is_coincidence:
+            coincident += mass
+        scanned += len(component.top)
+        if scanned >= horizon:
+            return coincident, total
 
 
 def substitute_pair(subst, pair):

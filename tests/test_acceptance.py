@@ -56,7 +56,7 @@ def test_criterion_01_ex1_exact_closure(capfd):
     rel = Relation.plain(subst)
     w = subst.alphabet.word_from_text("1")
     started = time.perf_counter()
-    outcome = run_bpa(subst, rel, w, Budgets())
+    outcome = run_bpa(rel, w, Budgets())
     elapsed = time.perf_counter() - started
     assert outcome.terminated
     rendered = {p.render(subst.alphabet) for p in outcome.vertices}
@@ -76,14 +76,14 @@ def test_criterion_01_ex1_exact_closure(capfd):
 def test_criterion_02_constant_length(capfd):
     subst = load_corpus("const-len")
     w = subst.alphabet.word_from_text("1")
-    plain = run_bpa(subst, Relation.plain(subst), w,
+    plain = run_bpa(Relation.plain(subst), w,
                     Budgets(max_iterations=14, max_word_length=200_000))
     assert not plain.terminated
     lengths = [ln for _, ln in plain.growth_trace]
     strict_run = longest_monotone_run(lengths, strict=True)
     assert strict_run >= 10, lengths
 
-    letters = run_bpa(subst, Relation.letter_classes(subst), w, Budgets())
+    letters = run_bpa(Relation.letter_classes(subst), w, Budgets())
     assert letters.terminated
     graph = letters
     assert coincidence_analysis(graph) == set(range(len(graph.vertices)))
@@ -96,9 +96,9 @@ def test_criterion_03_exnoncon(capfd):
     subst = load_corpus("exnoncon")
     assert letter_equiv_classes(subst) == ((0,), (1, 2, 3))
     w = subst.alphabet.word_from_text("31")
-    letters = run_bpa(subst, Relation.letter_classes(subst), w, Budgets())
+    letters = run_bpa(Relation.letter_classes(subst), w, Budgets())
     assert letters.terminated
-    plain = run_bpa(subst, Relation.plain(subst), w, Budgets())
+    plain = run_bpa(Relation.plain(subst), w, Budgets())
     assert not plain.terminated
 
     matrix = subst.transition_matrix()
@@ -127,9 +127,9 @@ def test_criterion_04_reducible_three_letter(capfd):
     assert not word_equiv(custom, w("11"), w("23"))
 
     prefix = w("11")
-    assert run_bpa(subst, lam, prefix, Budgets()).terminated
-    assert run_bpa(subst, ones, prefix, Budgets()).terminated
-    assert not run_bpa(subst, custom, prefix, Budgets()).terminated
+    assert run_bpa(lam, prefix, Budgets()).terminated
+    assert run_bpa(ones, prefix, Budgets()).terminated
+    assert not run_bpa(custom, prefix, Budgets()).terminated
 
     factors = factor_poly(char_poly(subst.transition_matrix()))
     assert factors == [(RatPoly((-1, 1)), 1), (RatPoly((-1, -3, 1)), 1)]
@@ -148,7 +148,7 @@ def _mt_lambda_run():
         subst = load_corpus("mt-rewrite")
         rel = Relation.generalized(subst, LengthSpec.pf())
         w = subst.alphabet.word_from_text("1")
-        _MT_CACHE.append((subst, run_bpa(subst, rel, w, MT_BUDGETS)))
+        _MT_CACHE.append((subst, run_bpa(rel, w, MT_BUDGETS)))
     return _MT_CACHE[0]
 
 
@@ -203,7 +203,7 @@ def test_criterion_06_rewritten_pisot(capfd):
 
     rel = Relation.generalized(subst, LengthSpec.custom(length))
     w = subst.alphabet.word_from_text("122334")
-    outcome = run_bpa(subst, rel, w, Budgets())
+    outcome = run_bpa(rel, w, Budgets())
     assert outcome.terminated
     ordered = len(outcome.vertices)
     unordered = len({frozenset((p.top, p.bottom)) for p in outcome.vertices})
@@ -381,8 +381,8 @@ def test_criterion_11_engine_fuzzing(capfd):
                 continue
             w = stream.prefix(1)
             try:
-                out1 = run_bpa(subst, rel, w, budgets, stream=stream)
-                out2 = run_bpa(subst, rel, w, budgets, stream=stream)
+                out1 = run_bpa(rel, w, budgets)
+                out2 = run_bpa(rel, w, budgets)
             except NotBalanced:  # pragma: no cover - plain mode never raises
                 raise
             closures += 1
@@ -392,10 +392,9 @@ def test_criterion_11_engine_fuzzing(capfd):
                 terminated += 1
                 members = set(out1.vertices)
                 for pair in out1.vertices:
-                    for kid in children(subst, rel, pair,
-                                        max_word_length=10_000):
+                    for kid in children(rel, pair, max_word_length=10_000):
                         assert kid in members
-                oracle = pair_graph(subst, rel, out1.vertices)
+                oracle = pair_graph(rel, out1.vertices)
                 assert out1.vertices == oracle.vertices
                 assert list(out1.edges.items()) == \
                     list(oracle.edges.items())

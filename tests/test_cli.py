@@ -104,9 +104,9 @@ def test_verdict_writes_dot(tmp_path, fixtures_dir, capsys, monkeypatch):
     children_calls = len(calls)
     subst = load_corpus("ex1")
     rel = Relation.generalized(subst, LengthSpec.pf())
-    outcome = run_bpa(subst, rel, (0,), Budgets())
+    outcome = run_bpa(rel, (0,), Budgets())
     assert children_calls == len(outcome.vertices)
-    assert text == render_dot(pair_graph(subst, rel, outcome.vertices),
+    assert text == render_dot(pair_graph(rel, outcome.vertices),
                               subst.alphabet)
 
 

@@ -9,9 +9,11 @@ from balpair.engine import (BalancedPair, Budgets, children,
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (NotBalanced, NotClosed, ScanOverflow,
                             StabilityNotReached)
-from balpair.substitution import fixed_point_stream, parse_substitution
+from balpair.substitution import parse_substitution
 
-from oracles import reduce_pair, substitute_pair, word_equiv
+from conftest import CORPUS_NAMES, load_corpus
+from oracles import (reduce_pair, reference_density_masses, substitute_pair,
+                     word_equiv)
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +131,11 @@ def test_substitute_pair_examples(ex1, noncon):
 def test_children_examples(ex1):
     rel = Relation.plain(ex1)
     coin = BalancedPair(W(ex1, "1"), W(ex1, "1"))
-    assert rendered(ex1, children(ex1, rel, coin)) == \
+    # a cap of the longer side times the longest image never overflows
+    assert rendered(ex1, children(rel, coin, max_word_length=3)) == \
         ["|1/1|", "|1/1|", "|2/2|"]
     troubling = BalancedPair(W(ex1, "12"), W(ex1, "21"))
-    assert rendered(ex1, children(ex1, rel, troubling)) == \
+    assert rendered(ex1, children(rel, troubling, max_word_length=6)) == \
         ["|1/1|", "|12/21|", "|1/1|", "|2/2|"]
 
 
@@ -140,7 +143,7 @@ def test_children_11_23_regression(three):
     # locked by computation; the concatenation invariant pins it down
     rel = Relation.generalized(three, LengthSpec.pf())
     pair = BalancedPair(W(three, "11"), W(three, "23"))
-    kids = children(three, rel, pair)
+    kids = children(rel, pair, max_word_length=8)
     top, bottom = substitute_pair(three, pair)
     assert concat_invariant(kids, top, bottom)
     assert rendered(three, kids) == \
@@ -151,9 +154,9 @@ def test_children_11_23_regression(three):
 
 def test_initial_pairs_ex1(ex1):
     rel = Relation.plain(ex1)
-    pairs = initial_pairs(ex1, rel, W(ex1, "1"), Budgets())
+    pairs = initial_pairs(rel, W(ex1, "1"), Budgets())
     assert rendered(ex1, pairs) == ["|1/1|", "|12/21|"]
-    out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
+    out = run_bpa(rel, W(ex1, "1"), Budgets())
     assert out.vertices[:len(pairs)] == pairs
     assert out.discovered[:len(pairs)] == [1] * len(pairs)
 
@@ -161,14 +164,14 @@ def test_initial_pairs_ex1(ex1):
 def test_initial_pairs_constant_length():
     cl = parse_substitution("1 -> 112\n2 -> 122")
     rel = Relation.plain(cl)
-    pairs = initial_pairs(cl, rel, W(cl, "1"), Budgets())
+    pairs = initial_pairs(rel, W(cl, "1"), Budgets())
     assert "|12/21|" in rendered(cl, pairs)
 
 
 def test_initial_pairs_troubling_word_in_closure(three):
     # the troubling pair surfaces while iterating the shifted-by-two split
     rel = Relation.plain(three)
-    out = run_bpa(three, rel, W(three, "11"), Budgets())
+    out = run_bpa(rel, W(three, "11"), Budgets())
     assert not out.terminated
     assert "|11223/23211|" in rendered(three, out.vertices)
 
@@ -176,22 +179,22 @@ def test_initial_pairs_troubling_word_in_closure(three):
 def test_initial_pairs_validates_prefix(three):
     rel = Relation.plain(three)
     with pytest.raises(ValueError):
-        initial_pairs(three, rel, W(three, "2"), Budgets())
+        initial_pairs(rel, W(three, "2"), Budgets())
     with pytest.raises(ValueError):
-        initial_pairs(three, rel, (), Budgets())
+        initial_pairs(rel, (), Budgets())
 
 
 def test_initial_pairs_budget_signals(ex1):
     rel = Relation.plain(ex1)
     with pytest.raises(StabilityNotReached):
-        initial_pairs(ex1, rel, W(ex1, "1"), Budgets(max_pairs=1))
+        initial_pairs(rel, W(ex1, "1"), Budgets(max_pairs=1))
 
 
 # run_bpa
 
 def test_run_bpa_ex1_terminates(ex1):
     rel = Relation.plain(ex1)
-    out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
+    out = run_bpa(rel, W(ex1, "1"), Budgets())
     assert out.terminated
     assert out.closure_iteration == 2
     assert set(rendered(ex1, out.vertices)) == {"|1/1|", "|12/21|", "|2/2|"}
@@ -200,7 +203,7 @@ def test_run_bpa_ex1_terminates(ex1):
 def test_run_bpa_morse_thue_budget():
     mt = parse_substitution("1 -> 1234\n2 -> 124\n3 -> 13234\n4 -> 1324")
     rel = Relation.generalized(mt, LengthSpec.pf())
-    out = run_bpa(mt, rel, W(mt, "1"), Budgets())
+    out = run_bpa(rel, W(mt, "1"), Budgets())
     assert not out.terminated
     assert out.which == "max_word_length"
     lengths = [ln for _, ln in out.growth_trace]
@@ -211,23 +214,24 @@ def test_run_bpa_morse_thue_budget():
 
 def test_run_bpa_letters_terminates_constant_length():
     cl = parse_substitution("1 -> 112\n2 -> 122")
-    out = run_bpa(cl, Relation.letter_classes(cl), W(cl, "1"), Budgets())
+    out = run_bpa(Relation.letter_classes(cl), W(cl, "1"), Budgets())
     assert out.terminated
 
 
 def test_run_bpa_closure_property(three):
     rel = Relation.generalized(three, LengthSpec.pf())
-    out = run_bpa(three, rel, W(three, "11"), Budgets())
+    out = run_bpa(rel, W(three, "11"), Budgets())
     assert out.terminated
     members = set(out.vertices)
     for pair in out.vertices:
-        for kid in children(three, rel, pair):
+        cap = 4 * max(len(pair.top), len(pair.bottom))
+        for kid in children(rel, pair, max_word_length=cap):
             assert kid in members
 
 
 def test_run_bpa_monotone_discovery(three):
     rel = Relation.generalized(three, LengthSpec.pf())
-    out = run_bpa(three, rel, W(three, "11"), Budgets())
+    out = run_bpa(rel, W(three, "11"), Budgets())
     iterations = out.discovered
     assert iterations == sorted(iterations)
     assert iterations[0] == 1
@@ -235,8 +239,8 @@ def test_run_bpa_monotone_discovery(three):
 
 def test_run_bpa_deterministic(three):
     rel = Relation.generalized(three, LengthSpec.pf())
-    out1 = run_bpa(three, rel, W(three, "11"), Budgets())
-    out2 = run_bpa(three, rel, W(three, "11"), Budgets())
+    out1 = run_bpa(rel, W(three, "11"), Budgets())
+    out2 = run_bpa(rel, W(three, "11"), Budgets())
     assert out1.vertices == out2.vertices
     assert out1.growth_trace == out2.growth_trace
 
@@ -245,8 +249,8 @@ def test_run_bpa_deterministic(three):
 
 def test_pair_graph_ex1(ex1):
     rel = Relation.plain(ex1)
-    out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
-    graph = pair_graph(ex1, rel, out.vertices)
+    out = run_bpa(rel, W(ex1, "1"), Budgets())
+    graph = pair_graph(rel, out.vertices)
     assert len(graph.vertices) == 3
     labels = {p.render(ex1.alphabet): i for i, p in enumerate(graph.vertices)}
     edges = {graph.vertices[i].render(ex1.alphabet):
@@ -264,21 +268,21 @@ def test_pair_graph_not_closed(ex1):
     rel = Relation.plain(ex1)
     partial = [BalancedPair(W(ex1, "12"), W(ex1, "21"))]
     with pytest.raises(NotClosed):
-        pair_graph(ex1, rel, partial)
+        pair_graph(rel, partial)
 
 
 def test_singleton_coincidence_graph():
     ident = parse_substitution("1 -> 11\n2 -> 12")
     rel = Relation.plain(ident)
     pairs = [BalancedPair((0,), (0,))]
-    graph = pair_graph(ident, rel, pairs)
+    graph = pair_graph(rel, pairs)
     assert graph.edges[0] == [(0, 2)]  # |1/1| -> |1/1| twice
 
 
 def test_coincidence_analysis_ex1(ex1):
     rel = Relation.plain(ex1)
-    out = run_bpa(ex1, rel, W(ex1, "1"), Budgets())
-    graph = pair_graph(ex1, rel, out.vertices)
+    out = run_bpa(rel, W(ex1, "1"), Budgets())
+    graph = pair_graph(rel, out.vertices)
     reached = coincidence_analysis(graph)
     assert reached == set(range(len(graph.vertices)))
     coincidences = [p for p in graph.vertices if p.is_coincidence]
@@ -298,9 +302,8 @@ def test_coincidence_analysis_stranded_component():
 
 def test_density_identical_streams_is_one(ex1):
     rel = Relation.plain(ex1)
-    stream = fixed_point_stream(ex1)
     total = coincident = 0
-    for comp in shift_split(rel, stream, 0, 10_000):
+    for comp in shift_split(rel, 0, 10_000):
         total += len(comp.top)
         if comp.is_coincidence:
             coincident += len(comp.top)
@@ -313,7 +316,7 @@ def test_density_ex1_increases_toward_one(ex1):
     rel = Relation.plain(ex1)
     ratios = []
     for level in range(6):
-        stats = coincidence_density(ex1, rel, W(ex1, "1"), level, 2000)
+        stats = coincidence_density(rel, W(ex1, "1"), level, 2000)
         ratios.append(stats.ratio_fraction)
     assert all(a <= b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 0.99
@@ -325,14 +328,31 @@ def test_density_morse_thue_bounded_away():
     w = W(mt, "1")
     for level in range(6):
         shift = len(mt.apply(w, level))
-        stats = coincidence_density(mt, rel, w, level, max(2 * shift, 2000))
+        stats = coincidence_density(rel, w, level, max(2 * shift, 2000))
         assert float(stats.ratio_decimal) < 0.7
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_density_masses_are_exact(name):
+    # the masses, from the letter counts of the coincident components and
+    # of the prefix of u they cover, equal the per-component sums
+    subst = load_corpus(name)
+    w = subst.fixed_point().prefix(1)
+    for rel in (Relation.generalized(subst, LengthSpec.pf()),
+                Relation.generalized(subst, LengthSpec.ones()),
+                Relation.plain(subst)):
+        for level in range(3):
+            horizon = max(2 * len(subst.apply(w, level)), 4000)
+            stats = coincidence_density(rel, w, level, horizon)
+            assert (stats.coincident_mass, stats.total_mass) == \
+                reference_density_masses(rel, w, level, horizon)
+            assert type(stats.total_mass) is type(rel.lengths[0])
 
 
 def test_density_validates_horizon(ex1):
     rel = Relation.plain(ex1)
     with pytest.raises(ValueError):
-        coincidence_density(ex1, rel, W(ex1, "1"), 5, 10)
+        coincidence_density(rel, W(ex1, "1"), 5, 10)
 
 
 def test_initial_pairs_scan_overflow(noncon):
@@ -340,28 +360,27 @@ def test_initial_pairs_scan_overflow(noncon):
     # stretch budget cannot get there
     rel = Relation.plain(noncon)
     with pytest.raises(ScanOverflow) as exc:
-        initial_pairs(noncon, rel, W(noncon, "3"),
-                      Budgets(max_scan_length=3))
+        initial_pairs(rel, W(noncon, "3"), Budgets(max_scan_length=3))
     assert exc.value.which == "max_scan_length"
 
 
 def test_run_bpa_folds_initial_budget_signals(noncon):
     rel = Relation.plain(noncon)
-    out = run_bpa(noncon, rel, W(noncon, "3"), Budgets(max_scan_length=3))
+    out = run_bpa(rel, W(noncon, "3"), Budgets(max_scan_length=3))
     assert not out.terminated
     assert out.which == "max_scan_length"
 
 
 def test_run_bpa_max_pairs_budget(three):
     rel = Relation.generalized(three, LengthSpec.custom([1, 1, 2]))
-    out = run_bpa(three, rel, W(three, "11"), Budgets(max_pairs=10))
+    out = run_bpa(rel, W(three, "11"), Budgets(max_pairs=10))
     assert not out.terminated
     assert out.which == "max_pairs"
 
 
 def test_run_bpa_max_iterations_budget():
     cl = parse_substitution("1 -> 112\n2 -> 122")
-    out = run_bpa(cl, Relation.plain(cl), W(cl, "1"),
+    out = run_bpa(Relation.plain(cl), W(cl, "1"),
                   Budgets(max_iterations=3, max_word_length=100_000))
     assert not out.terminated
     assert out.which == "max_iterations"

@@ -126,7 +126,7 @@ def test_fixture_cells(name):
     for cell in expect["cells"]:
         rel = relation_for(subst, cell["mode"])
         w = subst.alphabet.word_from_text(cell["prefix"])
-        outcome = run_bpa(subst, rel, w, budgets_for(cell), stream=stream)
+        outcome = run_bpa(rel, w, budgets_for(cell))
         spec = cell["expect"]
         label = f"{name} w={cell['prefix']} {cell['mode']}"
         if spec["outcome"] == "terminated":
@@ -138,7 +138,7 @@ def test_fixture_cells(name):
                 assert max(len(p.top) for p in outcome.vertices) == \
                     spec["longest_top"], label
             graph = outcome
-            oracle = pair_graph(subst, rel, outcome.vertices)
+            oracle = pair_graph(rel, outcome.vertices)
             assert graph.vertices == oracle.vertices, label
             assert list(graph.edges.items()) == \
                 list(oracle.edges.items()), label

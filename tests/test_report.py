@@ -176,8 +176,8 @@ def test_json_round_trip_rules():
 def test_render_dot_ex1():
     subst = parse_substitution("1 -> 112\n2 -> 12")
     rel = Relation.plain(subst)
-    out = run_bpa(subst, rel, (0,), Budgets())
-    dot = render_dot(pair_graph(subst, rel, out.vertices), subst.alphabet)
+    out = run_bpa(rel, (0,), Budgets())
+    dot = render_dot(pair_graph(rel, out.vertices), subst.alphabet)
     assert dot.count("doublecircle") == 2
     assert 'label="12/21"' in dot
     assert 'label="2"' in dot  # the multiplicity-2 edge |12/21| -> |1/1|

@@ -1,11 +1,14 @@
-"""Spectral data is computed once per substitution and read everywhere."""
+"""Spectral data and the fixed word are computed once per substitution
+and read everywhere."""
 
 import importlib
 import json
+import sys
 
 import pytest
 
 import balpair.linalg
+import balpair.substitution
 from balpair.cli import main
 from balpair.report import render_json, report_document
 from balpair.substitution import parse_substitution
@@ -25,6 +28,32 @@ def result_text(report):
 def test_spectrum_is_memoised():
     subst = load_corpus("ex1")
     assert subst.spectrum() is subst.spectrum()
+
+
+def test_fixed_point_is_memoised():
+    subst = load_corpus("ex1")
+    assert subst.fixed_point() is subst.fixed_point()
+
+
+def _count_fixed_word_builds(monkeypatch):
+    """The calls of fixed_point_stream, counted in every balpair module
+    that binds it, so a module that imports it is counted too."""
+    original = balpair.substitution.fixed_point_stream
+    calls = [count_calls(monkeypatch, module, "fixed_point_stream")
+             for key, module in list(sys.modules.items())
+             if key.split(".")[0] == "balpair"
+             and getattr(module, "fixed_point_stream", None) is original]
+    return lambda: sum(map(len, calls))
+
+
+def test_bpa_and_analyze_build_the_fixed_word_once(fixtures_dir, capsys,
+                                                   monkeypatch):
+    builds = _count_fixed_word_builds(monkeypatch)
+    assert main(["bpa", str(fixtures_dir / "ex1.sub")]) == 0
+    capsys.readouterr()
+    assert builds() == 1
+    analyze(load_corpus("pisot-rewrite"), AnalysisConfig(density_levels=1))
+    assert builds() == 2
 
 
 def test_spectrum_needs_a_primitive_substitution():
@@ -75,5 +104,5 @@ def test_bpa_runs_only_the_printed_cell(fixtures_dir, capsys, monkeypatch,
     assert code == 0
     [line] = out.splitlines()
     assert line.startswith(f"  w=1 general[{length}]: terminated")
-    assert [(args[2], args[1].label()) for args in calls] == \
+    assert [(args[1], args[0].label()) for args in calls] == \
         [((0,), label) for label in relations]

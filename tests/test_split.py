@@ -151,7 +151,7 @@ def test_lambda_rational_non_dyadic_length_is_enclosed():
     assert reduce_pair(rel, (2, 2, 2, 0), (0, 0)) == [
         BalancedPair((2, 2, 2), (0,)), BalancedPair((0,), (0,))]
     pair = BalancedPair((1, 1, 1, 2), (2, 1, 1, 1))
-    assert children(subst, rel, pair) == [
+    assert children(rel, pair, max_word_length=24) == [
         BalancedPair((2, 2, 2), (0,)), BalancedPair((0, 1), (1, 2, 2, 2))]
     # the second component is over a cap of 3 on its bottom side alone
     assert _children_outcomes(subst, rel, pair, 3) == (
@@ -166,7 +166,7 @@ def test_lambda_closure_decides_no_sign(monkeypatch, name):
     relation_signs = count_calls(monkeypatch, Relation, "sign_of_scaled")
     field_signs = count_calls(monkeypatch, NumberField, "sign_of")
     rel = Relation.generalized(subst, LengthSpec.pf())
-    outcome = run_bpa(subst, rel, (0,))
+    outcome = run_bpa(rel, (0,))
     assert outcome.terminated
     assert relation_signs == [] and field_signs == []
     assert perron.interval == before
@@ -331,14 +331,14 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
     # most `ratio` whole images, ratio bounding the longest sigma^k
     # image's scaled length over the shortest's, and two more. In letters
     # of u, each side reads up to about (ratio + 2) max |sigma^k(a)| ahead
-    subst = SUBSTS[name]
+    subst = parse_substitution(RULES[name])  # its own fixed word
     rel = _relation(subst, kind)
-    stream = fixed_point_stream(subst)
-    head = list(islice(shift_components(stream, rel, 3, 400), 200))
+    head = list(islice(shift_components(fixed_point_stream(subst), rel, 3,
+                                        400), 200))
     assert len(head) == 200
     k = _walk_power(subst)
     assert k > 1  # short images: the walk is over sigma^k images
-    parents = stream.ancestor(k)
+    parents = subst.fixed_point().ancestor(k)
     reads = []
     letters = parents.letters
 
@@ -347,7 +347,7 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
         return _counted(letters(start), reads[-1])
 
     parents.letters = counted
-    lazy = shift_split(rel, stream, 3, 400)
+    lazy = shift_split(rel, 3, 400)
     tables = rel.image_tables(400, k)
     ratio = -(-max(tables.high) // min(tables.low))
     word = parents.prefix(1000)
@@ -368,24 +368,19 @@ def test_one_long_component_keeps_a_bounded_window():
     # u = 1 2 2 2 ... against its shift by one never cuts under plain
     # balance, so shift_split reads n + 1 letters of u into one component.
     # It holds those letters, once for each side, and a window of bottom
-    # parent letters: its peak measured 3.3 MB on CPython 3.11. The
-    # relation is over the stream's own substitution, whose images the
-    # walk reads from the relation's tables.
+    # parent letters: its peak measured 3.3 MB on CPython 3.11.
     n = 200_000
     subst = parse_substitution("1 -> 12\n2 -> 22")
     rel = Relation.plain(subst)
-    stream = fixed_point_stream(subst)
-    stream.prefix(n)  # the fixed word itself is not counted
+    subst.fixed_point().prefix(n)  # the fixed word itself is not counted
     tracemalloc.start()
     try:
         with pytest.raises(ScanOverflow):
-            next(shift_split(rel, stream, 1, n))
+            next(shift_split(rel, 1, n))
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
-    with pytest.raises(ValueError):  # a relation over another substitution
-        shift_split(Relation.plain(SUBSTS["ex1"]), stream, 1, n)
 
 
 # -- the fixed word against its own shift -------------------------------------
@@ -408,7 +403,7 @@ def _shift_outcomes(subst, rel, shift, caps, count):
                 expected = components[:long[0]], overflow
             else:
                 expected = components, error and overflow
-            got = _drain(islice(shift_split(rel, stream, shift, cap, which),
+            got = _drain(islice(shift_split(rel, shift, cap, which),
                                 count))
             yield (cap, which), expected, got
 
@@ -451,7 +446,7 @@ def test_shift_split_of_random_substitutions(subst, kind, shift):
         assert got == expected, case
 
 
-def _scan_stops(subst, rel, w, window, monkeypatch):
+def _scan_stops(rel, w, window, monkeypatch):
     """Letters scanned at each cut up to the window stop of the reference,
     with no scan budget in the way."""
     scanned = [0]
@@ -463,8 +458,8 @@ def _scan_stops(subst, rel, w, window, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(oracles, "shift_components", counted)
-        reference_initial_pairs(
-            subst, rel, w, Budgets(split_stability_window=window))
+        reference_initial_pairs(rel, w,
+                                Budgets(split_stability_window=window))
     return scanned[1:]
 
 
@@ -478,14 +473,14 @@ def test_initial_pairs_stops_at_the_same_cut(name, kind, monkeypatch):
     rel = _relation(subst, kind)
     w = fixed_word(name)[:2]
     for window in (1, 40, 500):
-        scanned = _scan_stops(subst, rel, w, window, monkeypatch)
+        scanned = _scan_stops(rel, w, window, monkeypatch)
         limits = {1, 2, 3} | {n + d for n in scanned[-3:] for d in (-1, 0, 1)}
         for max_scan_length in sorted(limits):
             budgets = Budgets(split_stability_window=window,
                               max_scan_length=max_scan_length)
             expected = _outcome(lambda: reference_initial_pairs(
-                subst, rel, w, budgets))
-            got = _outcome(lambda: initial_pairs(subst, rel, w, budgets))
+                rel, w, budgets))
+            got = _outcome(lambda: initial_pairs(rel, w, budgets))
             assert got == expected, (window, max_scan_length)
 
 
@@ -644,12 +639,11 @@ def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
     # hold 8836 pairs, over half a megabyte
     subst = parse_substitution("1 -> 12\n2 -> 13\n3 -> 14\n4 -> 1")
     rel = Relation.plain(subst)
-    stream = fixed_point_stream(subst)
     assert _walk_power(subst) == 5
-    stream.prefix(100_000)  # the fixed word itself is not counted
+    subst.fixed_point().prefix(100_000)  # the fixed word is not counted
     tracemalloc.start()
     try:
-        count = sum(1 for _ in islice(shift_split(rel, stream, 1, 400),
+        count = sum(1 for _ in islice(shift_split(rel, 1, 400),
                                       20_000))
         _current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -664,20 +658,18 @@ def _children_outcomes(subst, rel, pair, cap):
     """children of the pair, and the linear split of the whole images at
     the same cap, each as its list of components or its error."""
     top, bottom = subst.apply(pair.top), subst.apply(pair.bottom)
-    whole = cap
-    if whole is None:
-        whole = (max(len(pair.top), len(pair.bottom))
-                 * max(map(len, subst.rules)))
-    expected = _outcome(lambda: list(split(rel, top, bottom, whole,
+    if cap is None:  # a cap no component of the images outgrows
+        cap = max(len(pair.top), len(pair.bottom)) * max(map(len, subst.rules))
+    expected = _outcome(lambda: list(split(rel, top, bottom, cap,
                                            "max_word_length")))
-    got = _outcome(lambda: children(subst, rel, pair, max_word_length=cap))
+    got = _outcome(lambda: children(rel, pair, max_word_length=cap))
     return got, expected
 
 
 def _closure_pairs(subst, rel):
     """The pairs of a short closure from the fixed word's first letter."""
     budgets = Budgets(max_iterations=4, max_pairs=60, max_word_length=80)
-    return run_bpa(subst, rel, fixed_point_stream(subst).prefix(1),
+    return run_bpa(rel, fixed_point_stream(subst).prefix(1),
                    budgets).vertices
 
 
@@ -759,7 +751,7 @@ def test_children_stop_reading_at_an_overflow():
     subst = SUBSTS["const-len"]
     top, bottom = Counted((0,) * n + (1,)), Counted((1,) + (0,) * n)
     with pytest.raises(ScanOverflow):
-        children(subst, Relation.plain(subst), BalancedPair(top, bottom),
+        children(Relation.plain(subst), BalancedPair(top, bottom),
                  max_word_length=cap)
     # the images have 3 letters and the first cut is at letter 1, so the
     # top overflows at its 19th parent letter, whose images before it hold
@@ -777,13 +769,13 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
     # side, measured 14 MB.
     subst = parse_substitution("1 -> 112\n2 -> 122")
     rel = Relation.plain(subst)
-    closure = run_bpa(subst, rel, (0,), Budgets(max_word_length=20_000))
+    closure = run_bpa(rel, (0,), Budgets(max_word_length=20_000))
     assert closure.which == "max_word_length"
     pair = max(closure.vertices, key=lambda p: len(p.top))
     assert len(pair.top) == 19_684
     tracemalloc.start()
     try:
-        kids = children(subst, rel, pair)
+        kids = children(rel, pair, max_word_length=3 * len(pair.top))
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
