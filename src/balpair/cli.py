@@ -19,8 +19,8 @@ from .equivalence import (GENERAL, LETTERS, PLAIN, LengthSpec, RelationSpec,
                           letter_equiv_classes)
 from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
                      RuleSyntaxError)
-from .linalg import char_poly, classify_spectrum, integer_form
-from .report import render_dot, render_json, spectral_fields
+from .linalg import char_poly, integer_form
+from .report import render_dot, render_info_json, render_json
 from .substitution import auto_prefixes, parse_substitution
 from .verdict import AnalysisConfig, analyze
 
@@ -230,11 +230,17 @@ def cmd_info(args, out):
     print(f"letter classes: {rendered}", file=out)
     if spectrum is None:
         print("matrix is not primitive; spectral data skipped", file=out)
-        if args.json is not None:
-            _write_info_json(args.json, subst, cp, classes, None, None, out)
-        return EXIT_OK
+    else:
+        _print_spectrum(spectrum, out)
+    if args.json is not None:
+        args.json.write_bytes(render_info_json(subst, classes))
+        print(f"wrote {args.json}", file=out)
+    return EXIT_OK
+
+
+def _print_spectrum(spectrum, out):
     nf = spectrum.perron
-    eigen = classify_spectrum(spectrum.factors, nf)
+    eigen = spectrum.eigen
     for fac, mult in spectrum.factors:
         print(f"factor: ({fac})^{mult}", file=out)
     print(f"perron eigenvalue: root of {nf.min_poly} ~ {nf.approx_str()}",
@@ -251,35 +257,6 @@ def cmd_info(args, out):
     print(f"charpoly irreducible: {eigen.charpoly_irreducible}", file=out)
     print(f"dim large / small eigenspaces: {eigen.dim_large} / "
           f"{eigen.dim_small}", file=out)
-    if args.json is not None:
-        _write_info_json(args.json, subst, cp, classes, eigen, spectrum, out)
-    return EXIT_OK
-
-
-def _write_info_json(path, subst, cp, classes, eigen, spectrum, out):
-    import json
-
-    alphabet = subst.alphabet
-    doc = {
-        "rules": {alphabet.tokens[i]: alphabet.render(img)
-                  for i, img in enumerate(subst.rules)},
-        "matrix": [list(row) for row in subst.transition_matrix()],
-        "char_poly": [str(c) for c in cp.coeffs],
-        "primitive": subst.is_primitive(),
-        "constant_length": subst.is_constant_length(),
-        "letter_classes": [[alphabet.tokens[i] for i in cls]
-                           for cls in classes],
-    }
-    if eigen is not None:
-        doc.update(spectral_fields(spectrum))
-        doc["l_lambda_approx"] = [v.decimal() for v in spectrum.l_lambda]
-        ints = integer_form(spectrum.l_lambda)
-        doc["l_lambda_integer"] = list(ints) if ints else None
-        doc["pisot_type_literal"] = eigen.pisot_type_literal
-        doc["pisot_type_allowing_zero"] = eigen.pisot_type_allowing_zero
-        doc["charpoly_irreducible"] = eigen.charpoly_irreducible
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}", file=out)
 
 
 def cmd_bpa(args, out):

@@ -238,9 +238,6 @@ class Relation:
         return Relation(subst, RelationSpec.general(spec), letter_eq, low,
                         high, lengths)
 
-    def label(self):
-        return self.spec.label()
-
     # -- scanner tables ------------------------------------------------------
 
     def _bits(self, cap):

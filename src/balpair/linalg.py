@@ -144,6 +144,7 @@ class Spectrum:
     factors: tuple  # (irreducible RatPoly, multiplicity) pairs
     perron: NumberField
     l_lambda: tuple  # left PF eigenvector, first coordinate 1
+    eigen: EigenReport  # eigenvalue counts by modulus
 
     @staticmethod
     def of(matrix):
@@ -151,7 +152,8 @@ class Spectrum:
         factors = tuple(factor_poly(cp))
         nf = perron_data(factors)
         return Spectrum(cp, factors, nf,
-                        tuple(left_pf_eigenvector(matrix, cp, nf)))
+                        tuple(left_pf_eigenvector(matrix, cp, nf)),
+                        classify_spectrum(factors, nf))
 
 
 # -- eigenvalue classification ------------------------------------------------

@@ -1,9 +1,10 @@
 """Serialization: canonical JSON report documents and DOT graph export.
 
-JSON rendering is a pure function of the report value: key order is fixed by
-construction, rationals are encoded as strings, and exact algebraic scalars
-as coefficient vectors plus a decimal approximation, so the same report
-always serializes to identical bytes.
+JSON rendering is a pure function of the report value once its last key,
+`metrics` (the run timings), is removed: key order is fixed by construction,
+rationals are encoded as strings, and exact algebraic scalars as coefficient
+vectors plus a decimal approximation. `info --json` writes the report's
+first three keys from the same builders.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .linalg import integer_form
+from .linalg import char_poly, integer_form
 from .numberfield import FieldScalar
+from .verdict import SCOPE
 
 
 def _scalar(value):
@@ -66,7 +68,7 @@ def _verdict(v):
     doc = {"kind": v.kind}
     if v.reason:
         doc["reason"] = v.reason
-    doc["scope"] = v.scope
+    doc["scope"] = SCOPE
     if v.failing_pairs:
         doc["failing_pair_count"] = len(v.failing_pairs)
     return doc
@@ -107,79 +109,103 @@ def _cell(cell, alphabet, pair_list_limit):
              "coincident_mass": _scalar(d.coincident_mass),
              "total_mass": _scalar(d.total_mass)}
             for lvl, d in enumerate(cell.densities)]
-    doc["seconds"] = round(cell.seconds, 6)
     return doc
 
 
-def spectral_fields(spectrum):
-    """The factors and the Perron root, as the report and `info --json`
-    both print them."""
-    perron = spectrum.perron
-    return {
-        "factors": [{"poly": _poly(f), "multiplicity": m}
-                    for f, m in spectrum.factors],
-        "perron": {
+def substitution_document(subst):
+    """The `substitution` block in canonical key order: matrix data, then,
+    for a primitive substitution, spectral data, then flags; a non-primitive
+    one gets only the `primitive` and `constant_length` flags."""
+    alphabet = subst.alphabet
+    matrix = subst.transition_matrix()
+    primitive = subst.is_primitive()
+    spectrum = subst.spectrum() if primitive else None
+    doc = {
+        "rules": {alphabet.tokens[i]: alphabet.render(img)
+                  for i, img in enumerate(subst.rules)},
+        "alphabet": list(alphabet.tokens),
+        "matrix": [list(row) for row in matrix],
+        "char_poly": _poly(spectrum.char_poly if primitive
+                           else char_poly(matrix)),
+    }
+    flags = {"primitive": primitive,
+             "constant_length": subst.is_constant_length()}
+    if primitive:
+        perron = spectrum.perron
+        eigen = spectrum.eigen
+        l_lambda_integer = integer_form(spectrum.l_lambda)
+        doc["factors"] = [{"poly": _poly(f), "multiplicity": m}
+                          for f, m in spectrum.factors]
+        doc["perron"] = {
             "min_poly": _poly(perron.min_poly),
             "interval": [str(b) for b in perron.canonical_interval()],
             "approx": perron.approx_str(),
-        },
+        }
+        doc["l_lambda"] = {
+            "exact": [_scalar(v) for v in spectrum.l_lambda],
+            "approx": [v.decimal() for v in spectrum.l_lambda],
+            "integer_form": (list(l_lambda_integer)
+                             if l_lambda_integer else None),
+        }
+        flags.update({
+            "charpoly_irreducible": eigen.charpoly_irreducible,
+            "pisot_type_literal": eigen.pisot_type_literal,
+            "pisot_type_allowing_zero": eigen.pisot_type_allowing_zero,
+            "dim_large_eigenspaces": eigen.dim_large,
+            "dim_small_eigenspaces": eigen.dim_small,
+            "pisot_transfer_to_shift": eigen.pisot_type_literal,
+            # constant; every bench/reference.json digest includes the key
+            "undecidable": None,
+        })
+    doc["flags"] = flags
+    return doc
+
+
+def info_document(subst, letter_classes):
+    """What `info --json` writes, and the first three keys of a report."""
+    tokens = subst.alphabet.tokens
+    return {
+        "tool_version": __version__,
+        "substitution": substitution_document(subst),
+        "letter_classes": [[tokens[i] for i in cls]
+                           for cls in letter_classes],
     }
 
 
 def report_document(report, pair_list_limit=1000):
-    """The full report as a plain dict in canonical key order."""
+    """The full report as a plain dict in canonical key order; the run
+    timings sit in the last key, `metrics`."""
     subst = report.subst
     alphabet = subst.alphabet
-    eigen = report.eigen
-    spectrum = report.spectrum
-    l_lambda_integer = integer_form(spectrum.l_lambda)
-    doc = {
-        "tool_version": __version__,
-        "substitution": {
-            "rules": {alphabet.tokens[i]: alphabet.render(img)
-                      for i, img in enumerate(subst.rules)},
-            "alphabet": list(alphabet.tokens),
-            "matrix": [list(row) for row in subst.transition_matrix()],
-            "char_poly": _poly(spectrum.char_poly),
-            **spectral_fields(spectrum),
-            "l_lambda": {
-                "exact": [_scalar(v) for v in spectrum.l_lambda],
-                "approx": [v.decimal() for v in spectrum.l_lambda],
-                "integer_form": (list(l_lambda_integer)
-                                 if l_lambda_integer else None),
-            },
-            "flags": {
-                "primitive": subst.is_primitive(),
-                "constant_length": subst.is_constant_length(),
-                "charpoly_irreducible": eigen.charpoly_irreducible,
-                "pisot_type_literal": eigen.pisot_type_literal,
-                "pisot_type_allowing_zero": eigen.pisot_type_allowing_zero,
-                "dim_large_eigenspaces": eigen.dim_large,
-                "dim_small_eigenspaces": eigen.dim_small,
-                "pisot_transfer_to_shift": eigen.pisot_type_literal,
-                # constant; every bench/reference.json digest includes the key
-                "undecidable": None,
-            },
-            "fixed_point": {
-                "power": report.fixed_power,
-                "seed": alphabet.tokens[report.fixed_seed],
-                "prefix": alphabet.render(report.fixed_prefix),
-            },
-        },
-        "letter_classes": [[alphabet.tokens[i] for i in cls]
-                           for cls in report.letter_classes],
-        "cells": [_cell(c, alphabet, pair_list_limit) for c in report.cells],
-        "corollary_ok": report.corollary_ok,
+    stream = subst.fixed_point()
+    doc = info_document(subst, report.letter_classes)
+    doc["substitution"]["fixed_point"] = {
+        "power": stream.power,
+        "seed": alphabet.tokens[stream.seed],
+        "prefix": alphabet.render(report.fixed_prefix),
+    }
+    doc["cells"] = [_cell(c, alphabet, pair_list_limit) for c in report.cells]
+    doc["corollary_ok"] = report.corollary_ok
+    doc["metrics"] = {
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
+        "cell_seconds": [round(c.seconds, 6) for c in report.cells],
     }
     return doc
 
 
-def render_json(report, pair_list_limit=1000) -> bytes:
-    """Canonical JSON bytes; identical input report gives identical bytes."""
-    doc = report_document(report, pair_list_limit=pair_list_limit)
+def _encode(doc):
     return (json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False)
             + "\n").encode("utf-8")
+
+
+def render_json(report, pair_list_limit=1000) -> bytes:
+    """Canonical JSON bytes; identical input report gives identical bytes."""
+    return _encode(report_document(report, pair_list_limit=pair_list_limit))
+
+
+def render_info_json(subst, letter_classes) -> bytes:
+    """`info --json` bytes, in the report's serialization."""
+    return _encode(info_document(subst, letter_classes))
 
 
 def _dot_escape(text):

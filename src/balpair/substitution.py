@@ -138,7 +138,8 @@ class Substitution:
         return self._primitive
 
     def spectrum(self) -> Spectrum:
-        """Char poly, its factors, Q(lambda) and the left PF eigenvector."""
+        """Char poly, its factors, Q(lambda), the left PF eigenvector and
+        the eigenvalue classes."""
         if self._spectrum is None:
             if not self.is_primitive():
                 raise ValueError("spectral data needs a primitive matrix")

@@ -17,12 +17,13 @@ from .engine import (Budgets, Closure, coincidence_analysis,
                      coincidence_density, run_bpa)
 from .equivalence import LengthSpec, RelationSpec, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
-from .linalg import EigenReport, Spectrum, classify_spectrum
 from .substitution import Substitution, auto_prefixes
 
 PURE_DISCRETE = "pure_discrete"
 NOT_PURE_DISCRETE = "not_pure_discrete"
 INCONCLUSIVE = "inconclusive"
+# conclusions always concern the tiling flow with the PF length vector
+SCOPE = "tiling flow with the Perron length vector"
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,6 @@ class SpectrumVerdict:
     kind: str  # pure_discrete | not_pure_discrete | inconclusive
     reason: str | None = None  # budget_exceeded | prefix_condition_unmet
     failing_pairs: tuple = ()
-    # conclusions always concern the tiling flow with the PF length vector
-    scope: str = "tiling flow with the Perron length vector"
 
 
 def verdict(outcome, failing, prefix_ok):
@@ -86,15 +85,16 @@ class CellResult:
 @dataclass
 class AnalysisReport:
     subst: Substitution
-    fixed_power: int
-    fixed_seed: int
-    fixed_prefix: tuple
-    eigen: EigenReport
-    spectrum: Spectrum
+    fixed_prefix: tuple  # its length depends on the budgets
     letter_classes: tuple
     cells: list
-    corollary_ok: bool
     timings: dict
+
+    @property
+    def corollary_ok(self):
+        """No non-PF cell terminated while its PF rerun did not."""
+        return all(cell.corollary_check["terminated"] for cell in self.cells
+                   if cell.corollary_check is not None)
 
 
 def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
@@ -125,8 +125,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                                  config.require_return)
 
     t0 = time.perf_counter()
-    spectrum = subst.spectrum()
-    eigen = classify_spectrum(spectrum.factors, spectrum.perron)
+    subst.spectrum()  # memoised; built here to fall in the spectral timing
     ones = RelationSpec.general(LengthSpec.ones())
     relations = {ones: ones.build(subst)}  # spec -> relation or exception
     classes = letter_equiv_classes(subst, relations[ones])
@@ -150,7 +149,6 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     pf = RelationSpec.general(LengthSpec.pf())
     cells = []
-    corollary_ok = True
     for prefix in prefixes:
         prefix_ok = stream.letter(len(prefix)) == stream.letter(0)
         for spec in config.relations:
@@ -177,8 +175,6 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                         "relation": pf.label(),
                         "terminated": pf_outcome.terminated,
                     }
-                    if not pf_outcome.terminated:
-                        corollary_ok = False
                 if config.density_levels is not None:
                     cell.densities = _densities(rel, prefix,
                                                 config.density_levels)
@@ -190,14 +186,9 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     timings["total"] = time.perf_counter() - t_start
     return AnalysisReport(
         subst=subst,
-        fixed_power=stream.power,
-        fixed_seed=stream.seed,
         fixed_prefix=stream.prefix(min(24, config.budgets.max_word_length)),
-        eigen=eigen,
-        spectrum=spectrum,
         letter_classes=classes,
         cells=cells,
-        corollary_ok=corollary_ok,
         timings=timings,
     )
 

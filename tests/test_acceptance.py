@@ -263,7 +263,7 @@ def test_criterion_08_truncation_oracle(capfd):
             for rel in relations:
                 fast = _truncated(rel, z)
                 slow = _brute(rel, a, z, 50)
-                assert fast == slow, (name, z, rel.label())
+                assert fast == slow, (name, z, rel.spec.label())
                 checked += 1
     announce(capfd, 8, "PASS",
              f"truncated test matches m <= 50 brute force on {checked} "

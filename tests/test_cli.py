@@ -10,7 +10,7 @@ from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import InternalInvariantError, NotBalanced
 from balpair.report import render_dot
 
-from conftest import count_calls, load_corpus
+from conftest import CORPUS_NAMES, count_calls, load_corpus
 
 
 def run_cli(capsys, *argv):
@@ -55,16 +55,21 @@ def test_info_ex1(fixtures_dir, capsys):
     assert "pisot type (literal): True" in out
 
 
-def test_info_json_spectral_fields_match_the_report(tmp_path, fixtures_dir,
-                                                    capsys):
-    path = str(fixtures_dir / "pisot-rewrite.sub")
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_info_json_is_the_report_substitution_block(tmp_path, fixtures_dir,
+                                                    capsys, name):
+    path = str(fixtures_dir / f"{name}.sub")
     info_json, report_json = tmp_path / "info.json", tmp_path / "report.json"
     assert run_cli(capsys, "info", path, "--json", str(info_json))[0] == 0
     run_cli(capsys, "verdict", path, "--json", str(report_json))
     info = json.loads(info_json.read_text())
-    report = json.loads(report_json.read_text())["substitution"]
-    assert info["perron"] == report["perron"]
-    assert info["factors"] == report["factors"]
+    report = json.loads(report_json.read_text())
+    assert list(info) == ["tool_version", "substitution", "letter_classes"]
+    # the fixed word's prefix length follows the budgets, so only the
+    # report has it
+    del report["substitution"]["fixed_point"]
+    assert info["substitution"] == report["substitution"]
+    assert info["letter_classes"] == report["letter_classes"]
 
 
 def test_info_reducible(fixtures_dir, capsys):
@@ -76,11 +81,20 @@ def test_info_reducible(fixtures_dir, capsys):
 
 
 def test_info_non_primitive(tmp_path, capsys):
-    path = tmp_path / "block.sub"
+    path, info_json = tmp_path / "block.sub", tmp_path / "info.json"
     path.write_text("1 -> 11\n2 -> 22\n")
-    code, out, _ = run_cli(capsys, "info", str(path))
+    code, out, _ = run_cli(capsys, "info", str(path), "--json", str(info_json))
     assert code == 0
     assert "not primitive" in out
+    info = json.loads(info_json.read_text())
+    assert info["substitution"] == {
+        "rules": {"1": "11", "2": "22"},
+        "alphabet": ["1", "2"],
+        "matrix": [[2, 0], [0, 2]],
+        "char_poly": ["4", "-4", "1"],
+        "flags": {"primitive": False, "constant_length": True},
+    }
+    assert info["letter_classes"] == [["1", "2"]]
 
 
 def test_verdict_letters_mode(fixtures_dir, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from balpair.equivalence import (LengthSpec, Relation, letter_equiv_classes,
                                  resolve_length_vector)
+from balpair.numberfield import FieldScalar
 from balpair.substitution import parse_substitution
 
 from oracles import in_pf_kernel, mat_vec, word_equiv
@@ -78,13 +79,21 @@ def test_word_equiv_examples(three):
 
 def test_length_of_examples(three):
     w = three.alphabet.word_from_text
-    ones = Relation.generalized(three, LengthSpec.ones())
-    assert ones.length_of(w("112")) == 3
-    lam = Relation.generalized(three, LengthSpec.pf())
-    assert lam.length_of(w("23")) == 2  # exact after field reduction
-    custom = Relation.generalized(three, LengthSpec.custom([1, 1, 2]))
-    assert custom.length_of(w("23")) == 3
-    assert ones.length_of(()) == 0
+    cases = [
+        (Relation.generalized(three, LengthSpec.ones()), "112", 3, Fraction),
+        (Relation.plain(three), "112", 3, Fraction),
+        (Relation.generalized(three, LengthSpec.custom([1, 1, 2])), "23", 3,
+         Fraction),
+        # exact after field reduction
+        (Relation.generalized(three, LengthSpec.pf()), "23", 2, FieldScalar),
+    ]
+    for rel, text, expected, scalar in cases:
+        # the empty word too: a report prints a lambda length as a field
+        # element, never as a plain 0
+        for word, value in ((w(text), expected), ((), 0)):
+            length = rel.length_of(word)
+            assert type(length) is scalar, (rel.spec.label(), word)
+            assert length == value
 
 
 def test_in_pf_kernel(three, noncon):

@@ -13,6 +13,8 @@ from balpair.report import render_dot, render_json, report_document
 from balpair.substitution import parse_substitution
 from balpair.verdict import AnalysisConfig, RelationSpec, analyze
 
+from conftest import CORPUS_NAMES, load_corpus
+
 
 def ex1_report(**kw):
     subst = parse_substitution("1 -> 112\n2 -> 12")
@@ -30,14 +32,23 @@ def test_render_json_deterministic():
 
 def test_repeated_analyses_agree_up_to_timings():
     def strip(doc):
-        doc.pop("timings", None)
-        for cell in doc["cells"]:
-            cell.pop("seconds", None)
+        doc.pop("metrics")
         return doc
 
     _, r1 = ex1_report()
     _, r2 = ex1_report()
     assert strip(report_document(r1)) == strip(report_document(r2))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_fresh_analyses_agree_outside_metrics(name):
+    def result_bytes():
+        data = render_json(analyze(load_corpus(name),
+                                   AnalysisConfig(density_levels=1)))
+        # metrics is the last key, and the only one with run timings
+        return data[:data.rindex(b'\n  "metrics": {')]
+
+    assert result_bytes() == result_bytes()
 
 
 def test_json_structure_and_exact_scalars():

@@ -4,6 +4,7 @@ and read everywhere."""
 import importlib
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -19,9 +20,7 @@ from conftest import count_calls, load_corpus
 
 def result_text(report):
     doc = report_document(report)
-    doc.pop("timings")
-    for cell in doc["cells"]:
-        cell.pop("seconds", None)
+    doc.pop("metrics")
     return json.dumps(doc)
 
 
@@ -82,6 +81,25 @@ def test_reanalysis_matches_a_fresh_parse(name):
     assert first == second == fresh
 
 
+def test_eigenvalues_are_classified_once(fixtures_dir, tmp_path, capsys,
+                                         monkeypatch):
+    calls = count_calls(monkeypatch, balpair.linalg, "classify_spectrum")
+    subst = load_corpus("pisot-rewrite")
+    report = analyze(subst, AnalysisConfig())
+    render_json(report)
+    assert len(calls) == 1
+    # the report reads the classes the substitution's spectrum holds
+    spectrum = subst.spectrum()
+    marked = replace(spectrum, eigen=replace(spectrum.eigen, dim_large=99))
+    monkeypatch.setattr(subst, "spectrum", lambda: marked)
+    flags = report_document(report)["substitution"]["flags"]
+    assert flags["dim_large_eigenspaces"] == 99
+    assert main(["info", str(fixtures_dir / "pisot-rewrite.sub"),
+                 "--json", str(tmp_path / "info.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 def test_info_factors_once(fixtures_dir, capsys, monkeypatch):
     factor_calls = count_calls(monkeypatch, balpair.linalg, "factor_poly")
     assert main(["info", str(fixtures_dir / "pisot-rewrite.sub")]) == 0
@@ -104,5 +122,5 @@ def test_bpa_runs_only_the_printed_cell(fixtures_dir, capsys, monkeypatch,
     assert code == 0
     [line] = out.splitlines()
     assert line.startswith(f"  w=1 general[{length}]: terminated")
-    assert [(args[1], args[0].label()) for args in calls] == \
+    assert [(args[1], args[0].spec.label()) for args in calls] == \
         [((0,), label) for label in relations]

@@ -116,7 +116,7 @@ def test_analyze_auto_prefixes(corpus):
     assert rendered == ["1", "112", "1121"]
     assert all(c.verdict.kind == "pure_discrete" for c in report.cells)
     # two-letter Pisot: flow result moves to shift
-    assert report.eigen.pisot_type_literal
+    assert report.subst.spectrum().eigen.pisot_type_literal
 
 
 def test_analyze_cells_fail_independently(corpus):
