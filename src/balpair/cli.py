@@ -17,9 +17,8 @@ from pathlib import Path
 from .engine import Budgets
 from .equivalence import (GENERAL, LETTERS, PLAIN, LengthSpec, RelationSpec,
                           letter_equiv_classes)
-from .errors import (BalpairError, EmptyConfig, InternalInvariantError,
-                     RuleSyntaxError)
-from .linalg import char_poly, integer_form
+from .errors import BalpairError, InternalInvariantError
+from .linalg import integer_form
 from .report import render_dot, render_info_json, render_json
 from .substitution import auto_prefixes, parse_substitution
 from .verdict import AnalysisConfig, analyze
@@ -116,11 +115,11 @@ def build_parser():
 
 def _relation_specs(args):
     if args.mode in (PLAIN, LETTERS):
+        if args.length is not None:
+            raise ValueError(f"--mode {args.mode} takes no --length")
         return [RelationSpec(args.mode)]
-    lengths = args.length
-    if lengths is None:
-        lengths = ["lambda", "ones"]
-    return [RelationSpec.general(LengthSpec.parse(text)) for text in lengths]
+    return [RelationSpec.general(LengthSpec.parse(text))
+            for text in args.length or ["lambda", "ones"]]
 
 
 def _budgets(args):
@@ -215,23 +214,20 @@ def cmd_info(args, out):
     print(f"alphabet: {' '.join(alphabet.tokens)}", file=out)
     for i, image in enumerate(subst.rules):
         print(f"  {alphabet.tokens[i]} -> {alphabet.render(image)}", file=out)
-    matrix = subst.transition_matrix()
     print("transition matrix (rows = letter counted):", file=out)
-    for row in matrix:
+    for row in subst.transition_matrix():
         print("  " + " ".join(str(v) for v in row), file=out)
-    spectrum = subst.spectrum() if subst.is_primitive() else None
-    cp = spectrum.char_poly if spectrum else char_poly(matrix)
-    print(f"char poly: {cp}", file=out)
+    print(f"char poly: {subst.char_poly()}", file=out)
     print(f"primitive: {subst.is_primitive()}", file=out)
     print(f"constant length: {subst.is_constant_length()}", file=out)
     classes = letter_equiv_classes(subst)
     rendered = ", ".join("{" + " ".join(alphabet.tokens[i] for i in cls) + "}"
                          for cls in classes)
     print(f"letter classes: {rendered}", file=out)
-    if spectrum is None:
-        print("matrix is not primitive; spectral data skipped", file=out)
+    if subst.is_primitive():
+        _print_spectrum(subst.spectrum(), out)
     else:
-        _print_spectrum(spectrum, out)
+        print("matrix is not primitive; spectral data skipped", file=out)
     if args.json is not None:
         args.json.write_bytes(render_info_json(subst, classes))
         print(f"wrote {args.json}", file=out)
@@ -326,13 +322,10 @@ def main(argv=None):
                "verdict": cmd_verdict, "batch": cmd_batch}[args.command]
     try:
         return handler(args, out)
-    except (RuleSyntaxError, EmptyConfig, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BalpairError as exc:
+    except (BalpairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -315,20 +315,21 @@ class Relation:
         return sum(map(mul, self.subst.population_vector(word), self.lengths))
 
 
-def letter_equiv_classes(subst: Substitution, ones=None):
-    """Partition of letters: i ~ j iff all iterated image lengths agree.
+def letter_equiv_classes(subst: Substitution):
+    """Partition of letters: a ~ b iff |sigma^m(a)| = |sigma^m(b)| for all m.
 
-    That is word equivalence of the single letters under the all-ones
-    length vector, so letters with equal letter_eq rows of general[ones]
-    (passed as ones, or built here) share a class.
+    The lengths for m < n are the letter_eq rows of general[ones]; they
+    decide, since by Cayley-Hamilton the lengths of sigma^m, m >= n, are
+    one integer combination of those for m < n for every letter.
     """
-    if ones is None:
-        ones = Relation.generalized(subst, LengthSpec.ones())
+    lengths = [(1,) * subst.size]
+    for _ in range(subst.size - 1):
+        lengths.append(tuple(sum(map(lengths[-1].__getitem__, image))
+                             for image in subst.rules))
     classes = {}
-    for letter, row in enumerate(ones.letter_eq):
+    for letter, row in enumerate(zip(*lengths)):
         classes.setdefault(row, []).append(letter)
     return tuple(tuple(c) for c in classes.values())
-
 
 
 def _check_partition(subst, partition, class_of):

@@ -4,10 +4,11 @@ Coefficients are stored densely, lowest degree first, normalized so the
 leading coefficient is nonzero (the zero polynomial has no coefficients).
 Everything here is exact: Fraction coefficients, Sturm-based root counting,
 and factorization into irreducibles over Q at any degree by the big-prime
-Zassenhaus method. Each squarefree part (Yun) is made primitive over Z and
-factored modulo one prime above twice its Landau-Mignotte coefficient bound
-that keeps it squarefree (distinct-degree factorization, then
-Cantor-Zassenhaus equal-degree splitting). The modulus exceeds twice every
+Zassenhaus method. The squarefree part p / gcd(p, p') is made primitive
+over Z and factored modulo one prime above twice its Landau-Mignotte
+coefficient bound that keeps it squarefree (distinct-degree factorization,
+then Cantor-Zassenhaus equal-degree splitting); exact division of
+gcd(p, p') by each factor counts its multiplicity. The modulus exceeds twice every
 coefficient of the leading coefficient times a monic factor, so nothing is
 lifted: products of modular factors are read with symmetric residues and
 recombined into the factors over Z by trial division.
@@ -182,7 +183,7 @@ class RatPoly:
         """x^deg * p(1/x); reverses the coefficient list."""
         return RatPoly(tuple(reversed(self.coeffs)))
 
-    # -- gcd / squarefree -------------------------------------------------
+    # -- gcd -------------------------------------------------------------
 
     def gcd(self, other):
         """Monic gcd by the euclidean algorithm."""
@@ -190,28 +191,6 @@ class RatPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def squarefree_decomposition(self):
-        """Yun's algorithm: list of (squarefree factor, multiplicity), monic."""
-        p = self.monic()
-        if p.degree <= 0:
-            return []
-        out = []
-        g = p.gcd(p.derivative())
-        if g.degree == 0:
-            return [(p, 1)]
-        c = p // g
-        d = p.derivative() // g - c.derivative()
-        m = 1
-        while c.degree > 0:
-            f = c.gcd(d)
-            if f.degree > 0:
-                out.append((f, m))
-            c2 = c // f
-            d = d // f - c2.derivative()
-            c = c2
-            m += 1
-        return out
 
     # -- integer form ------------------------------------------------------
 
@@ -493,19 +472,21 @@ def _factor_squarefree(p):
 def factor_poly(p):
     """Factor a nonzero RatPoly into monic irreducibles with multiplicities.
 
-    Each squarefree part from Yun's decomposition is factored over Z modulo
-    one prime above twice its Landau-Mignotte bound, with no lifting (see
-    `_zassenhaus`), at any degree. Returns a list of (RatPoly, multiplicity)
-    sorted by degree then by coefficients, so the output order is
-    deterministic.
+    The squarefree part p / gcd(p, p') is factored over Z modulo one prime
+    above twice its Landau-Mignotte bound, with no lifting (see
+    `_zassenhaus`), at any degree; each factor's multiplicity is one more
+    than the number of exact divisions of gcd(p, p') by it. Returns a list
+    of (RatPoly, multiplicity) sorted by degree then by coefficients, so the
+    output order is deterministic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree == 0:
-        return []
-    counts = {}
-    for sqf, mult in p.monic().squarefree_decomposition():
-        for f in _factor_squarefree(sqf):
-            counts[f] = counts.get(f, 0) + mult
-    return sorted(counts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
+    p = p.monic()
+    repeated = p.gcd(p.derivative())  # each f^m dividing p leaves f^(m-1)
+    factors = []
+    for f in _factor_squarefree(p // repeated):
+        mult = 1
+        while (repeated % f).is_zero:
+            repeated, mult = repeated // f, mult + 1
+        factors.append((f, mult))
+    return sorted(factors, key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .linalg import char_poly, integer_form
+from .linalg import integer_form
 from .numberfield import FieldScalar
 from .verdict import SCOPE
 
@@ -117,20 +117,18 @@ def substitution_document(subst):
     for a primitive substitution, spectral data, then flags; a non-primitive
     one gets only the `primitive` and `constant_length` flags."""
     alphabet = subst.alphabet
-    matrix = subst.transition_matrix()
     primitive = subst.is_primitive()
-    spectrum = subst.spectrum() if primitive else None
     doc = {
         "rules": {alphabet.tokens[i]: alphabet.render(img)
                   for i, img in enumerate(subst.rules)},
         "alphabet": list(alphabet.tokens),
-        "matrix": [list(row) for row in matrix],
-        "char_poly": _poly(spectrum.char_poly if primitive
-                           else char_poly(matrix)),
+        "matrix": [list(row) for row in subst.transition_matrix()],
+        "char_poly": _poly(subst.char_poly()),
     }
     flags = {"primitive": primitive,
              "constant_length": subst.is_constant_length()}
     if primitive:
+        spectrum = subst.spectrum()
         perron = spectrum.perron
         eigen = spectrum.eigen
         l_lambda_integer = integer_form(spectrum.l_lambda)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import chain, islice
 
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
-from .linalg import Spectrum
+from .linalg import Spectrum, char_poly
 
 Word = tuple  # tuple of int letter indices
 
@@ -84,6 +84,7 @@ class Substitution:
         self.rules = rules
         self._matrix = None
         self._primitive = None
+        self._char_poly = None
         self._spectrum = None
         self._fixed_point = None
 
@@ -136,6 +137,13 @@ class Substitution:
                                    for k in range(n)) else 0
                           for j in range(n)] for i in range(n)]
         return self._primitive
+
+    def char_poly(self):
+        """det(xI - A): the spectrum's when sigma is primitive; built once."""
+        if self._char_poly is None:
+            self._char_poly = (self.spectrum().char_poly if self.is_primitive()
+                               else char_poly(self.transition_matrix()))
+        return self._char_poly
 
     def spectrum(self) -> Spectrum:
         """Char poly, its factors, Q(lambda), the left PF eigenvector and

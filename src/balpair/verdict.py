@@ -103,7 +103,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     Cells fail independently; whenever a non-PF relation terminates, the same
     prefix is rerun with the PF length vector and the corollary consistency
     (it must terminate too) is recorded. Each relation is built at most once
-    per analysis, the PF one only when such a rerun needs it.
+    per analysis, when a cell or such a rerun first needs it.
     """
     if not config.relations:
         raise EmptyConfig("no relations requested")
@@ -126,10 +126,9 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     t0 = time.perf_counter()
     subst.spectrum()  # memoised; built here to fall in the spectral timing
-    ones = RelationSpec.general(LengthSpec.ones())
-    relations = {ones: ones.build(subst)}  # spec -> relation or exception
-    classes = letter_equiv_classes(subst, relations[ones])
+    classes = letter_equiv_classes(subst)
     timings["spectral"] = time.perf_counter() - t0
+    relations = {}  # spec -> relation or exception
 
     def relation(spec):
         if spec not in relations:

@@ -3,17 +3,19 @@
 Each is an independent, slower or more literal form of something the
 library computes another way: the Fraction Faddeev-LeVerrier recurrence and
 the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
-arithmetic, a per-letter word equivalence, the splits of two words (a
-linear whole-word split and a quadratic one), the split of the fixed word
-against its shift from whole-word splits of its prefixes, a whole-word
-`reduce_pair`, the initial split on that prefix split, the coincidence
-density masses summed per component, and small matrix and rendering
-helpers.
+arithmetic, the letter classes read off a whole general[ones] relation
+rather than the image lengths alone, a per-letter word equivalence, the
+splits of two words (a linear whole-word split and a quadratic one), the
+split of the fixed word against its shift from whole-word splits of its
+prefixes, a whole-word `reduce_pair`, the initial split on that prefix
+split, the coincidence density masses summed per component, and small
+matrix and rendering helpers.
 """
 
 from fractions import Fraction
 
 from balpair.engine import BalancedPair, Budgets, shift_split
+from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
                             StabilityNotReached)
 from balpair.linalg import mat_mul
@@ -98,6 +100,16 @@ def left_pf_eigenvector_elimination(matrix, nf: NumberField):
         if v.sign() <= 0:
             raise InternalInvariantError("PF eigenvector not strictly positive")
     return vec
+
+
+def ones_letter_classes(subst):
+    """Letter classes as single-letter word equivalence under general[ones]:
+    letters with equal letter_eq rows share a class, in first-letter order."""
+    ones = Relation.generalized(subst, LengthSpec.ones())
+    classes = {}
+    for letter, row in enumerate(ones.letter_eq):
+        classes.setdefault(row, []).append(letter)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def word_equiv(rel, u, v) -> bool:

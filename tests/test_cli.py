@@ -162,6 +162,17 @@ def test_usage_error_unknown_length(fixtures_dir, capsys):
         assert got == (1, "", "error: bad length spec 'bogus'\n")
 
 
+@pytest.mark.parametrize("mode", ["plain", "letters"])
+def test_mode_without_lengths_rejects_length(fixtures_dir, capsys, mode):
+    # plain and letters take no length vector; batch rejects the pair once,
+    # before the first file
+    for command, target in (("verdict", fixtures_dir / "ex1.sub"),
+                            ("batch", fixtures_dir)):
+        got = run_cli(capsys, command, str(target), "--mode", mode,
+                      "--length", "ones")
+        assert got == (1, "", f"error: --mode {mode} takes no --length\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verdict", "ex1.sub", "--bogus"],
     ["verdict", "ex1.sub", "--max-iter", "abc"],

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from balpair.equivalence import (LengthSpec, Relation, letter_equiv_classes,
                                  resolve_length_vector)
 from balpair.numberfield import FieldScalar
 from balpair.substitution import parse_substitution
 
-from oracles import in_pf_kernel, mat_vec, word_equiv
+from oracles import in_pf_kernel, mat_vec, ones_letter_classes, word_equiv
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,24 @@ def test_letter_classes_examples(noncon):
     assert letter_equiv_classes(constlen) == ((0, 1),)
     ex1 = parse_substitution("1 -> 112\n2 -> 12")
     assert letter_equiv_classes(ex1) == ((0,), (1,))
+
+
+@st.composite
+def substitutions(draw, primitive):
+    size = draw(st.integers(2, 5))
+    images = st.lists(st.integers(0, size - 1), min_size=1, max_size=4)
+    rules = draw(st.lists(images, min_size=size, max_size=size))
+    text = "".join(f"{i + 1} -> {''.join(str(a + 1) for a in image)}\n"
+                   for i, image in enumerate(rules))
+    subst = parse_substitution(text)
+    assume(subst.is_primitive() == primitive)
+    return subst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(substitutions))
+def test_letter_classes_match_the_ones_relation(subst):
+    assert letter_equiv_classes(subst) == ones_letter_classes(subst)
 
 
 def test_letter_partition_must_be_respected_by_sigma():

@@ -54,10 +54,13 @@ def random_monic(degree, bound, seed):
     P(1, 0, 0, 0, 1) * P(1, 0, -10, 0, 1),  # recombination drops a factor
     P(1, 0, 2) * P(1, -1, 0, 3),  # lc 6 changes once a factor is divided out
     random_monic(40, 1000, 40),  # 2B is about 8e15: no trial division to it
+    P(0, 0, 0, 1) * P(-1, 1) ** 2 * P(1, 0, 1),
+    P(-2, 0, 1) ** 3,
+    P(0, 1) ** 2 * P(1, 1, 1) ** 2 * P(-1, 1),
 ], ids=["x4+1", "x4-10x2+1", "phi7*phi15", "quadratics",
         *(f"multinacci-{k}" for k in range(6, 11)),
         "x3+x-5", "(x4+1)(x4-10x2+1)", "(2x2+1)(3x3-x+1)",
-        "random-degree-40"])
+        "random-degree-40", "x3(x-1)2(x2+1)", "(x2-2)3", "x2(x2+x+1)2(x-1)"])
 def test_fixed_cases_match_sympy(p):
     assert factor_poly(p) == oracle(p)
 

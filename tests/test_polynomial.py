@@ -40,8 +40,7 @@ def test_divmod_exact():
 def test_gcd_and_squarefree():
     p = P(-1, 1) ** 2 * P(1, 1)
     assert p.gcd(p.derivative()) == P(-1, 1)
-    decomp = p.squarefree_decomposition()
-    assert decomp == [(P(1, 1), 1), (P(-1, 1), 2)]
+    assert p // p.gcd(p.derivative()) == P(-1, 1) * P(1, 1)
 
 
 def test_eval_interval_contains_value():

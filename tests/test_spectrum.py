@@ -34,20 +34,21 @@ def test_fixed_point_is_memoised():
     assert subst.fixed_point() is subst.fixed_point()
 
 
-def _count_fixed_word_builds(monkeypatch):
-    """The calls of fixed_point_stream, counted in every balpair module
-    that binds it, so a module that imports it is counted too."""
-    original = balpair.substitution.fixed_point_stream
-    calls = [count_calls(monkeypatch, module, "fixed_point_stream")
-             for key, module in list(sys.modules.items())
+def _count_everywhere(monkeypatch, module, name):
+    """The calls of module.name, counted in every balpair module that
+    binds it, so a module that imports it is counted too."""
+    original = getattr(module, name)
+    calls = [count_calls(monkeypatch, binder, name)
+             for key, binder in list(sys.modules.items())
              if key.split(".")[0] == "balpair"
-             and getattr(module, "fixed_point_stream", None) is original]
+             and getattr(binder, name, None) is original]
     return lambda: sum(map(len, calls))
 
 
 def test_bpa_and_analyze_build_the_fixed_word_once(fixtures_dir, capsys,
                                                    monkeypatch):
-    builds = _count_fixed_word_builds(monkeypatch)
+    builds = _count_everywhere(monkeypatch, balpair.substitution,
+                               "fixed_point_stream")
     assert main(["bpa", str(fixtures_dir / "ex1.sub")]) == 0
     capsys.readouterr()
     assert builds() == 1
@@ -98,6 +99,16 @@ def test_eigenvalues_are_classified_once(fixtures_dir, tmp_path, capsys,
                  "--json", str(tmp_path / "info.json")]) == 0
     capsys.readouterr()
     assert len(calls) == 2
+
+
+def test_info_json_non_primitive_builds_the_char_poly_once(tmp_path, capsys,
+                                                         monkeypatch):
+    builds = _count_everywhere(monkeypatch, balpair.linalg, "char_poly")
+    path, info = tmp_path / "block.sub", tmp_path / "info.json"
+    path.write_text("1 -> 11\n2 -> 22\n")
+    assert main(["info", str(path), "--json", str(info)]) == 0
+    assert "char poly: 4 - 4*x + x^2" in capsys.readouterr().out
+    assert builds() == 1
 
 
 def test_info_factors_once(fixtures_dir, capsys, monkeypatch):

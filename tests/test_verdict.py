@@ -195,12 +195,12 @@ def test_analyze_computes_letter_classes_once(corpus, monkeypatch):
 
 
 def test_analyze_builds_all_ones_relation_once(corpus, monkeypatch):
-    # the letter classes come from the general[ones] the cells use
+    # the letter classes need no relation; the cells build theirs in order
     builds = count_calls(monkeypatch, balpair.equivalence.Relation,
                          "generalized")
     subst = corpus["ex1"]
     analyze(subst, AnalysisConfig(prefixes=[(0,)]))
-    assert [args[1].kind for args in builds] == ["ones", "lambda"]
+    assert [args[1].kind for args in builds] == ["lambda", "ones"]
 
 
 PF = RelationSpec.general(LengthSpec.pf())
@@ -209,12 +209,13 @@ ONES = RelationSpec.general(LengthSpec.ones())
 
 @pytest.mark.parametrize("name, requested, expected", [
     ("reducible3", [PF, ONES, RelationSpec.letters()],
-     [ONES, PF, RelationSpec.letters()]),
+     [PF, ONES, RelationSpec.letters()]),
     # ones terminates, so its PF corollary builds PF on first use
     ("reducible3", [ONES, RelationSpec.letters()],
      [ONES, PF, RelationSpec.letters()]),
-    # plain never terminates on mt-rewrite, so no corollary needs PF
-    ("mt-rewrite", [RelationSpec.plain()], [ONES, RelationSpec.plain()]),
+    # plain never terminates on mt-rewrite, so no corollary needs PF, and
+    # the letter classes need no relation: plain alone is built
+    ("mt-rewrite", [RelationSpec.plain()], [RelationSpec.plain()]),
 ])
 def test_analyze_builds_each_relation_once(corpus, monkeypatch, name,
                                            requested, expected):
