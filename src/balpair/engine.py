@@ -13,14 +13,28 @@ all one parent letter at a time: states are linear, so the cuts inside the
 images of a top and a bottom parent letter are one lookup in a
 per-letter-pair table (Relation.image_tables) that maps a state difference
 to the image prefix pairs it cuts at, built on the difference's first
-lookup. The closure's children, `children`, walk the two words of a pair
-under sigma. The initial split I(w) and the coincidence densities,
-`shift_split`, cut the fixed word u against its own shift: u =
-sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix of
-v_k under sigma^k, the bottom dropping the first letters of its first
-image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
-images take one loop step per sigma^k image rather than per letter of u.
-Only the pending component's letters are held.
+lookup. Either side may drop a head, the letters of its first image
+before the split starts; its states start at minus the head's, so each
+side reads zero where the split starts.
+
+The closure's children, `children`, walk the two words of a pair under
+sigma. A pair the closure found after its initial split is a component of
+sigma(P.top) against sigma(P.bottom) for the pair P that found it, its
+origin, so sigma of the pair is a stretch of sigma^2(P): given the origin,
+the walk reads P's letters over sigma^2 images, from the parent letter
+whose sigma image holds the pair's start. Each side drops the head
+sigma(sigma(a)[:r]), r being the letters of sigma(a) before the pair,
+whose sums are those of the sigma tables' entries, and the walk stops at
+the cut where sigma of the pair ends. Each side's states are zero at its
+own start, so the cuts found are those of the pair's own words: that
+sigma maps equivalent words to equivalent words is not needed. The initial
+split I(w) and the coincidence densities, `shift_split`, cut the fixed
+word u against its own shift: u = sigma^k(v_k) for a fixed word v_k, so
+they walk v_k against a suffix of v_k under sigma^k, the bottom dropping
+the first letters of its first image. k is the largest with
+sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step per
+sigma^k image rather than per letter of u. Only the pending component's
+letters are held.
 
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
@@ -32,6 +46,8 @@ stopped it, if any.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +79,15 @@ _pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
 # this many letters in all, or under sigma when its own images hold more
 WALK_LETTERS = 96
 
+class Origin(NamedTuple):
+    """Where a child sits in the images of the pair that found it: per
+    side, the first and the last letter of the parent word whose sigma
+    images hold the child, and the letters of the first image before it."""
+
+    parent: BalancedPair
+    top: tuple  # (first, dropped, last)
+    bottom: tuple
+
 
 @dataclass
 class Budgets:
@@ -93,13 +118,14 @@ class PairGraph:
 class Closure(PairGraph):
     """What run_bpa computed: the pairs in discovery order, the edges of
     every pair whose children were computed (each list in first-occurrence
-    order), and the budget that stopped the closure, None when the frontier
-    emptied."""
+    order), the budget that stopped the closure, None when the frontier
+    emptied, and the parent letters the children walks read, per side."""
 
     discovered: list  # iteration that found each vertex
     growth_trace: list  # (iteration, max new top length)
     iterations_done: int  # iterations begun
     which: str | None = None
+    letters_walked: tuple = (0, 0)  # parent letters children read, a side
 
     @property
     def terminated(self):
@@ -124,7 +150,7 @@ class DensityStats:
     ratio_decimal: str
 
 
-def _letters(word, tables, low=0, high=0, state=0):
+def _letters(word, tables, low, high, state):
     """Per letter of a parent word, in order: the low enclosure of the
     scaled length of the images before it and the high one of the images up
     to and including it, the letter, and the packed state and the letter
@@ -142,13 +168,15 @@ def _letters(word, tables, low=0, high=0, state=0):
                accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
 
 
-def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
-    """Irreducible components of tau(top_word) against
-    tau(bottom_word)[start:], in order, walked one parent letter at a time,
-    tau being the map sigma^k whose images the tables hold (sigma for the
-    closure's children). head is the packed state and the low and high
-    length enclosures of the `start` letters the bottom drops; its states
-    start at minus head.
+def _walk(tables, top_word, bottom_word, cap, which, top_head=(0, 0, 0, 0),
+          bottom_head=(0, 0, 0, 0)):
+    """Irreducible components of tau(top_word) against tau(bottom_word),
+    each side less its head, in order, walked one parent letter at a time,
+    tau being the map sigma^k whose images the tables hold. A head (_head)
+    is the letter count, packed state and low and high length enclosures
+    of the letters a side drops from the start of its first image; that
+    side's states and enclosures start at minus the head's, so both sides
+    read zero where their components start.
 
     States are linear, so the state r letters into the image of top letter
     a is S_top + P_a[r], S_top being the state of the images before it and
@@ -172,14 +200,16 @@ def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
     NotBalanced when the images end other than at a cut.
     """
     rows, sizes, images = tables.rows, tables.sizes, tables.images
-    state, low, high = head
+    top_start, state, low, high = top_head
+    tops = _letters(top_word, tables, -high, -low, -state)
+    bottom_start, state, low, high = bottom_head
     bottoms = _letters(bottom_word, tables, -high, -low, -state)
     ahead = next(bottoms, None)  # the next bottom letter to enter
     window = deque()  # bottom letters (low, high, b, ...) that may overlap
     top_letters, bottom_letters = [], []  # from top_from, bottom_from on
     top_from = bottom_from = 0
-    top, bottom = 0, start  # the last cut
-    for low, high, a, state, first in _letters(top_word, tables):
+    top, bottom = top_start, bottom_start  # the last cut
+    for low, high, a, state, first in tops:
         if first - top > cap:  # the images before this letter overflow
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                                which=which)
@@ -205,7 +235,7 @@ def _walk(tables, top_word, bottom_word, cap, which, start=0, head=(0, 0, 0)):
             del top_letters[:top - top_from]
             del bottom_letters[:bottom - bottom_from]
             top_from, bottom_from = top, bottom
-    top_left = len(top_letters)  # top_from is top here
+    top_left = top_from + len(top_letters) - top
     bottom_left = bottom_from + len(bottom_letters) - bottom
     if ahead:  # bottom letters that never entered
         bottom_left += sum(sizes[entry[2]] for entry in chain((ahead,), bottoms))
@@ -248,27 +278,85 @@ def shift_split(rel, shift, cap, which="max_word_length"):
     j, d = 0, shift
     while d >= len(image := tables.images[ancestor.letter(j)]):
         j, d = j + 1, d - len(image)
-    dropped = image[:d]
-    head = (sum(map(rel.packed_states(cap).__getitem__, dropped)),
-            sum(map(rel.length_low.__getitem__, dropped)),
-            sum(map(rel.length_high.__getitem__, dropped)))
     return _walk(tables, ancestor.letters(0), ancestor.letters(j), cap, which,
-                 d, head)
+                 bottom_head=_head(rel.image_tables(cap, 0), image[:d]))
 
 
-def children(rel, pair, *, max_word_length):
+def _head(tables, word):
+    """The head tau(word), tau being the map whose images the tables hold:
+    its letter count, packed state and low and high length enclosures."""
+    return (sum(map(tables.sizes.__getitem__, word)),
+            sum(map(tables.states.__getitem__, word)),
+            sum(map(tables.low.__getitem__, word)),
+            sum(map(tables.high.__getitem__, word)))
+
+
+def children(rel, pair, *, max_word_length, parent=None):
     """Irreducible pairs in the reduction of the pair substituted by
-    rel.subst, in order: the walk of sigma(top) against sigma(bottom) over
-    rel.image_tables. The lookups number about |top| + |bottom|, and no
+    rel.subst, in order.
+
+    With no parent, the walk of sigma(top) against sigma(bottom) over
+    rel.image_tables: the lookups number about |top| + |bottom|, and no
     whole image is held. A cap of at least max(|top|, |bottom|) times the
     longest image never overflows.
+
+    A parent is the pair's Origin: the pair is the stretch of sigma(P.top)
+    against sigma(P.bottom) that it names, P being the parent pair, so
+    sigma(pair) is a stretch of sigma^2(P). The walk reads, on each side,
+    P's letters from the first, a, whose sigma image holds the pair's
+    start, to the last, over the sigma^2 tables; the lookups number about
+    |top| + |bottom| over the length of a sigma image. Each side drops the
+    head sigma(sigma(a)[:dropped]), its sums those of the sigma tables'
+    entries, so its states are zero where sigma(pair) starts, and the cuts
+    found are those of sigma(pair)'s own words: that sigma maps equivalent
+    words to equivalent words is not needed. The walk stops at the cut
+    where sigma(pair) ends on both sides. A cut past that end on either
+    side, or the walk's overflow or end before it, leaves sigma(pair)
+    ending other than at a cut; its letters after the last cut then tell
+    an overflow from an unbalanced end, as the walk of its own words does.
 
     Raises ScanOverflow("max_word_length") when a component would have more
     than max_word_length letters on a side, and NotBalanced when the images
     end other than at a cut.
     """
-    return list(_walk(rel.image_tables(max_word_length), pair.top,
-                      pair.bottom, max_word_length, "max_word_length"))
+    cap = max_word_length
+    once = rel.image_tables(cap)
+    if parent is None:
+        return list(_walk(once, pair.top, pair.bottom, cap, "max_word_length"))
+    words, heads, ends = [], [], []
+    for word, part, (first, dropped, last) in zip(parent.parent, pair,
+                                                  parent[1:]):
+        words.append(word[first:last + 1])
+        heads.append(_head(once, once.images[word[first]][:dropped]))
+        ends.append(sum(map(once.sizes.__getitem__, part)))
+    top_end, bottom_end = ends
+    kids, top, bottom = [], 0, 0  # the last cut
+    try:
+        for kid in _walk(rel.image_tables(cap, 2), *words, cap,
+                         "max_word_length", *heads):
+            i, p = top + len(kid.top), bottom + len(kid.bottom)
+            if i > top_end or p > bottom_end:
+                break
+            kids.append(kid)
+            top, bottom = i, p
+            if top == top_end and bottom == bottom_end:
+                return kids
+    except (ScanOverflow, NotBalanced):
+        pass
+    if max(top_end - top, bottom_end - bottom) > cap:
+        raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                           which="max_word_length")
+    raise NotBalanced("images end on an unbalanced pair")
+
+
+def _span(ends, start, length):
+    """The first and the last letter of a parent word whose images hold
+    their concatenation's letters start to start + length, and the letters
+    of the first one's image before start; ends are the running sums of
+    the images' lengths, from 0."""
+    first = bisect_right(ends, start) - 1
+    return first, start - ends[first], bisect_left(ends, start + length,
+                                                   first) - 1
 
 
 def initial_pairs(rel, w, budgets: Budgets) -> list:
@@ -327,14 +415,24 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     Its `which` names the budget that stopped the closure, or is None when
     the frontier emptied; a budget overrun inside the initial split stops
     it with no pairs at all.
+
+    A pair found after the initial split keeps its origin, the pair that
+    found it and its offsets in that pair's sigma images (the running sums
+    of the lengths of the children before it), and is expanded over that
+    stretch of sigma^2 images (children with a parent) when sigma^2 images
+    are short and the pair is longer than every sigma image; the others
+    walk their own words. The origin is located, by a search of the
+    parent's running image lengths, when the pair is expanded, and
+    letters_walked sums the parent letters each expansion reads.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
+    walked = [0, 0]
 
     def stop(which, iterations_done):
         return Closure(vertices=vertices, edges=edges, discovered=discovered,
                        growth_trace=trace, iterations_done=iterations_done,
-                       which=which)
+                       which=which, letters_walked=tuple(walked))
 
     try:
         vertices += initial_pairs(rel, w, budgets)
@@ -343,7 +441,16 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     index = {pair: i for i, pair in enumerate(vertices)}
     discovered += [1] * len(vertices)
     trace.append((1, max(len(p.top) for p in vertices)))
-    frontier = list(enumerate(vertices))
+    # a frontier entry is a vertex, its pair and where it starts in the
+    # sigma images of the pair that found it: that pair's vertex and two
+    # offsets, or None for a pair that walks its own words
+    frontier = [(i, pair, None) for i, pair in enumerate(vertices)]
+    sizes = tuple(map(len, rel.subst.rules))
+    # when sigma^2 images are short, a child longer than every sigma image
+    # on a side walks its stretch of the parent's sigma^2 images; a shorter
+    # one would save a few loop steps at most, fewer than its heads cost
+    longest = max(sizes) if _walk_power(rel.subst) > 1 else None
+    located = None  # the parent vertex whose image ends are held
     iteration = 1
     while frontier:
         iteration += 1
@@ -351,23 +458,46 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
             return stop("max_iterations", iteration - 1)
         new_frontier = []
         max_new = 0
-        for vertex, pair in frontier:
+        for vertex, pair, start in frontier:
+            if start is None:
+                origin = None
+                walked[0] += len(pair.top)
+                walked[1] += len(pair.bottom)
+            else:
+                at, top, bottom = start
+                if at != located:  # the children of a parent are adjacent
+                    # int64 arrays: lists of ints for a parent of 59 050
+                    # letters a side raised const-len's peak by 1.2 MB
+                    located, parent = at, vertices[at]
+                    ends = [array("q", accumulate(map(sizes.__getitem__, word),
+                                                  initial=0))
+                            for word in parent]
+                origin = Origin(parent, _span(ends[0], top, len(pair.top)),
+                                _span(ends[1], bottom, len(pair.bottom)))
+                walked[0] += origin.top[2] - origin.top[0] + 1
+                walked[1] += origin.bottom[2] - origin.bottom[0] + 1
             try:
                 kids = children(rel, pair,
-                                max_word_length=budgets.max_word_length)
+                                max_word_length=budgets.max_word_length,
+                                parent=origin)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             indices = []
+            top = bottom = 0  # where the kid starts in the pair's images
             for kid in kids:
                 i = index.setdefault(kid, len(vertices))
                 indices.append(i)
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    new_frontier.append((i, kid))
+                    stretch = longest and max(map(len, kid)) > longest
+                    new_frontier.append(
+                        (i, kid, (vertex, top, bottom) if stretch else None))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)
+                top += len(kid.top)
+                bottom += len(kid.bottom)
             # a Counter keeps first-occurrence order
             edges[vertex] = list(Counter(indices).items())
         if new_frontier:

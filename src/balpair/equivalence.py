@@ -266,7 +266,8 @@ class Relation:
 
     def image_tables(self, cap, k=1):
         """The tables the splits' walk reads for sigma^k, packed as
-        packed_states(cap); built once per packing width and k.
+        packed_states(cap); built once per packing width and k. Those for
+        k = 0 hold each letter's own state, enclosure and size.
 
         Per letter a: the packed state of its image sigma^k(a), the integer
         enclosure of the image's scaled length, its letter count and the

@@ -8,13 +8,16 @@ rather than the image lengths alone, a per-letter word equivalence, the
 splits of two words (a linear whole-word split and a quadratic one), the
 split of the fixed word against its shift from whole-word splits of its
 prefixes, a whole-word `reduce_pair`, the initial split on that prefix
-split, the coincidence density masses summed per component, and small
-matrix and rendering helpers.
+split, the closure with every pair's children walked over its own words,
+the coincidence density masses summed per component, and small matrix and
+rendering helpers.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from balpair.engine import BalancedPair, Budgets, shift_split
+from balpair.engine import (BalancedPair, Budgets, Closure, children,
+                            initial_pairs, shift_split)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
                             StabilityNotReached)
@@ -252,6 +255,60 @@ def reference_initial_pairs(rel, w, budgets: Budgets) -> list:
             raise StabilityNotReached(
                 f"still discovering after {budgets.max_scan_length} letters",
                 which="max_scan_length")
+
+
+def closure_by_own_words(rel, w, budgets=None) -> Closure:
+    """engine.run_bpa's worklist closure with the children of every pair
+    walked over the pair's own words, children(rel, pair) with no parent;
+    its letters_walked counts those words' letters."""
+    budgets = budgets or Budgets()
+    vertices, discovered, edges, trace = [], [], {}, []
+    walked = [0, 0]
+
+    def stop(which, iterations_done):
+        return Closure(vertices=vertices, edges=edges, discovered=discovered,
+                       growth_trace=trace, iterations_done=iterations_done,
+                       which=which, letters_walked=tuple(walked))
+
+    try:
+        vertices += initial_pairs(rel, w, budgets)
+    except (ScanOverflow, StabilityNotReached) as exc:
+        return stop(exc.which, 1)
+    index = {pair: i for i, pair in enumerate(vertices)}
+    discovered += [1] * len(vertices)
+    trace.append((1, max(len(p.top) for p in vertices)))
+    frontier = list(enumerate(vertices))
+    iteration = 1
+    while frontier:
+        iteration += 1
+        if iteration > budgets.max_iterations:
+            return stop("max_iterations", iteration - 1)
+        new_frontier = []
+        max_new = 0
+        for vertex, pair in frontier:
+            walked[0] += len(pair.top)
+            walked[1] += len(pair.bottom)
+            try:
+                kids = children(rel, pair,
+                                max_word_length=budgets.max_word_length)
+            except ScanOverflow:
+                return stop("max_word_length", iteration)
+            indices = []
+            for kid in kids:
+                i = index.setdefault(kid, len(vertices))
+                indices.append(i)
+                if i == len(vertices):
+                    vertices.append(kid)
+                    discovered.append(iteration)
+                    new_frontier.append((i, kid))
+                    max_new = max(max_new, len(kid.top))
+                    if len(vertices) > budgets.max_pairs:
+                        return stop("max_pairs", iteration)
+            edges[vertex] = list(Counter(indices).items())
+        if new_frontier:
+            trace.append((iteration, max_new))
+        frontier = new_frontier
+    return stop(None, iteration)
 
 
 def reference_density_masses(rel, w, level, horizon):

@@ -14,30 +14,36 @@ ancestor word under sigma^k; it is checked against `shift_components`, the
 linear split of prefixes of that word, at its own k and at forced k of 1,
 2 and 3, and `initial_pairs` against the same loop over `shift_components`.
 The image tables' hit lists, built per state difference, are checked
-against entries built whole.
+against entries built whole. `children` of a pair given its origin, a
+stretch of its parent's sigma^2 images, is checked against `children` of
+the pair's own words, and `run_bpa`, which walks such stretches, against
+`closure_by_own_words`, the same closure over own words throughout.
 """
 
 import functools
+import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import (accumulate, combinations_with_replacement, islice,
                        product)
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from balpair import engine
-from balpair.engine import (BalancedPair, Budgets, _walk_power, children,
-                            initial_pairs, run_bpa, shift_split)
+from balpair.engine import (BalancedPair, Budgets, Origin, _walk_power,
+                            children, initial_pairs, run_bpa, shift_split)
 from balpair.equivalence import LengthSpec, Relation, RelationSpec
 from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
 from balpair.substitution import fixed_point_stream, parse_substitution
 
 import oracles
-from conftest import count_calls, load_corpus
+from conftest import CORPUS_NAMES, count_calls, load_corpus, load_expect
 from oracles import (linear_cuts, reduce_pair, reference_initial_pairs,
                      reference_split, shift_components, split)
 
@@ -766,18 +772,198 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
     # letters and the output: its peak measured 2.4 MB on CPython 3.11, and
     # the block split of the streamed images it replaced 2.5 MB. A join of
     # the whole images, the two images and a packed prefix-state dict per
-    # side, measured 14 MB.
+    # side, measured 14 MB. The walk of the parent's stretch of sigma^2
+    # images holds the same and its sigma^2 tables, and measured 2.4 MB too.
     subst = parse_substitution("1 -> 112\n2 -> 122")
     rel = Relation.plain(subst)
-    closure = run_bpa(rel, (0,), Budgets(max_word_length=20_000))
+    budgets = Budgets(max_word_length=20_000)
+    closure = run_bpa(rel, (0,), budgets)
     assert closure.which == "max_word_length"
     pair = max(closure.vertices, key=lambda p: len(p.top))
     assert len(pair.top) == 19_684
-    tracemalloc.start()
+    origin = next(_origin(subst, parent, top, bottom, kid)
+                  for kid, parent, top, bottom, _after in _first_finds(
+                      rel, closure, budgets.max_word_length) if kid == pair)
+    for parent in (None, origin):
+        tracemalloc.start()
+        try:
+            kids = children(rel, pair, max_word_length=3 * len(pair.top),
+                            parent=parent)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
+        assert peak < 3_750_000, parent is None
+
+
+# -- children over a stretch of the parent's sigma^2 images -------------------
+
+# the closure budgets of the benchmark's batch survey
+BATCH_BUDGETS = Budgets(max_iterations=8, max_pairs=250, max_word_length=400)
+CLOSURE_FIELDS = ("vertices", "discovered", "edges", "growth_trace",
+                  "iterations_done", "which")
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def _origin(subst, parent, top, bottom, pair):
+    """The Origin of the pair that starts `top` and `bottom` letters into
+    the sigma images of the parent's two words, found one parent letter at
+    a time."""
+    spans = []
+    for word, start, part in zip(parent, (top, bottom), pair):
+        first = before = 0
+        while before + len(subst.rules[word[first]]) <= start:
+            before += len(subst.rules[word[first]])
+            first += 1
+        last, end = first, before + len(subst.rules[word[first]])
+        while end < start + len(part):
+            last += 1
+            end += len(subst.rules[word[last]])
+        spans.append((first, start - before, last))
+    return Origin(parent, *spans)
+
+
+def _first_finds(rel, closure, cap):
+    """Each pair the closure found after its initial split, where it was
+    first found, in the order found: the parent pair, the offsets of the
+    pair in the parent's images and the parent's next child, or None. The
+    children of the expanded pairs are recomputed over their own words, in
+    the order the closure expanded them."""
+    seen = set(closure.vertices[i] for i, found in
+               enumerate(closure.discovered) if found == 1)
+    for vertex in closure.edges:
+        parent = closure.vertices[vertex]
+        kids = children(rel, parent, max_word_length=cap)
+        top = bottom = 0
+        for kid, after in zip(kids, kids[1:] + [None]):
+            if kid not in seen:
+                seen.add(kid)
+                yield kid, parent, top, bottom, after
+            top, bottom = top + len(kid.top), bottom + len(kid.bottom)
+
+
+def _stretch_outcomes(rel, closure, cap):
+    """children of each pair the closure found after its initial split,
+    over its parent's stretch and over its own words, each as its list of
+    components or its error: at the closure's cap, and at one below the
+    longest child, so that the last component may overflow, and at one
+    below what is left past the last cut. Also stretches whose last top
+    cut is not at the bottom's end: the pair less
+    the last letter of a side, and, for a pair that has a next sibling,
+    the pair's top against its bottom followed by the sibling's, its top
+    followed by the sibling's against its bottom, and both followed by the
+    sibling's less the sibling's last bottom letter."""
+    for pair, parent, top, bottom, after in _first_finds(rel, closure, cap):
+        own = _outcome(lambda: children(rel, pair, max_word_length=cap))
+        caps = [cap]
+        if isinstance(own, list):
+            longest = max(max(map(len, kid)) for kid in own)
+            caps += [longest - 1] if longest > 1 else []
+        cases = [pair, BalancedPair(pair.top, pair.bottom[:-1]),
+                 BalancedPair(pair.top[:-1], pair.bottom)]
+        if after is not None:
+            cases += [BalancedPair(pair.top, pair.bottom + after.bottom),
+                      BalancedPair(pair.top + after.top, pair.bottom),
+                      BalancedPair(pair.top + after.top,
+                                   pair.bottom + after.bottom[:-1])]
+        cases = [case for case in cases if case.top and case.bottom]
+        for case in cases:
+            origin = _origin(rel.subst, parent, top, bottom, case)
+            for at in caps + _left_after_the_last_cut(rel, case):
+                expected = _outcome(lambda: children(rel, case,
+                                                     max_word_length=at))
+                got = _outcome(lambda: children(rel, case, max_word_length=at,
+                                                parent=origin))
+                yield (case, at), expected, got
+
+
+def _left_after_the_last_cut(rel, pair):
+    """The cap one below the most letters a side of sigma(pair) holds past
+    its last cut, at which that remainder overflows, if it holds two or
+    more."""
+    top, bottom = rel.subst.apply(pair.top), rel.subst.apply(pair.bottom)
+    i, j = ([(0, 0)] + linear_cuts(rel, top, bottom))[-1]
+    left = max(len(top) - i, len(bottom) - j)
+    return [left - 1] if left > 1 else []
+
+
+@st.composite
+def batch_closures(draw):
+    """A closure of a random primitive substitution on 2-4 letters with
+    images of 1-4 letters, under one of four relations, from a prefix of
+    1-3 letters of its fixed word, under the batch survey's budgets."""
+    subst = draw(primitive_substitutions())
     try:
-        kids = children(rel, pair, max_word_length=3 * len(pair.top))
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
-    assert peak < 3_750_000
+        rel = _relation(subst, draw(st.sampled_from(
+            ("plain", "letters", "ones", "lambda"))))
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    w = fixed_point_stream(subst).prefix(draw(st.integers(1, 3)))
+    return rel, run_bpa(rel, w, BATCH_BUDGETS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch_closures())
+def test_children_of_a_parent_stretch_match_own_words(case):
+    rel, closure = case
+    for label, expected, got in _stretch_outcomes(
+            rel, closure, BATCH_BUDGETS.max_word_length):
+        assert got == expected, label
+
+
+def test_children_of_a_parent_stretch_end_as_own_words_do():
+    # mt-rewrite's lambda closure under a 2000-letter budget: every outcome
+    # of _stretch_outcomes occurs, a list, an overflow of the last
+    # component and an unbalanced end
+    subst = load_corpus("mt-rewrite")
+    rel = _relation(subst, "lambda")
+    closure = run_bpa(rel, (0,), Budgets(max_word_length=2000))
+    kinds = Counter()
+    for label, expected, got in _stretch_outcomes(rel, closure, 2000):
+        assert got == expected, label
+        kinds[expected[0] if isinstance(expected, tuple) else "list"] += 1
+    assert kinds.keys() == {"list", "ScanOverflow", "NotBalanced"}, kinds
+
+
+def _assert_closure_matches_own_words(rel, w, budgets):
+    got = run_bpa(rel, w, budgets)
+    expected = oracles.closure_by_own_words(rel, w, budgets)
+    for field in CLOSURE_FIELDS:
+        assert getattr(got, field) == getattr(expected, field), field
+    return got, expected
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_closure_matches_own_words_on_the_fixtures(name):
+    subst, expect = load_corpus(name), load_expect(name)
+    for cell in expect["cells"]:
+        mode = cell["mode"]
+        rel = (Relation.generalized(subst, LengthSpec.parse(mode[7:]))
+               if mode.startswith("custom:") else _relation(subst, mode))
+        budgets = Budgets(**cell.get("budgets", {}))
+        _assert_closure_matches_own_words(
+            rel, subst.alphabet.word_from_text(cell["prefix"]), budgets)
+
+
+@pytest.mark.parametrize("entry", json.loads(
+    (BENCH_INPUTS / "closures.json").read_text()), ids=lambda e: e["file"])
+def test_closure_matches_own_words_on_the_large_closures(entry):
+    subst = parse_substitution((BENCH_INPUTS / entry["file"]).read_text())
+    rel = _relation(subst, "lambda")
+    got, _expected = _assert_closure_matches_own_words(
+        rel, subst.alphabet.word_from_text(entry["prefix"]), Budgets())
+    assert got.terminated and len(got.vertices) == entry["pairs"]
+
+
+@pytest.mark.parametrize("name, kind", [("const-len", "plain"),
+                                        ("mt-rewrite", "lambda")])
+def test_growth_closure_matches_own_words(name, kind):
+    rel = _relation(load_corpus(name), kind)
+    got, expected = _assert_closure_matches_own_words(
+        rel, (0,), Budgets(max_word_length=20_000))
+    assert got.which == "max_word_length"
+    if name == "mt-rewrite":
+        # the sigma^2 stretches read at most a third of the letters the
+        # pairs' own words hold: 3236 of 12 788 a side
+        assert all(3 * mine <= theirs for mine, theirs in
+                   zip(got.letters_walked, expected.letters_walked))
