@@ -18,23 +18,24 @@ before the split starts; its states start at minus the head's, so each
 side reads zero where the split starts.
 
 The closure's children, `children`, walk the two words of a pair under
-sigma. A pair the closure found after its initial split is a component of
-sigma(P.top) against sigma(P.bottom) for the pair P that found it, its
-origin, so sigma of the pair is a stretch of sigma^2(P): given the origin,
-the walk reads P's letters over sigma^2 images, from the parent letter
-whose sigma image holds the pair's start. Each side drops the head
-sigma(sigma(a)[:r]), r being the letters of sigma(a) before the pair,
-whose sums are those of the sigma tables' entries, and the walk stops at
-the cut where sigma of the pair ends. Each side's states are zero at its
-own start, so the cuts found are those of the pair's own words: that
-sigma maps equivalent words to equivalent words is not needed. The initial
-split I(w) and the coincidence densities, `shift_split`, cut the fixed
-word u against its own shift: u = sigma^k(v_k) for a fixed word v_k, so
-they walk v_k against a suffix of v_k under sigma^k, the bottom dropping
-the first letters of its first image. k is the largest with
-sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step per
-sigma^k image rather than per letter of u. Only the pending component's
-letters are held.
+sigma. A pair the closure found at iteration n is a stretch of sigma^d(A)
+for its ancestor A found d iterations earlier, so sigma of the pair is a
+stretch of sigma^(d+1)(A): given that origin, the walk reads A's letters
+over sigma^(d+1) images, from the ancestor letter whose sigma^d image
+holds the pair's start. Each side drops the head sigma(sigma^d(a)[:r]),
+r being the letters of sigma^d(a) before the pair, whose sums are those
+of the sigma tables' entries, and the walk stops at the cut where sigma
+of the pair ends. Each side's states are zero at its own start, so the
+cuts found are those of the pair's own words: that sigma maps equivalent
+words to equivalent words is not needed. The initial split I(w) and the
+coincidence densities, `shift_split`, cut the fixed word u against its
+own shift: u = sigma^k(v_k) for a fixed word v_k, so they walk v_k
+against a suffix of v_k under sigma^k, the bottom dropping the first
+letters of its first image. k is the largest with
+sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step
+per sigma^k image rather than per letter of u, and the closure's walks
+reach depth k - 1, whose sigma^k images are the same. Only the pending
+component's letters are held.
 
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
@@ -76,15 +77,18 @@ class BalancedPair(NamedTuple):
 _pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
 
 # shift_split walks under the largest sigma^k whose images hold at most
-# this many letters in all, or under sigma when its own images hold more
-WALK_LETTERS = 96
+# this many letters in all, or under sigma when its own images hold more;
+# the closure's children walk ancestors at depths below that k
+WALK_LETTERS = 512
 
 class Origin(NamedTuple):
-    """Where a child sits in the images of the pair that found it: per
-    side, the first and the last letter of the parent word whose sigma
-    images hold the child, and the letters of the first image before it."""
+    """Where a pair sits in sigma^depth of an ancestor pair, depth >= 1:
+    per side, the first and the last letter of the ancestor's word whose
+    sigma^depth images hold the pair, and the letters of the first image
+    before it."""
 
-    parent: BalancedPair
+    ancestor: BalancedPair
+    depth: int
     top: tuple  # (first, dropped, last)
     bottom: tuple
 
@@ -119,13 +123,14 @@ class Closure(PairGraph):
     """What run_bpa computed: the pairs in discovery order, the edges of
     every pair whose children were computed (each list in first-occurrence
     order), the budget that stopped the closure, None when the frontier
-    emptied, and the parent letters the children walks read, per side."""
+    emptied, and the ancestor letters the children walks read, per side: a
+    pair's own letters when it walks its own words."""
 
     discovered: list  # iteration that found each vertex
     growth_trace: list  # (iteration, max new top length)
     iterations_done: int  # iterations begun
     which: str | None = None
-    letters_walked: tuple = (0, 0)  # parent letters children read, a side
+    letters_walked: tuple = (0, 0)  # ancestor letters children read, a side
 
     @property
     def terminated(self):
@@ -246,15 +251,22 @@ def _walk(tables, top_word, bottom_word, cap, which, top_head=(0, 0, 0, 0),
         raise NotBalanced("images end on an unbalanced pair")
 
 
+def _walk_sizes(subst):
+    """The image lengths |sigma^j(a)|, a tuple over the letters a for each
+    j from 0 to the power k the walks reach: the largest k >= 1 with
+    sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
+    rules = subst.rules
+    powers = [(1,) * len(rules), tuple(map(len, rules))]
+    while sum(grown := tuple(sum(map(powers[-1].__getitem__, image))
+                             for image in rules)) <= WALK_LETTERS:
+        powers.append(grown)
+    return powers
+
+
 def _walk_power(subst):
     """The power k of sigma whose images shift_split walks: the largest
     k >= 1 with sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
-    rules, k = subst.rules, 1
-    sizes = list(map(len, rules))
-    while sum(grown := [sum(map(sizes.__getitem__, image))
-                        for image in rules]) <= WALK_LETTERS:
-        sizes, k = grown, k + 1
-    return k
+    return len(_walk_sizes(subst)) - 1
 
 
 def shift_split(rel, shift, cap, which="max_word_length"):
@@ -291,29 +303,31 @@ def _head(tables, word):
             sum(map(tables.high.__getitem__, word)))
 
 
-def children(rel, pair, *, max_word_length, parent=None):
+def children(rel, pair, *, max_word_length, origin=None):
     """Irreducible pairs in the reduction of the pair substituted by
     rel.subst, in order.
 
-    With no parent, the walk of sigma(top) against sigma(bottom) over
+    With no origin, the walk of sigma(top) against sigma(bottom) over
     rel.image_tables: the lookups number about |top| + |bottom|, and no
     whole image is held. A cap of at least max(|top|, |bottom|) times the
     longest image never overflows.
 
-    A parent is the pair's Origin: the pair is the stretch of sigma(P.top)
-    against sigma(P.bottom) that it names, P being the parent pair, so
-    sigma(pair) is a stretch of sigma^2(P). The walk reads, on each side,
-    P's letters from the first, a, whose sigma image holds the pair's
-    start, to the last, over the sigma^2 tables; the lookups number about
-    |top| + |bottom| over the length of a sigma image. Each side drops the
-    head sigma(sigma(a)[:dropped]), its sums those of the sigma tables'
-    entries, so its states are zero where sigma(pair) starts, and the cuts
-    found are those of sigma(pair)'s own words: that sigma maps equivalent
-    words to equivalent words is not needed. The walk stops at the cut
-    where sigma(pair) ends on both sides. A cut past that end on either
-    side, or the walk's overflow or end before it, leaves sigma(pair)
-    ending other than at a cut; its letters after the last cut then tell
-    an overflow from an unbalanced end, as the walk of its own words does.
+    An origin (Origin) places the pair in sigma^d of an ancestor pair A,
+    d >= 1: each side of the pair is the stretch of sigma^d of A's word
+    that it names, so sigma(pair) is a stretch of sigma^(d+1)(A). The walk
+    reads, on each side, A's letters from the first, a, whose sigma^d
+    image holds the pair's start, to the last, over the sigma^(d+1)
+    tables; the lookups number about |top| + |bottom| over the length of
+    a sigma^d image. Each side drops the head sigma(sigma^d(a)[:dropped]),
+    its sums those of the sigma tables' entries, so its states are zero
+    where sigma(pair) starts, and the cuts found are those of sigma(pair)'s
+    own words: that sigma maps equivalent words to equivalent words is not
+    needed. The walk stops at the cut where sigma(pair) ends on both
+    sides, |sigma(pair)| being the sigma^(d+1) lengths of the letters read
+    less the head and the tail. A cut past that end on either side, or the
+    walk's overflow or end before it, leaves sigma(pair) ending other than
+    at a cut; its letters after the last cut then tell an overflow from an
+    unbalanced end, as the walk of its own words does.
 
     Raises ScanOverflow("max_word_length") when a component would have more
     than max_word_length letters on a side, and NotBalanced when the images
@@ -321,19 +335,26 @@ def children(rel, pair, *, max_word_length, parent=None):
     """
     cap = max_word_length
     once = rel.image_tables(cap)
-    if parent is None:
+    if origin is None:
         return list(_walk(once, pair.top, pair.bottom, cap, "max_word_length"))
+    inner = rel.image_tables(cap, origin.depth)
+    outer = rel.image_tables(cap, origin.depth + 1)
     words, heads, ends = [], [], []
-    for word, part, (first, dropped, last) in zip(parent.parent, pair,
-                                                  parent[1:]):
-        words.append(word[first:last + 1])
-        heads.append(_head(once, once.images[word[first]][:dropped]))
-        ends.append(sum(map(once.sizes.__getitem__, part)))
+    for word, part, (first, dropped, last) in zip(origin.ancestor, pair,
+                                                  origin[2:]):
+        span = word[first:last + 1]
+        head = _head(once, inner.images[span[0]][:dropped])
+        # the pair ends `kept` letters into the last sigma^d image
+        kept = dropped + len(part) - sum(map(inner.sizes.__getitem__,
+                                             span[:-1]))
+        tail = sum(map(once.sizes.__getitem__, inner.images[span[-1]][kept:]))
+        words.append(span)
+        heads.append(head)
+        ends.append(sum(map(outer.sizes.__getitem__, span)) - head[0] - tail)
     top_end, bottom_end = ends
     kids, top, bottom = [], 0, 0  # the last cut
     try:
-        for kid in _walk(rel.image_tables(cap, 2), *words, cap,
-                         "max_word_length", *heads):
+        for kid in _walk(outer, *words, cap, "max_word_length", *heads):
             i, p = top + len(kid.top), bottom + len(kid.bottom)
             if i > top_end or p > bottom_end:
                 break
@@ -350,13 +371,32 @@ def children(rel, pair, *, max_word_length, parent=None):
 
 
 def _span(ends, start, length):
-    """The first and the last letter of a parent word whose images hold
-    their concatenation's letters start to start + length, and the letters
-    of the first one's image before start; ends are the running sums of
-    the images' lengths, from 0."""
+    """The first and the last letter of a word whose images hold their
+    concatenation's letters start to start + length, and the letters of
+    the first one's image before start; ends are the running sums of the
+    images' lengths, from 0."""
     first = bisect_right(ends, start) - 1
     return first, start - ends[first], bisect_left(ends, start + length,
                                                    first) - 1
+
+
+def _walk_depth(pair, deepest, longest):
+    """The deepest depth d <= deepest at which the pair is longer than
+    every sigma^d image on a side, longest[d] being the longest, or 0."""
+    size = max(map(len, pair))
+    while deepest and size <= longest[deepest]:
+        deepest -= 1
+    return deepest
+
+
+def _image_start(word, start, ends, deeper, images, sizes):
+    """|tau(x)| for the first `start` letters x of the concatenated images
+    of a word's letters, images[a] being the image of letter a and sizes[a]
+    |tau(a)|; ends and deeper are the running sums, from 0, of the images'
+    lengths and of the lengths of their tau images over the word."""
+    first = bisect_right(ends, start) - 1
+    return deeper[first] + sum(map(sizes.__getitem__,
+                                   images[word[first]][:start - ends[first]]))
 
 
 def initial_pairs(rel, w, budgets: Budgets) -> list:
@@ -416,14 +456,21 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     the frontier emptied; a budget overrun inside the initial split stops
     it with no pairs at all.
 
-    A pair found after the initial split keeps its origin, the pair that
-    found it and its offsets in that pair's sigma images (the running sums
-    of the lengths of the children before it), and is expanded over that
-    stretch of sigma^2 images (children with a parent) when sigma^2 images
-    are short and the pair is longer than every sigma image; the others
-    walk their own words. The origin is located, by a search of the
-    parent's running image lengths, when the pair is expanded, and
-    letters_walked sums the parent letters each expansion reads.
+    A pair found after the initial split is a stretch of sigma^d of its
+    ancestor d levels up. Its children walk (children with an origin) at
+    the deepest depth d below the walk power k of shift_split that its
+    chain reaches and at which it is longer than every sigma^d image on a
+    side, or over its own words, depth 0; the children of a pair walked
+    at depth d reach depth d + 1. Each new pair keeps an anchor for its
+    walk: its parent and its offsets in sigma of the parent when it walks
+    at depth 1, and otherwise the ancestor A its parent walked, depth
+    d + 1, and its offsets in sigma^(d+1)(A), which are where sigma of the
+    letters of sigma^d(A) before the parent ends plus the running sum of
+    the lengths of the children before it. An anchor deeper than its walk
+    moves one level younger at a time, along the chain of the pairs that
+    found each other. The offsets are located by a search of A's running
+    sigma^d image lengths, built once per ancestor and depth, and
+    letters_walked sums the ancestor letters each expansion reads.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
@@ -441,63 +488,119 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     index = {pair: i for i, pair in enumerate(vertices)}
     discovered += [1] * len(vertices)
     trace.append((1, max(len(p.top) for p in vertices)))
-    # a frontier entry is a vertex, its pair and where it starts in the
-    # sigma images of the pair that found it: that pair's vertex and two
-    # offsets, or None for a pair that walks its own words
-    frontier = [(i, pair, None) for i, pair in enumerate(vertices)]
-    sizes = tuple(map(len, rel.subst.rules))
-    # when sigma^2 images are short, a child longer than every sigma image
-    # on a side walks its stretch of the parent's sigma^2 images; a shorter
-    # one would save a few loop steps at most, fewer than its heads cost
-    longest = max(sizes) if _walk_power(rel.subst) > 1 else None
-    located = None  # the parent vertex whose image ends are held
+    # a frontier entry is a vertex, its pair, its anchor and the depth its
+    # children walk at, 0 for its own words: an anchor is an ancestor
+    # vertex, a depth d and the pair's two offsets in sigma^d of the
+    # ancestor, or None for a pair that walks its own words
+    frontier = [(i, pair, None, 0) for i, pair in enumerate(vertices)]
+    # per vertex, the vertex that found it and its offsets in that pair's
+    # sigma images, the chain an anchor moves down
+    found = [None] * len(vertices)
+    powers = _walk_sizes(rel.subst)
+    k = len(powers) - 1
+    longest = [max(sizes) for sizes in powers]
+    rules, cap = rel.subst.rules, budgets.max_word_length
+    held = {}  # (vertex, j) -> running |sigma^j| lengths over its words
+    bases = {}  # (vertex, j) -> where sigma^j of it starts, a side
+
+    def running(vertex, j):
+        # int64 arrays: lists of ints for a parent of 59 050 letters a
+        # side raised const-len's peak by 1.2 MB
+        ends = held.get((vertex, j))
+        if ends is None:
+            ends = held[vertex, j] = [
+                array("q", accumulate(map(powers[j].__getitem__, word),
+                                      initial=0))
+                for word in vertices[vertex]]
+        return ends
+
+    def base(vertex, j):
+        # where sigma^j of the vertex's words starts in sigma^(j+1) of
+        # the words of the pair that found it
+        starts = bases.get((vertex, j))
+        if starts is None:
+            at, *offsets = found[vertex]
+            starts = bases[vertex, j] = [
+                _image_start(word, offset, ones, deep, rules, powers[j])
+                for word, offset, ones, deep in zip(
+                    vertices[at], offsets, running(at, 1),
+                    running(at, j + 1))]
+        return starts
+
     iteration = 1
     while frontier:
         iteration += 1
         if iteration > budgets.max_iterations:
             return stop("max_iterations", iteration - 1)
+        # an ancestor serves the pairs found up to k iterations after it,
+        # expanded one iteration later; a base serves one iteration
+        held = {key: ends for key, ends in held.items()
+                if discovered[key[0]] + k + 1 >= iteration}
+        bases.clear()
         new_frontier = []
         max_new = 0
-        for vertex, pair, start in frontier:
-            if start is None:
+        for vertex, pair, anchor, depth in frontier:
+            if depth:
+                at, anchored, top, bottom = anchor
+                if anchored > depth:
+                    # one level younger at a time: the ancestor's child on
+                    # the chain, whose sigma^j starts base letters into
+                    # sigma^(j+1) of the ancestor
+                    chain = [vertex]
+                    for _ in range(anchored - 1):
+                        chain.append(found[chain[-1]][0])
+                    for j in range(anchored - 1, depth - 1, -1):
+                        top_base, bottom_base = base(chain[j], j)
+                        top, bottom = top - top_base, bottom - bottom_base
+                    at = chain[depth]
+                spans = [_span(ends, offset, len(part)) for ends, offset, part
+                         in zip(running(at, depth), (top, bottom), pair)]
+                origin = Origin(vertices[at], depth, *spans)
+                walked[0] += spans[0][2] - spans[0][0] + 1
+                walked[1] += spans[1][2] - spans[1][0] + 1
+            else:
                 origin = None
                 walked[0] += len(pair.top)
                 walked[1] += len(pair.bottom)
-            else:
-                at, top, bottom = start
-                if at != located:  # the children of a parent are adjacent
-                    # int64 arrays: lists of ints for a parent of 59 050
-                    # letters a side raised const-len's peak by 1.2 MB
-                    located, parent = at, vertices[at]
-                    ends = [array("q", accumulate(map(sizes.__getitem__, word),
-                                                  initial=0))
-                            for word in parent]
-                origin = Origin(parent, _span(ends[0], top, len(pair.top)),
-                                _span(ends[1], bottom, len(pair.bottom)))
-                walked[0] += origin.top[2] - origin.top[0] + 1
-                walked[1] += origin.bottom[2] - origin.bottom[0] + 1
             try:
                 kids = children(rel, pair,
                                 max_word_length=budgets.max_word_length,
-                                parent=origin)
+                                origin=origin)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             indices = []
-            top = bottom = 0  # where the kid starts in the pair's images
+            starts = None  # where sigma(pair) starts in sigma^(depth+1)
+            kid_top = kid_bottom = 0  # where the kid starts in sigma(pair)
             for kid in kids:
                 i = index.setdefault(kid, len(vertices))
                 indices.append(i)
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    stretch = longest and max(map(len, kid)) > longest
-                    new_frontier.append(
-                        (i, kid, (vertex, top, bottom) if stretch else None))
+                    found.append((vertex, kid_top, kid_bottom))
+                    walk = _walk_depth(kid, min(depth + 1, k - 1), longest)
+                    if walk == 1:
+                        anchor = (vertex, 1, kid_top, kid_bottom)
+                    elif walk:
+                        if starts is None:
+                            images = rel.image_tables(cap, depth).images
+                            starts = [
+                                _image_start(word, offset, ends, deeper,
+                                             images, powers[1])
+                                for word, offset, ends, deeper in zip(
+                                    vertices[at], (top, bottom),
+                                    running(at, depth),
+                                    running(at, depth + 1))]
+                        anchor = (at, depth + 1, starts[0] + kid_top,
+                                  starts[1] + kid_bottom)
+                    else:
+                        anchor = None
+                    new_frontier.append((i, kid, anchor, walk))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)
-                top += len(kid.top)
-                bottom += len(kid.bottom)
+                kid_top += len(kid.top)
+                kid_bottom += len(kid.bottom)
             # a Counter keeps first-occurrence order
             edges[vertex] = list(Counter(indices).items())
         if new_frontier:

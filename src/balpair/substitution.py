@@ -24,8 +24,12 @@ class Alphabet:
             raise ValueError("duplicate letter tokens")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
-        # single-character alphabets render words jammed together
+        # single-character alphabets render words jammed together; ASCII
+        # ones spell a word as one bytes translation, letter i to token i
         self.joined = all(len(t) == 1 for t in tokens)
+        self._ascii = (bytes(map(ord, tokens)).ljust(256, b"\0")
+                       if self.joined and all(map(str.isascii, tokens))
+                       else None)
 
     @property
     def size(self):
@@ -47,6 +51,8 @@ class Alphabet:
             raise ValueError(f"unknown letter {exc.args[0]!r}") from None
 
     def render(self, word):
+        if self._ascii is not None:
+            return bytes(word).translate(self._ascii).decode("ascii")
         sep = "" if self.joined else " "
         return sep.join([self.tokens[i] for i in word])
 

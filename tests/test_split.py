@@ -15,9 +15,10 @@ linear split of prefixes of that word, at its own k and at forced k of 1,
 2 and 3, and `initial_pairs` against the same loop over `shift_components`.
 The image tables' hit lists, built per state difference, are checked
 against entries built whole. `children` of a pair given its origin, a
-stretch of its parent's sigma^2 images, is checked against `children` of
-the pair's own words, and `run_bpa`, which walks such stretches, against
-`closure_by_own_words`, the same closure over own words throughout.
+stretch of sigma^(d+1) of its ancestor d levels up, is checked against
+`children` of the pair's own words, and `run_bpa`, which walks such
+stretches, against `closure_by_own_words`, the same closure over own
+words throughout.
 """
 
 import functools
@@ -548,16 +549,16 @@ def test_image_table_hits_keep_repeated_prefix_states():
 
 
 def test_walk_power_is_the_largest_under_the_letter_bound():
-    # ex1's sigma^k images hold 5, 13, 34, 89, 233 letters in all, so it
-    # walks sigma^4 under 96 and sigma^3 under 88; images that already
-    # hold more than 96 letters are walked under sigma itself
-    assert engine.WALK_LETTERS == 96
-    assert _walk_power(SUBSTS["ex1"]) == 4
+    # ex1's sigma^k images hold 5, 13, 34, 89, 233, 610 letters in all, so
+    # it walks sigma^5 under 512 and sigma^3 under 88; images that already
+    # hold more than the bound are walked under sigma itself
+    assert engine.WALK_LETTERS == 512
+    assert _walk_power(SUBSTS["ex1"]) == 5
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "WALK_LETTERS", 88)
         assert _walk_power(SUBSTS["ex1"]) == 3
     assert _walk_power(parse_substitution(
-        f"1 -> {'12' * 25}\n2 -> {'21' * 25}")) == 1
+        f"1 -> {'12' * 150}\n2 -> {'21' * 150}")) == 1
 
 
 def _walk_letters(subst, k):
@@ -638,14 +639,14 @@ def test_shift_split_under_a_forced_power_of_random_substitutions(subst,
 
 
 def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
-    # tetranacci walks sigma^5 images, 94 letters in all. The tables hold
+    # tetranacci walks sigma^7 images, 349 letters in all. The tables hold
     # the lookups made, a few differences per letter pair, and the walk
-    # the pending component: 20 000 components peaked at 27 kB on CPython
-    # 3.11. Entries holding every (r, s) of the 94-letter images would
-    # hold 8836 pairs, over half a megabyte
+    # the pending component: 20 000 components peaked at 70 kB on CPython
+    # 3.11. Entries holding every (r, s) of the 349-letter images would
+    # hold 121 801 pairs, several megabytes
     subst = parse_substitution("1 -> 12\n2 -> 13\n3 -> 14\n4 -> 1")
     rel = Relation.plain(subst)
-    assert _walk_power(subst) == 5
+    assert _walk_power(subst) == 7
     subst.fixed_point().prefix(100_000)  # the fixed word is not counted
     tracemalloc.start()
     try:
@@ -772,8 +773,9 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
     # letters and the output: its peak measured 2.4 MB on CPython 3.11, and
     # the block split of the streamed images it replaced 2.5 MB. A join of
     # the whole images, the two images and a packed prefix-state dict per
-    # side, measured 14 MB. The walk of the parent's stretch of sigma^2
-    # images holds the same and its sigma^2 tables, and measured 2.4 MB too.
+    # side, measured 14 MB. The walks of the pair's stretch of sigma^(d+1)
+    # of its ancestor d levels up, d = 1 to 4 (const-len walks sigma^5),
+    # hold the same and the sigma^(d+1) tables, and measured 2.41-2.51 MB.
     subst = parse_substitution("1 -> 112\n2 -> 122")
     rel = Relation.plain(subst)
     budgets = Budgets(max_word_length=20_000)
@@ -781,22 +783,25 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
     assert closure.which == "max_word_length"
     pair = max(closure.vertices, key=lambda p: len(p.top))
     assert len(pair.top) == 19_684
-    origin = next(_origin(subst, parent, top, bottom, kid)
-                  for kid, parent, top, bottom, _after in _first_finds(
-                      rel, closure, budgets.max_word_length) if kid == pair)
-    for parent in (None, origin):
+    assert _walk_power(subst) == 5
+    chain = next(chain for kid, chain, _after in _first_finds(
+        rel, closure, budgets.max_word_length, 4) if kid == pair)
+    origins = [_origin(subst, ancestor, depth, top, bottom, pair)
+               for depth, (ancestor, top, bottom) in enumerate(chain, 1)]
+    assert [origin.depth for origin in origins] == [1, 2, 3, 4]
+    for origin in [None] + origins:
         tracemalloc.start()
         try:
             kids = children(rel, pair, max_word_length=3 * len(pair.top),
-                            parent=parent)
+                            origin=origin)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
-        assert peak < 3_750_000, parent is None
+        assert peak < 3_750_000, origin and origin.depth
 
 
-# -- children over a stretch of the parent's sigma^2 images -------------------
+# -- children over a stretch of sigma^(d+1) of an ancestor ---------------------
 
 # the closure budgets of the benchmark's batch survey
 BATCH_BUDGETS = Budgets(max_iterations=8, max_pairs=250, max_word_length=400)
@@ -805,55 +810,69 @@ CLOSURE_FIELDS = ("vertices", "discovered", "edges", "growth_trace",
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
-def _origin(subst, parent, top, bottom, pair):
+def _origin(subst, ancestor, depth, top, bottom, pair):
     """The Origin of the pair that starts `top` and `bottom` letters into
-    the sigma images of the parent's two words, found one parent letter at
+    sigma^depth of the ancestor's two words, found one ancestor letter at
     a time."""
+    size = [len(subst.apply((a,), depth)) for a in range(subst.size)]
     spans = []
-    for word, start, part in zip(parent, (top, bottom), pair):
+    for word, start, part in zip(ancestor, (top, bottom), pair):
         first = before = 0
-        while before + len(subst.rules[word[first]]) <= start:
-            before += len(subst.rules[word[first]])
+        while before + size[word[first]] <= start:
+            before += size[word[first]]
             first += 1
-        last, end = first, before + len(subst.rules[word[first]])
+        last, end = first, before + size[word[first]]
         while end < start + len(part):
             last += 1
-            end += len(subst.rules[word[last]])
+            end += size[word[last]]
         spans.append((first, start - before, last))
-    return Origin(parent, *spans)
+    return Origin(ancestor, depth, *spans)
 
 
-def _first_finds(rel, closure, cap):
+def _first_finds(rel, closure, cap, deepest=1):
     """Each pair the closure found after its initial split, where it was
-    first found, in the order found: the parent pair, the offsets of the
-    pair in the parent's images and the parent's next child, or None. The
+    first found, in the order found: its ancestors up to `deepest` levels
+    up, nearest first, each with the pair's offsets in sigma^d of the
+    ancestor d levels up, and the parent's next child, or None. The
     children of the expanded pairs are recomputed over their own words, in
-    the order the closure expanded them."""
-    seen = set(closure.vertices[i] for i, found in
-               enumerate(closure.discovered) if found == 1)
+    the order the closure expanded them, and an offset one level up is
+    sigma of the parent's offset prefix, spelled out, plus the offset in
+    sigma of the parent."""
+    subst = rel.subst
+    spelled = functools.cache(subst.apply)
+    chains = {closure.vertices[i]: [] for i, found in
+              enumerate(closure.discovered) if found == 1}
     for vertex in closure.edges:
         parent = closure.vertices[vertex]
         kids = children(rel, parent, max_word_length=cap)
         top = bottom = 0
         for kid, after in zip(kids, kids[1:] + [None]):
-            if kid not in seen:
-                seen.add(kid)
-                yield kid, parent, top, bottom, after
+            if kid not in chains:
+                chain = [(parent, top, bottom)]
+                for depth, (ancestor, *offsets) in enumerate(
+                        chains[parent][:deepest - 1], 1):
+                    chain.append((ancestor, *(
+                        len(subst.apply(spelled(word, depth)[:offset]))
+                        + mine for word, offset, mine in zip(
+                            ancestor, offsets, (top, bottom)))))
+                chains[kid] = chain
+                yield kid, chain, after
             top, bottom = top + len(kid.top), bottom + len(kid.bottom)
 
 
-def _stretch_outcomes(rel, closure, cap):
+def _stretch_outcomes(rel, closure, cap, deepest=1):
     """children of each pair the closure found after its initial split,
-    over its parent's stretch and over its own words, each as its list of
-    components or its error: at the closure's cap, and at one below the
-    longest child, so that the last component may overflow, and at one
-    below what is left past the last cut. Also stretches whose last top
-    cut is not at the bottom's end: the pair less
+    over its stretch of sigma^d of its ancestor d levels up, for each d up
+    to `deepest` its chain reaches, and over its own words, each as its
+    list of components or its error, labelled with d: at the closure's
+    cap, and at one below the longest child, so that the last component
+    may overflow, and at one below what is left past the last cut. Also
+    stretches whose last top cut is not at the bottom's end: the pair less
     the last letter of a side, and, for a pair that has a next sibling,
     the pair's top against its bottom followed by the sibling's, its top
     followed by the sibling's against its bottom, and both followed by the
     sibling's less the sibling's last bottom letter."""
-    for pair, parent, top, bottom, after in _first_finds(rel, closure, cap):
+    for pair, chain, after in _first_finds(rel, closure, cap, deepest):
         own = _outcome(lambda: children(rel, pair, max_word_length=cap))
         caps = [cap]
         if isinstance(own, list):
@@ -868,13 +887,15 @@ def _stretch_outcomes(rel, closure, cap):
                                    pair.bottom + after.bottom[:-1])]
         cases = [case for case in cases if case.top and case.bottom]
         for case in cases:
-            origin = _origin(rel.subst, parent, top, bottom, case)
             for at in caps + _left_after_the_last_cut(rel, case):
                 expected = _outcome(lambda: children(rel, case,
                                                      max_word_length=at))
-                got = _outcome(lambda: children(rel, case, max_word_length=at,
-                                                parent=origin))
-                yield (case, at), expected, got
+                for depth, (ancestor, top, bottom) in enumerate(chain, 1):
+                    origin = _origin(rel.subst, ancestor, depth, top, bottom,
+                                     case)
+                    got = _outcome(lambda: children(
+                        rel, case, max_word_length=at, origin=origin))
+                    yield (depth, case, at), expected, got
 
 
 def _left_after_the_last_cut(rel, pair):
@@ -911,18 +932,56 @@ def test_children_of_a_parent_stretch_match_own_words(case):
         assert got == expected, label
 
 
+@st.composite
+def deep_closures(draw):
+    """A batch_closures case whose substitution's walk power is 3 or more,
+    so that its closure's children walk ancestors at depths 1 and 2."""
+    subst = draw(primitive_substitutions())
+    assume(_walk_power(subst) >= 3)
+    try:
+        rel = _relation(subst, draw(st.sampled_from(
+            ("plain", "letters", "ones", "lambda"))))
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    w = fixed_point_stream(subst).prefix(draw(st.integers(1, 3)))
+    return rel, run_bpa(rel, w, BATCH_BUDGETS)
+
+
+def test_children_of_an_ancestor_stretch_match_own_words():
+    # every pair found at iteration 2 or later, over its stretch of
+    # sigma^(d+1) of its ancestor d levels up, d = 1, 2 and 3
+    depths = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(deep_closures())
+    def check(case):
+        rel, closure = case
+        for label, expected, got in _stretch_outcomes(
+                rel, closure, BATCH_BUDGETS.max_word_length, 3):
+            assert got == expected, label
+            depths[label[0]] += 1
+
+    check()
+    assert depths.keys() == {1, 2, 3}, depths
+
+
 def test_children_of_a_parent_stretch_end_as_own_words_do():
-    # mt-rewrite's lambda closure under a 2000-letter budget: every outcome
-    # of _stretch_outcomes occurs, a list, an overflow of the last
-    # component and an unbalanced end
+    # mt-rewrite's lambda closure under a 2000-letter budget, over the
+    # stretches of sigma^2 of parents and sigma^3 of grandparents (its
+    # walk power is 3): every outcome of _stretch_outcomes occurs at both
+    # depths, a list, an overflow of the last component and an unbalanced
+    # end
     subst = load_corpus("mt-rewrite")
+    assert _walk_power(subst) == 3
     rel = _relation(subst, "lambda")
     closure = run_bpa(rel, (0,), Budgets(max_word_length=2000))
     kinds = Counter()
-    for label, expected, got in _stretch_outcomes(rel, closure, 2000):
+    for label, expected, got in _stretch_outcomes(rel, closure, 2000, 2):
         assert got == expected, label
-        kinds[expected[0] if isinstance(expected, tuple) else "list"] += 1
-    assert kinds.keys() == {"list", "ScanOverflow", "NotBalanced"}, kinds
+        kinds[label[0], expected[0] if isinstance(expected, tuple)
+              else "list"] += 1
+    assert kinds.keys() == {(depth, kind) for depth in (1, 2) for kind in
+                            ("list", "ScanOverflow", "NotBalanced")}, kinds
 
 
 def _assert_closure_matches_own_words(rel, w, budgets):
@@ -963,7 +1022,9 @@ def test_growth_closure_matches_own_words(name, kind):
         rel, (0,), Budgets(max_word_length=20_000))
     assert got.which == "max_word_length"
     if name == "mt-rewrite":
-        # the sigma^2 stretches read at most a third of the letters the
-        # pairs' own words hold: 3236 of 12 788 a side
-        assert all(3 * mine <= theirs for mine, theirs in
+        # mt-rewrite walks sigma^3, so its long pairs walk their stretches
+        # of sigma^3 of their grandparents, which read at most a
+        # fourteenth of the letters the pairs' own words hold: 852 of
+        # 12 788 a side
+        assert all(14 * mine <= theirs for mine, theirs in
                    zip(got.letters_walked, expected.letters_walked))

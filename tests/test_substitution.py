@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from balpair.errors import NoExpandingFixedPoint, RuleSyntaxError
 from balpair.linalg import mat_mul
-from balpair.substitution import (admissible_prefixes, auto_prefixes,
-                                  fixed_point_stream, parse_substitution)
+from balpair.substitution import (Alphabet, admissible_prefixes,
+                                  auto_prefixes, fixed_point_stream,
+                                  parse_substitution)
 
 from oracles import clone, mat_vec, render_rules
 
@@ -34,6 +35,20 @@ def test_parse_tokenized():
     wide = parse_substitution("ab -> ab cd\ncd -> cd ab")
     assert wide.alphabet.render((0, 1)) == "ab cd"
     assert wide.alphabet.word_from_text("ab cd") == (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((
+    tuple("123456789abcdefghijklmnopqrstuvwxyz"),  # joined ASCII, bytes path
+    ("ab", "cd", "e", "fgh"),  # multi-character, spaced
+    ("\u03b1", "\u03b2", "\u03b3", "1"),  # non-ASCII single characters
+)).flatmap(lambda tokens: st.tuples(
+    st.just(tokens), st.lists(st.integers(0, len(tokens) - 1)))))
+def test_render_matches_the_token_join(case):
+    tokens, word = case
+    alphabet = Alphabet(tokens)
+    sep = "" if all(len(t) == 1 for t in tokens) else " "
+    assert alphabet.render(tuple(word)) == sep.join(tokens[i] for i in word)
 
 
 def test_parse_comments_and_errors():
