@@ -18,24 +18,25 @@ before the split starts; its states start at minus the head's, so each
 side reads zero where the split starts.
 
 The closure's children, `children`, walk the two words of a pair under
-sigma. A pair the closure found at iteration n is a stretch of sigma^d(A)
-for its ancestor A found d iterations earlier, so sigma of the pair is a
-stretch of sigma^(d+1)(A): given that origin, the walk reads A's letters
-over sigma^(d+1) images, from the ancestor letter whose sigma^d image
-holds the pair's start. Each side drops the head sigma(sigma^d(a)[:r]),
-r being the letters of sigma^d(a) before the pair, whose sums are those
-of the sigma tables' entries, and the walk stops at the cut where sigma
-of the pair ends. Each side's states are zero at its own start, so the
-cuts found are those of the pair's own words: that sigma maps equivalent
-words to equivalent words is not needed. The initial split I(w) and the
-coincidence densities, `shift_split`, cut the fixed word u against its
-own shift: u = sigma^k(v_k) for a fixed word v_k, so they walk v_k
-against a suffix of v_k under sigma^k, the bottom dropping the first
-letters of its first image. k is the largest with
-sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step
-per sigma^k image rather than per letter of u, and the closure's walks
-reach depth k - 1, whose sigma^k images are the same. Only the pending
-component's letters are held.
+sigma. A pair the closure found is a stretch of sigma^d(A) for a word
+pair A, its origin's ancestor, so sigma of the pair is a stretch of
+sigma^(d+1)(A): given that origin, the walk reads A's letters over
+sigma^(d+1) images, from the ancestor letter whose sigma^d image holds
+the pair's start. Each side drops the head sigma(sigma^d(a)[:r]), r being
+the letters of sigma^d(a) before the pair, whose sums are those of the
+sigma tables' entries, and the walk stops at the cut where sigma of the
+pair ends. Each side's states are zero at its own start, so the cuts
+found are those of the pair's own words: that sigma maps equivalent words
+to equivalent words is not needed. The closure locates each new pair's
+origin once, in the letters its parent's walk has just read, when that
+walk finds it. The initial split I(w) and the coincidence densities,
+`shift_split`, cut the fixed word u against its own shift:
+u = sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix
+of v_k under sigma^k, the bottom dropping the first letters of its first
+image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
+images take one loop step per sigma^k image rather than per letter of u,
+and the closure's walks reach depth k - 1, whose sigma^k images are the
+same. Only the pending component's letters are held.
 
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
@@ -82,12 +83,13 @@ _pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
 WALK_LETTERS = 512
 
 class Origin(NamedTuple):
-    """Where a pair sits in sigma^depth of an ancestor pair, depth >= 1:
-    per side, the first and the last letter of the ancestor's word whose
+    """Where a pair sits in sigma^depth of its ancestor, depth >= 1: per
+    side, the first and the last letter of the ancestor's word whose
     sigma^depth images hold the pair, and the letters of the first image
-    before it."""
+    before it. The ancestor is any pair of words whose sigma^depth images
+    hold the pair."""
 
-    ancestor: BalancedPair
+    ancestor: tuple  # two words
     depth: int
     top: tuple  # (first, dropped, last)
     bottom: tuple
@@ -255,10 +257,8 @@ def _walk_sizes(subst):
     """The image lengths |sigma^j(a)|, a tuple over the letters a for each
     j from 0 to the power k the walks reach: the largest k >= 1 with
     sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
-    rules = subst.rules
-    powers = [(1,) * len(rules), tuple(map(len, rules))]
-    while sum(grown := tuple(sum(map(powers[-1].__getitem__, image))
-                             for image in rules)) <= WALK_LETTERS:
+    powers = [(1,) * subst.size, tuple(map(len, subst.rules))]
+    while sum(grown := subst.image_lengths(powers[-1])) <= WALK_LETTERS:
         powers.append(grown)
     return powers
 
@@ -303,6 +303,17 @@ def _head(tables, word):
             sum(map(tables.high.__getitem__, word)))
 
 
+def _reads(images, origin):
+    """Per side, what the walk of sigma of the origin's pair reads: the
+    ancestor letters whose sigma^d images hold the pair, d being the
+    origin's depth and images[a] sigma^d(a), and the letters of the first
+    one's image before the pair, whose sigma images that side drops as its
+    head."""
+    return [(word[first:last + 1], images[word[first]][:dropped])
+            for word, (first, dropped, last) in zip(origin.ancestor,
+                                                    origin[2:])]
+
+
 def children(rel, pair, *, max_word_length, origin=None):
     """Irreducible pairs in the reduction of the pair substituted by
     rel.subst, in order.
@@ -339,17 +350,15 @@ def children(rel, pair, *, max_word_length, origin=None):
         return list(_walk(once, pair.top, pair.bottom, cap, "max_word_length"))
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
-    words, heads, ends = [], [], []
-    for word, part, (first, dropped, last) in zip(origin.ancestor, pair,
-                                                  origin[2:]):
-        span = word[first:last + 1]
-        head = _head(once, inner.images[span[0]][:dropped])
+    words, drops = zip(*_reads(inner.images, origin))
+    heads = [_head(once, drop) for drop in drops]
+    ends = []
+    for span, head, part, (_first, dropped, _last) in zip(words, heads, pair,
+                                                          origin[2:]):
         # the pair ends `kept` letters into the last sigma^d image
         kept = dropped + len(part) - sum(map(inner.sizes.__getitem__,
                                              span[:-1]))
         tail = sum(map(once.sizes.__getitem__, inner.images[span[-1]][kept:]))
-        words.append(span)
-        heads.append(head)
         ends.append(sum(map(outer.sizes.__getitem__, span)) - head[0] - tail)
     top_end, bottom_end = ends
     kids, top, bottom = [], 0, 0  # the last cut
@@ -373,11 +382,29 @@ def children(rel, pair, *, max_word_length, origin=None):
 def _span(ends, start, length):
     """The first and the last letter of a word whose images hold their
     concatenation's letters start to start + length, and the letters of
-    the first one's image before start; ends are the running sums of the
-    images' lengths, from 0."""
+    the first one's image before start; ends are where the images start,
+    in order, and where the last one ends."""
     first = bisect_right(ends, start) - 1
     return first, start - ends[first], bisect_left(ends, start + length,
                                                    first) - 1
+
+
+def _rerooted(pair, origin, depth, images, sizes):
+    """The pair's origin at a smaller depth, depth >= 1: its ancestor the
+    sigma^(d - depth) images of the letters the origin spans, d being the
+    origin's depth and images[a] sigma^(d - depth)(a), cut to the letters
+    whose sigma^depth images, sizes[a] letters long, hold the pair."""
+    words, spans = [], []
+    for word, part, (first, dropped, last) in zip(origin.ancestor, pair,
+                                                  origin[2:]):
+        spelled = tuple(chain.from_iterable(
+            map(images.__getitem__, word[first:last + 1])))
+        first, dropped, last = _span(
+            list(accumulate(map(sizes.__getitem__, spelled), initial=0)),
+            dropped, len(part))
+        words.append(spelled[first:last + 1])
+        spans.append((0, dropped, last - first))
+    return Origin(tuple(words), depth, *spans)
 
 
 def _walk_depth(pair, deepest, longest):
@@ -387,16 +414,6 @@ def _walk_depth(pair, deepest, longest):
     while deepest and size <= longest[deepest]:
         deepest -= 1
     return deepest
-
-
-def _image_start(word, start, ends, deeper, images, sizes):
-    """|tau(x)| for the first `start` letters x of the concatenated images
-    of a word's letters, images[a] being the image of letter a and sizes[a]
-    |tau(a)|; ends and deeper are the running sums, from 0, of the images'
-    lengths and of the lengths of their tau images over the word."""
-    first = bisect_right(ends, start) - 1
-    return deeper[first] + sum(map(sizes.__getitem__,
-                                   images[word[first]][:start - ends[first]]))
 
 
 def initial_pairs(rel, w, budgets: Budgets) -> list:
@@ -458,19 +475,19 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
 
     A pair found after the initial split is a stretch of sigma^d of its
     ancestor d levels up. Its children walk (children with an origin) at
-    the deepest depth d below the walk power k of shift_split that its
-    chain reaches and at which it is longer than every sigma^d image on a
-    side, or over its own words, depth 0; the children of a pair walked
-    at depth d reach depth d + 1. Each new pair keeps an anchor for its
-    walk: its parent and its offsets in sigma of the parent when it walks
-    at depth 1, and otherwise the ancestor A its parent walked, depth
-    d + 1, and its offsets in sigma^(d+1)(A), which are where sigma of the
-    letters of sigma^d(A) before the parent ends plus the running sum of
-    the lengths of the children before it. An anchor deeper than its walk
-    moves one level younger at a time, along the chain of the pairs that
-    found each other. The offsets are located by a search of A's running
-    sigma^d image lengths, built once per ancestor and depth, and
-    letters_walked sums the ancestor letters each expansion reads.
+    the deepest depth d' <= d + 1, d being its parent's, below the walk
+    power k of shift_split, at which it is longer than every sigma^d'
+    image on a side, or over its own words, depth 0. Each new pair's
+    Origin is located once, when its parent's walk finds it, and kept in
+    its frontier entry. That walk read letters S of the parent's ancestor
+    over sigma^(d+1) images, dropping a head (_reads); the new pair starts
+    there at the head plus the lengths of the children before it, and a
+    search of S's running sigma^(d+1) lengths, built per expansion once a
+    new pair needs them, gives the letters of S that hold it. A pair that
+    walks at d + 1 takes S for its ancestor; one that walks at d' <= d
+    takes the sigma^(d+1-d') images of those letters, spelled out
+    (_rerooted). letters_walked sums the ancestor letters each expansion
+    reads.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
@@ -488,88 +505,38 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     index = {pair: i for i, pair in enumerate(vertices)}
     discovered += [1] * len(vertices)
     trace.append((1, max(len(p.top) for p in vertices)))
-    # a frontier entry is a vertex, its pair, its anchor and the depth its
-    # children walk at, 0 for its own words: an anchor is an ancestor
-    # vertex, a depth d and the pair's two offsets in sigma^d of the
-    # ancestor, or None for a pair that walks its own words
-    frontier = [(i, pair, None, 0) for i, pair in enumerate(vertices)]
-    # per vertex, the vertex that found it and its offsets in that pair's
-    # sigma images, the chain an anchor moves down
-    found = [None] * len(vertices)
+    # a frontier entry is a vertex, its pair and its Origin, or None for a
+    # pair that walks its own words
+    frontier = [(i, pair, None) for i, pair in enumerate(vertices)]
     powers = _walk_sizes(rel.subst)
-    k = len(powers) - 1
+    deepest = len(powers) - 2  # the walk power k less 1
     longest = [max(sizes) for sizes in powers]
-    rules, cap = rel.subst.rules, budgets.max_word_length
-    held = {}  # (vertex, j) -> running |sigma^j| lengths over its words
-    bases = {}  # (vertex, j) -> where sigma^j of it starts, a side
-
-    def running(vertex, j):
-        # int64 arrays: lists of ints for a parent of 59 050 letters a
-        # side raised const-len's peak by 1.2 MB
-        ends = held.get((vertex, j))
-        if ends is None:
-            ends = held[vertex, j] = [
-                array("q", accumulate(map(powers[j].__getitem__, word),
-                                      initial=0))
-                for word in vertices[vertex]]
-        return ends
-
-    def base(vertex, j):
-        # where sigma^j of the vertex's words starts in sigma^(j+1) of
-        # the words of the pair that found it
-        starts = bases.get((vertex, j))
-        if starts is None:
-            at, *offsets = found[vertex]
-            starts = bases[vertex, j] = [
-                _image_start(word, offset, ones, deep, rules, powers[j])
-                for word, offset, ones, deep in zip(
-                    vertices[at], offsets, running(at, 1),
-                    running(at, j + 1))]
-        return starts
-
+    cap = budgets.max_word_length
     iteration = 1
     while frontier:
         iteration += 1
         if iteration > budgets.max_iterations:
             return stop("max_iterations", iteration - 1)
-        # an ancestor serves the pairs found up to k iterations after it,
-        # expanded one iteration later; a base serves one iteration
-        held = {key: ends for key, ends in held.items()
-                if discovered[key[0]] + k + 1 >= iteration}
-        bases.clear()
         new_frontier = []
         max_new = 0
-        for vertex, pair, anchor, depth in frontier:
-            if depth:
-                at, anchored, top, bottom = anchor
-                if anchored > depth:
-                    # one level younger at a time: the ancestor's child on
-                    # the chain, whose sigma^j starts base letters into
-                    # sigma^(j+1) of the ancestor
-                    chain = [vertex]
-                    for _ in range(anchored - 1):
-                        chain.append(found[chain[-1]][0])
-                    for j in range(anchored - 1, depth - 1, -1):
-                        top_base, bottom_base = base(chain[j], j)
-                        top, bottom = top - top_base, bottom - bottom_base
-                    at = chain[depth]
-                spans = [_span(ends, offset, len(part)) for ends, offset, part
-                         in zip(running(at, depth), (top, bottom), pair)]
-                origin = Origin(vertices[at], depth, *spans)
-                walked[0] += spans[0][2] - spans[0][0] + 1
-                walked[1] += spans[1][2] - spans[1][0] + 1
-            else:
-                origin = None
+        for vertex, pair, origin in frontier:
+            if origin is None:
+                depth = 1
                 walked[0] += len(pair.top)
                 walked[1] += len(pair.bottom)
+            else:
+                depth = origin.depth + 1
+                walked[0] += origin.top[2] - origin.top[0] + 1
+                walked[1] += origin.bottom[2] - origin.bottom[0] + 1
             try:
-                kids = children(rel, pair,
-                                max_word_length=budgets.max_word_length,
-                                origin=origin)
+                kids = children(rel, pair, max_word_length=cap, origin=origin)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             indices = []
-            starts = None  # where sigma(pair) starts in sigma^(depth+1)
+            # once a new pair walks at depth 1 or more: per side, the
+            # letters S the walk read (words) and where their sigma^depth
+            # images start (starts), sigma(pair) starting at 0
+            starts = None
             kid_top = kid_bottom = 0  # where the kid starts in sigma(pair)
             for kid in kids:
                 i = index.setdefault(kid, len(vertices))
@@ -577,25 +544,30 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    found.append((vertex, kid_top, kid_bottom))
-                    walk = _walk_depth(kid, min(depth + 1, k - 1), longest)
-                    if walk == 1:
-                        anchor = (vertex, 1, kid_top, kid_bottom)
-                    elif walk:
+                    walk = _walk_depth(kid, min(depth, deepest), longest)
+                    if walk:
                         if starts is None:
-                            images = rel.image_tables(cap, depth).images
-                            starts = [
-                                _image_start(word, offset, ends, deeper,
-                                             images, powers[1])
-                                for word, offset, ends, deeper in zip(
-                                    vertices[at], (top, bottom),
-                                    running(at, depth),
-                                    running(at, depth + 1))]
-                        anchor = (at, depth + 1, starts[0] + kid_top,
-                                  starts[1] + kid_bottom)
+                            # a pair that walked its own words drops none
+                            words, drops = (zip(*_reads(rel.image_tables(
+                                cap, depth - 1).images, origin)) if origin
+                                else (pair, ((), ())))
+                            # int64 arrays: lists of ints for a parent of
+                            # 59 050 letters a side raised const-len's peak
+                            # by 1.2 MB
+                            starts = [array("q", accumulate(
+                                map(powers[depth].__getitem__, word),
+                                initial=-sum(map(powers[1].__getitem__,
+                                                 drop))))
+                                for word, drop in zip(words, drops)]
+                        new = Origin(words, depth, *map(
+                            _span, starts, (kid_top, kid_bottom),
+                            map(len, kid)))
+                        if walk < depth:
+                            new = _rerooted(kid, new, walk, rel.image_tables(
+                                cap, depth - walk).images, powers[walk])
                     else:
-                        anchor = None
-                    new_frontier.append((i, kid, anchor, walk))
+                        new = None
+                    new_frontier.append((i, kid, new))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)

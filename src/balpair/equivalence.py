@@ -325,8 +325,7 @@ def letter_equiv_classes(subst: Substitution):
     """
     lengths = [(1,) * subst.size]
     for _ in range(subst.size - 1):
-        lengths.append(tuple(sum(map(lengths[-1].__getitem__, image))
-                             for image in subst.rules))
+        lengths.append(subst.image_lengths(lengths[-1]))
     classes = {}
     for letter, row in enumerate(zip(*lengths)):
         classes.setdefault(row, []).append(letter)

@@ -113,6 +113,12 @@ class Substitution:
     def population_vector(self, word):
         return population_vector(word, self.size)
 
+    def image_lengths(self, lengths):
+        """|tau(sigma(a))| for each letter a, lengths[b] being |tau(b)|:
+        from the image lengths of sigma^m, those of sigma^(m+1)."""
+        return tuple(sum(map(lengths.__getitem__, image))
+                     for image in self.rules)
+
     def transition_matrix(self):
         """Matrix with a_ij = count of letter i in the image of letter j."""
         if self._matrix is None:

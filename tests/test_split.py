@@ -18,7 +18,8 @@ against entries built whole. `children` of a pair given its origin, a
 stretch of sigma^(d+1) of its ancestor d levels up, is checked against
 `children` of the pair's own words, and `run_bpa`, which walks such
 stretches, against `closure_by_own_words`, the same closure over own
-words throughout.
+words throughout; each Origin it walks is checked against sigma^d of its
+ancestor's letters, spelled out.
 """
 
 import functools
@@ -909,18 +910,25 @@ def _left_after_the_last_cut(rel, pair):
 
 
 @st.composite
-def batch_closures(draw):
-    """A closure of a random primitive substitution on 2-4 letters with
-    images of 1-4 letters, under one of four relations, from a prefix of
-    1-3 letters of its fixed word, under the batch survey's budgets."""
+def batch_prefixes(draw, least_power=1):
+    """A random primitive substitution on 2-4 letters with images of 1-4
+    letters whose walk power is at least least_power, under one of four
+    relations, and a prefix of 1-3 letters of its fixed word."""
     subst = draw(primitive_substitutions())
+    assume(_walk_power(subst) >= least_power)
     try:
         rel = _relation(subst, draw(st.sampled_from(
             ("plain", "letters", "ones", "lambda"))))
     except ValueError:  # letter classes whose images disagree
         assume(False)
-    w = fixed_point_stream(subst).prefix(draw(st.integers(1, 3)))
-    return rel, run_bpa(rel, w, BATCH_BUDGETS)
+    return rel, fixed_point_stream(subst).prefix(draw(st.integers(1, 3)))
+
+
+def batch_closures(least_power=1):
+    """The closure of a batch_prefixes case under the batch survey's
+    budgets."""
+    return batch_prefixes(least_power).map(
+        lambda case: (case[0], run_bpa(*case, BATCH_BUDGETS)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -932,28 +940,15 @@ def test_children_of_a_parent_stretch_match_own_words(case):
         assert got == expected, label
 
 
-@st.composite
-def deep_closures(draw):
-    """A batch_closures case whose substitution's walk power is 3 or more,
-    so that its closure's children walk ancestors at depths 1 and 2."""
-    subst = draw(primitive_substitutions())
-    assume(_walk_power(subst) >= 3)
-    try:
-        rel = _relation(subst, draw(st.sampled_from(
-            ("plain", "letters", "ones", "lambda"))))
-    except ValueError:  # letter classes whose images disagree
-        assume(False)
-    w = fixed_point_stream(subst).prefix(draw(st.integers(1, 3)))
-    return rel, run_bpa(rel, w, BATCH_BUDGETS)
-
-
 def test_children_of_an_ancestor_stretch_match_own_words():
     # every pair found at iteration 2 or later, over its stretch of
     # sigma^(d+1) of its ancestor d levels up, d = 1, 2 and 3
     depths = Counter()
 
+    # a walk power of 3 or more, so that the closure's children walk
+    # ancestors at depths 1 and 2
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(deep_closures())
+    @given(batch_closures(3))
     def check(case):
         rel, closure = case
         for label, expected, got in _stretch_outcomes(
@@ -984,12 +979,71 @@ def test_children_of_a_parent_stretch_end_as_own_words_do():
                             ("list", "ScanOverflow", "NotBalanced")}, kinds
 
 
+def _recorded_run(rel, w, budgets):
+    """run_bpa's closure and each pair it walks over an origin, with that
+    Origin, in the order of the children calls."""
+    seen = []
+
+    def recording(rel, pair, *, origin=None, **budget):
+        if origin is not None:
+            seen.append((pair, origin))
+        return children(rel, pair, origin=origin, **budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "children", recording)
+        closure = run_bpa(rel, w, budgets)
+    return closure, seen
+
+
+def _assert_origins_hold_their_pairs(subst, seen):
+    """Each side of each pair is the stretch its origin names of sigma^d
+    of the ancestor's letters first to last, and both the first and the
+    last image hold letters of it. Returns the depths seen."""
+    depths = Counter()
+    for pair, origin in seen:
+        depths[origin.depth] += 1
+        for word, part, (first, dropped, last) in zip(origin.ancestor, pair,
+                                                      origin[2:]):
+            span = word[first:last + 1]
+            image = subst.apply(span, origin.depth)
+            assert image[dropped:dropped + len(part)] == part, origin
+            assert dropped < len(subst.apply(span[:1], origin.depth)), origin
+            assert (len(image) - len(subst.apply(span[-1:], origin.depth))
+                    < dropped + len(part)), origin
+    return depths
+
+
 def _assert_closure_matches_own_words(rel, w, budgets):
-    got = run_bpa(rel, w, budgets)
+    got, seen = _recorded_run(rel, w, budgets)
+    _assert_origins_hold_their_pairs(rel.subst, seen)
     expected = oracles.closure_by_own_words(rel, w, budgets)
     for field in CLOSURE_FIELDS:
         assert getattr(got, field) == getattr(expected, field), field
     return got, expected
+
+
+@pytest.mark.parametrize("least_power, examples", [(1, 60), (3, 40)])
+def test_closure_origins_hold_their_pairs(least_power, examples):
+    # both sets of closures walk ancestors at depths 1 and 2
+    depths = Counter()
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(batch_prefixes(least_power))
+    def check(case):
+        rel, w = case
+        depths.update(_assert_origins_hold_their_pairs(
+            rel.subst, _recorded_run(rel, w, BATCH_BUDGETS)[1]))
+
+    check()
+    assert {1, 2} <= depths.keys(), depths
+
+
+def test_closure_origins_hold_their_pairs_on_mt_rewrite():
+    # mt-rewrite's lambda closure under a 2000-letter budget walks at
+    # depths 1 and 2, its walk power being 3
+    rel = _relation(load_corpus("mt-rewrite"), "lambda")
+    _closure, seen = _recorded_run(rel, (0,), Budgets(max_word_length=2000))
+    assert _assert_origins_hold_their_pairs(rel.subst, seen).keys() == {1, 2}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -1004,6 +1058,13 @@ def test_closure_matches_own_words_on_the_fixtures(name):
             rel, subst.alphabet.word_from_text(cell["prefix"]), budgets)
 
 
+# the ancestor letters the closures' children walks read, a side: the walk
+# depth policy (_walk_depth, at most one below the walk power) fixes them
+WALKED = {"big-1232.sub": (12_366, 12_374), "big-2343.sub": (5_887, 5_889),
+          "big-132.sub": (3_828, 3_829), "const-len": (395, 395),
+          "mt-rewrite": (852, 852)}
+
+
 @pytest.mark.parametrize("entry", json.loads(
     (BENCH_INPUTS / "closures.json").read_text()), ids=lambda e: e["file"])
 def test_closure_matches_own_words_on_the_large_closures(entry):
@@ -1012,6 +1073,7 @@ def test_closure_matches_own_words_on_the_large_closures(entry):
     got, _expected = _assert_closure_matches_own_words(
         rel, subst.alphabet.word_from_text(entry["prefix"]), Budgets())
     assert got.terminated and len(got.vertices) == entry["pairs"]
+    assert got.letters_walked == WALKED[entry["file"]]
 
 
 @pytest.mark.parametrize("name, kind", [("const-len", "plain"),
@@ -1021,6 +1083,7 @@ def test_growth_closure_matches_own_words(name, kind):
     got, expected = _assert_closure_matches_own_words(
         rel, (0,), Budgets(max_word_length=20_000))
     assert got.which == "max_word_length"
+    assert got.letters_walked == WALKED[name]
     if name == "mt-rewrite":
         # mt-rewrite walks sigma^3, so its long pairs walk their stretches
         # of sigma^3 of their grandparents, which read at most a
