@@ -40,10 +40,13 @@ same. Only the pending component's letters are held.
 
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
-substitution. A pair is a named tuple of its two words, so it is its own
-key. The closure, `run_bpa`, returns one record, a `Closure`: the pair
-graph it computed, the iteration that found each pair, and the budget that
-stopped it, if any.
+substitution. Every word is of the one type its alphabet names
+(Alphabet.word, bytes unless the alphabet has more than 256 letters): the
+entry points convert the prefix they are given (Alphabet.word_of), and the
+walks build words with that constructor. A pair is a named tuple of its two words, so it is
+its own key. The closure, `run_bpa`, returns one record, a `Closure`: the
+pair graph it computed, the iteration that found each pair, and the budget
+that stopped it, if any.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
 class BalancedPair(NamedTuple):
     """An ordered pair of equivalent words; top is the fixed-word side."""
 
-    top: tuple
-    bottom: tuple
+    top: bytes | tuple  # words, Alphabet.word
+    bottom: bytes | tuple
 
     @property
     def is_coincidence(self):
@@ -89,7 +92,7 @@ class Origin(NamedTuple):
     before it. The ancestor is any pair of words whose sigma^depth images
     hold the pair."""
 
-    ancestor: tuple  # two words
+    ancestor: tuple  # a pair of words, Alphabet.word
     depth: int
     top: tuple  # (first, dropped, last)
     bottom: tuple
@@ -175,8 +178,8 @@ def _letters(word, tables, low, high, state):
                accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
 
 
-def _walk(tables, top_word, bottom_word, cap, which, top_head=(0, 0, 0, 0),
-          bottom_head=(0, 0, 0, 0)):
+def _walk(alphabet, tables, top_word, bottom_word, cap, which,
+          top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
     """Irreducible components of tau(top_word) against tau(bottom_word),
     each side less its head, in order, walked one parent letter at a time,
     tau being the map sigma^k whose images the tables hold. A head (_head)
@@ -202,18 +205,23 @@ def _walk(tables, top_word, bottom_word, cap, which, top_head=(0, 0, 0, 0),
     the first accepted hit is the next cut. Only the pending component's
     letters and a window of bottom parent letters are held.
 
+    The pending letters sit in the alphabet's buffers and each component's
+    words are built with its word constructor.
+
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component, and
     NotBalanced when the images end other than at a cut.
     """
     rows, sizes, images = tables.rows, tables.sizes, tables.images
+    word = alphabet.word
     top_start, state, low, high = top_head
     tops = _letters(top_word, tables, -high, -low, -state)
     bottom_start, state, low, high = bottom_head
     bottoms = _letters(bottom_word, tables, -high, -low, -state)
     ahead = next(bottoms, None)  # the next bottom letter to enter
     window = deque()  # bottom letters (low, high, b, ...) that may overlap
-    top_letters, bottom_letters = [], []  # from top_from, bottom_from on
+    # the letters from top_from and bottom_from on
+    top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
     top_from = bottom_from = 0
     top, bottom = top_start, bottom_start  # the last cut
     for low, high, a, state, first in tops:
@@ -234,9 +242,9 @@ def _walk(tables, top_word, bottom_word, cap, which, top_head=(0, 0, 0, 0),
                     i, p = first + r, first_b + s
                     if top < i <= top + cap and bottom < p <= bottom + cap:
                         yield _pair((
-                            tuple(top_letters[top - top_from:i - top_from]),
-                            tuple(bottom_letters[bottom - bottom_from:
-                                                 p - bottom_from])))
+                            word(top_letters[top - top_from:i - top_from]),
+                            word(bottom_letters[bottom - bottom_from:
+                                                p - bottom_from])))
                         top, bottom = i, p
         if top != top_from:
             del top_letters[:top - top_from]
@@ -290,7 +298,8 @@ def shift_split(rel, shift, cap, which="max_word_length"):
     j, d = 0, shift
     while d >= len(image := tables.images[ancestor.letter(j)]):
         j, d = j + 1, d - len(image)
-    return _walk(tables, ancestor.letters(0), ancestor.letters(j), cap, which,
+    return _walk(rel.subst.alphabet, tables, ancestor.letters(0),
+                 ancestor.letters(j), cap, which,
                  bottom_head=_head(rel.image_tables(cap, 0), image[:d]))
 
 
@@ -347,7 +356,8 @@ def children(rel, pair, *, max_word_length, origin=None):
     cap = max_word_length
     once = rel.image_tables(cap)
     if origin is None:
-        return list(_walk(once, pair.top, pair.bottom, cap, "max_word_length"))
+        return list(_walk(rel.subst.alphabet, once, pair.top, pair.bottom, cap,
+                          "max_word_length"))
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
     words, drops = zip(*_reads(inner.images, origin))
@@ -363,7 +373,8 @@ def children(rel, pair, *, max_word_length, origin=None):
     top_end, bottom_end = ends
     kids, top, bottom = [], 0, 0  # the last cut
     try:
-        for kid in _walk(outer, *words, cap, "max_word_length", *heads):
+        for kid in _walk(rel.subst.alphabet, outer, *words, cap,
+                         "max_word_length", *heads):
             i, p = top + len(kid.top), bottom + len(kid.bottom)
             if i > top_end or p > bottom_end:
                 break
@@ -389,16 +400,17 @@ def _span(ends, start, length):
                                                    first) - 1
 
 
-def _rerooted(pair, origin, depth, images, sizes):
+def _rerooted(pair, origin, depth, images, sizes, word):
     """The pair's origin at a smaller depth, depth >= 1: its ancestor the
     sigma^(d - depth) images of the letters the origin spans, d being the
-    origin's depth and images[a] sigma^(d - depth)(a), cut to the letters
-    whose sigma^depth images, sizes[a] letters long, hold the pair."""
+    origin's depth and images[a] sigma^(d - depth)(a), spelled out with
+    the word constructor and cut to the letters whose sigma^depth images,
+    sizes[a] letters long, hold the pair."""
     words, spans = [], []
-    for word, part, (first, dropped, last) in zip(origin.ancestor, pair,
-                                                  origin[2:]):
-        spelled = tuple(chain.from_iterable(
-            map(images.__getitem__, word[first:last + 1])))
+    for letters, part, (first, dropped, last) in zip(origin.ancestor, pair,
+                                                     origin[2:]):
+        spelled = word(chain.from_iterable(
+            map(images.__getitem__, letters[first:last + 1])))
         first, dropped, last = _span(
             list(accumulate(map(sizes.__getitem__, spelled), initial=0)),
             dropped, len(part))
@@ -430,7 +442,7 @@ def initial_pairs(rel, w, budgets: Budgets) -> list:
     tie names max_word_length), and StabilityNotReached when the total scan
     or the pair budget is exhausted while new pairs are still appearing.
     """
-    w = tuple(w)
+    w = rel.subst.alphabet.word_of(w)
     if not w:
         raise ValueError("prefix must be nonempty")
     if rel.subst.fixed_point().prefix(len(w)) != w:
@@ -564,7 +576,8 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                             map(len, kid)))
                         if walk < depth:
                             new = _rerooted(kid, new, walk, rel.image_tables(
-                                cap, depth - walk).images, powers[walk])
+                                cap, depth - walk).images, powers[walk],
+                                rel.subst.alphabet.word)
                     else:
                         new = None
                     new_frontier.append((i, kid, new))
@@ -635,14 +648,15 @@ def coincidence_density(rel, w, level, horizon) -> DensityStats:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    w = tuple(w)
+    alphabet = rel.subst.alphabet
+    w = alphabet.word_of(w)
     shift_word = rel.subst.apply(w, level)
     if horizon < len(shift_word):
         raise ValueError("horizon shorter than the shift word")
     u = rel.subst.fixed_point()
     if u.prefix(len(w)) != w:
         raise ValueError("w is not a prefix of the fixed word")
-    letters = []  # the tops of the coincident components
+    letters = alphabet.buffer()  # the tops of the coincident components
     scanned = 0
     for component in shift_split(rel, len(shift_word),
                                  max(horizon * 4, 10_000), "max_scan_length"):

@@ -1,7 +1,9 @@
 """Alphabets, words, substitutions, and fixed-point streaming.
 
-Words are tuples of 0-based letter indices into an Alphabet. Rule files use
-one `lhs -> rhs` line per letter; the alphabet order is the first-appearance
+A word is a sequence of 0-based letter indices into an Alphabet, of the
+one type the alphabet names (Alphabet.word): bytes, one byte a letter, or a
+tuple on an alphabet of more than 256 letters. Rule files use one
+`lhs -> rhs` line per letter; the alphabet order is the first-appearance
 order of left-hand sides, and every report sticks to that order.
 """
 
@@ -12,11 +14,18 @@ from itertools import chain, islice
 from .errors import NoExpandingFixedPoint, RuleSyntaxError
 from .linalg import Spectrum, char_poly
 
-Word = tuple  # tuple of int letter indices
-
 
 class Alphabet:
-    """Ordered set of display tokens; letters are referenced by position."""
+    """Ordered set of display tokens; letters are referenced by position.
+
+    It owns the type of its words: word builds one from a sequence of
+    letters, and buffer is a mutable sequence of letters that takes
+    `buffer += word`, `del buffer[:n]` and `word(buffer[i:j])`. They are
+    bytes and bytearray when every letter fits a byte, else tuple and
+    list; the two types share every operation the program uses, and
+    bytes compare and sort as tuples of ints do. Letters that a caller
+    gives go through word_of.
+    """
 
     def __init__(self, tokens):
         tokens = tuple(tokens)
@@ -24,6 +33,9 @@ class Alphabet:
             raise ValueError("duplicate letter tokens")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
+        small = len(tokens) <= 256
+        self.word = bytes if small else tuple
+        self.buffer = bytearray if small else list
         # single-character alphabets render words jammed together; ASCII
         # ones spell a word as one bytes translation, letter i to token i
         self.joined = all(len(t) == 1 for t in tokens)
@@ -38,6 +50,12 @@ class Alphabet:
     def index_of(self, token):
         return self._index[token]
 
+    def word_of(self, letters):
+        """Any iterable of letter indices as a word. It is read as an
+        iterable, so an int raises TypeError where bytes(n) would give n
+        copies of letter 0."""
+        return self.word(iter(letters))
+
     def word_from_text(self, text):
         """Parse a word: whitespace-separated tokens, or per-character."""
         text = text.strip()
@@ -46,7 +64,7 @@ class Alphabet:
         parts = (text.split() if any(ch.isspace() for ch in text)
                  else list(text))
         try:
-            return tuple(self._index[t] for t in parts)
+            return self.word(self._index[t] for t in parts)
         except KeyError as exc:
             raise ValueError(f"unknown letter {exc.args[0]!r}") from None
 
@@ -78,13 +96,13 @@ class Substitution:
     """A map letter -> nonempty word, extended to words by concatenation."""
 
     def __init__(self, alphabet: Alphabet, rules):
-        rules = tuple(tuple(r) for r in rules)
+        rules = tuple(map(alphabet.word_of, rules))
         if len(rules) != alphabet.size:
             raise ValueError("need one rule per letter")
         for image in rules:
             if not image:
                 raise ValueError("empty rule image")
-            if any(not 0 <= i < alphabet.size for i in image):
+            if not 0 <= min(image) <= max(image) < alphabet.size:
                 raise ValueError("rule image uses letters outside the alphabet")
         self.alphabet = alphabet
         self.rules = rules
@@ -102,12 +120,10 @@ class Substitution:
         """phi^k(word) by repeated letterwise concatenation."""
         if k < 0:
             raise ValueError("iteration count must be >= 0")
-        current = tuple(word)
+        current = self.alphabet.word_of(word)
         for _ in range(k):
-            out = []
-            for letter in current:
-                out.extend(self.rules[letter])
-            current = tuple(out)
+            current = self.alphabet.word(chain.from_iterable(
+                map(self.rules.__getitem__, current)))
         return current
 
     def population_vector(self, word):
@@ -229,14 +245,11 @@ def parse_substitution(text):
     alphabet = Alphabet(tokens)
     rules = [None] * len(tokens)
     for lhs, rhs, line_no in raw_rules:
-        parts = rhs.split() if any(ch.isspace() for ch in rhs) else list(rhs)
-        image = []
-        for tok in parts:
-            if tok not in alphabet._index:
-                raise RuleSyntaxError(f"unknown letter {tok!r} in image of {lhs!r}",
-                                      line_no)
-            image.append(alphabet.index_of(tok))
-        rules[alphabet.index_of(lhs)] = tuple(image)
+        try:
+            rules[alphabet.index_of(lhs)] = alphabet.word_from_text(rhs)
+        except ValueError as exc:
+            raise RuleSyntaxError(f"{exc} in image of {lhs!r}",
+                                  line_no) from None
     return Substitution(alphabet, rules)
 
 
@@ -251,7 +264,7 @@ class FixedPointStream:
         self.subst = subst
         self.power = power
         self.seed = seed
-        self._buffer = list(subst.apply((seed,), power))
+        self._buffer = subst.apply((seed,), power)
         if not (self._buffer[0] == seed and len(self._buffer) >= 2):
             raise ValueError("seed does not start an expanding fixed word")
         self._ancestors = {}
@@ -274,14 +287,14 @@ class FixedPointStream:
 
     def _grow(self, need):
         while len(self._buffer) < need:
-            grown = self.subst.apply(tuple(self._buffer), self.power)
+            grown = self.subst.apply(self._buffer, self.power)
             if len(grown) <= len(self._buffer):
                 raise NoExpandingFixedPoint("fixed word stopped growing")
-            self._buffer = list(grown)
+            self._buffer = grown
 
     def prefix(self, length):
         self._grow(length)
-        return tuple(self._buffer[:length])
+        return self._buffer[:length]
 
     def letter(self, i):
         self._grow(i + 1)

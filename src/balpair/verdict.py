@@ -52,7 +52,8 @@ def verdict(outcome, failing, prefix_ok):
 
 @dataclass
 class AnalysisConfig:
-    prefixes: list = field(default_factory=list)  # words; empty means auto
+    # letter sequences, each made a word of the alphabet; empty means auto
+    prefixes: list = field(default_factory=list)
     auto_max_len: int = 8
     require_return: bool = True
     relations: list = field(default_factory=lambda: [
@@ -65,7 +66,7 @@ class AnalysisConfig:
 
 @dataclass
 class CellResult:
-    prefix: tuple
+    prefix: bytes | tuple  # a word, Alphabet.word
     spec: RelationSpec
     outcome: Closure | None = None
     prefix_ok: bool = False
@@ -85,7 +86,7 @@ class CellResult:
 @dataclass
 class AnalysisReport:
     subst: Substitution
-    fixed_prefix: tuple  # its length depends on the budgets
+    fixed_prefix: bytes | tuple  # a word; its length depends on the budgets
     letter_classes: tuple
     cells: list
     timings: dict
@@ -114,7 +115,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     timings = {}
     stream = subst.fixed_point()
     if config.prefixes:
-        prefixes = [tuple(w) for w in config.prefixes]
+        prefixes = list(map(subst.alphabet.word_of, config.prefixes))
         for w in prefixes:
             if stream.prefix(len(w)) != w:
                 raise ValueError(

@@ -212,7 +212,7 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
     and ScanOverflow when one component would exceed max_word_length.
     Concatenating the output reproduces (u, v).
     """
-    u, v = tuple(u), tuple(v)
+    u, v = map(rel.subst.alphabet.word, (u, v))
     if not u or not v:
         raise NotBalanced("pair words must be nonempty")
     if not word_equiv(rel, u, v):
@@ -224,7 +224,7 @@ def reduce_pair(rel, u, v, *, max_word_length=None):
 def reference_initial_pairs(rel, w, budgets: Budgets) -> list:
     """engine.initial_pairs with the split of the fixed word against its
     shift taken from shift_components, over a fixed word of its own."""
-    w = tuple(w)
+    w = rel.subst.alphabet.word(w)
     if not w:
         raise ValueError("prefix must be nonempty")
     stream = fixed_point_stream(rel.subst)
@@ -318,7 +318,7 @@ def reference_density_masses(rel, w, level, horizon):
     zero = rel.lengths[0] * 0
     coincident = total = zero
     scanned = 0
-    shift = len(rel.subst.apply(tuple(w), level))
+    shift = len(rel.subst.apply(w, level))
     for component in shift_split(rel, shift, max(horizon * 4, 10_000),
                                  "max_scan_length"):
         mass = sum((rel.lengths[letter] for letter in component.top), zero)
@@ -353,5 +353,5 @@ def render_rules(subst):
 def clone(stream):
     """An independent reader of the same fixed word."""
     fresh = FixedPointStream(stream.subst, stream.power, stream.seed)
-    fresh._buffer = list(stream._buffer)
+    fresh._buffer = stream._buffer  # a word: immutable, so shared
     return fresh

@@ -1,19 +1,22 @@
-import itertools
 import random
+from itertools import islice
 
 import pytest
 
+from balpair import engine
 from balpair.engine import (BalancedPair, Budgets, children,
                             coincidence_analysis, coincidence_density,
                             initial_pairs, pair_graph, run_bpa, shift_split)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (NotBalanced, NotClosed, ScanOverflow,
                             StabilityNotReached)
-from balpair.substitution import parse_substitution
+from balpair.substitution import (Alphabet, Substitution, fixed_point_stream,
+                                  parse_substitution)
 
-from conftest import CORPUS_NAMES, load_corpus
-from oracles import (reduce_pair, reference_density_masses, substitute_pair,
-                     word_equiv)
+from conftest import CORPUS_NAMES, load_corpus, load_expect
+from oracles import (closure_by_own_words, reduce_pair,
+                     reference_density_masses, shift_components, split,
+                     substitute_pair, word_equiv)
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +80,18 @@ def test_reduce_component_cap(ex1):
 
 
 def concat_invariant(pairs, u, v):
-    top = tuple(itertools.chain.from_iterable(p.top for p in pairs))
-    bottom = tuple(itertools.chain.from_iterable(p.bottom for p in pairs))
-    return top == tuple(u) and bottom == tuple(v)
+    top = b"".join(p.top for p in pairs)
+    bottom = b"".join(p.bottom for p in pairs)
+    return top == u and bottom == v
 
 
 def test_reduce_concatenation_invariant(three):
     rng = random.Random(31)
     rel = Relation.generalized(three, LengthSpec.pf())
+    word = three.alphabet.word
     for _ in range(200):
-        u = tuple(rng.randrange(3) for _ in range(rng.randint(1, 10)))
-        v = tuple(rng.sample(u, len(u)))
+        u = word(rng.randrange(3) for _ in range(rng.randint(1, 10)))
+        v = word(rng.sample(u, len(u)))
         out = reduce_pair(rel, u, v)
         assert concat_invariant(out, u, v)
 
@@ -108,9 +112,10 @@ def test_reduce_emits_irreducible_pairs(three):
     rng = random.Random(37)
     for spec in (LengthSpec.pf(), LengthSpec.ones()):
         rel = Relation.generalized(three, spec)
+        word = three.alphabet.word
         for _ in range(60):
-            u = tuple(rng.randrange(3) for _ in range(rng.randint(1, 8)))
-            v = tuple(rng.sample(u, len(u)))
+            u = word(rng.randrange(3) for _ in range(rng.randint(1, 8)))
+            v = word(rng.sample(u, len(u)))
             for pair in reduce_pair(rel, u, v):
                 if len(pair.top) < 30:
                     assert brute_force_irreducible(rel, pair)
@@ -274,7 +279,7 @@ def test_pair_graph_not_closed(ex1):
 def test_singleton_coincidence_graph():
     ident = parse_substitution("1 -> 11\n2 -> 12")
     rel = Relation.plain(ident)
-    pairs = [BalancedPair((0,), (0,))]
+    pairs = [BalancedPair(W(ident, "1"), W(ident, "1"))]
     graph = pair_graph(rel, pairs)
     assert graph.edges[0] == [(0, 2)]  # |1/1| -> |1/1| twice
 
@@ -292,8 +297,8 @@ def test_coincidence_analysis_ex1(ex1):
 def test_coincidence_analysis_stranded_component():
     # a two-cycle of non-coincidences with no exit never reaches one
     from balpair.engine import PairGraph
-    a = BalancedPair((0,), (1,))
-    b = BalancedPair((1,), (0,))
+    a = BalancedPair(b"\x00", b"\x01")
+    b = BalancedPair(b"\x01", b"\x00")
     graph = PairGraph(vertices=[a, b], edges={0: [(1, 1)], 1: [(0, 1)]})
     assert coincidence_analysis(graph) == set()
 
@@ -385,3 +390,104 @@ def test_run_bpa_max_iterations_budget():
     assert not out.terminated
     assert out.which == "max_iterations"
     assert out.iterations_done == 3
+
+
+# the word type: one per alphabet, bytes up to 256 letters, else tuple
+
+def _fixture_relation(subst, mode):
+    if mode == "plain":
+        return Relation.plain(subst)
+    if mode == "letters":
+        return Relation.letter_classes(subst)
+    return Relation.generalized(subst, LengthSpec.parse(
+        mode.removeprefix("custom:")))
+
+
+def _closure_words(rel, w, budgets, monkeypatch):
+    """run_bpa's closure of the prefix w, and every word in it: the sides
+    of its pairs and of the ancestor of each Origin it passes to children.
+    A tuple of w's letters gives an equal Closure, so no tuple word leaks
+    in beside the alphabet's words, where it would be a second vertex."""
+    ancestors = []
+
+    def recording(rel, pair, *, origin=None, **budget):
+        if origin is not None:
+            ancestors.extend(origin.ancestor)
+        return children(rel, pair, origin=origin, **budget)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "children", recording)
+        closure = run_bpa(rel, w, budgets)
+    assert run_bpa(rel, tuple(w), budgets) == closure
+    sides = [side for pair in closure.vertices for side in pair]
+    return closure, sides, ancestors
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_every_word_is_of_the_alphabets_type(name, monkeypatch):
+    # the fixture cells, and mt-rewrite's lambda growth closure under a
+    # 20 000-letter budget, whose children walk ancestors at depths 1-2
+    subst, expect = load_corpus(name), load_expect(name)
+    assert subst.alphabet.word is bytes
+    words = [*subst.rules, *map(subst.apply, subst.rules),
+             subst.apply((0,), 3), subst.fixed_point().prefix(50)]
+    cells = [(_fixture_relation(subst, cell["mode"]),
+              subst.alphabet.word_from_text(cell["prefix"]),
+              Budgets(**cell.get("budgets", {})))
+             for cell in expect["cells"]]
+    if name == "mt-rewrite":
+        cells.append((_fixture_relation(subst, "lambda"), b"\x00",
+                      Budgets(max_word_length=20_000)))
+    walked = 0
+    for rel, w, budgets in cells:
+        _closure, sides, ancestors = _closure_words(rel, w, budgets,
+                                                    monkeypatch)
+        words += sides + ancestors
+        walked += len(ancestors)
+    assert {type(word) for word in words} == {bytes}
+    if name == "mt-rewrite":
+        assert walked
+
+
+def test_an_alphabet_of_more_than_256_letters_has_tuple_words(monkeypatch):
+    # tribonacci on letters 0, 128 and 256 of 257, the others fixed: the
+    # images of sigma^7 hold 447 letters, so the closure walks ancestors.
+    # A plain relation, built directly: is_primitive on such an alphabet
+    # is slow, and nothing here needs it
+    n = 257
+    rules = [(a,) for a in range(n)]
+    rules[0], rules[128], rules[256] = (0, 128), (0, 256), (0,)
+    subst = Substitution(Alphabet([f"a{a}" for a in range(n)]), rules)
+    assert subst.alphabet.word is tuple and subst.alphabet.buffer is list
+    assert subst.rules[0] == (0, 128) and type(subst.rules[0]) is tuple
+    rel = Relation.plain(subst)
+
+    def drained(components):
+        out = []
+        try:
+            out.extend(islice(components, 300))
+        except ScanOverflow as exc:
+            out.append(exc.which)
+        return out
+
+    for shift in (1, 2, 3, 5):
+        for cap in (2, 3, 60):
+            assert drained(shift_split(rel, shift, cap)) == drained(
+                shift_components(fixed_point_stream(subst), rel, shift, cap))
+    stops = []
+    for budgets in (Budgets(max_iterations=20, max_pairs=200,
+                            max_word_length=60),
+                    Budgets(max_word_length=3)):
+        closure, sides, ancestors = _closure_words(rel, (0,), budgets,
+                                                   monkeypatch)
+        expected = closure_by_own_words(rel, (0,), budgets)
+        for field in ("vertices", "discovered", "edges", "growth_trace",
+                      "iterations_done", "which"):
+            assert getattr(closure, field) == getattr(expected, field)
+        assert ancestors and max(map(max, sides)) == 256
+        assert {type(word) for word in sides + ancestors} == {tuple}
+        for pair in closure.vertices:
+            assert children(rel, pair, max_word_length=60) == list(
+                split(rel, *substitute_pair(subst, pair), 60))
+        stops.append(closure.which)
+    assert stops == [None, "max_word_length"]

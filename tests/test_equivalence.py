@@ -171,9 +171,10 @@ def test_substitution_invariance(three, corpus):
                 Relation.letter_classes(subst),
                 Relation.generalized(subst, LengthSpec.pf()),
                 Relation.generalized(subst, LengthSpec.ones())]
+        word = subst.alphabet.word
         for _ in range(40):
-            u = tuple(rng.randrange(subst.size) for _ in range(6))
-            v = tuple(rng.sample(u, len(u)))
+            u = word(rng.randrange(subst.size) for _ in range(6))
+            v = word(rng.sample(u, len(u)))
             for rel in rels:
                 if word_equiv(rel, u, v):
                     assert word_equiv(rel, subst.apply(u), subst.apply(v))
@@ -246,5 +247,6 @@ def test_lambda_scaling_of_lengths(three):
     lam = nf.element((0, 1))
     rng = random.Random(29)
     for _ in range(30):
-        w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+        w = three.alphabet.word(rng.randrange(3)
+                                for _ in range(rng.randint(1, 6)))
         assert rel.length_of(three.apply(w)) == lam * rel.length_of(w)

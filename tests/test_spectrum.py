@@ -134,4 +134,4 @@ def test_bpa_runs_only_the_printed_cell(fixtures_dir, capsys, monkeypatch,
     [line] = out.splitlines()
     assert line.startswith(f"  w=1 general[{length}]: terminated")
     assert [(args[1], args[0].spec.label()) for args in calls] == \
-        [((0,), label) for label in relations]
+        [(b"\x00", label) for label in relations]

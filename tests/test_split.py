@@ -19,13 +19,16 @@ stretch of sigma^(d+1) of its ancestor d levels up, is checked against
 `children` of the pair's own words, and `run_bpa`, which walks such
 stretches, against `closure_by_own_words`, the same closure over own
 words throughout; each Origin it walks is checked against sigma^d of its
-ancestor's letters, spelled out.
+ancestor's letters, spelled out. Known-wrong variants of `_walk` and
+`run_bpa`, built from their source, must fail those differentials.
 """
 
 import functools
+import inspect
 import json
 import random
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 from itertools import (accumulate, combinations_with_replacement, islice,
@@ -135,7 +138,7 @@ def cases(draw):
         bottom += draw(st.permutations(block))
     if draw(st.integers(0, 4)) == 0:  # unbalanced words
         bottom = draw(st.lists(letters, min_size=0, max_size=len(top) + 2))
-    top, bottom = tuple(top[:40]), tuple(bottom[:40])
+    top, bottom = map(subst.alphabet.word, (top[:40], bottom[:40]))
     cap = draw(st.integers(1, max(len(top), len(bottom), 1) + 1))
     return rel, top, bottom, cap, draw(st.sampled_from(WHICH))
 
@@ -154,13 +157,14 @@ def test_lambda_rational_non_dyadic_length_is_enclosed():
     # floor(2^64 * l), so its enclosure must not have width zero. The
     # images of 2223 and 3222, 33312 and 12333, cut there first
     subst = SUBSTS["third"]
+    w = subst.alphabet.word_from_text
     rel = Relation.generalized(subst, LengthSpec.pf())
     assert rel.length_low[2] < rel.length_high[2]
-    assert reduce_pair(rel, (2, 2, 2, 0), (0, 0)) == [
-        BalancedPair((2, 2, 2), (0,)), BalancedPair((0,), (0,))]
-    pair = BalancedPair((1, 1, 1, 2), (2, 1, 1, 1))
+    assert reduce_pair(rel, w("3331"), w("11")) == [
+        BalancedPair(w("333"), w("1")), BalancedPair(w("1"), w("1"))]
+    pair = BalancedPair(w("2223"), w("3222"))
     assert children(rel, pair, max_word_length=24) == [
-        BalancedPair((2, 2, 2), (0,)), BalancedPair((0, 1), (1, 2, 2, 2))]
+        BalancedPair(w("333"), w("1")), BalancedPair(w("12"), w("2333"))]
     # the second component is over a cap of 3 on its bottom side alone
     assert _children_outcomes(subst, rel, pair, 3) == (
         ("ScanOverflow", "max_word_length"),) * 2
@@ -298,9 +302,10 @@ def long_runs(draw):
         word = fixed_point_stream(subst).prefix(400)
         pair = _windows(draw, rel, word, 100)
     else:
+        word = subst.alphabet.word
         a, b = rng.sample(range(size), 2)
-        run = (b,) * rng.randint(1, 100)
-        pair = BalancedPair((a,) + run, run + (a,))
+        run = word((b,)) * rng.randint(1, 100)
+        pair = BalancedPair(word((a,)) + run, run + word((a,)))
     return subst, rel, pair, draw(st.sampled_from(_caps(subst) + [10_000]))
 
 
@@ -642,9 +647,10 @@ def test_shift_split_under_a_forced_power_of_random_substitutions(subst,
 def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
     # tetranacci walks sigma^7 images, 349 letters in all. The tables hold
     # the lookups made, a few differences per letter pair, and the walk
-    # the pending component: 20 000 components peaked at 70 kB on CPython
-    # 3.11. Entries holding every (r, s) of the 349-letter images would
-    # hold 121 801 pairs, several megabytes
+    # the pending component: 20 000 components peaked at 48 kB on CPython
+    # 3.11 (52 kB when a word was a tuple of ints). Entries holding every
+    # (r, s) of the 349-letter images would hold 121 801 pairs, several
+    # megabytes
     subst = parse_substitution("1 -> 12\n2 -> 13\n3 -> 14\n4 -> 1")
     rel = Relation.plain(subst)
     assert _walk_power(subst) == 7
@@ -657,7 +663,7 @@ def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
     finally:
         tracemalloc.stop()
     assert count == 20_000
-    assert peak < 250_000
+    assert peak < 72_000
 
 
 # -- the closure's children ---------------------------------------------------
@@ -722,9 +728,10 @@ def test_children_of_long_images_match_linear_oracle():
     assert subst.is_primitive()
     for kind in ("plain", "ones", "lambda"):
         rel = _relation(subst, kind)
-        pairs = [BalancedPair((0, 1), (1, 0)),
-                 BalancedPair((0, 0, 1, 1), (1, 0, 1, 0)),
-                 BalancedPair((0, 1), (0, 0))]
+        w = subst.alphabet.word_from_text
+        pairs = [BalancedPair(w("12"), w("21")),
+                 BalancedPair(w("1122"), w("2121")),
+                 BalancedPair(w("12"), w("11"))]
         pairs += _closure_pairs(subst, rel)[:12]
         for pair in pairs:
             for cap in (1, 63, 64, 65, 200, None):
@@ -737,7 +744,7 @@ def test_children_overflow_inside_the_last_top_letter():
     # where the bottom's has ended, more than a cap of 2 and not of 4
     subst = parse_substitution("1 -> 12222\n2 -> 1")
     rel = Relation.plain(subst)
-    pair = BalancedPair((0,), (1,))
+    pair = BalancedPair(b"\x00", b"\x01")
     for cap, outcome in ((2, ("ScanOverflow", "max_word_length")),
                          (4, ("NotBalanced",))):
         got, expected = _children_outcomes(subst, rel, pair, cap)
@@ -747,17 +754,18 @@ def test_children_overflow_inside_the_last_top_letter():
 def test_children_stop_reading_at_an_overflow():
     # a^N b against b a^N: once the top is more than cap letters past its
     # last cut, the walk raises without reading the rest of either parent
-    class Counted(tuple):
+    class Counted(bytes):
         read = 0  # the most letters any one reader has taken
 
         def __iter__(self):
-            for read, letter in enumerate(tuple.__iter__(self), 1):
+            for read, letter in enumerate(bytes.__iter__(self), 1):
                 self.read = max(self.read, read)
                 yield letter
 
     n, cap = 10_000, 50
     subst = SUBSTS["const-len"]
-    top, bottom = Counted((0,) * n + (1,)), Counted((1,) + (0,) * n)
+    top = Counted(b"\x00" * n + b"\x01")
+    bottom = Counted(b"\x01" + b"\x00" * n)
     with pytest.raises(ScanOverflow):
         children(Relation.plain(subst), BalancedPair(top, bottom),
                  max_word_length=cap)
@@ -771,12 +779,13 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
     # const-len under plain balance grows a pair about x3 an iteration. Its
     # longest pair under a 20 000-letter budget has 19 684 letters a side,
     # and its middle child 59 050. The walk holds the pending component's
-    # letters and the output: its peak measured 2.4 MB on CPython 3.11, and
-    # the block split of the streamed images it replaced 2.5 MB. A join of
-    # the whole images, the two images and a packed prefix-state dict per
-    # side, measured 14 MB. The walks of the pair's stretch of sigma^(d+1)
-    # of its ancestor d levels up, d = 1 to 4 (const-len walks sigma^5),
-    # hold the same and the sigma^(d+1) tables, and measured 2.41-2.51 MB.
+    # letters and the output, one byte a letter: its peak measured 0.30 MB
+    # on CPython 3.11, against 2.4 MB when a word was a tuple of ints and
+    # 14 MB for a join of the whole images, the two images and a packed
+    # prefix-state dict per side. The walks of the pair's stretch of
+    # sigma^(d+1) of its ancestor d levels up, d = 1 to 4 (const-len walks
+    # sigma^5), hold the same and the sigma^(d+1) tables, and measured
+    # 0.31-0.38 MB (2.41-2.51 MB with tuple words).
     subst = parse_substitution("1 -> 112\n2 -> 122")
     rel = Relation.plain(subst)
     budgets = Budgets(max_word_length=20_000)
@@ -799,7 +808,7 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
         finally:
             tracemalloc.stop()
         assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
-        assert peak < 3_750_000, origin and origin.depth
+        assert peak < 580_000, origin and origin.depth
 
 
 # -- children over a stretch of sigma^(d+1) of an ancestor ---------------------
@@ -991,7 +1000,7 @@ def _recorded_run(rel, w, budgets):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "children", recording)
-        closure = run_bpa(rel, w, budgets)
+        closure = engine.run_bpa(rel, w, budgets)
     return closure, seen
 
 
@@ -1091,3 +1100,92 @@ def test_growth_closure_matches_own_words(name, kind):
         # 12 788 a side
         assert all(14 * mine <= theirs for mine, theirs in
                    zip(got.letters_walked, expected.letters_walked))
+
+
+# -- mutant gates: known-wrong walks that the differentials above catch -------
+
+def _mutant(name, old, new):
+    """engine's function `name` with the one `old` in its source replaced
+    by `new`, reading the engine module's globals, so that it reaches a
+    patched engine.children or engine._walk."""
+    source = inspect.getsource(getattr(engine, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(engine))
+    exec(compile(source.replace(old, new), engine.__file__, "exec"),
+         namespace)
+    built = namespace[name]
+    return types.FunctionType(built.__code__, vars(engine), name,
+                              built.__defaults__, built.__closure__)
+
+
+MUTANTS = {
+    "bottom cap check dropped": ("_walk", "and bottom < p <= bottom + cap:",
+                                 "and bottom < p:"),
+    "bottom slice one letter short": ("_walk", "p - bottom_from])))",
+                                      "p - bottom_from - 1])))"),
+    "starts at 0, not minus the head": ("run_bpa", "initial=-sum(",
+                                        "initial=0 * sum("),
+}
+
+
+def _linear_cases():
+    """Pairs of short closures, with caps of 1-3 letters and one no
+    component outgrows, for the linear oracle, and a pair whose second
+    child is over a cap of 3 on its bottom side alone."""
+    w = SUBSTS["third"].alphabet.word_from_text
+    pair = BalancedPair(w("2223"), w("3222"))
+    cases = [(SUBSTS["third"], _relation(SUBSTS["third"], "lambda"), pair,
+              cap) for cap in (3, 24)]
+    for name in ("third", "ex1", "three"):
+        subst = SUBSTS[name]
+        for kind in ("plain", "lambda"):
+            rel = _relation(subst, kind)
+            cases += [(subst, rel, pair, cap)
+                      for pair in _closure_pairs(subst, rel)
+                      for cap in (1, 2, 3, None)]
+    return cases
+
+
+def _linear_oracle(cases):
+    for case in cases:
+        got, expected = _children_outcomes(*case)
+        assert got == expected, case[2:]
+
+
+def _own_words(rel):
+    budgets = Budgets(max_word_length=2000)
+    got = engine.run_bpa(rel, b"\x00", budgets)
+    expected = oracles.closure_by_own_words(rel, b"\x00", budgets)
+    for field in CLOSURE_FIELDS:
+        assert getattr(got, field) == getattr(expected, field), field
+
+
+def _origin_contract(rel):
+    _closure, seen = _recorded_run(rel, b"\x00",
+                                   Budgets(max_word_length=2000))
+    assert _assert_origins_hold_their_pairs(rel.subst, seen)
+
+
+@pytest.mark.parametrize("mutant, caught_by", [
+    ("bottom cap check dropped", "linear oracle"),
+    ("bottom slice one letter short", "linear oracle"),
+    ("starts at 0, not minus the head", "origin contract"),
+    ("starts at 0, not minus the head", "own words"),
+])
+def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
+    # each differential holds on the engine as it is, and fails with the
+    # mutant patched in. reducible3's plain closure under a 2000-letter
+    # budget walks ancestors whose heads are not empty; on mt-rewrite the
+    # mutant's walks end unbalanced instead, before any check
+    rel = _relation(load_corpus("reducible3"), "plain")
+    check = {"linear oracle": functools.partial(_linear_oracle,
+                                                _linear_cases()),
+             "own words": functools.partial(_own_words, rel),
+             "origin contract": functools.partial(_origin_contract, rel),
+             }[caught_by]
+    check()
+    name, old, new = MUTANTS[mutant]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, name, _mutant(name, old, new))
+        with pytest.raises(AssertionError):
+            check()

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from balpair.errors import NoExpandingFixedPoint, RuleSyntaxError
 from balpair.linalg import mat_mul
-from balpair.substitution import (Alphabet, admissible_prefixes,
-                                  auto_prefixes, fixed_point_stream,
-                                  parse_substitution)
+from balpair.substitution import (Alphabet, Substitution,
+                                  admissible_prefixes, auto_prefixes,
+                                  fixed_point_stream, parse_substitution)
 
 from oracles import clone, mat_vec, render_rules
 
@@ -16,7 +16,7 @@ from oracles import clone, mat_vec, render_rules
 def test_parse_basic():
     subst = parse_substitution("1 -> 112\n2 -> 12")
     assert subst.alphabet.tokens == ("1", "2")
-    assert subst.rules == ((0, 0, 1), (0, 1))
+    assert subst.rules == (b"\x00\x00\x01", b"\x00\x01")
 
 
 def test_parse_empty_image():
@@ -29,12 +29,12 @@ def test_parse_empty_image():
 def test_parse_tokenized():
     subst = parse_substitution("x -> x y\ny -> y x")
     assert subst.alphabet.tokens == ("x", "y")
-    assert subst.rules == ((0, 1), (1, 0))
+    assert subst.rules == (b"\x00\x01", b"\x01\x00")
     # single-character tokens render jammed; multi-character ones spaced
     assert subst.alphabet.render((0, 1)) == "xy"
     wide = parse_substitution("ab -> ab cd\ncd -> cd ab")
     assert wide.alphabet.render((0, 1)) == "ab cd"
-    assert wide.alphabet.word_from_text("ab cd") == (0, 1)
+    assert wide.alphabet.word_from_text("ab cd") == b"\x00\x01"
 
 
 @settings(max_examples=100, deadline=None)
@@ -48,18 +48,32 @@ def test_render_matches_the_token_join(case):
     tokens, word = case
     alphabet = Alphabet(tokens)
     sep = "" if all(len(t) == 1 for t in tokens) else " "
-    assert alphabet.render(tuple(word)) == sep.join(tokens[i] for i in word)
+    assert alphabet.render(alphabet.word(word)) == sep.join(tokens[i]
+                                                          for i in word)
 
 
 def test_parse_comments_and_errors():
     subst = parse_substitution("# heading\n1 -> 12 # trailing\n2 -> 1\n")
-    assert subst.rules == ((0, 1), (0,))
+    assert subst.rules == (b"\x00\x01", b"\x00")
     with pytest.raises(RuleSyntaxError):
         parse_substitution("1 -> 13\n2 -> 1\n")  # unknown letter 3
     with pytest.raises(RuleSyntaxError):
         parse_substitution("1 => 11\n")
     with pytest.raises(RuleSyntaxError):
         parse_substitution("1 -> 1\n1 -> 11\n")  # duplicate lhs
+
+
+def test_an_int_is_not_a_word():
+    # bytes(2) would be two copies of letter 0
+    alphabet = Alphabet("ab")
+    assert alphabet.word_of([1, 0]) == b"\x01\x00"
+    with pytest.raises(TypeError):
+        alphabet.word_of(2)
+    with pytest.raises(TypeError):
+        Substitution(alphabet, [2, (0, 1)])
+    subst = parse_substitution("1 -> 112\n2 -> 12")
+    with pytest.raises(TypeError):
+        subst.apply(1, 0)
 
 
 def test_apply():
@@ -163,7 +177,7 @@ def test_letters_iterator_and_clone():
     stream = fixed_point_stream(subst)
     it = stream.letters(2)
     head = [next(it) for _ in range(4)]
-    assert tuple(head) == stream.prefix(6)[2:]
+    assert subst.alphabet.word(head) == stream.prefix(6)[2:]
     twin = clone(stream)
     assert twin.prefix(10) == stream.prefix(10)
 
@@ -249,7 +263,8 @@ def test_primitivity_matches_brute_force():
 def test_population_commutes_with_substitution(seed, length):
     rng = random.Random(seed)
     subst = random_substitution(rng)
-    word = tuple(rng.randrange(subst.size) for _ in range(length))
+    word = subst.alphabet.word(rng.randrange(subst.size)
+                               for _ in range(length))
     lhs = mat_vec(subst.transition_matrix(), subst.population_vector(word))
     assert lhs == subst.population_vector(subst.apply(word))
 
