@@ -38,6 +38,15 @@ images take one loop step per sigma^k image rather than per letter of u,
 and the closure's walks reach depth k - 1, whose sigma^k images are the
 same. Only the pending component's letters are held.
 
+The image-table entry is also a unit of work: an entry whose hits
+increase strictly on both sides carries a Run (Relation.image_tables).
+When the walk accepts the entry's first hit and the run's largest step is
+within the cap, every later hit of the entry is a cut, so `_walk` hands
+back the first component and then the Run, whose components it does not
+spell. The initial split counts the cuts and top letters of a run whose
+components it already holds; `shift_split` and `children` spell runs from
+the two images (`_spelled`).
+
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
 substitution. Every word is of the one type its alphabet names
@@ -57,9 +66,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, tee
+from itertools import accumulate, chain, pairwise, tee
 from typing import NamedTuple
 
+from .equivalence import Run
 from .errors import NotBalanced, NotClosed, ScanOverflow, StabilityNotReached
 from .numberfield import APPROX_DIGITS, FieldScalar, _format_decimal
 
@@ -205,6 +215,17 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     the first accepted hit is the next cut. Only the pending component's
     letters and a window of bottom parent letters are held.
 
+    Runs: when the first hit of an entry with a Run is accepted and the
+    run's largest step is at most cap, each later hit lies within cap
+    letters of the one before it on both sides, so it is accepted too,
+    as the per-hit loop would accept it. No other bottom letter's hit
+    comes between two of them: lengths grow strictly, so a cut between
+    two of the run's hits lies inside the same two images and would be a
+    hit of the same entry. The walk yields the first component, then the
+    Run, and moves its last cut to the run's last hit without slicing the
+    pending letters for each cut; every other entry takes the per-hit
+    loop.
+
     The pending letters sit in the alphabet's buffers and each component's
     words are built with its word constructor.
 
@@ -237,7 +258,10 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
             window.popleft()
         row = rows[a]
         for _low, _high, b, theirs, first_b in window:
-            if hits := row[b][state - theirs]:
+            if entry := row[b][state - theirs]:
+                hits, run = entry
+                if run and run.step > cap:
+                    run = None
                 for r, s in hits:
                     i, p = first + r, first_b + s
                     if top < i <= top + cap and bottom < p <= bottom + cap:
@@ -246,6 +270,12 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
                             word(bottom_letters[bottom - bottom_from:
                                                 p - bottom_from])))
                         top, bottom = i, p
+                        if run:  # the first hit is a cut, so all are
+                            yield run
+                            r, s = run.last
+                            top, bottom = first + r, first_b + s
+                            break
+                    run = None  # only the first hit starts the run
         if top != top_from:
             del top_letters[:top - top_from]
             del bottom_letters[:bottom - bottom_from]
@@ -287,11 +317,22 @@ def shift_split(rel, shift, cap, which="max_word_length"):
     and d < |sigma^k(v[j])|: the walk of v against v[j:], the bottom
     dropping d letters. The walk reads whole sigma^k images: past its last
     cut the top reads the rest of one, and the bottom as many as the
-    longest image's length spans of the shortest, plus two.
+    longest image's length spans of the shortest, plus two. Runs are
+    spelled (_spelled).
 
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component.
     """
+    for component in _shift_walk(rel, shift, cap, which):
+        if component.__class__ is Run:
+            yield from _spelled(component)
+        else:
+            yield component
+
+
+def _shift_walk(rel, shift, cap, which):
+    """The walk behind shift_split: its components, each Run after its
+    first component (_walk)."""
     k = _walk_power(rel.subst)
     tables = rel.image_tables(cap, k)
     ancestor = rel.subst.fixed_point().ancestor(k)
@@ -301,6 +342,14 @@ def shift_split(rel, shift, cap, which="max_word_length"):
     return _walk(rel.subst.alphabet, tables, ancestor.letters(0),
                  ancestor.letters(j), cap, which,
                  bottom_head=_head(rel.image_tables(cap, 0), image[:d]))
+
+
+def _spelled(run):
+    """The components of a Run after its first, as an iterator: the
+    stretches of its two images between consecutive hits."""
+    top, bottom = run.images
+    return (_pair((top[r:r2], bottom[s:s2]))
+            for (r, s), (r2, s2) in pairwise(run.hits))
 
 
 def _head(tables, word):
@@ -349,15 +398,24 @@ def children(rel, pair, *, max_word_length, origin=None):
     at a cut; its letters after the last cut then tell an overflow from an
     unbalanced end, as the walk of its own words does.
 
+    The walk's runs are spelled in place (_spelled), so the list is the
+    same as a cut-by-cut walk's.
+
     Raises ScanOverflow("max_word_length") when a component would have more
     than max_word_length letters on a side, and NotBalanced when the images
     end other than at a cut.
     """
     cap = max_word_length
     once = rel.image_tables(cap)
+    kids = []
     if origin is None:
-        return list(_walk(rel.subst.alphabet, once, pair.top, pair.bottom, cap,
-                          "max_word_length"))
+        for kid in _walk(rel.subst.alphabet, once, pair.top, pair.bottom, cap,
+                         "max_word_length"):
+            if kid.__class__ is Run:
+                kids += _spelled(kid)
+            else:
+                kids.append(kid)
+        return kids
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
     words, drops = zip(*_reads(inner.images, origin))
@@ -371,17 +429,25 @@ def children(rel, pair, *, max_word_length, origin=None):
         tail = sum(map(once.sizes.__getitem__, inner.images[span[-1]][kept:]))
         ends.append(sum(map(outer.sizes.__getitem__, span)) - head[0] - tail)
     top_end, bottom_end = ends
-    kids, top, bottom = [], 0, 0  # the last cut
+    top = bottom = 0  # the last cut
     try:
         for kid in _walk(rel.subst.alphabet, outer, *words, cap,
                          "max_word_length", *heads):
-            i, p = top + len(kid.top), bottom + len(kid.bottom)
-            if i > top_end or p > bottom_end:
+            if kid.__class__ is Run:
+                kids += _spelled(kid)
+                top += kid.letters
+                bottom += kid.last[1] - kid.hits[0][1]
+            else:
+                kids.append(kid)
+                top, bottom = top + len(kid.top), bottom + len(kid.bottom)
+            if top >= top_end or bottom >= bottom_end:
+                # cuts grow on both sides: drop the kids past the end
+                while top > top_end or bottom > bottom_end:
+                    kid = kids.pop()
+                    top, bottom = top - len(kid.top), bottom - len(kid.bottom)
+                if top == top_end and bottom == bottom_end:
+                    return kids
                 break
-            kids.append(kid)
-            top, bottom = i, p
-            if top == top_end and bottom == bottom_end:
-                return kids
     except (ScanOverflow, NotBalanced):
         pass
     if max(top_end - top, bottom_end - bottom) > cap:
@@ -437,6 +503,13 @@ def initial_pairs(rel, w, budgets: Budgets) -> list:
     stability window of max(split_stability_window, 3x the current pair
     count) consecutive cuts.
 
+    The split is read from the walk (_shift_walk), whose Runs are spelled
+    the first time they appear, cut by cut. A run seen before holds no new
+    pair, so it adds its cuts and its top letters to the counts in one
+    step, unless the stability window or the scan budget would stop the
+    split at one of its cuts: then it is spelled and counted cut by cut,
+    and the split stops on the same cut as a cut-by-cut count.
+
     Raises ScanOverflow when a component has more letters on a side than
     the smaller of max_word_length and max_scan_length (named by which; a
     tie names max_word_length), and StabilityNotReached when the total scan
@@ -452,27 +525,41 @@ def initial_pairs(rel, w, budgets: Budgets) -> list:
     else:
         cap, which = budgets.max_word_length, "max_word_length"
     pairs = {}  # insertion-ordered set
+    known = set()  # Runs whose components are all in pairs
     cuts = 0
     cuts_at_last_new = 0
     scanned = 0
     window = budgets.split_stability_window
-    for component in shift_split(rel, len(w), cap, which):
-        cuts += 1
-        scanned += len(component.top)
-        if component not in pairs:
-            pairs[component] = None
-            cuts_at_last_new = cuts
-            if len(pairs) > budgets.max_pairs:
+    for item in _shift_walk(rel, len(w), cap, which):
+        if item.__class__ is not Run:
+            components = (item,)
+        elif item in known and (cuts + item.count - cuts_at_last_new < window
+                                and scanned + item.letters
+                                <= budgets.max_scan_length):
+            # no new pair, and neither stop fires before the run ends
+            cuts += item.count
+            scanned += item.letters
+            continue
+        else:
+            known.add(item)
+            components = _spelled(item)
+        for component in components:
+            cuts += 1
+            scanned += len(component.top)
+            if component not in pairs:
+                pairs[component] = None
+                cuts_at_last_new = cuts
+                if len(pairs) > budgets.max_pairs:
+                    raise StabilityNotReached(
+                        f"more than {budgets.max_pairs} distinct initial pairs",
+                        which="max_pairs")
+                window = max(budgets.split_stability_window, 3 * len(pairs))
+            if cuts - cuts_at_last_new >= window:
+                return list(pairs)
+            if scanned > budgets.max_scan_length:
                 raise StabilityNotReached(
-                    f"more than {budgets.max_pairs} distinct initial pairs",
-                    which="max_pairs")
-            window = max(budgets.split_stability_window, 3 * len(pairs))
-        if cuts - cuts_at_last_new >= window:
-            return list(pairs)
-        if scanned > budgets.max_scan_length:
-            raise StabilityNotReached(
-                f"still discovering after {budgets.max_scan_length} letters",
-                which="max_scan_length")
+                    f"still discovering after {budgets.max_scan_length} letters",
+                    which="max_scan_length")
 
 
 def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:

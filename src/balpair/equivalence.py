@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .linalg import mat_powers
@@ -139,27 +139,55 @@ class ImageTables(NamedTuple):
     high: tuple
     sizes: tuple  # |sigma^k(a)|
     images: tuple  # sigma^k(a), from the relation's substitution
-    rows: tuple  # rows[a][b][D]: ((r, s), ...) with P_a[r] + D = P_b[s]
+    rows: tuple  # rows[a][b][D]: ((r, s), ...) and their Run, or ()
+
+
+class Run:
+    """The hits (r, s) of an image table entry (a, b, D), two or more,
+    strictly increasing in both r and s: the components between
+    consecutive hits are images[0][r:r'] against images[1][s:s'], images
+    being (sigma^k(a), sigma^k(b)). count is the number of hits after the
+    first, letters their top letters (r_last - r_first), step the largest
+    step in r or s between consecutive hits, and last the last hit. A run
+    is its own key: it hashes by identity."""
+
+    __slots__ = ("hits", "images", "count", "letters", "step", "last")
+
+    def __init__(self, hits, images, step):
+        self.hits = hits
+        self.images = images
+        self.count = len(hits) - 1
+        self.letters = hits[-1][0] - hits[0][0]
+        self.step = step
+        self.last = hits[-1]
 
 
 class _Hits(dict):
     """Entry (a, b) of the image tables: a state difference D maps to the
-    pairs (r, s) with P_a[r] + D = P_b[s], in order, each built on the
-    first lookup of D from b's prefix-state index {P_b[s]: (s, ...)}. A
-    miss stores the shared empty tuple."""
+    pairs (r, s) with P_a[r] + D = P_b[s], in order, and their Run, None
+    when there are fewer than two or they do not increase strictly on both
+    sides, each built on the first lookup of D from b's prefix-state index
+    {P_b[s]: (s, ...)}. A miss stores the shared empty tuple."""
 
-    __slots__ = ("prefixes", "index")
+    __slots__ = ("prefixes", "index", "images")
 
-    def __init__(self, prefixes, index):
+    def __init__(self, prefixes, index, images):
         super().__init__()
         self.prefixes = prefixes
         self.index = index
+        self.images = images  # (sigma^k(a), sigma^k(b))
 
     def __missing__(self, diff):
         index = self.index
-        hits = self[diff] = tuple(
-            (r, s) for r, mine in enumerate(self.prefixes, 1)
-            for s in index.get(mine + diff, ()))
+        hits = tuple((r, s) for r, mine in enumerate(self.prefixes, 1)
+                     for s in index.get(mine + diff, ()))
+        if hits:
+            tops, bottoms = zip(*hits)
+            steps = [*map(sub, tops[1:], tops),
+                     *map(sub, bottoms[1:], bottoms)]
+            hits = hits, (Run(hits, self.images, max(steps))
+                          if steps and min(steps) > 0 else None)
+        self[diff] = hits
         return hits
 
 
@@ -179,7 +207,8 @@ class Relation:
         self.eq_dim = len(letter_eq[0])
         self._eq_bound = max(abs(v) for row in letter_eq for v in row)
         self._packed = {}
-        self._images = {}
+        self._images = {}  # (bits, k) -> ImageTables
+        self._by_cap = {}  # (cap, k) -> the same ImageTables
         self.length_low = length_low
         self.length_high = length_high or length_low
         # plain and letters measure words by their number of letters
@@ -266,8 +295,9 @@ class Relation:
 
     def image_tables(self, cap, k=1):
         """The tables the splits' walk reads for sigma^k, packed as
-        packed_states(cap); built once per packing width and k. Those for
-        k = 0 hold each letter's own state, enclosure and size.
+        packed_states(cap); built once per packing width and k, and found
+        again by cap and k. Those for k = 0 hold each letter's own state,
+        enclosure and size.
 
         Per letter a: the packed state of its image sigma^k(a), the integer
         enclosure of the image's scaled length, its letter count and the
@@ -276,8 +306,12 @@ class Relation:
         and 1 <= s <= |sigma^k(b)|, in order, P_a[r] being the packed state
         of sigma^k(a)[:r]. It is built on the first lookup of D, one pass
         over P_a against an index of P_b, so the work follows the lookups
-        made; a D with no pair maps to the empty tuple.
+        made; a D with no pair maps to the empty tuple, any other D to its
+        pairs and their Run, or None.
         """
+        tables = self._by_cap.get((cap, k))
+        if tables is not None:
+            return tables
         bits = self._bits(cap)
         tables = self._images.get((bits, k))
         if tables is None:
@@ -300,8 +334,10 @@ class Relation:
                            for image in images),
                 sizes=tuple(map(len, images)),
                 images=images,
-                rows=tuple(tuple(_Hits(mine, index) for index in indices)
-                           for mine in prefixes))
+                rows=tuple(tuple(_Hits(mine, index, (image, theirs))
+                                 for index, theirs in zip(indices, images))
+                           for mine, image in zip(prefixes, images)))
+        self._by_cap[cap, k] = tables
         return tables
 
     # -- predicates -----------------------------------------------------------

@@ -92,6 +92,15 @@ def population_vector(word, size):
     return tuple(counts)
 
 
+def _union(rows, mask):
+    """The union of the int bitset rows[k] over the bits k set in mask."""
+    union = 0
+    for k, row in enumerate(rows):
+        if mask >> k & 1:
+            union |= row
+    return union
+
+
 class Substitution:
     """A map letter -> nonempty word, extended to words by concatenation."""
 
@@ -147,23 +156,22 @@ class Substitution:
     def is_primitive(self):
         """True iff some power of the matrix is strictly positive.
 
-        Wielandt: for a primitive n x n matrix, (n-1)^2 + 1 powers suffice.
-        Tracks only the positivity pattern, so entries stay small.
+        Wielandt: a primitive n x n matrix has a positive power of exponent
+        (n-1)^2 + 1, and then every higher power is positive, so the power
+        of the least exponent 2^j at or above that bound decides. It is
+        reached by j squarings of the positivity pattern, each row an int
+        whose bit c is set when the entry in column c is nonzero.
         """
         if self._primitive is None:
             n = self.size
-            pattern = [[1 if v else 0 for v in row]
-                       for row in self.transition_matrix()]
-            power = pattern
-            limit = (n - 1) ** 2 + 1
-            self._primitive = False
-            for _ in range(limit):
-                if all(all(v for v in row) for row in power):
-                    self._primitive = True
-                    break
-                power = [[1 if any(power[i][k] and pattern[k][j]
-                                   for k in range(n)) else 0
-                          for j in range(n)] for i in range(n)]
+            rows = [sum(1 << c for c, v in enumerate(row) if v)
+                    for row in self.transition_matrix()]
+            exponent = 1
+            while exponent < (n - 1) ** 2 + 1:
+                # row i of the square is the union of rows k in row i
+                rows = [_union(rows, row) for row in rows]
+                exponent *= 2
+            self._primitive = all(row == (1 << n) - 1 for row in rows)
         return self._primitive
 
     def char_poly(self):

@@ -9,8 +9,8 @@ splits of two words (a linear whole-word split and a quadratic one), the
 split of the fixed word against its shift from whole-word splits of its
 prefixes, a whole-word `reduce_pair`, the initial split on that prefix
 split, the closure with every pair's children walked over its own words,
-the coincidence density masses summed per component, and small matrix and
-rendering helpers.
+the coincidence density masses summed per component, primitivity by every
+power up to Wielandt's bound, and small matrix and rendering helpers.
 """
 
 from collections import Counter
@@ -25,6 +25,22 @@ from balpair.linalg import mat_mul
 from balpair.numberfield import NumberField
 from balpair.polynomial import RatPoly
 from balpair.substitution import FixedPointStream, fixed_point_stream
+
+
+def primitive_by_powers(matrix):
+    """Substitution.is_primitive as a loop over every power of the
+    positivity pattern up to Wielandt's bound (n - 1)^2 + 1, each an n^3
+    product: about n^5 steps."""
+    n = len(matrix)
+    pattern = [[1 if v else 0 for v in row] for row in matrix]
+    power = pattern
+    for _ in range((n - 1) ** 2 + 1):
+        if all(all(v for v in row) for row in power):
+            return True
+        power = [[1 if any(power[i][k] and pattern[k][j]
+                           for k in range(n)) else 0
+                  for j in range(n)] for i in range(n)]
+    return False
 
 
 def mat_vec(a, v):

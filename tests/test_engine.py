@@ -452,8 +452,7 @@ def test_every_word_is_of_the_alphabets_type(name, monkeypatch):
 def test_an_alphabet_of_more_than_256_letters_has_tuple_words(monkeypatch):
     # tribonacci on letters 0, 128 and 256 of 257, the others fixed: the
     # images of sigma^7 hold 447 letters, so the closure walks ancestors.
-    # A plain relation, built directly: is_primitive on such an alphabet
-    # is slow, and nothing here needs it
+    # A plain relation, built directly: nothing here needs the spectrum
     n = 257
     rules = [(a,) for a in range(n)]
     rules[0], rules[128], rules[256] = (0, 128), (0, 256), (0,)

@@ -14,13 +14,15 @@ ancestor word under sigma^k; it is checked against `shift_components`, the
 linear split of prefixes of that word, at its own k and at forced k of 1,
 2 and 3, and `initial_pairs` against the same loop over `shift_components`.
 The image tables' hit lists, built per state difference, are checked
-against entries built whole. `children` of a pair given its origin, a
+against entries built whole, and their runs against the image stretches
+between the hits. `children` of a pair given its origin, a
 stretch of sigma^(d+1) of its ancestor d levels up, is checked against
 `children` of the pair's own words, and `run_bpa`, which walks such
 stretches, against `closure_by_own_words`, the same closure over own
 words throughout; each Origin it walks is checked against sigma^d of its
-ancestor's letters, spelled out. Known-wrong variants of `_walk` and
-`run_bpa`, built from their source, must fail those differentials.
+ancestor's letters, spelled out. Known-wrong variants of `_walk`,
+`run_bpa` and `initial_pairs`, built from their source, must fail those
+differentials.
 """
 
 import functools
@@ -503,7 +505,11 @@ def _assert_hits_match_whole_entries(tables, prefixes, rng):
     """Each difference's hits, looked up in a random order, equal those of
     the entry built whole: every (r, s) grouped by P_b[s] - P_a[r], in
     order. The lookups are of every difference with a pair, its
-    neighbours and one far miss."""
+    neighbours and one far miss. Hits that increase strictly in r and in
+    s, two or more, have a run, whose count, letters and largest step are
+    those of the image stretches between consecutive hits; any others have
+    none. Returns the number of runs seen."""
+    runs = 0
     for a, b in product(range(len(prefixes)), repeat=2):
         whole = {}
         for r, mine in enumerate(prefixes[a], 1):
@@ -513,7 +519,29 @@ def _assert_hits_match_whole_entries(tables, prefixes, rng):
         diffs.append(rng.randrange(-2 ** 80, 2 ** 80))
         rng.shuffle(diffs)
         for diff in diffs:
-            assert list(tables.rows[a][b][diff]) == whole.get(diff, [])
+            entry = tables.rows[a][b][diff]
+            if diff not in whole:
+                assert entry == ()
+                continue
+            hits, run = entry
+            expected = whole[diff]
+            assert list(hits) == expected
+            stretches = [
+                BalancedPair(tables.images[a][r:r2], tables.images[b][s:s2])
+                for (r, s), (r2, s2) in zip(expected, expected[1:])]
+            if len(expected) < 2 or not all(
+                    top and bottom for top, bottom in stretches):
+                assert run is None
+                continue
+            runs += 1
+            assert run.hits is hits
+            assert run.last == expected[-1]
+            assert run.images == (tables.images[a], tables.images[b])
+            assert run.count == len(stretches)
+            assert run.letters == sum(len(top) for top, _ in stretches)
+            assert run.step == max(max(map(len, pair)) for pair in stretches)
+            assert list(engine._spelled(run)) == stretches
+    return runs
 
 
 @settings(max_examples=150, deadline=None)
@@ -537,6 +565,22 @@ def test_image_table_hits_match_whole_entries(subst, kind, k, cap, rng):
     _assert_hits_match_whole_entries(tables, prefixes, rng)
 
 
+def test_image_tables_hold_runs():
+    # tribonacci's sigma^3 images against each other: the entries of
+    # equal letters at D = 0 have every prefix as a hit, a run of one
+    # letter steps; the check above finds runs among its entries
+    rel = Relation.plain(SUBSTS["tribonacci"])
+    tables = rel.image_tables(400, 3)
+    packed = rel.packed_states(400)
+    prefixes = [list(accumulate(map(packed.__getitem__, image)))
+                for image in tables.images]
+    assert _assert_hits_match_whole_entries(tables, prefixes,
+                                            random.Random(0))
+    hits, run = tables.rows[0][0][0]
+    assert hits == tuple((r, r) for r in range(1, 8))
+    assert (run.count, run.letters, run.step, run.last) == (6, 6, 1, (7, 7))
+
+
 def test_image_table_hits_keep_repeated_prefix_states():
     # packed for cap 1, letter 1's state (8, -1) is -56 and letter 2's
     # (8, 0) is 8, so the nine-letter image 2 1 2222222 repeats the packed
@@ -548,9 +592,10 @@ def test_image_table_hits_keep_repeated_prefix_states():
     prefixes = [list(accumulate(map(rel.packed_states(1).__getitem__, image)))
                 for image in subst.rules]
     assert prefixes[0][0] == prefixes[0][8] == 8
-    assert tables.rows[0][0][0] == ((1, 1), (1, 9), (2, 2), (3, 3), (4, 4),
-                                    (5, 5), (6, 6), (7, 7), (8, 8), (9, 1),
-                                    (9, 9))
+    # the hits repeat r = 1 and r = 9, so they make no run
+    assert tables.rows[0][0][0] == (((1, 1), (1, 9), (2, 2), (3, 3), (4, 4),
+                                     (5, 5), (6, 6), (7, 7), (8, 8), (9, 1),
+                                     (9, 9)), None)
     _assert_hits_match_whole_entries(tables, prefixes, random.Random(0))
 
 
@@ -1125,6 +1170,11 @@ MUTANTS = {
                                       "p - bottom_from - 1])))"),
     "starts at 0, not minus the head": ("run_bpa", "initial=-sum(",
                                         "initial=0 * sum("),
+    "run taken past the cap": ("_walk", "if run and run.step > cap:",
+                               "if 0:"),
+    "known run skipped without the stop tests": (
+        "initial_pairs", "elif item in known and (",
+        "elif item in known or 0 * ("),
 }
 
 
@@ -1166,26 +1216,45 @@ def _origin_contract(rel):
     assert _assert_origins_hold_their_pairs(rel.subst, seen)
 
 
+def _initial_split_stops():
+    with pytest.MonkeyPatch.context() as patch:
+        for name in sorted(RULES):
+            for kind in ("plain", "lambda"):
+                test_initial_pairs_stops_at_the_same_cut(name, kind, patch)
+
+
 @pytest.mark.parametrize("mutant, caught_by", [
     ("bottom cap check dropped", "linear oracle"),
     ("bottom slice one letter short", "linear oracle"),
     ("starts at 0, not minus the head", "origin contract"),
     ("starts at 0, not minus the head", "own words"),
+    ("run taken past the cap", "shift split"),
+    ("known run skipped without the stop tests", "initial split stops"),
 ])
 def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # each differential holds on the engine as it is, and fails with the
     # mutant patched in. reducible3's plain closure under a 2000-letter
     # budget walks ancestors whose heads are not empty; on mt-rewrite the
-    # mutant's walks end unbalanced instead, before any check
+    # mutant's walks end unbalanced instead, before any check. A run with
+    # a step over the cap holds hits that may not be cuts (const-len's
+    # runs at caps 1-7). A run the initial split skips past its stop
+    # leaves the split to stop at a later cut, or on the other budget
     rel = _relation(load_corpus("reducible3"), "plain")
     check = {"linear oracle": functools.partial(_linear_oracle,
                                                 _linear_cases()),
              "own words": functools.partial(_own_words, rel),
              "origin contract": functools.partial(_origin_contract, rel),
+             "shift split": functools.partial(
+                 test_shift_split_matches_split_of_two_streams, "const-len",
+                 "plain"),
+             "initial split stops": _initial_split_stops,
              }[caught_by]
     check()
     name, old, new = MUTANTS[mutant]
+    wrong = _mutant(name, old, new)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, name, _mutant(name, old, new))
+        patch.setattr(engine, name, wrong)
+        if name in globals():  # the engine name this module imported
+            patch.setitem(globals(), name, wrong)
         with pytest.raises(AssertionError):
             check()

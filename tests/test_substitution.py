@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from balpair.substitution import (Alphabet, Substitution,
                                   admissible_prefixes, auto_prefixes,
                                   fixed_point_stream, parse_substitution)
 
-from oracles import clone, mat_vec, render_rules
+from oracles import clone, mat_vec, primitive_by_powers, render_rules
 
 
 def test_parse_basic():
@@ -107,6 +108,35 @@ def test_is_primitive():
     assert not parse_substitution("1 -> 11\n2 -> 22").is_primitive()
     assert parse_substitution(
         "1 -> 31\n2 -> 412\n3 -> 312\n4 -> 412").is_primitive()
+
+
+def test_a_long_cycle_decides_primitivity_quickly():
+    # a_i -> a_(i+1), the last letter -> a_0 a_1: primitive, and its
+    # least positive power has an exponent near Wielandt's bound, so a
+    # loop over every power takes about n^5 steps (25.9 s at n = 50)
+    n = 50
+    rules = [(a + 1,) for a in range(n - 1)] + [(0, 1)]
+    subst = Substitution(Alphabet([f"a{a}" for a in range(n)]), rules)
+    start = time.perf_counter()
+    assert subst.is_primitive()
+    assert time.perf_counter() - start < 1
+
+
+def test_permutations_and_reducible_inputs_are_not_primitive():
+    assert not parse_substitution("1 -> 2\n2 -> 1").is_primitive()
+    assert not parse_substitution("1 -> 12\n2 -> 2").is_primitive()
+    assert parse_substitution("1 -> 1").is_primitive()
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+    min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_primitivity_matches_every_power(rules):
+    subst = Substitution(Alphabet([str(a) for a in range(len(rules))]),
+                         rules)
+    assert subst.is_primitive() == primitive_by_powers(
+        subst.transition_matrix())
 
 
 def test_is_constant_length():
