@@ -23,20 +23,21 @@ pair A, its origin's ancestor, so sigma of the pair is a stretch of
 sigma^(d+1)(A): given that origin, the walk reads A's letters over
 sigma^(d+1) images, from the ancestor letter whose sigma^d image holds
 the pair's start. Each side drops the head sigma(sigma^d(a)[:r]), r being
-the letters of sigma^d(a) before the pair, whose sums are those of the
-sigma tables' entries, and the walk stops at the cut where sigma of the
-pair ends. Each side's states are zero at its own start, so the cuts
-found are those of the pair's own words: that sigma maps equivalent words
-to equivalent words is not needed. The closure locates each new pair's
-origin once, in the letters its parent's walk has just read, when that
-walk finds it. The initial split I(w) and the coincidence densities,
-`shift_split`, cut the fixed word u against its own shift:
-u = sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix
-of v_k under sigma^k, the bottom dropping the first letters of its first
-image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
-images take one loop step per sigma^k image rather than per letter of u,
-and the closure's walks reach depth k - 1, whose sigma^k images are the
-same. Only the pending component's letters are held.
+the letters of sigma^d(a) before the pair, whose sums are one read of the
+sigma^d tables (ImageTables.heads), and the walk stops at the cut where
+sigma of the pair ends. Each side's states are zero at its own start, so
+the cuts found are those of the pair's own words: that sigma maps
+equivalent words to equivalent words is not needed. The closure cuts the
+letters each walk reads once, and locates each new pair's origin once, in
+those letters, when its parent's walk finds it. The initial split I(w)
+and the coincidence densities, `shift_split`, cut the fixed word u
+against its own shift: u = sigma^k(v_k) for a fixed word v_k, so they
+walk v_k against a suffix of v_k under sigma^k, the bottom dropping the
+first letters of its first image. k is the largest with
+sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step
+per sigma^k image rather than per letter of u, and the closure's walks
+reach depth k - 1, whose sigma^k images are the same. Only the pending
+component's letters are held.
 
 The image-table entry is also a unit of work: an entry whose hits
 increase strictly on both sides carries a Run (Relation.image_tables).
@@ -44,8 +45,9 @@ When the walk accepts the entry's first hit and the run's largest step is
 within the cap, every later hit of the entry is a cut, so `_walk` hands
 back the first component and then the Run, whose components it does not
 spell. The initial split counts the cuts and top letters of a run whose
-components it already holds; `shift_split` and `children` spell runs from
-the two images (`_spelled`).
+components it already holds; `shift_split` spells runs from the two
+images each time (`_spelled`), and `children` once, keeping the
+components on the run (`_spell`).
 
 Each entry point takes a relation, which names its substitution sigma
 (rel.subst); the fixed word u is rel.subst.fixed_point(), built once per
@@ -192,8 +194,8 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
           top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
     """Irreducible components of tau(top_word) against tau(bottom_word),
     each side less its head, in order, walked one parent letter at a time,
-    tau being the map sigma^k whose images the tables hold. A head (_head)
-    is the letter count, packed state and low and high length enclosures
+    tau being the map sigma^k whose images the tables hold. A head is the
+    letter count, packed state and low and high length enclosures
     of the letters a side drops from the start of its first image; that
     side's states and enclosures start at minus the head's, so both sides
     read zero where their components start.
@@ -339,9 +341,10 @@ def _shift_walk(rel, shift, cap, which):
     j, d = 0, shift
     while d >= len(image := tables.images[ancestor.letter(j)]):
         j, d = j + 1, d - len(image)
+    head = rel.sums((image[:d],), cap)
     return _walk(rel.subst.alphabet, tables, ancestor.letters(0),
                  ancestor.letters(j), cap, which,
-                 bottom_head=_head(rel.image_tables(cap, 0), image[:d]))
+                 bottom_head=[field[0] for field in head])
 
 
 def _spelled(run):
@@ -352,27 +355,14 @@ def _spelled(run):
             for (r, s), (r2, s2) in pairwise(run.hits))
 
 
-def _head(tables, word):
-    """The head tau(word), tau being the map whose images the tables hold:
-    its letter count, packed state and low and high length enclosures."""
-    return (sum(map(tables.sizes.__getitem__, word)),
-            sum(map(tables.states.__getitem__, word)),
-            sum(map(tables.low.__getitem__, word)),
-            sum(map(tables.high.__getitem__, word)))
+def _spell(run):
+    """The components of a Run after its first, spelled (_spelled) and kept
+    on the run as a tuple, so that later walks reuse the same pairs."""
+    run.components = tuple(_spelled(run))
+    return run.components
 
 
-def _reads(images, origin):
-    """Per side, what the walk of sigma of the origin's pair reads: the
-    ancestor letters whose sigma^d images hold the pair, d being the
-    origin's depth and images[a] sigma^d(a), and the letters of the first
-    one's image before the pair, whose sigma images that side drops as its
-    head."""
-    return [(word[first:last + 1], images[word[first]][:dropped])
-            for word, (first, dropped, last) in zip(origin.ancestor,
-                                                    origin[2:])]
-
-
-def children(rel, pair, *, max_word_length, origin=None):
+def children(rel, pair, *, max_word_length, origin=None, letters=None):
     """Irreducible pairs in the reduction of the pair substituted by
     rel.subst, in order.
 
@@ -387,54 +377,57 @@ def children(rel, pair, *, max_word_length, origin=None):
     reads, on each side, A's letters from the first, a, whose sigma^d
     image holds the pair's start, to the last, over the sigma^(d+1)
     tables; the lookups number about |top| + |bottom| over the length of
-    a sigma^d image. Each side drops the head sigma(sigma^d(a)[:dropped]),
-    its sums those of the sigma tables' entries, so its states are zero
+    a sigma^d image; letters, when given, are those letters, a word a
+    side. Each side drops the head sigma(sigma^d(a)[:dropped]), one read
+    of the sigma^d tables (ImageTables.heads), so its states are zero
     where sigma(pair) starts, and the cuts found are those of sigma(pair)'s
     own words: that sigma maps equivalent words to equivalent words is not
     needed. The walk stops at the cut where sigma(pair) ends on both
     sides, |sigma(pair)| being the sigma^(d+1) lengths of the letters read
-    less the head and the tail. A cut past that end on either side, or the
-    walk's overflow or end before it, leaves sigma(pair) ending other than
-    at a cut; its letters after the last cut then tell an overflow from an
-    unbalanced end, as the walk of its own words does.
+    less the head and the tail, read alike. A cut past that end on either
+    side, or the walk's overflow or end before it, leaves sigma(pair)
+    ending other than at a cut; its letters after the last cut then tell
+    an overflow from an unbalanced end, as the walk of its own words does.
 
-    The walk's runs are spelled in place (_spelled), so the list is the
-    same as a cut-by-cut walk's.
+    The walk's runs are spelled in place, each once (_spell), so the list
+    is the same as a cut-by-cut walk's.
 
     Raises ScanOverflow("max_word_length") when a component would have more
     than max_word_length letters on a side, and NotBalanced when the images
     end other than at a cut.
     """
     cap = max_word_length
-    once = rel.image_tables(cap)
     kids = []
     if origin is None:
-        for kid in _walk(rel.subst.alphabet, once, pair.top, pair.bottom, cap,
-                         "max_word_length"):
+        for kid in _walk(rel.subst.alphabet, rel.image_tables(cap), pair.top,
+                         pair.bottom, cap, "max_word_length"):
             if kid.__class__ is Run:
-                kids += _spelled(kid)
+                kids += kid.components or _spell(kid)
             else:
                 kids.append(kid)
         return kids
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
-    words, drops = zip(*_reads(inner.images, origin))
-    heads = [_head(once, drop) for drop in drops]
-    ends = []
-    for span, head, part, (_first, dropped, _last) in zip(words, heads, pair,
-                                                          origin[2:]):
+    if letters is None:
+        letters = [word[first:last + 1] for word, (first, _dropped, last)
+                   in zip(origin.ancestor, origin[2:])]
+    heads, ends = [], []
+    for word, part, (_first, dropped, _last) in zip(letters, pair,
+                                                    origin[2:]):
+        head = inner.heads[word[0]][dropped]
+        heads.append(head)
         # the pair ends `kept` letters into the last sigma^d image
         kept = dropped + len(part) - sum(map(inner.sizes.__getitem__,
-                                             span[:-1]))
-        tail = sum(map(once.sizes.__getitem__, inner.images[span[-1]][kept:]))
-        ends.append(sum(map(outer.sizes.__getitem__, span)) - head[0] - tail)
+                                             word[:-1]))
+        ends.append(sum(map(outer.sizes.__getitem__, word[:-1]))
+                    + inner.heads[word[-1]][kept][0] - head[0])
     top_end, bottom_end = ends
     top = bottom = 0  # the last cut
     try:
-        for kid in _walk(rel.subst.alphabet, outer, *words, cap,
+        for kid in _walk(rel.subst.alphabet, outer, *letters, cap,
                          "max_word_length", *heads):
             if kid.__class__ is Run:
-                kids += _spelled(kid)
+                kids += kid.components or _spell(kid)
                 top += kid.letters
                 bottom += kid.last[1] - kid.hits[0][1]
             else:
@@ -579,7 +572,8 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     image on a side, or over its own words, depth 0. Each new pair's
     Origin is located once, when its parent's walk finds it, and kept in
     its frontier entry. That walk read letters S of the parent's ancestor
-    over sigma^(d+1) images, dropping a head (_reads); the new pair starts
+    over sigma^(d+1) images, cut here and handed to children, dropping a
+    head (ImageTables.heads); the new pair starts
     there at the head plus the lengths of the children before it, and a
     search of S's running sigma^(d+1) lengths, built per expansion once a
     new pair needs them, gives the letters of S that hold it. A pair that
@@ -620,44 +614,48 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
         max_new = 0
         for vertex, pair, origin in frontier:
             if origin is None:
-                depth = 1
-                walked[0] += len(pair.top)
-                walked[1] += len(pair.bottom)
+                depth, words = 1, pair
             else:
-                depth = origin.depth + 1
-                walked[0] += origin.top[2] - origin.top[0] + 1
-                walked[1] += origin.bottom[2] - origin.bottom[0] + 1
+                # the letters S the walk reads, a word a side
+                depth, words = origin.depth + 1, [
+                    word[first:last + 1] for word, (first, _dropped, last)
+                    in zip(origin.ancestor, origin[2:])]
+            walked[0] += len(words[0])
+            walked[1] += len(words[1])
             try:
-                kids = children(rel, pair, max_word_length=cap, origin=origin)
+                kids = children(rel, pair, max_word_length=cap, origin=origin,
+                                letters=words)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
-            indices = []
-            # once a new pair walks at depth 1 or more: per side, the
-            # letters S the walk read (words) and where their sigma^depth
-            # images start (starts), sigma(pair) starting at 0
+            counts = {}  # edge multiplicities, in first-occurrence order
+            # once a new pair walks at depth 1 or more: per side, where the
+            # sigma^depth images of S start, sigma(pair) starting at 0
             starts = None
             kid_top = kid_bottom = 0  # where the kid starts in sigma(pair)
             for kid in kids:
                 i = index.setdefault(kid, len(vertices))
-                indices.append(i)
+                counts[i] = counts.get(i, 0) + 1
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
                     walk = _walk_depth(kid, min(depth, deepest), longest)
                     if walk:
                         if starts is None:
-                            # a pair that walked its own words drops none
-                            words, drops = (zip(*_reads(rel.image_tables(
-                                cap, depth - 1).images, origin)) if origin
-                                else (pair, ((), ())))
+                            # each side's head letters; a pair that walked
+                            # its own words drops none
+                            heads = (0, 0)
+                            if origin:
+                                sums = rel.image_tables(cap, depth - 1).heads
+                                heads = [sums[word[0]][dropped][0]
+                                         for word, (_first, dropped, _last)
+                                         in zip(words, origin[2:])]
                             # int64 arrays: lists of ints for a parent of
                             # 59 050 letters a side raised const-len's peak
                             # by 1.2 MB
                             starts = [array("q", accumulate(
                                 map(powers[depth].__getitem__, word),
-                                initial=-sum(map(powers[1].__getitem__,
-                                                 drop))))
-                                for word, drop in zip(words, drops)]
+                                initial=-head))
+                                for word, head in zip(words, heads)]
                         new = Origin(words, depth, *map(
                             _span, starts, (kid_top, kid_bottom),
                             map(len, kid)))
@@ -673,8 +671,7 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                         return stop("max_pairs", iteration)
                 kid_top += len(kid.top)
                 kid_bottom += len(kid.bottom)
-            # a Counter keeps first-occurrence order
-            edges[vertex] = list(Counter(indices).items())
+            edges[vertex] = list(counts.items())
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier

@@ -134,12 +134,13 @@ class RelationSpec:
 class ImageTables(NamedTuple):
     """Per-letter image data of a relation; see Relation.image_tables."""
 
+    sizes: tuple  # |sigma^k(a)|
     states: tuple  # packed state of sigma^k(a)
     low: tuple  # enclosure of sigma^k(a)'s scaled length
     high: tuple
-    sizes: tuple  # |sigma^k(a)|
     images: tuple  # sigma^k(a), from the relation's substitution
     rows: tuple  # rows[a][b][D]: ((r, s), ...) and their Run, or ()
+    heads: dict  # heads[a][r]: the sums of sigma(sigma^k(a)[:r]) (_Heads)
 
 
 class Run:
@@ -149,9 +150,11 @@ class Run:
     being (sigma^k(a), sigma^k(b)). count is the number of hits after the
     first, letters their top letters (r_last - r_first), step the largest
     step in r or s between consecutive hits, and last the last hit. A run
-    is its own key: it hashes by identity."""
+    is its own key: it hashes by identity. components is None until the
+    closure's children first spell the run, and then holds the spelling."""
 
-    __slots__ = ("hits", "images", "count", "letters", "step", "last")
+    __slots__ = ("hits", "images", "count", "letters", "step", "last",
+                 "components")
 
     def __init__(self, hits, images, step):
         self.hits = hits
@@ -160,6 +163,7 @@ class Run:
         self.letters = hits[-1][0] - hits[0][0]
         self.step = step
         self.last = hits[-1]
+        self.components = None
 
 
 class _Hits(dict):
@@ -189,6 +193,27 @@ class _Hits(dict):
                           if steps and min(steps) > 0 else None)
         self[diff] = hits
         return hits
+
+
+class _Heads(dict):
+    """Field heads of the image tables for sigma^k: letter a maps to the
+    running sums of Relation.sums of sigma's images over the letters of
+    sigma^k(a), from (0, 0, 0, 0), so entry r holds those of
+    sigma(sigma^k(a)[:r]). Built on a's first lookup."""
+
+    __slots__ = ("images", "once")
+
+    def __init__(self, images, once):
+        super().__init__()
+        self.images = images
+        self.once = once  # Relation.sums of sigma's images
+
+    def __missing__(self, a):
+        image = self.images[a]
+        sums = self[a] = tuple(zip(*(accumulate(map(field.__getitem__, image),
+                                                initial=0)
+                                     for field in self.once)))
+        return sums
 
 
 class Relation:
@@ -269,6 +294,15 @@ class Relation:
 
     # -- scanner tables ------------------------------------------------------
 
+    def sums(self, words, cap):
+        """Four tuples over the words: each word's letter count, its packed
+        state (packed_states(cap)) and the low and high enclosures of its
+        scaled length."""
+        fields = self.packed_states(cap), self.length_low, self.length_high
+        return (tuple(map(len, words)),
+                *(tuple(sum(map(field.__getitem__, word)) for word in words)
+                  for field in fields))
+
     def _bits(self, cap):
         return (2 * (cap + 1) * self._eq_bound).bit_length()
 
@@ -296,8 +330,7 @@ class Relation:
     def image_tables(self, cap, k=1):
         """The tables the splits' walk reads for sigma^k, packed as
         packed_states(cap); built once per packing width and k, and found
-        again by cap and k. Those for k = 0 hold each letter's own state,
-        enclosure and size.
+        again by cap and k.
 
         Per letter a: the packed state of its image sigma^k(a), the integer
         enclosure of the image's scaled length, its letter count and the
@@ -307,7 +340,8 @@ class Relation:
         of sigma^k(a)[:r]. It is built on the first lookup of D, one pass
         over P_a against an index of P_b, so the work follows the lookups
         made; a D with no pair maps to the empty tuple, any other D to its
-        pairs and their Run, or None.
+        pairs and their Run, or None. heads[a][r] holds the sums of
+        sigma(sigma^k(a)[:r]) (_Heads).
         """
         tables = self._by_cap.get((cap, k))
         if tables is not None:
@@ -327,16 +361,11 @@ class Relation:
                     index[theirs] = index.get(theirs, ()) + (s,)
                 indices.append(index)
             tables = self._images[bits, k] = ImageTables(
-                states=tuple(p[-1] for p in prefixes),
-                low=tuple(sum(map(self.length_low.__getitem__, image))
-                          for image in images),
-                high=tuple(sum(map(self.length_high.__getitem__, image))
-                           for image in images),
-                sizes=tuple(map(len, images)),
-                images=images,
+                *self.sums(images, cap), images,
                 rows=tuple(tuple(_Hits(mine, index, (image, theirs))
                                  for index, theirs in zip(indices, images))
-                           for mine, image in zip(prefixes, images)))
+                           for mine, image in zip(prefixes, images)),
+                heads=_Heads(images, self.sums(self.subst.rules, cap)))
         self._by_cap[cap, k] = tables
         return tables
 

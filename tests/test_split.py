@@ -43,11 +43,13 @@ from hypothesis import strategies as st
 
 from balpair import engine
 from balpair.engine import (BalancedPair, Budgets, Origin, _walk_power,
-                            children, initial_pairs, run_bpa, shift_split)
-from balpair.equivalence import LengthSpec, Relation, RelationSpec
+                            children, coincidence_analysis, initial_pairs,
+                            run_bpa, shift_split)
+from balpair.equivalence import LengthSpec, Relation, RelationSpec, Run
 from balpair.errors import NotBalanced, ScanOverflow, StabilityNotReached
 from balpair.numberfield import NumberField
 from balpair.substitution import fixed_point_stream, parse_substitution
+from balpair.verdict import verdict
 
 import oracles
 from conftest import CORPUS_NAMES, count_calls, load_corpus, load_expect
@@ -692,14 +694,20 @@ def test_shift_split_under_a_forced_power_of_random_substitutions(subst,
 def test_sigma_k_tables_and_a_long_initial_split_keep_a_bounded_peak():
     # tetranacci walks sigma^7 images, 349 letters in all. The tables hold
     # the lookups made, a few differences per letter pair, and the walk
-    # the pending component: 20 000 components peaked at 48 kB on CPython
+    # the pending component: 20 000 components peaked at 47 kB on CPython
     # 3.11 (52 kB when a word was a tuple of ints). Entries holding every
     # (r, s) of the 349-letter images would hold 121 801 pairs, several
-    # megabytes
+    # megabytes. A warm-up split on a relation of its own, dropped before
+    # tracing starts, leaves the interpreter's free lists as full as
+    # earlier tests would: run alone, the peak read 65-67 kB without it
+    # and 47 kB with it, as in the whole suite. The traced relation
+    # builds its tables inside the window
     subst = parse_substitution("1 -> 12\n2 -> 13\n3 -> 14\n4 -> 1")
     rel = Relation.plain(subst)
     assert _walk_power(subst) == 7
     subst.fixed_point().prefix(100_000)  # the fixed word is not counted
+    assert sum(1 for _ in islice(shift_split(Relation.plain(subst), 1, 400),
+                                 20_000)) == 20_000
     tracemalloc.start()
     try:
         count = sum(1 for _ in islice(shift_split(rel, 1, 400),
@@ -854,6 +862,51 @@ def test_children_of_a_growth_pair_keep_a_bounded_peak():
             tracemalloc.stop()
         assert [len(kid.top) for kid in kids] == [1, 59_050, 1]
         assert peak < 580_000, origin and origin.depth
+
+
+def _walked_runs(call):
+    """The call's result and the Runs its walks yielded, in order."""
+    runs = []
+    walk = engine._walk
+
+    def recording(*args, **kwargs):
+        for item in walk(*args, **kwargs):
+            if item.__class__ is Run:
+                runs.append(item)
+            yield item
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_walk", recording)
+        return call(), runs
+
+
+def test_children_spell_each_run_once():
+    # the walk of sigma of this pair of reducible3's plain closure meets
+    # one run twice: each time, and in a second call, children add the
+    # components the run kept at its first spelling, the same objects
+    subst = load_corpus("reducible3")
+    rel = Relation.plain(subst)
+    w = subst.alphabet.word_from_text
+    pair = BalancedPair(w("112232123"), w("232123211"))
+    first, runs = _walked_runs(
+        lambda: children(rel, pair, max_word_length=200))
+    second = children(rel, pair, max_word_length=200)
+    assert first == second == _children_outcomes(subst, rel, pair, 200)[1]
+    [(run, met)] = [(run, met) for run, met in Counter(runs).items()
+                    if met > 1]
+    assert run.components == tuple(engine._spelled(run))
+    for kids in (first, second):
+        assert sum(any(kid is kept for kept in run.components)
+                   for kid in kids) == met * run.count
+    # the split of the fixed word against its shift, and the initial
+    # split, spell runs for each use and keep none
+    fresh = Relation.plain(subst)
+    _components, runs = _walked_runs(
+        lambda: list(islice(shift_split(fresh, 2, 200), 5000)))
+    _pairs, more = _walked_runs(
+        lambda: initial_pairs(fresh, w("11"), Budgets()))
+    assert runs and more
+    assert all(run.components is None for run in runs + more)
 
 
 # -- children over a stretch of sigma^(d+1) of an ancestor ---------------------
@@ -1147,6 +1200,60 @@ def test_growth_closure_matches_own_words(name, kind):
                    zip(got.letters_walked, expected.letters_walked))
 
 
+# -- scaled lengths: a custom length vector L and c L give one closure --------
+
+SCALES = (Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(7, 1000))
+
+
+def _closure_and_verdict(subst, values, w, budgets):
+    closure = run_bpa(Relation.generalized(subst, LengthSpec.custom(values)),
+                      w, budgets)
+    failing = ()
+    if closure.terminated:
+        reached = coincidence_analysis(closure)
+        failing = tuple(pair for i, pair in enumerate(closure.vertices)
+                        if i not in reached)
+    u = subst.fixed_point()
+    return closure, verdict(closure, failing, u.letter(len(w)) == u.letter(0))
+
+
+def _assert_scaling_keeps_the_closure(subst, values, w, budgets):
+    closure, expected = _closure_and_verdict(subst, values, w, budgets)
+    for scale in SCALES:
+        got, decided = _closure_and_verdict(
+            subst, [scale * v for v in values], w, budgets)
+        for field in CLOSURE_FIELDS:
+            assert getattr(got, field) == getattr(closure, field), (scale,
+                                                                    field)
+        assert decided == expected, scale
+    return closure
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_scaled_lengths_give_the_same_closure_on_the_fixtures(name):
+    # a fixture's own custom length vector, or 1, 2, ..., n, under the
+    # batch survey's budgets
+    subst = load_corpus(name)
+    cells = [cell for cell in load_expect(name)["cells"]
+             if cell["mode"].startswith("custom:")]
+    cases = [(LengthSpec.parse(cell["mode"][7:]).values,
+              subst.alphabet.word_from_text(cell["prefix"]))
+             for cell in cells] or [(range(1, subst.size + 1),
+                                     subst.fixed_point().prefix(1))]
+    for values, w in cases:
+        _assert_scaling_keeps_the_closure(subst, values, w, BATCH_BUDGETS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(primitive_substitutions(), st.data())
+def test_scaled_lengths_give_the_same_closure(subst, data):
+    values = data.draw(st.lists(st.builds(Fraction, st.integers(1, 9),
+                                          st.integers(1, 9)),
+                                min_size=subst.size, max_size=subst.size))
+    w = subst.fixed_point().prefix(data.draw(st.integers(1, 3)))
+    _assert_scaling_keeps_the_closure(subst, values, w, BATCH_BUDGETS)
+
+
 # -- mutant gates: known-wrong walks that the differentials above catch -------
 
 def _mutant(name, old, new):
@@ -1168,8 +1275,16 @@ MUTANTS = {
                                  "and bottom < p:"),
     "bottom slice one letter short": ("_walk", "p - bottom_from])))",
                                       "p - bottom_from - 1])))"),
-    "starts at 0, not minus the head": ("run_bpa", "initial=-sum(",
-                                        "initial=0 * sum("),
+    "starts at 0, not minus the head": ("run_bpa", "initial=-head))",
+                                        "initial=0 * head))"),
+    "head read one letter late": ("children",
+                                  "head = inner.heads[word[0]][dropped]",
+                                  "head = inner.heads[word[0]][dropped + 1]"),
+    "tail read one letter late": ("children", "inner.heads[word[-1]][kept]",
+                                  "inner.heads[word[-1]][kept - 1]"),
+    "bottom head's state sign flipped": (
+        "_walk", "bottoms = _letters(bottom_word, tables, -high, -low, -st",
+        "bottoms = _letters(bottom_word, tables, -high, -low, st"),
     "run taken past the cap": ("_walk", "if run and run.step > cap:",
                                "if 0:"),
     "known run skipped without the stop tests": (
@@ -1204,7 +1319,10 @@ def _linear_oracle(cases):
 
 def _own_words(rel):
     budgets = Budgets(max_word_length=2000)
-    got = engine.run_bpa(rel, b"\x00", budgets)
+    try:
+        got = engine.run_bpa(rel, b"\x00", budgets)
+    except NotBalanced as exc:  # the closure over own words ends balanced
+        raise AssertionError("run_bpa ends unbalanced") from exc
     expected = oracles.closure_by_own_words(rel, b"\x00", budgets)
     for field in CLOSURE_FIELDS:
         assert getattr(got, field) == getattr(expected, field), field
@@ -1228,6 +1346,9 @@ def _initial_split_stops():
     ("bottom slice one letter short", "linear oracle"),
     ("starts at 0, not minus the head", "origin contract"),
     ("starts at 0, not minus the head", "own words"),
+    ("head read one letter late", "own words"),
+    ("tail read one letter late", "own words"),
+    ("bottom head's state sign flipped", "own words"),
     ("run taken past the cap", "shift split"),
     ("known run skipped without the stop tests", "initial split stops"),
 ])
@@ -1238,7 +1359,10 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # mutant's walks end unbalanced instead, before any check. A run with
     # a step over the cap holds hits that may not be cuts (const-len's
     # runs at caps 1-7). A run the initial split skips past its stop
-    # leaves the split to stop at a later cut, or on the other budget
+    # leaves the split to stop at a later cut, or on the other budget. A
+    # head or a tail read one letter late from the running sums, or a
+    # bottom head's state of the wrong sign, walks words that end
+    # unbalanced, where the closure over own words ends balanced
     rel = _relation(load_corpus("reducible3"), "plain")
     check = {"linear oracle": functools.partial(_linear_oracle,
                                                 _linear_cases()),
