@@ -31,7 +31,6 @@ from math import ceil, floor, lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from .linalg import mat_powers
 from .numberfield import FieldScalar
 from .substitution import Substitution
 
@@ -263,19 +262,22 @@ class Relation:
     @staticmethod
     def generalized(subst, spec: LengthSpec):
         lengths = resolve_length_vector(subst, spec)
-        # scale the length vector to integer coefficient vectors
-        rows = [v.coeffs if isinstance(v, FieldScalar) else (v,)
-                for v in lengths]
-        den = lcm(*(c.denominator for row in rows for c in row))
-        scaled = tuple(tuple(int(c * den) for c in row) for row in rows)
-        dim = len(scaled[0])
+        # scale the length vector to integer coefficient vectors: each
+        # entry as its numerators over its denominator
+        rows = [(v.residue.nums, v.residue.den) if isinstance(v, FieldScalar)
+                else ((v.numerator,), v.denominator) for v in lengths]
+        dim = (lengths[0].field.degree
+               if isinstance(lengths[0], FieldScalar) else 1)
+        den = lcm(*(d for _, d in rows))
+        scaled = tuple(tuple(c * (den // d) for c in nums)
+                       + (0,) * (dim - len(nums)) for nums, d in rows)
         if dim == 1:
             low = high = tuple(row[0] for row in scaled)
         else:
             # floor and ceiling of 2^64 * l over an enclosure of l on
             # lambda's bracket at 2^-72; a few bits finer than 2^-64 keeps
             # each width near one
-            bounds = [v.field.enclose(v.coeffs, 72) for v in lengths]
+            bounds = [v.field.enclose(v.residue, 72) for v in lengths]
             low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
             high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
         if spec.kind == "lambda":
@@ -283,11 +285,13 @@ class Relation:
             letter_eq = scaled
         else:
             # block m of letter j is den * (L . A^m)_j, summed over the
-            # scaled rows; equivalence is all blocks zero
-            powers = mat_powers(subst.transition_matrix(), subst.size)
+            # scaled rows, and den * L . A^(m+1) holds the image lengths
+            # of den * L . A^m; equivalence is all blocks zero
+            blocks = [tuple(zip(*scaled))]  # per coordinate, over letters
+            for _ in range(subst.size - 1):
+                blocks.append(tuple(map(subst.image_lengths, blocks[-1])))
             letter_eq = tuple(
-                tuple(sum(power[i][j] * row[t] for i, row in enumerate(scaled))
-                      for power in powers for t in range(dim))
+                tuple(column[j] for block in blocks for column in block)
                 for j in range(subst.size))
         return Relation(subst, RelationSpec.general(spec), letter_eq, low,
                         high, lengths)

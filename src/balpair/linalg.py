@@ -10,6 +10,9 @@ integer rows e_1 A^k, scaled by one field inverse. Eigenvalues are
 classified by modulus from exact root counts per irreducible factor: a Sturm
 count on the trace polynomial of a self-reciprocal factor, and the
 Routh-Hurwitz count (a Cauchy index) after a Cayley map for any other.
+Both polynomials are built on the factor's integer numerators, the Cayley
+transform by homogeneous Horner with the binomial steps w + 1 and w - 1,
+and both counts read the signs of integer pseudo-remainder sequences.
 There is no floating point.
 """
 
@@ -35,14 +38,6 @@ def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(m))
                        for j in range(p)) for i in range(n))
-
-
-def mat_powers(a, count):
-    """[I, A, A^2, ..., A^(count-1)]."""
-    out = [mat_identity(len(a))]
-    for _ in range(count - 1):
-        out.append(mat_mul(out[-1], a))
-    return out
 
 
 def char_poly(matrix) -> RatPoly:
@@ -108,7 +103,7 @@ def left_pf_eigenvector(matrix, cp: RatPoly, nf: NumberField):
     kernel of dimension above one.
     """
     n = len(matrix)
-    c = [int(v) for v in cp.coeffs]
+    c = cp.nums  # chi is monic over Z
     rows = [tuple(int(j == 0) for j in range(n))]  # e_1 A^k, k = 0..n-1
     for _ in range(n - 1):
         rows.append(mat_mul(rows[-1:], matrix)[0])
@@ -185,26 +180,29 @@ def circle_counts(f):
     index of B/A for i^-n q(iy) = A(y) + i B(y) (Routh-Hurwitz).
     """
     n = f.degree
-    if f.reciprocal() == f:
+    c = f.nums  # a positive multiple of f has its roots
+    if c == c[::-1]:
         m = n // 2
-        # h = a_m + sum_k a_(m+k) T_k(t) with T_k(x + 1/x) = x^k + x^-k
+        # h = c_m + sum_k c_(m+k) T_k(t) with T_k(x + 1/x) = x^k + x^-k
         t = RatPoly.x()
-        h = RatPoly((f.coeffs[m],))
+        h = RatPoly((c[m],))
         prev, cur = RatPoly((2,)), t
-        for c in f.coeffs[m + 1:]:
-            h = h + cur * c
+        for coeff in c[m + 1:]:
+            h = h + cur * coeff
             prev, cur = cur, t * cur - prev
         on = 2 * h.count_roots(-2, 2)
         inside = (n - on) // 2
     else:
-        q = RatPoly.zero()
-        for k, c in enumerate(f.coeffs):
-            q = q + RatPoly((1, 1)) ** k * RatPoly((-1, 1)) ** (n - k) * c
+        # q = sum_k c_k (w + 1)^k (w - 1)^(n - k) by homogeneous Horner:
+        # q <- q (w + 1) + c_k (w - 1)^(n - k), down from k = n
+        q, minus = [c[n]], [1]  # minus is (w - 1)^(n - k)
+        for k in range(n - 1, -1, -1):
+            minus = [a - b for a, b in zip([0, *minus], [*minus, 0])]
+            q = [a + b + c[k] * d
+                 for a, b, d in zip([0, *q], [*q, 0], minus)]
         # the term q_j (iy)^j of q(iy), times i^-n, is i^(j-n) q_j y^j
-        a = RatPoly([c * (1, 0, -1, 0)[(j - n) % 4]
-                     for j, c in enumerate(q.coeffs)])
-        b = RatPoly([c * (0, 1, 0, -1)[(j - n) % 4]
-                     for j, c in enumerate(q.coeffs)])
+        a = RatPoly([v * (1, 0, -1, 0)[(j - n) % 4] for j, v in enumerate(q)])
+        b = RatPoly([v * (0, 1, 0, -1)[(j - n) % 4] for j, v in enumerate(q)])
         on = 0
         inside = (n - a.cauchy_index(b)) // 2
     return inside, on, n - on - inside

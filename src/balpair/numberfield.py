@@ -3,24 +3,27 @@
 A NumberField carries a monic irreducible minimal polynomial together with a
 rational isolating interval that brackets exactly one real root (checked with
 a Sturm count at construction). FieldScalar elements are residues mod the
-minimal polynomial; equality and zero tests are exact coefficient tests.
+minimal polynomial, kept as RatPoly (integer numerators over one
+denominator); products reduce by pseudo-division over Z, and equality and
+zero tests are exact integer tests.
 
 lambda is enclosed in one way only: bracket(bits) is floor(lambda * 2^bits),
 found by bisecting the primitive integer minimal polynomial at dyadic points
 with integer sign tests. It is a pure function of bits; the bisection is
 memoised privately and no attribute of a field changes after construction.
-Signs, truncated decimals and the canonical interval read enclosures on that
-bracket at growing precision until the answer is settled, so every output is
-a pure function of lambda.
+An enclosure is interval Horner in integers scaled by 2^bits over that
+bracket, [m, m + 1] / 2^bits. Signs, truncated decimals and the canonical
+interval read enclosures at growing precision until the answer is settled,
+so every output is a pure function of lambda.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
 from .errors import InternalInvariantError
-from .polynomial import RatPoly
+from .polynomial import RatPoly, horner
 
 # Digits of the truncated decimals in reports.
 APPROX_DIGITS = 12
@@ -28,6 +31,29 @@ APPROX_DIGITS = 12
 # Hard ceiling, in bits, on the bracket precision that settles a sign or a
 # decimal. Nonzero field elements separate from zero far earlier at desk scale.
 MAX_REFINE_BITS = 100_000
+
+
+def _as_poly(coeffs):
+    return coeffs if isinstance(coeffs, RatPoly) else RatPoly(coeffs)
+
+
+def _interval_horner(nums, m, bits):
+    """Integers lo <= hi with sum(nums[j] * t^j) in [lo, hi] / 2^(bits d)
+    for every t in [m, m + 1] / 2^bits, d = len(nums) - 1 >= 0: interval
+    Horner, each step multiplying by the integer interval [m, m + 1]."""
+    lo = hi = nums[-1]
+    shift = bits
+    for c in reversed(nums[:-1]):
+        if m >= 0:
+            lo *= m if lo >= 0 else m + 1
+            hi *= m + 1 if hi >= 0 else m
+        else:
+            corners = (lo * m, lo * (m + 1), hi * m, hi * (m + 1))
+            lo, hi = min(corners), max(corners)
+        lo += c << shift
+        hi += c << shift
+        shift += bits
+    return lo, hi
 
 
 class NumberField:
@@ -53,10 +79,11 @@ class NumberField:
                 raise ValueError("interval does not isolate exactly one root")
         self.interval = (lo, hi)
         # min_poly over Z, signed to be positive on (lambda, hi] and so
-        # negative on [lo, lambda)
-        sign = 1 if self.min_poly.eval(hi) > 0 else -1
-        self._ints = tuple(
-            sign * c for c in self.min_poly.primitive_integer_coeffs())
+        # negative on [lo, lambda); a monic linear one already is
+        ints = self.min_poly.primitive_integer_coeffs()
+        if self.degree > 1 and horner(ints, hi.numerator, hi.denominator) < 0:
+            ints = tuple(-c for c in ints)
+        self._ints = ints
         # [k, floor(lambda * 2^k)], from a k with |lambda| < 2^-k
         k = -ceil(max(abs(lo), abs(hi))).bit_length()
         self._floor = [k, 0 if self._at_least(0, 0) else -1]
@@ -64,22 +91,17 @@ class NumberField:
     # -- the enclosure of lambda -------------------------------------------
 
     def _at_least(self, a, k):
-        """lambda >= a / 2^k, by the sign of min_poly there; only points
-        inside the isolating interval are evaluated, so a rational lambda
-        never is."""
-        x = Fraction(a, 1 << k) if k >= 0 else Fraction(a << -k)
+        """lambda >= a / 2^k. The point is compared with the isolating
+        interval by cross-multiplying; inside it (at lambda alone, for a
+        rational lambda) the sign of min_poly decides, which is <= 0 from
+        lo up to lambda."""
+        num, den = (a, 1 << k) if k >= 0 else (a << -k, 1)
         lo, hi = self.interval
-        if x <= lo:
+        if num * lo.denominator < lo.numerator * den:
             return True
-        if x > hi:
+        if num * hi.denominator > hi.numerator * den:
             return False
-        # den^n * min_poly(num / den) by integer Horner
-        num, den = x.numerator, x.denominator
-        acc, power = 0, 1
-        for c in reversed(self._ints):
-            acc = acc * num + c * power
-            power *= den
-        return acc <= 0
+        return horner(self._ints, num, den) <= 0
 
     def refine_once(self):
         """One bisection step, floor(lambda 2^k) to floor(lambda 2^(k+1))."""
@@ -93,32 +115,46 @@ class NumberField:
         k, m = self._floor
         return m >> (k - bits)
 
+    def _scaled_enclosure(self, poly, bits):
+        """Integers lo <= hi and den > 0 with poly(lambda) in [lo, hi] / den:
+        exact for a rational lambda or a constant poly, else interval
+        Horner over lambda's bracket [m, m + 1] / 2^bits."""
+        nums = poly.nums
+        if not nums:
+            return 0, 0, 1
+        if self.degree == 1:
+            root = self.interval[0]
+            v = horner(nums, root.numerator, root.denominator)
+            return v, v, poly.den * root.denominator ** (len(nums) - 1)
+        lo, hi = _interval_horner(nums, self.bracket(bits), bits)
+        return lo, hi, poly.den << (bits * (len(nums) - 1))
+
     def enclose(self, coeffs, bits):
         """Rational interval containing sum(coeffs[j] * lambda^j), evaluated
-        over lambda's bracket [m, m + 1] / 2^bits."""
-        if self.degree == 1:
-            v = RatPoly(coeffs).eval(self.interval[0])
-            return v, v
-        m = self.bracket(bits)
-        return RatPoly(coeffs).eval_interval(Fraction(m, 1 << bits),
-                                             Fraction(m + 1, 1 << bits))
+        over lambda's bracket [m, m + 1] / 2^bits; coeffs is a sequence of
+        rationals or a RatPoly."""
+        poly = _as_poly(coeffs)
+        lo, hi, den = self._scaled_enclosure(poly, bits)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def _settled_enclosure(self, coeffs, settled, bits):
-        """The first enclosure, at doubling precision from bits, on which
-        settled(lo, hi) holds."""
+        """The first scaled enclosure (lo, hi, den), at doubling precision
+        from bits, on which settled(lo, hi, den) holds."""
+        poly = _as_poly(coeffs)
         while bits <= MAX_REFINE_BITS:
-            lo, hi = self.enclose(coeffs, bits)
-            if settled(lo, hi):
-                return lo, hi
+            lo, hi, den = self._scaled_enclosure(poly, bits)
+            if settled(lo, hi, den):
+                return lo, hi, den
             bits *= 2
         raise InternalInvariantError(
             "enclosure of a field element exhausted the precision ceiling")
 
     def sign_of(self, coeffs):
-        """Exact sign of the element with the given residue coefficients;
-        a rational element has an exact enclosure."""
-        lo, hi = self._settled_enclosure(
-            coeffs, lambda lo, hi: lo > 0 or hi < 0 or lo == hi, 16)
+        """Exact sign of the element with the given residue coefficients (a
+        sequence of rationals or a RatPoly); a rational element has an exact
+        enclosure."""
+        lo, hi, _ = self._settled_enclosure(
+            coeffs, lambda lo, hi, _: lo > 0 or hi < 0 or lo == hi, 16)
         return (lo > 0) - (hi < 0)
 
     def approx_str(self, coeffs=(0, 1), digits=APPROX_DIGITS):
@@ -129,10 +165,10 @@ class NumberField:
         value.
         """
         scale = 10**digits
-        lo, _ = self._settled_enclosure(
-            coeffs, lambda lo, hi: floor(lo * scale) == floor(hi * scale),
+        lo, _, den = self._settled_enclosure(
+            coeffs, lambda lo, hi, den: lo * scale // den == hi * scale // den,
             scale.bit_length() + 16)
-        return _format_scaled_decimal(floor(lo * scale), digits)
+        return _format_scaled_decimal(lo * scale // den, digits)
 
     def canonical_interval(self, bits=48):
         """Dyadic bracket [m, m+1] / 2^bits around the root (the root itself
@@ -187,17 +223,17 @@ def _format_decimal(value: Fraction, digits: int) -> str:
 
 
 class FieldScalar:
-    """Element of a NumberField: a residue class mod the minimal polynomial."""
+    """Element of a NumberField: a residue class mod the minimal polynomial,
+    kept as the RatPoly `residue` of degree below the field's."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "residue")
 
     def __init__(self, field: NumberField, coeffs):
-        poly = coeffs if isinstance(coeffs, RatPoly) else RatPoly(coeffs)
+        poly = _as_poly(coeffs)
         if poly.degree >= field.degree:
             poly = poly % field.min_poly
-        cs = list(poly.coeffs) + [Fraction(0)] * (field.degree - len(poly.coeffs))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "residue", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldScalar is immutable")
@@ -205,12 +241,18 @@ class FieldScalar:
     # -- structure -------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The residue's Fraction coefficients, padded to the degree."""
+        cs = self.residue.coeffs
+        return cs + (Fraction(0),) * (self.field.degree - len(cs))
+
+    @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.residue.is_zero
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.residue.degree < 1
 
     def as_fraction(self):
         if not self.is_rational:
@@ -232,13 +274,12 @@ class FieldScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldScalar(self.field,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return FieldScalar(self.field, self.residue + other.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldScalar(self.field, [-c for c in self.coeffs])
+        return FieldScalar(self.field, -self.residue)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -253,8 +294,7 @@ class FieldScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldScalar(self.field,
-                           RatPoly(self.coeffs) * RatPoly(other.coeffs))
+        return FieldScalar(self.field, self.residue * other.residue)
 
     __rmul__ = __mul__
 
@@ -263,7 +303,7 @@ class FieldScalar:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         # gcd(a, min_poly) == 1 since min_poly is irreducible and deg a < deg
-        r0, r1 = self.field.min_poly, RatPoly(self.coeffs)
+        r0, r1 = self.field.min_poly, self.residue
         t0, t1 = RatPoly.zero(), RatPoly.one()
         while not r1.is_zero:
             q, r = r0.divmod(r1)
@@ -271,7 +311,7 @@ class FieldScalar:
             t0, t1 = t1, t0 - q * t1
         if r0.degree != 0:
             raise InternalInvariantError("minimal polynomial is not irreducible")
-        return FieldScalar(self.field, t0 * (Fraction(1) / r0.coeffs[0]))
+        return FieldScalar(self.field, t0 * (1 / r0.leading))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -297,13 +337,13 @@ class FieldScalar:
     # -- comparisons ---------------------------------------------------------
 
     def sign(self):
-        return self.field.sign_of(self.coeffs)
+        return self.field.sign_of(self.residue)
 
     def __eq__(self, other):
         if isinstance(other, FieldScalar):
             if other.field is not self.field and other.field != self.field:
                 return False
-            return self.coeffs == other.coeffs
+            return self.residue == other.residue
         if isinstance(other, (int, Fraction)):
             return self.is_rational and self.coeffs[0] == other
         return NotImplemented
@@ -311,7 +351,7 @@ class FieldScalar:
     def __hash__(self):
         if self.is_rational:
             return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        return hash(self.residue)
 
     def _cmp_sign(self, other):
         diff = self - other
@@ -330,7 +370,7 @@ class FieldScalar:
         return self._cmp_sign(other) >= 0
 
     def decimal(self, digits=APPROX_DIGITS):
-        return self.field.approx_str(self.coeffs, digits)
+        return self.field.approx_str(self.residue, digits)
 
     def __repr__(self):
         if self.is_rational:

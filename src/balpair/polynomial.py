@@ -1,9 +1,21 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are stored densely, lowest degree first, normalized so the
-leading coefficient is nonzero (the zero polynomial has no coefficients).
-Everything here is exact: Fraction coefficients, Sturm-based root counting,
-and factorization into irreducibles over Q at any degree by the big-prime
+A polynomial has one stored form: integer numerators, lowest degree first
+and with a nonzero last one, over one positive denominator, in lowest terms
+(the zero polynomial has no numerators and denominator 1). Ring operations,
+division and gcd run on those integers; division is pseudo-division over Z,
+normalised once at the end. The Fraction coefficients are built only when
+read, for reports and tests.
+
+Real roots are counted from primitive signed pseudo-remainder sequences:
+each entry is a primitive integer polynomial and a positive multiple of the
+signed remainder it stands for (the pseudo-division scales by a power of
+|lc|, never of lc), so it has the remainder's signs, and Sturm counts and
+Cauchy indices read only signs (Basu-Pollack-Roy, Algorithms in Real
+Algebraic Geometry, ch. 8). Signs at rational points come from homogeneous
+Horner in integers.
+
+Polynomials factor into irreducibles over Q at any degree by the big-prime
 Zassenhaus method. The squarefree part p / gcd(p, p') is made primitive
 over Z and factored modulo one prime above twice its Landau-Mignotte
 coefficient bound that keeps it squarefree (distinct-degree factorization,
@@ -22,16 +34,86 @@ import random
 from fractions import Fraction
 
 
-class RatPoly:
-    """Immutable polynomial with Fraction coefficients, lowest degree first."""
+def horner(nums, n, d=1):
+    """d^deg * p(n / d) for the polynomial p with integer coefficients nums,
+    lowest degree first; for d > 0 it has the sign of p(n / d)."""
+    acc, power = 0, 1
+    for c in reversed(nums):
+        acc = acc * n + c * power
+        power *= d
+    return acc
 
-    __slots__ = ("coeffs",)
+
+def _primitive(nums):
+    """nums over their content: a positive multiple of the polynomial."""
+    g = math.gcd(*nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _pseudo_divmod(a, b):
+    """(scale, q, r) with scale * a = q * b + r over Z and deg r < deg b,
+    for integer coefficient lists a and b, b nonzero.
+
+    scale is |lc(b)|^(deg a - deg b + 1), or 1 when deg a < deg b. Being
+    positive, it leaves r a positive multiple of the remainder of a by b.
+    """
+    db = len(b) - 1
+    steps = len(a) - db
+    rem = list(a)
+    if steps <= 0:
+        return 1, [], rem
+    lead = b[-1]
+    scale = abs(lead)
+    quo = [0] * steps
+    for k in range(steps - 1, -1, -1):
+        q = rem.pop() * scale // lead  # exact: scale is +-lead
+        if scale != 1:
+            rem = [c * scale for c in rem]
+            quo = [c * scale for c in quo]
+        quo[k] = q
+        if q:
+            for i in range(db):
+                rem[k + i] -= q * b[i]
+    return scale ** steps, quo, _trim(rem)
+
+
+class RatPoly:
+    """Immutable polynomial over Q: the integers `nums`, lowest degree
+    first, over the positive integer `den`, in lowest terms."""
+
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        if all(type(c) is int for c in cs):
+            self._set(cs, 1)
+        else:
+            fracs = [Fraction(c) for c in cs]
+            den = math.lcm(*(f.denominator for f in fracs))
+            self._set([f.numerator * (den // f.denominator) for f in fracs],
+                      den)
+
+    @staticmethod
+    def _of(nums, den=1):
+        """nums / den for integers nums and den > 0."""
+        p = object.__new__(RatPoly)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums, den):
+        if nums and not nums[-1]:
+            nums = list(nums)
+            while nums and not nums[-1]:
+                nums.pop()
+        nums = tuple(nums)
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = tuple(c // g for c in nums)
+                den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -51,23 +133,34 @@ class RatPoly:
         return RatPoly((0, 1))
 
     @property
+    def coeffs(self):
+        """The coefficients as Fractions, lowest degree first; built on the
+        first read."""
+        cs = self._coeffs
+        if cs is None:
+            cs = tuple(Fraction(c, self.den) for c in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self):
         """Degree, with the convention deg 0 = -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, RatPoly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"RatPoly({list(self.coeffs)})"
@@ -92,62 +185,51 @@ class RatPoly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if da != db:  # both over the least common denominator
+            g = math.gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da // g * db
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(out)
+        return RatPoly._of(out, da)
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return RatPoly._of([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
+            q = Fraction(other)
+            return RatPoly._of([c * q.numerator for c in self.nums],
+                               self.den * q.denominator)
+        a, b = self.nums, other.nums
+        if not a or not b:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RatPoly._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divmod(self, other):
-        """Exact euclidean division; other must be nonzero."""
+        """Exact euclidean division; other must be nonzero. One
+        pseudo-division of the numerators, normalised at the end."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RatPoly(quo), RatPoly(rem)
+        scale, quo, rem = _pseudo_divmod(self.nums, other.nums)
+        den = scale * self.den
+        return (RatPoly._of([c * other.den for c in quo], den),
+                RatPoly._of(rem, den))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -156,53 +238,38 @@ class RatPoly:
         return self.divmod(other)[1]
 
     def monic(self):
-        if self.is_zero:
+        nums = self.nums
+        if not nums:
             return self
-        lead = self.leading
-        return RatPoly([c / lead for c in self.coeffs])
+        lead = nums[-1]
+        return RatPoly._of(nums if lead > 0 else [-c for c in nums], abs(lead))
 
     def derivative(self):
-        return RatPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return RatPoly._of([k * c for k, c in enumerate(self.nums)][1:],
+                           self.den)
 
     def eval(self, x):
-        """Horner evaluation at a Fraction (or int)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_interval(self, lo, hi):
-        """Interval extension of Horner: encloses {p(t) : lo <= t <= hi}."""
-        alo, ahi = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(cands) + c, max(cands) + c
-        return alo, ahi
-
-    def reciprocal(self):
-        """x^deg * p(1/x); reverses the coefficient list."""
-        return RatPoly(tuple(reversed(self.coeffs)))
+        """The value at an int or a Fraction, as a Fraction, by homogeneous
+        Horner in integers."""
+        d = x.denominator
+        return Fraction(horner(self.nums, x.numerator, d),
+                        self.den * d ** max(self.degree, 0))
 
     # -- gcd -------------------------------------------------------------
 
     def gcd(self, other):
-        """Monic gcd by the euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        """Monic gcd, by the primitive pseudo-remainder sequence over Z."""
+        a, b = _primitive(self.nums), _primitive(other.nums)
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+        return RatPoly._of(a).monic()
 
     # -- integer form ------------------------------------------------------
 
     def primitive_integer_coeffs(self):
         """Scale to integer coefficients with content 1 and positive leading."""
-        if self.is_zero:
-            return ()
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*(abs(v) for v in ints))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
+        ints = _primitive(self.nums)
+        if ints and ints[-1] < 0:
             ints = [-v for v in ints]
         return tuple(ints)
 
@@ -210,13 +277,18 @@ class RatPoly:
 
     def sturm_chain(self, other=None):
         """Signed remainder sequence of (self, other); other defaults to the
-        derivative, which makes it the Sturm chain of self."""
-        chain = [self, self.derivative() if other is None else other]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
-            chain.pop()
-        return chain
+        derivative, which makes it the Sturm chain of self. Each entry is
+        the primitive integer polynomial that is a positive multiple of the
+        signed remainder, so it has the remainder's signs everywhere."""
+        second = self.derivative() if other is None else other
+        chain = [_primitive(self.nums)]
+        b = _primitive(second.nums)
+        while b:
+            chain.append(b)
+            if len(b) == 1:
+                break
+            b = _primitive([-c for c in _pseudo_divmod(chain[-2], b)[2]])
+        return [RatPoly._of(p) for p in chain]
 
     @staticmethod
     def _variations(signs):
@@ -224,8 +296,9 @@ class RatPoly:
 
     @staticmethod
     def _sign_changes(chain, x):
-        values = (p.eval(x) for p in chain)
-        return RatPoly._variations([v > 0 for v in values if v != 0])
+        n, d = x.numerator, x.denominator
+        values = (horner(p.nums, n, d) for p in chain)
+        return RatPoly._variations([v > 0 for v in values if v])
 
     def cauchy_index(self, other):
         """Cauchy index of other/self over the real line: jumps from -inf to
@@ -233,7 +306,7 @@ class RatPoly:
         sign variations of the signed remainder sequence of (self, other) at
         -inf minus those at +inf (Basu-Pollack-Roy, Theorem 2.58)."""
         chain = self.sturm_chain(other)
-        at_plus = [p.leading > 0 for p in chain]
+        at_plus = [p.nums[-1] > 0 for p in chain]
         at_minus = [s != (p.degree % 2 == 1) for p, s in zip(chain, at_plus)]
         return RatPoly._variations(at_minus) - RatPoly._variations(at_plus)
 
@@ -248,9 +321,8 @@ class RatPoly:
         """Rational B with every complex root of modulus < B."""
         if self.degree < 1:
             return Fraction(1)
-        lead = abs(self.leading)
-        m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        return Fraction(1) + m / lead
+        lead = abs(self.nums[-1])
+        return Fraction(lead + max(abs(c) for c in self.nums[:-1]), lead)
 
     def largest_real_root_interval(self, chain=None):
         """Isolating interval (lo, hi] for the largest real root, or None.
@@ -260,18 +332,21 @@ class RatPoly:
         """
         if chain is None:
             chain = self.sturm_chain()
+        changes = RatPoly._sign_changes
         bound = self.cauchy_bound()
         lo, hi = -bound, bound
-        if self.count_roots(lo, hi, chain) == 0:
+        at_lo, at_hi = changes(chain, lo), changes(chain, hi)
+        if at_lo == at_hi:
             return None
-        while self.count_roots(lo, hi, chain) > 1:
+        while at_lo - at_hi > 1:
             mid = (lo + hi) / 2
-            while self.eval(mid) == 0:
+            while not horner(self.nums, mid.numerator, mid.denominator):
                 mid = (mid + hi) / 2  # endpoints must not be roots
-            if self.count_roots(mid, hi, chain) >= 1:
-                lo = mid
+            at_mid = changes(chain, mid)
+            if at_mid > at_hi:
+                lo, at_lo = mid, at_mid
             else:
-                hi = mid
+                hi, at_hi = mid, at_mid
         return lo, hi
 
 

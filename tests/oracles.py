@@ -10,11 +10,16 @@ split of the fixed word against its shift from whole-word splits of its
 prefixes, a whole-word `reduce_pair`, the initial split on that prefix
 split, the closure with every pair's children walked over its own words,
 the coincidence density masses summed per component, primitivity by every
-power up to Wielandt's bound, and small matrix and rendering helpers.
+power up to Wielandt's bound, small matrix and rendering helpers, and the
+Fraction forms of the spectral layer that `polynomial`, `numberfield` and
+`linalg` replaced with integer arithmetic: polynomials with Fraction
+coefficients and exact signed remainder sequences, the unit-circle counts
+built on them, and Q(lambda) with Fraction enclosures and residues.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import ceil, floor
 
 from balpair.engine import (BalancedPair, Budgets, Closure, children,
                             initial_pairs, shift_split)
@@ -371,3 +376,263 @@ def clone(stream):
     fresh = FixedPointStream(stream.subst, stream.power, stream.seed)
     fresh._buffer = stream._buffer  # a word: immutable, so shared
     return fresh
+
+
+# -- the Fraction-based spectral layer that the integer forms replaced --------
+
+def power(p, n):
+    """p to the n-th power, n >= 0, by repeated multiplication."""
+    out = type(p)((1,))
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+class FractionPoly:
+    """A polynomial with Fraction coefficients, lowest degree first, and
+    Fraction arithmetic throughout: euclidean division by the leading
+    coefficient, the monic euclidean gcd, Horner evaluation and its
+    interval extension, and Sturm counts on the exact signed remainders."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly([c * other for c in self.coeffs])
+        out = [Fraction(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        d, lead = other.degree, other.leading
+        while rem and len(rem) - 1 >= d:
+            k = len(rem) - 1 - d
+            q = quo[k] = rem[-1] / lead
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= q * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FractionPoly(quo), FractionPoly(rem)
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def monic(self):
+        return FractionPoly([c / self.leading for c in self.coeffs])
+
+    def derivative(self):
+        return FractionPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def eval_interval(self, lo, hi):
+        """Interval extension of Horner: encloses {p(t) : lo <= t <= hi}."""
+        alo, ahi = Fraction(0), Fraction(0)
+        for c in reversed(self.coeffs):
+            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+            alo, ahi = min(cands) + c, max(cands) + c
+        return alo, ahi
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic() if not a.is_zero else a
+
+    def sturm_chain(self, other=None):
+        chain = [self, self.derivative() if other is None else other]
+        while not chain[-1].is_zero and chain[-1].degree > 0:
+            chain.append(-(chain[-2] % chain[-1]))
+        if chain[-1].is_zero:
+            chain.pop()
+        return chain
+
+    def count_roots(self, lo, hi):
+        """Distinct real roots in (lo, hi]."""
+        def changes(x):
+            signs = [v > 0 for v in (p.eval(x) for p in chain) if v != 0]
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        chain = self.sturm_chain()
+        return changes(lo) - changes(hi)
+
+    def largest_real_root_interval(self):
+        """Bisection of (-B, B], B the Cauchy bound, down to one root."""
+        lead = abs(self.leading)
+        bound = 1 + max(abs(c) for c in self.coeffs[:-1]) / lead
+        lo, hi = -bound, bound
+        if self.count_roots(lo, hi) == 0:
+            return None
+        while self.count_roots(lo, hi) > 1:
+            mid = (lo + hi) / 2
+            while self.eval(mid) == 0:
+                mid = (mid + hi) / 2
+            if self.count_roots(mid, hi) >= 1:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def cauchy_index(self, other):
+        def variations(signs):
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        chain = self.sturm_chain(other)
+        at_plus = [p.leading > 0 for p in chain]
+        at_minus = [s != (p.degree % 2 == 1) for p, s in zip(chain, at_plus)]
+        return variations(at_minus) - variations(at_plus)
+
+
+def circle_counts_fractions(f):
+    """linalg.circle_counts on Fraction polynomials: h of a self-reciprocal
+    f from the Chebyshev-like recurrence, and the Cayley transform from
+    powers of w + 1 and w - 1."""
+    f = FractionPoly(f.coeffs)
+    n = f.degree
+    if f.coeffs == f.coeffs[::-1]:
+        m = n // 2
+        t = FractionPoly((0, 1))
+        h = FractionPoly((f.coeffs[m],))
+        prev, cur = FractionPoly((2,)), t
+        for c in f.coeffs[m + 1:]:
+            h = h + cur * c
+            prev, cur = cur, t * cur - prev
+        on = 2 * h.count_roots(-2, 2)
+        inside = (n - on) // 2
+    else:
+        q = FractionPoly(())
+        for k, c in enumerate(f.coeffs):
+            q = q + (power(FractionPoly((1, 1)), k)
+                     * power(FractionPoly((-1, 1)), n - k) * c)
+        a = FractionPoly([c * (1, 0, -1, 0)[(j - n) % 4]
+                          for j, c in enumerate(q.coeffs)])
+        b = FractionPoly([c * (0, 1, 0, -1)[(j - n) % 4]
+                          for j, c in enumerate(q.coeffs)])
+        on = 0
+        inside = (n - a.cauchy_index(b)) // 2
+    return inside, on, n - on - inside
+
+
+class FractionField:
+    """NumberField and FieldScalar arithmetic on Fractions: lambda is the
+    root of the monic min_poly in (lo, hi], bracketed by bisection on the
+    sign of min_poly at Fraction points; enclosures are interval Horner on
+    Fraction ends, and residues reduce by Fraction division."""
+
+    def __init__(self, min_poly, lo, hi):
+        self.min_poly = FractionPoly(min_poly.coeffs).monic()
+        self.degree = self.min_poly.degree
+        if self.degree == 1:
+            lo = hi = -self.min_poly.coeffs[0]
+        self.interval = Fraction(lo), Fraction(hi)
+        self.sign_at_hi = 1 if self.min_poly.eval(self.interval[1]) > 0 else -1
+        # (k, floor(lambda * 2^k)) from a k with |lambda| < 2^-k
+        k = -ceil(max(map(abs, self.interval))).bit_length()
+        self._floor = k, 0 if self.at_least(Fraction(0)) else -1
+
+    def at_least(self, x):
+        """lambda >= x: min_poly is positive on (lambda, hi] and negative
+        on [lo, lambda)."""
+        lo, hi = self.interval
+        if x <= lo:
+            return True
+        if x > hi:
+            return False
+        return self.sign_at_hi * self.min_poly.eval(x) <= 0
+
+    def bracket(self, bits):
+        """floor(lambda * 2^bits), one bisection step per bit, resumed from
+        the finest bracket found so far."""
+        k, m = self._floor
+        while k < bits:
+            k += 1
+            m = 2 * m + self.at_least((2 * m + 1) / Fraction(2) ** k)
+        self._floor = k, m
+        return m >> (k - bits)
+
+    def enclose(self, coeffs, bits):
+        if self.degree == 1:
+            v = FractionPoly(coeffs).eval(self.interval[0])
+            return v, v
+        m = self.bracket(bits)
+        return FractionPoly(coeffs).eval_interval(Fraction(m, 1 << bits),
+                                                  Fraction(m + 1, 1 << bits))
+
+    def _settled(self, coeffs, settled, bits):
+        while True:
+            lo, hi = self.enclose(coeffs, bits)
+            if settled(lo, hi):
+                return lo, hi
+            bits *= 2
+
+    def sign_of(self, coeffs):
+        lo, hi = self._settled(
+            coeffs, lambda lo, hi: lo > 0 or hi < 0 or lo == hi, 16)
+        return (lo > 0) - (hi < 0)
+
+    def decimal(self, coeffs, digits=12):
+        scale = 10 ** digits
+        lo, _ = self._settled(
+            coeffs, lambda lo, hi: floor(lo * scale) == floor(hi * scale),
+            scale.bit_length() + 16)
+        scaled = floor(lo * scale)
+        text = str(abs(scaled)).rjust(digits + 1, "0")
+        return f"{'-' if scaled < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+
+    def residue(self, poly):
+        """The coefficients of poly mod min_poly, padded to the degree."""
+        cs = (poly % self.min_poly).coeffs
+        return cs + (Fraction(0),) * (self.degree - len(cs))
+
+    def mul(self, a, b):
+        return self.residue(FractionPoly(a) * FractionPoly(b))
+
+    def inverse(self, a):
+        """By the extended euclidean algorithm on Fraction polynomials."""
+        r0, r1 = self.min_poly, FractionPoly(a)
+        t0, t1 = FractionPoly(()), FractionPoly((1,))
+        while not r1.is_zero:
+            q, r = r0.divmod(r1)
+            r0, r1 = r1, r
+            t0, t1 = t1, t0 - q * t1
+        return self.residue(t0 * (1 / r0.coeffs[0]))

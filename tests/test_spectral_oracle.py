@@ -96,6 +96,6 @@ def test_char_poly_builds_no_fraction(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(Fraction, "__new__", spy)
         cp = char_poly(EIGHT)
-    # only RatPoly's own n + 1 stored coefficients
-    assert len(built) == len(EIGHT) + 1
+    # RatPoly stores integers; its Fractions are built only when read
+    assert built == []
     assert cp == char_poly_fractions(EIGHT)

@@ -29,12 +29,13 @@ import functools
 import inspect
 import json
 import random
+import textwrap
 import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction
 from itertools import (accumulate, combinations_with_replacement, islice,
-                       product)
+                       permutations, product)
 from pathlib import Path
 
 import pytest
@@ -1205,16 +1206,20 @@ def test_growth_closure_matches_own_words(name, kind):
 SCALES = (Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(7, 1000))
 
 
-def _closure_and_verdict(subst, values, w, budgets):
-    closure = run_bpa(Relation.generalized(subst, LengthSpec.custom(values)),
-                      w, budgets)
+def _run_and_verdict(rel, w, budgets):
+    closure = run_bpa(rel, w, budgets)
     failing = ()
     if closure.terminated:
         reached = coincidence_analysis(closure)
         failing = tuple(pair for i, pair in enumerate(closure.vertices)
                         if i not in reached)
-    u = subst.fixed_point()
+    u = rel.subst.fixed_point()
     return closure, verdict(closure, failing, u.letter(len(w)) == u.letter(0))
+
+
+def _closure_and_verdict(subst, values, w, budgets):
+    return _run_and_verdict(
+        Relation.generalized(subst, LengthSpec.custom(values)), w, budgets)
 
 
 def _assert_scaling_keeps_the_closure(subst, values, w, budgets):
@@ -1254,19 +1259,110 @@ def test_scaled_lengths_give_the_same_closure(subst, data):
     _assert_scaling_keeps_the_closure(subst, values, w, BATCH_BUDGETS)
 
 
+# -- relabelling: a permutation of the alphabet changes only the names -------
+
+def _relabelled(subst, pi):
+    """The substitution with letter a renamed pi[a], its letters numbered
+    1 to n: the rule of pi[a] is pi of the image of a."""
+    source = sorted(range(subst.size), key=pi.__getitem__)
+    return parse_substitution("".join(
+        f"{b + 1} -> {' '.join(str(pi[c] + 1) for c in subst.rules[a])}\n"
+        for b, a in enumerate(source)))
+
+
+def _keeps_the_seed(subst, pi):
+    """fixed_point_stream picks the first seed letter in index order, so
+    only a pi under which it still picks pi of the seed, at the same
+    power, renames the fixed word."""
+    mine, theirs = subst.fixed_point(), _relabelled(subst, pi).fixed_point()
+    return (theirs.seed, theirs.power) == (pi[mine.seed], mine.power)
+
+
+def _relations(subst, custom):
+    """The relation of each kind, or the ValueError building it raised."""
+    out = []
+    for build in (Relation.plain, Relation.letter_classes,
+                  lambda s: Relation.generalized(s, LengthSpec.ones()),
+                  lambda s: Relation.generalized(s, LengthSpec.pf()),
+                  lambda s: Relation.generalized(
+                      s, LengthSpec.custom(custom))):
+        try:
+            out.append(build(subst))
+        except ValueError as exc:  # letter classes whose images disagree
+            out.append(type(exc))
+    return out
+
+
+def _assert_relabelling_keeps_everything(subst, pi, w, budgets):
+    """Equal spectral data, L_lambda renamed up to its scale, and under
+    every relation pi of every pair, with equal discovery levels, edges,
+    growth trace, budget stop and verdict."""
+    other = _relabelled(subst, pi)
+    mine, theirs = subst.spectrum(), other.spectrum()
+    for field in ("char_poly", "factors", "eigen"):
+        assert getattr(theirs, field) == getattr(mine, field), field
+    assert theirs.perron.min_poly == mine.perron.min_poly
+    assert (theirs.perron.canonical_interval()
+            == mine.perron.canonical_interval())
+    # L' is L renamed, over L's entry at the letter renamed first
+    first = mine.l_lambda[pi.index(0)]
+    assert [theirs.l_lambda[pi[a]] * first for a in range(subst.size)] == \
+        list(mine.l_lambda)
+
+    def rename(word):
+        return bytes(pi[c] for c in word)
+
+    custom = [Fraction(a + 2, a + 1) for a in range(subst.size)]
+    renamed = [custom[pi.index(b)] for b in range(subst.size)]
+    for rel, their_rel in zip(_relations(subst, custom),
+                              _relations(other, renamed)):
+        if not isinstance(rel, Relation):
+            assert their_rel is rel
+            continue
+        closure, decided = _run_and_verdict(rel, w, budgets)
+        got, got_decided = _run_and_verdict(their_rel, rename(w), budgets)
+        assert got.vertices == [BalancedPair(rename(p.top), rename(p.bottom))
+                                for p in closure.vertices], rel.spec
+        for field in CLOSURE_FIELDS[1:]:
+            assert getattr(got, field) == getattr(closure, field), field
+        assert got_decided == decided, rel.spec
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_relabelling_keeps_spectra_and_closures_on_the_fixtures(name):
+    # the first permutation, in itertools order, that moves a letter and
+    # keeps the seed
+    subst = load_corpus(name)
+    pi = next(list(pi) for pi in permutations(range(subst.size))
+              if list(pi) != sorted(pi) and _keeps_the_seed(subst, list(pi)))
+    _assert_relabelling_keeps_everything(
+        subst, pi, subst.fixed_point().prefix(2), BATCH_BUDGETS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(primitive_substitutions(), st.data())
+def test_relabelling_keeps_spectra_and_closures(subst, data):
+    pi = data.draw(st.permutations(range(subst.size)))
+    assume(_keeps_the_seed(subst, pi))
+    w = subst.fixed_point().prefix(data.draw(st.integers(1, 3)))
+    _assert_relabelling_keeps_everything(subst, pi, w, BATCH_BUDGETS)
+
+
 # -- mutant gates: known-wrong walks that the differentials above catch -------
 
-def _mutant(name, old, new):
-    """engine's function `name` with the one `old` in its source replaced
-    by `new`, reading the engine module's globals, so that it reaches a
-    patched engine.children or engine._walk."""
-    source = inspect.getsource(getattr(engine, name))
+def _mutant(module, name, old, new):
+    """The module's function `name` (Class.method for a method) with the
+    one `old` in its source replaced by `new`, reading the module's
+    globals, so that it reaches the module's other names as patched (a
+    patched engine.children or engine._walk, say)."""
+    target = functools.reduce(getattr, name.split("."), module)
+    source = textwrap.dedent(inspect.getsource(target))
     assert source.count(old) == 1, old
-    namespace = dict(vars(engine))
-    exec(compile(source.replace(old, new), engine.__file__, "exec"),
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
          namespace)
-    built = namespace[name]
-    return types.FunctionType(built.__code__, vars(engine), name,
+    built = namespace[target.__name__]
+    return types.FunctionType(built.__code__, vars(module), target.__name__,
                               built.__defaults__, built.__closure__)
 
 
@@ -1375,7 +1471,7 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
              }[caught_by]
     check()
     name, old, new = MUTANTS[mutant]
-    wrong = _mutant(name, old, new)
+    wrong = _mutant(engine, name, old, new)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, name, wrong)
         if name in globals():  # the engine name this module imported
