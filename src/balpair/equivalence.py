@@ -26,12 +26,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import ceil, floor, lcm
 from operator import mul, sub
 from typing import NamedTuple
 
 from .numberfield import FieldScalar
+from .polynomial import _primitive
 from .substitution import Substitution
 
 PLAIN, LETTERS, GENERAL = "plain", "letters", "general"
@@ -296,6 +298,28 @@ class Relation:
         return Relation(subst, RelationSpec.general(spec), letter_eq, low,
                         high, lengths)
 
+    @cached_property
+    def cut_key(self):
+        """What decides the relation's cuts: the span over Q of letter_eq's
+        columns, as its reduced row-echelon basis (_echelon), built on the
+        first read.
+
+        Two words are equivalent exactly when their population difference z
+        has z . letter_eq = 0, that is, when z is orthogonal to every
+        column; so two relations over one substitution with equal keys
+        have equal state equality on every pair of words. The splits cut
+        exactly at equal states: every cut the walk accepts is at equal
+        states, and the length enclosures only decide which bottom letters
+        it looks up, never which cuts exist. ScanOverflow, NotBalanced, the
+        stability window and every budget stop read only cut positions and
+        counts. So run_bpa gives equal closures, in every field, under two
+        relations with equal keys. A general relation's key depends on its
+        length vector L only through the span of the L . A^m; when the
+        characteristic polynomial is irreducible, every positive L gives
+        the whole space, as plain does.
+        """
+        return _echelon(zip(*self.letter_eq))
+
     # -- scanner tables ------------------------------------------------------
 
     def sums(self, words, cap):
@@ -383,6 +407,34 @@ class Relation:
         """Exact L-length of a word (Fraction, or FieldScalar in lambda
         mode): its population vector dotted with the lengths."""
         return sum(map(mul, self.subst.population_vector(word), self.lengths))
+
+
+def _echelon(rows):
+    """The reduced row-echelon basis over Q of the span of integer rows,
+    each basis row scaled to coprime integers: one tuple per pivot, in
+    pivot order, its pivot positive and zero at every other pivot.
+
+    Rows are cleared by integer combinations that keep the pivots
+    positive and are divided by their content; a basis with these
+    properties is the reduced row-echelon one up to positive scales, so it
+    depends on the span alone.
+    """
+    basis = {}  # pivot column -> row
+    for row in rows:
+        for col, known in basis.items():
+            if row[col]:
+                row = _primitive([known[col] * x - row[col] * y
+                                  for x, y in zip(row, known)])
+        pivot = next((col for col, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        row = _primitive(row if row[pivot] > 0 else [-x for x in row])
+        for col, known in basis.items():
+            if known[pivot]:
+                basis[col] = _primitive([row[pivot] * x - known[pivot] * y
+                                         for x, y in zip(known, row)])
+        basis[pivot] = row
+    return tuple(tuple(basis[col]) for col in sorted(basis))
 
 
 def letter_equiv_classes(subst: Substitution):

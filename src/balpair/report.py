@@ -1,9 +1,10 @@
 """Serialization: canonical JSON report documents and DOT graph export.
 
 JSON rendering is a pure function of the report value once its last key,
-`metrics` (the run timings), is removed: key order is fixed by construction,
-rationals are encoded as strings, and exact algebraic scalars as coefficient
-vectors plus a decimal approximation. `info --json` writes the report's
+`metrics` (the run timings, and which cell computed each cell's closure),
+is removed: key order is fixed by construction, rationals are encoded as
+strings, and exact algebraic scalars as coefficient vectors plus a decimal
+approximation. `info --json` writes the report's
 first three keys from the same builders.
 """
 
@@ -172,7 +173,7 @@ def info_document(subst, letter_classes):
 
 def report_document(report, pair_list_limit=1000):
     """The full report as a plain dict in canonical key order; the run
-    timings sit in the last key, `metrics`."""
+    timings and each cell's closure_cell sit in the last key, `metrics`."""
     subst = report.subst
     alphabet = subst.alphabet
     stream = subst.fixed_point()
@@ -187,6 +188,7 @@ def report_document(report, pair_list_limit=1000):
     doc["metrics"] = {
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
         "cell_seconds": [round(c.seconds, 6) for c in report.cells],
+        "cell_closure": [c.closure_cell for c in report.cells],
     }
     return doc
 

@@ -75,6 +75,7 @@ class CellResult:
     densities: list | None = None
     exception: Exception | None = None  # what stopped the cell, if any
     seconds: float = 0.0
+    closure_cell: int | None = None  # the cell that computed outcome
 
     @property
     def error(self):
@@ -104,7 +105,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     Cells fail independently; whenever a non-PF relation terminates, the same
     prefix is rerun with the PF length vector and the corollary consistency
     (it must terminate too) is recorded. Each relation is built at most once
-    per analysis, when a cell or such a rerun first needs it.
+    per analysis, when a cell or such a rerun first needs it. A closure is
+    computed once per prefix and relation cut key (run_cell): cells whose
+    relations cut alike share one Closure, and the PF rerun is a lookup
+    when the PF relation cuts as the cell's does.
     """
     if not config.relations:
         raise EmptyConfig("no relations requested")
@@ -139,12 +143,24 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 relations[spec] = exc
         return relations[spec]
 
-    outcomes = {}
+    outcomes = {}  # (prefix, cut key) -> (closure, index of its cell)
 
-    def run_cell(prefix, spec):
-        key = (prefix, spec)
+    def run_cell(prefix, rel):
+        """The closure of the prefix under rel, and the index of the cell
+        that computed it, the current one when none has.
+
+        Closures are keyed by (prefix, rel.cut_key), which decides them:
+        every cut the walk accepts is at equal states, and two relations
+        with equal keys have equal states on every pair of words; the
+        length enclosures only decide which bottom letters the walk looks
+        up, never which cuts exist; and ScanOverflow, NotBalanced, the
+        stability window and every budget stop read only cut positions and
+        counts. So run_bpa would return equal closures, and one is shared.
+        """
+        key = (prefix, rel.cut_key)
         if key not in outcomes:
-            outcomes[key] = run_bpa(relation(spec), prefix, config.budgets)
+            outcomes[key] = (run_bpa(rel, prefix, config.budgets),
+                             len(cells))
         return outcomes[key]
 
     pf = RelationSpec.general(LengthSpec.pf())
@@ -161,7 +177,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 cells.append(cell)
                 continue
             try:
-                outcome = run_cell(prefix, spec)
+                outcome, cell.closure_cell = run_cell(prefix, rel)
                 cell.outcome = outcome
                 failing = ()
                 if outcome.terminated:
@@ -170,7 +186,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                                     if i not in reached)
                 cell.verdict = verdict(outcome, failing, prefix_ok)
                 if outcome.terminated and spec != pf:
-                    pf_outcome = run_cell(prefix, pf)
+                    pf_outcome, _ = run_cell(prefix, relation(pf))
                     cell.corollary_check = {
                         "relation": pf.label(),
                         "terminated": pf_outcome.terminated,

@@ -118,20 +118,57 @@ def test_info_factors_once(fixtures_dir, capsys, monkeypatch):
     assert len(factor_calls) == 1
 
 
-@pytest.mark.parametrize("length, relations", [
-    ("lambda", ["general[lambda]"]),
-    # ones terminates on ex1, so its PF corollary runs too
-    ("ones", ["general[ones]", "general[lambda]"]),
-])
-def test_bpa_runs_only_the_printed_cell(fixtures_dir, capsys, monkeypatch,
-                                        length, relations):
+def _bpa_calls(fixtures_dir, tmp_path, capsys, monkeypatch, name, flags):
+    """The (prefix, relation) of each run_bpa call of one `bpa` run, and
+    the report's one cell."""
     # the package re-exports verdict(), which hides the module attribute
     verdict_module = importlib.import_module("balpair.verdict")
     calls = count_calls(monkeypatch, verdict_module, "run_bpa")
-    code = main(["bpa", str(fixtures_dir / "ex1.sub"), "--length", length])
+    path = tmp_path / "report.json"
+    code = main(["bpa", str(fixtures_dir / f"{name}.sub"), *flags,
+                 "--json", str(path)])
     out = capsys.readouterr().out
     assert code == 0
-    [line] = out.splitlines()
-    assert line.startswith(f"  w=1 general[{length}]: terminated")
-    assert [(args[1], args[0].spec.label()) for args in calls] == \
-        [(b"\x00", label) for label in relations]
+    [line, _wrote] = out.splitlines()
+    [cell] = json.loads(path.read_text())["cells"]
+    assert line.startswith(
+        f"  w={cell['prefix']} {cell['relation']}: terminated")
+    return [(args[1], args[0].spec.label()) for args in calls], cell
+
+
+PF_COROLLARY = {"relation": "general[lambda]", "terminated": True}
+
+
+@pytest.mark.parametrize("length, relations", [
+    ("lambda", ["general[lambda]"]),
+    # ones terminates on ex1, so its PF corollary is checked; ones and
+    # lambda have equal cut keys there, so the check reads the ones closure
+    ("ones", ["general[ones]"]),
+])
+def test_bpa_runs_only_the_printed_cell(fixtures_dir, tmp_path, capsys,
+                                        monkeypatch, length, relations):
+    calls, cell = _bpa_calls(fixtures_dir, tmp_path, capsys, monkeypatch,
+                             "ex1", ["--length", length])
+    assert (cell["prefix"], cell["relation"]) == ("1", f"general[{length}]")
+    assert calls == [(b"\x00", label) for label in relations]
+    if length == "ones":
+        assert cell["corollary_check"] == PF_COROLLARY
+
+
+@pytest.mark.parametrize("name, flags, relations", [
+    # 4,2,5,4 is a scale of pisot-rewrite's L_lambda integer form, with
+    # lambda's cut key: the rerun is a lookup
+    ("pisot-rewrite", ["--length", "4,2,5,4"], ["general[4,2,5,4]"]),
+    # plain's cut key on exnoncon is not lambda's: the rerun runs lambda's
+    # closure. (ones never terminates on pisot-rewrite, so it has no rerun)
+    ("exnoncon", ["--mode", "plain"], ["plain", "general[lambda]"]),
+])
+def test_pf_rerun_runs_only_under_another_cut_key(fixtures_dir, tmp_path,
+                                                  capsys, monkeypatch, name,
+                                                  flags, relations):
+    calls, cell = _bpa_calls(fixtures_dir, tmp_path, capsys, monkeypatch,
+                             name, flags)
+    assert cell["relation"] == relations[0]
+    prefix = load_corpus(name).alphabet.word_from_text(cell["prefix"])
+    assert calls == [(prefix, label) for label in relations]
+    assert cell["corollary_check"] == PF_COROLLARY
