@@ -15,7 +15,10 @@ per-letter-pair table (Relation.image_tables) that maps a state difference
 to the image prefix pairs it cuts at, built on the difference's first
 lookup. Either side may drop a head, the letters of its first image
 before the split starts; its states start at minus the head's, so each
-side reads zero where the split starts.
+side reads zero where the split starts. The loop keeps each side's running
+state, length enclosures and letter count itself, adding a letter's table
+entries as it reads the letter, so either side may be an unbounded
+iterator, read only as far as the cuts need.
 
 The closure's children, `children`, walk the two words of a pair under
 sigma. A pair the closure found is a stretch of sigma^d(A) for a word
@@ -68,7 +71,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, pairwise, tee
+from itertools import accumulate, chain, pairwise
 from typing import NamedTuple
 
 from .equivalence import Run
@@ -172,24 +175,6 @@ class DensityStats:
     ratio_decimal: str
 
 
-def _letters(word, tables, low, high, state):
-    """Per letter of a parent word, in order: the low enclosure of the
-    scaled length of the images before it and the high one of the images up
-    to and including it, the letter, and the packed state and the letter
-    count of the images before it. The enclosures and the state start at
-    low, high and state. The word is read five times, so an iterator is
-    tee'd."""
-    words = tee(word, 5) if iter(word) is word else (word,) * 5
-    highs = accumulate(map(tables.high.__getitem__, words[1]), initial=high)
-    next(highs)  # the start itself, before any image
-    return zip(accumulate(map(tables.low.__getitem__, words[0]), initial=low),
-               highs,
-               words[2],
-               accumulate(map(tables.states.__getitem__, words[3]),
-                          initial=state),
-               accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
-
-
 def _walk(alphabet, tables, top_word, bottom_word, cap, which,
           top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
     """Irreducible components of tau(top_word) against tau(bottom_word),
@@ -209,6 +194,14 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     start before the top letter's ends until its image surely ends at or
     before the top letter's start, as the length enclosures tell; so which
     cuts are found does not depend on k.
+
+    One loop keeps each side's running sums of the per-letter tables: the
+    packed state, the low length enclosure and the letter count of the
+    images before its next letter, and the high enclosure of those up to
+    and including it. The top adds its letter's sums as the loop reaches
+    it, the bottom as each of its letters enters the window, so either
+    word may be an iterator, read one letter at a time and only as far as
+    the walk needs.
 
     Exactness: a hit counts only within cap letters of the last cut on both
     sides, where the two states differ by those of two words of at most cap
@@ -236,30 +229,38 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     NotBalanced when the images end other than at a cut.
     """
     rows, sizes, images = tables.rows, tables.sizes, tables.images
+    states, lows, highs = tables.states, tables.low, tables.high
     word = alphabet.word
-    top_start, state, low, high = top_head
-    tops = _letters(top_word, tables, -high, -low, -state)
-    bottom_start, state, low, high = bottom_head
-    bottoms = _letters(bottom_word, tables, -high, -low, -state)
+    # each side's running sums start at minus its head's; top and bottom
+    # are the last cut
+    top, state, low, high = top_head
+    state, low, high, first = -state, -high, -low, 0
+    bottom, b_state, b_low, b_high = bottom_head
+    b_state, b_low, b_high, b_first = -b_state, -b_high, -b_low, 0
+    bottoms = iter(bottom_word)
     ahead = next(bottoms, None)  # the next bottom letter to enter
-    window = deque()  # bottom letters (low, high, b, ...) that may overlap
-    # the letters from top_from and bottom_from on
+    window = deque()  # bottom letters (high, b, state, first) that may
+    # overlap the letters from top_from and bottom_from on
     top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
     top_from = bottom_from = 0
-    top, bottom = top_start, bottom_start  # the last cut
-    for low, high, a, state, first in tops:
+    for a in top_word:
         if first - top > cap:  # the images before this letter overflow
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                                which=which)
         top_letters += images[a]
-        while ahead and ahead[0] < high:
-            window.append(ahead)
-            bottom_letters += images[ahead[2]]
+        high += highs[a]
+        while ahead is not None and b_low < high:
+            b_high += highs[ahead]
+            window.append((b_high, ahead, b_state, b_first))
+            bottom_letters += images[ahead]
+            b_state += states[ahead]
+            b_low += lows[ahead]
+            b_first += sizes[ahead]
             ahead = next(bottoms, None)
-        while window and window[0][1] <= low:
+        while window and window[0][0] <= low:
             window.popleft()
         row = rows[a]
-        for _low, _high, b, theirs, first_b in window:
+        for _high, b, theirs, first_b in window:
             if entry := row[b][state - theirs]:
                 hits, run = entry
                 if run and run.step > cap:
@@ -282,10 +283,13 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
             del top_letters[:top - top_from]
             del bottom_letters[:bottom - bottom_from]
             top_from, bottom_from = top, bottom
+        state += states[a]
+        low += lows[a]
+        first += sizes[a]
     top_left = top_from + len(top_letters) - top
     bottom_left = bottom_from + len(bottom_letters) - bottom
-    if ahead:  # bottom letters that never entered
-        bottom_left += sum(sizes[entry[2]] for entry in chain((ahead,), bottoms))
+    if ahead is not None:  # bottom letters that never entered
+        bottom_left += sizes[ahead] + sum(map(sizes.__getitem__, bottoms))
     if max(top_left, bottom_left) > cap:
         raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                            which=which)

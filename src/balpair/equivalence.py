@@ -183,9 +183,10 @@ class _Hits(dict):
         self.images = images  # (sigma^k(a), sigma^k(b))
 
     def __missing__(self, diff):
-        index = self.index
-        hits = tuple((r, s) for r, mine in enumerate(self.prefixes, 1)
-                     for s in index.get(mine + diff, ()))
+        get = self.index.get
+        # a prefix state that meets none of b's builds no iterator
+        hits = tuple([(r, s) for r, mine in enumerate(self.prefixes, 1)
+                      if (found := get(mine + diff)) for s in found])
         if hits:
             tops, bottoms = zip(*hits)
             steps = [*map(sub, tops[1:], tops),

@@ -6,9 +6,11 @@ the Gaussian elimination over Q(lambda) that `linalg` replaced with integer
 arithmetic, the letter classes read off a whole general[ones] relation
 rather than the image lengths alone, a per-letter word equivalence, the
 splits of two words (a linear whole-word split and a quadratic one), the
-split of the fixed word against its shift from whole-word splits of its
-prefixes, a whole-word `reduce_pair`, the initial split on that prefix
-split, the closure with every pair's children walked over its own words,
+walk of two parent words over image tables with each side's running sums
+read from zipped `accumulate` streams, the split of the fixed word against
+its shift from whole-word splits of its prefixes, a whole-word
+`reduce_pair`, the initial split on that prefix split, the closure with
+every pair's children walked over its own words,
 the coincidence density masses summed per component, primitivity by every
 power up to Wielandt's bound, small matrix and rendering helpers, and the
 Fraction forms of the spectral layer that `polynomial`, `numberfield` and
@@ -17,8 +19,9 @@ coefficients and exact signed remainder sequences, the unit-circle counts
 built on them, and Q(lambda) with Fraction enclosures and residues.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import accumulate, chain, tee
 from math import ceil, floor
 
 from balpair.engine import (BalancedPair, Budgets, Closure, children,
@@ -224,6 +227,89 @@ def _components(top, bottom, cuts, cap, which):
         if max(len(top) - i0, len(bottom) - j0) > cap:
             raise ScanOverflow("remainder too long", which=which)
         raise NotBalanced("no cut at the end")
+
+
+def _letter_sums(word, tables, low, high, state):
+    """Per letter of a parent word, in order: the low enclosure of the
+    scaled length of the images before it and the high one of the images up
+    to and including it, the letter, and the packed state and the letter
+    count of the images before it. The enclosures and the state start at
+    low, high and state. The word is read five times, so an iterator is
+    tee'd."""
+    words = tee(word, 5) if iter(word) is word else (word,) * 5
+    highs = accumulate(map(tables.high.__getitem__, words[1]), initial=high)
+    next(highs)  # the start itself, before any image
+    return zip(accumulate(map(tables.low.__getitem__, words[0]), initial=low),
+               highs,
+               words[2],
+               accumulate(map(tables.states.__getitem__, words[3]),
+                          initial=state),
+               accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
+
+
+def reference_walk(alphabet, tables, top_word, bottom_word, cap, which,
+                   top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
+    """engine._walk with each side's per-letter running sums read from
+    `accumulate` streams zipped together (_letter_sums), in place of sums
+    the loop keeps itself: the same components and Runs, in the same
+    order, and the same errors at the same points, reading an iterator
+    word as lazily."""
+    rows, sizes, images = tables.rows, tables.sizes, tables.images
+    word = alphabet.word
+    top_start, state, low, high = top_head
+    tops = _letter_sums(top_word, tables, -high, -low, -state)
+    bottom_start, state, low, high = bottom_head
+    bottoms = _letter_sums(bottom_word, tables, -high, -low, -state)
+    ahead = next(bottoms, None)  # the next bottom letter to enter
+    window = deque()  # bottom letters (low, high, b, ...) that may overlap
+    # the letters from top_from and bottom_from on
+    top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
+    top_from = bottom_from = 0
+    top, bottom = top_start, bottom_start  # the last cut
+    for low, high, a, state, first in tops:
+        if first - top > cap:  # the images before this letter overflow
+            raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                               which=which)
+        top_letters += images[a]
+        while ahead and ahead[0] < high:
+            window.append(ahead)
+            bottom_letters += images[ahead[2]]
+            ahead = next(bottoms, None)
+        while window and window[0][1] <= low:
+            window.popleft()
+        row = rows[a]
+        for _low, _high, b, theirs, first_b in window:
+            if entry := row[b][state - theirs]:
+                hits, run = entry
+                if run and run.step > cap:
+                    run = None
+                for r, s in hits:
+                    i, p = first + r, first_b + s
+                    if top < i <= top + cap and bottom < p <= bottom + cap:
+                        yield BalancedPair(
+                            word(top_letters[top - top_from:i - top_from]),
+                            word(bottom_letters[bottom - bottom_from:
+                                                p - bottom_from]))
+                        top, bottom = i, p
+                        if run:  # the first hit is a cut, so all are
+                            yield run
+                            r, s = run.last
+                            top, bottom = first + r, first_b + s
+                            break
+                    run = None  # only the first hit starts the run
+        if top != top_from:
+            del top_letters[:top - top_from]
+            del bottom_letters[:bottom - bottom_from]
+            top_from, bottom_from = top, bottom
+    top_left = top_from + len(top_letters) - top
+    bottom_left = bottom_from + len(bottom_letters) - bottom
+    if ahead:  # bottom letters that never entered
+        bottom_left += sum(sizes[entry[2]] for entry in chain((ahead,), bottoms))
+    if max(top_left, bottom_left) > cap:
+        raise ScanOverflow(f"irreducible component exceeds {cap} letters",
+                           which=which)
+    if top_left or bottom_left:
+        raise NotBalanced("images end on an unbalanced pair")
 
 
 def reduce_pair(rel, u, v, *, max_word_length=None):

@@ -20,9 +20,13 @@ stretch of sigma^(d+1) of its ancestor d levels up, is checked against
 `children` of the pair's own words, and `run_bpa`, which walks such
 stretches, against `closure_by_own_words`, the same closure over own
 words throughout; each Origin it walks is checked against sigma^d of its
-ancestor's letters, spelled out. Known-wrong variants of `_walk`,
-`run_bpa` and `initial_pairs`, built from their source, must fail those
-differentials.
+ancestor's letters, spelled out. `_walk`, which keeps each side's running
+sums itself, is checked against `reference_walk`, which reads them from
+zipped `accumulate` streams, on own words, on the closure's walks of
+ancestor stretches and on the initial split's iterators at k >= 2: the
+same items in order, the same error, and as many letters read from each
+iterator. Known-wrong variants of `_walk`, `run_bpa` and `initial_pairs`,
+built from their source, must fail those differentials.
 """
 
 import functools
@@ -1348,6 +1352,111 @@ def test_relabelling_keeps_spectra_and_closures(subst, data):
     _assert_relabelling_keeps_everything(subst, pi, w, BATCH_BUDGETS)
 
 
+# -- the walk against the reference walk ---------------------------------------
+
+def _assert_walks_agree(arguments):
+    """engine._walk and oracles.reference_walk, each on arguments() made
+    afresh, yield equal pairs and the same Runs, in the same order, and
+    end in the same error with the same which."""
+    expected, got = (_drain(walk(*arguments()))
+                     for walk in (oracles.reference_walk, engine._walk))
+    assert got == expected, arguments()[2:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cases(), st.integers(1, 2), st.booleans())
+def test_walk_matches_reference_on_own_words(case, k, streamed):
+    # two words walked over sigma or sigma^2 images from empty heads, as
+    # children walks a pair's own words, given as words or as iterators
+    rel, top, bottom, cap, which = case
+    tables = rel.image_tables(cap, k)
+
+    def arguments():
+        words = (iter(top), iter(bottom)) if streamed else (top, bottom)
+        return rel.subst.alphabet, tables, *words, cap, which
+
+    _assert_walks_agree(arguments)
+
+
+def _recorded_walks(rel, w, budgets):
+    """The arguments of each walk of two words that run_bpa makes, in
+    order: those of children, and not the initial split's walk of two
+    iterators."""
+    walks = []
+    walk = engine._walk
+
+    def recording(*arguments, **heads):
+        if iter(arguments[2]) is not arguments[2]:
+            walks.append(arguments)
+        return walk(*arguments, **heads)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_walk", recording)
+        engine.run_bpa(rel, w, budgets)
+    return walks
+
+
+def test_walk_matches_reference_on_origin_walks():
+    # the closure's walks of its pairs' stretches of sigma^(d+1) of their
+    # ancestors, at their own cap and at one below their longest
+    # component's longest side, so that it overflows; both heads are
+    # nonempty on many of them
+    both_heads = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(batch_prefixes(), batch_prefixes(3)))
+    def check(case):
+        rel, w = case
+        for arguments in _recorded_walks(rel, w, BATCH_BUDGETS)[:60]:
+            heads = arguments[6:]
+            if not heads:  # a pair that walks its own words
+                continue
+            both_heads[all(head[0] for head in heads)] += 1
+            items, _error = _drain(oracles.reference_walk(*arguments))
+            longest = max((max(map(len, item)) for item in items
+                           if item.__class__ is not Run), default=2)
+            for cap in {arguments[4], max(1, longest - 1)}:
+                _assert_walks_agree(
+                    lambda: (*arguments[:4], cap, *arguments[5:]))
+
+    check()
+    assert both_heads[True] > 50, both_heads
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(primitive_substitutions(longest=5), st.sampled_from(
+    ("plain", "letters", "ones", "lambda")), st.integers(2, 3),
+    st.integers(1, 12), st.data())
+def test_walk_matches_reference_on_shift_streams(subst, kind, k, shift, data):
+    # the fixed word against its shift over sigma^k images, k >= 2, as
+    # initial_pairs walks it: the ancestor word v_k read as an unbounded
+    # iterator on both sides. Each walk reads as many letters of each
+    # iterator by its 300th item or its error
+    try:
+        rel = _relation(subst, kind)
+    except ValueError:  # letter classes whose images disagree
+        assume(False)
+    longest = max(len(subst.apply((a,), k)) for a in range(subst.size))
+    cap = data.draw(st.sampled_from(
+        sorted({1, 2, longest - 1, longest, longest + 1, 400} - {0})))
+    which = data.draw(st.sampled_from(WHICH))
+    outcomes = []
+    for walk in (oracles.reference_walk, engine._walk):
+        reads = [[0], [0]]
+
+        def counting(alphabet, tables, top, bottom, *rest, **heads):
+            return walk(alphabet, tables, _counted(top, reads[0]),
+                        _counted(bottom, reads[1]), *rest, **heads)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "WALK_LETTERS", _walk_letters(subst, k))
+            patch.setattr(engine, "_walk", counting)
+            outcomes.append((_drain(islice(
+                engine._shift_walk(rel, shift, cap, which), 300)), reads))
+    expected, got = outcomes
+    assert got == expected, (cap, which)
+
+
 # -- mutant gates: known-wrong walks that the differentials above catch -------
 
 def _mutant(module, name, old, new):
@@ -1379,10 +1488,13 @@ MUTANTS = {
     "tail read one letter late": ("children", "inner.heads[word[-1]][kept]",
                                   "inner.heads[word[-1]][kept - 1]"),
     "bottom head's state sign flipped": (
-        "_walk", "bottoms = _letters(bottom_word, tables, -high, -low, -st",
-        "bottoms = _letters(bottom_word, tables, -high, -low, st"),
+        "_walk", "b_state, b_low, b_high, b_first = -b_state,",
+        "b_state, b_low, b_high, b_first = b_state,"),
     "run taken past the cap": ("_walk", "if run and run.step > cap:",
                                "if 0:"),
+    "bottom low advanced before the window test": (
+        "_walk", "while ahead is not None and b_low < high:",
+        "while ahead is not None and b_low + lows[ahead] < high:"),
     "known run skipped without the stop tests": (
         "initial_pairs", "elif item in known and (",
         "elif item in known or 0 * ("),
@@ -1446,6 +1558,7 @@ def _initial_split_stops():
     ("tail read one letter late", "own words"),
     ("bottom head's state sign flipped", "own words"),
     ("run taken past the cap", "shift split"),
+    ("bottom low advanced before the window test", "reference walk"),
     ("known run skipped without the stop tests", "initial split stops"),
 ])
 def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
@@ -1458,7 +1571,9 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # leaves the split to stop at a later cut, or on the other budget. A
     # head or a tail read one letter late from the running sums, or a
     # bottom head's state of the wrong sign, walks words that end
-    # unbalanced, where the closure over own words ends balanced
+    # unbalanced, where the closure over own words ends balanced. A bottom
+    # letter let in by where its image ends, not where it starts, enters
+    # the window late, and the walk misses cuts the reference walk finds
     rel = _relation(load_corpus("reducible3"), "plain")
     check = {"linear oracle": functools.partial(_linear_oracle,
                                                 _linear_cases()),
@@ -1468,6 +1583,7 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
                  test_shift_split_matches_split_of_two_streams, "const-len",
                  "plain"),
              "initial split stops": _initial_split_stops,
+             "reference walk": test_walk_matches_reference_on_own_words,
              }[caught_by]
     check()
     name, old, new = MUTANTS[mutant]
