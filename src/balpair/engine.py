@@ -3,10 +3,11 @@
 A pair of words is cut exactly where the equivalence states of the two
 prefixes are equal. A state fixes the L-length, and lengths grow strictly
 on each side, so each prefix can match at most one prefix of the other side
-and the cuts come out in order. Integer enclosures of the scaled lengths
-say which parts of the two sides may meet, and no sign of an algebraic
-number is decided. Each emitted component is irreducible: it holds no
-earlier pair of equal prefix states.
+and the cuts come out in order. Each letter's integer walk length, a
+combination of its state's coordinates (Relation.walk_lengths), says which
+parts of the two sides may meet, and no sign of an algebraic number is
+decided. Each emitted component is irreducible: it holds no earlier pair
+of equal prefix states.
 
 Every split here is of two images, and one cut loop, `_walk`, runs them
 all one parent letter at a time: states are linear, so the cuts inside the
@@ -16,7 +17,7 @@ to the image prefix pairs it cuts at, built on the difference's first
 lookup. Either side may drop a head, the letters of its first image
 before the split starts; its states start at minus the head's, so each
 side reads zero where the split starts. The loop keeps each side's running
-state, length enclosures and letter count itself, adding a letter's table
+state, walk length and letter count itself, adding a letter's table
 entries as it reads the letter, so either side may be an unbounded
 iterator, read only as far as the cuts need.
 
@@ -176,32 +177,33 @@ class DensityStats:
 
 
 def _walk(alphabet, tables, top_word, bottom_word, cap, which,
-          top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
+          top_head=(0, 0, 0), bottom_head=(0, 0, 0)):
     """Irreducible components of tau(top_word) against tau(bottom_word),
     each side less its head, in order, walked one parent letter at a time,
     tau being the map sigma^k whose images the tables hold. A head is the
-    letter count, packed state and low and high length enclosures
-    of the letters a side drops from the start of its first image; that
-    side's states and enclosures start at minus the head's, so both sides
-    read zero where their components start.
+    letter count, packed state and walk length of the letters a side drops
+    from the start of its first image; that side's states and lengths
+    start at minus the head's, so both sides read zero where their
+    components start.
 
     States are linear, so the state r letters into the image of top letter
     a is S_top + P_a[r], S_top being the state of the images before it and
     P_a[r] that of tau(a)[:r]; it equals the state s letters into the
     image of bottom letter b exactly when P_a[r] + S_top - S_bot = P_b[s],
     so the cuts inside the two images are one lookup of S_top - S_bot in
-    tables.rows[a][b]. A bottom letter is looked up from when its image may
-    start before the top letter's ends until its image surely ends at or
-    before the top letter's start, as the length enclosures tell; so which
-    cuts are found does not depend on k.
+    tables.rows[a][b]. A bottom letter is looked up from when its image
+    starts before the top letter's ends until its image ends at or before
+    the top letter's start, by walk lengths: equal states have equal walk
+    lengths and every letter's is positive, so each cut lies in the images
+    of a top and a bottom letter that overlap, and which cuts are found
+    does not depend on k.
 
     One loop keeps each side's running sums of the per-letter tables: the
-    packed state, the low length enclosure and the letter count of the
-    images before its next letter, and the high enclosure of those up to
-    and including it. The top adds its letter's sums as the loop reaches
-    it, the bottom as each of its letters enters the window, so either
-    word may be an iterator, read one letter at a time and only as far as
-    the walk needs.
+    packed state, the walk length and the letter count of the images
+    before its next letter. The top adds its letter's sums as the loop
+    reaches it, the bottom as each of its letters enters the window, so
+    either word may be an iterator, read one letter at a time and only as
+    far as the walk needs.
 
     Exactness: a hit counts only within cap letters of the last cut on both
     sides, where the two states differ by those of two words of at most cap
@@ -229,17 +231,17 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     NotBalanced when the images end other than at a cut.
     """
     rows, sizes, images = tables.rows, tables.sizes, tables.images
-    states, lows, highs = tables.states, tables.low, tables.high
+    states, lengths = tables.states, tables.lengths
     word = alphabet.word
     # each side's running sums start at minus its head's; top and bottom
     # are the last cut
-    top, state, low, high = top_head
-    state, low, high, first = -state, -high, -low, 0
-    bottom, b_state, b_low, b_high = bottom_head
-    b_state, b_low, b_high, b_first = -b_state, -b_high, -b_low, 0
+    top, state, length = top_head
+    state, length, first = -state, -length, 0
+    bottom, b_state, b_length = bottom_head
+    b_state, b_length, b_first = -b_state, -b_length, 0
     bottoms = iter(bottom_word)
     ahead = next(bottoms, None)  # the next bottom letter to enter
-    window = deque()  # bottom letters (high, b, state, first) that may
+    window = deque()  # bottom letters (end, b, state, first) that may
     # overlap the letters from top_from and bottom_from on
     top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
     top_from = bottom_from = 0
@@ -248,19 +250,18 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                                which=which)
         top_letters += images[a]
-        high += highs[a]
-        while ahead is not None and b_low < high:
-            b_high += highs[ahead]
-            window.append((b_high, ahead, b_state, b_first))
+        end = length + lengths[a]
+        while ahead is not None and b_length < end:
+            b_length += lengths[ahead]
+            window.append((b_length, ahead, b_state, b_first))
             bottom_letters += images[ahead]
             b_state += states[ahead]
-            b_low += lows[ahead]
             b_first += sizes[ahead]
             ahead = next(bottoms, None)
-        while window and window[0][0] <= low:
+        while window and window[0][0] <= length:
             window.popleft()
         row = rows[a]
-        for _high, b, theirs, first_b in window:
+        for _end, b, theirs, first_b in window:
             if entry := row[b][state - theirs]:
                 hits, run = entry
                 if run and run.step > cap:
@@ -284,7 +285,7 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
             del bottom_letters[:bottom - bottom_from]
             top_from, bottom_from = top, bottom
         state += states[a]
-        low += lows[a]
+        length = end
         first += sizes[a]
     top_left = top_from + len(top_letters) - top
     bottom_left = bottom_from + len(bottom_letters) - bottom

@@ -13,11 +13,12 @@ one substitution:
 For scanning speed every relation precomputes integer tables. The
 equivalence state of a word is an integer vector, linear in its population
 vector, and two words are equivalent exactly when their states are equal;
-equal states also mean equal L-lengths. Integer enclosures of each letter's
-scaled L-length (exact when the lengths are rational; for irrational
-lambda, the floor and ceiling of 2^64 * length over its enclosure on
-lambda's dyadic bracket at 2^-72)
-tell the splitter when one side is provably longer, so no sign of an
+equal states also mean equal L-lengths. Each letter also has one positive
+integer walk length, a rational combination of the state coordinates, so
+equal states mean equal walk lengths too: the scaled L-length when the
+lengths are rational, and for irrational lambda the scaled residue of the
+L-length at a dyadic point of lambda's bracket. Walk lengths tell the
+splitter which parts of the two sides may meet, and no sign of an
 algebraic number is ever decided.
 """
 
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import ceil, floor, lcm
+from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
 from .numberfield import FieldScalar
-from .polynomial import _primitive
+from .polynomial import _primitive, horner
 from .substitution import Substitution
 
 PLAIN, LETTERS, GENERAL = "plain", "letters", "general"
@@ -137,8 +138,7 @@ class ImageTables(NamedTuple):
 
     sizes: tuple  # |sigma^k(a)|
     states: tuple  # packed state of sigma^k(a)
-    low: tuple  # enclosure of sigma^k(a)'s scaled length
-    high: tuple
+    lengths: tuple  # walk length of sigma^k(a)
     images: tuple  # sigma^k(a), from the relation's substitution
     rows: tuple  # rows[a][b][D]: ((r, s), ...) and their Run, or ()
     heads: dict  # heads[a][r]: the sums of sigma(sigma^k(a)[:r]) (_Heads)
@@ -200,7 +200,7 @@ class _Hits(dict):
 class _Heads(dict):
     """Field heads of the image tables for sigma^k: letter a maps to the
     running sums of Relation.sums of sigma's images over the letters of
-    sigma^k(a), from (0, 0, 0, 0), so entry r holds those of
+    sigma^k(a), from (0, 0, 0), so entry r holds those of
     sigma(sigma^k(a)[:r]). Built on a's first lookup."""
 
     __slots__ = ("images", "once")
@@ -221,13 +221,13 @@ class _Heads(dict):
 class Relation:
     """A relation's integer tables over a fixed substitution; immutable.
 
-    letter_eq[j] is letter j's equivalence state; length_low[j] and
-    length_high[j] enclose its scaled L-length, and lengths[j] is its
-    exact L-length.
+    letter_eq[j] is letter j's equivalence state, walk_lengths[j] its
+    walk length, a positive int that is a rational combination of
+    letter_eq[j]'s coordinates, the same for every letter, and lengths[j]
+    its exact L-length.
     """
 
-    def __init__(self, subst, spec, letter_eq, length_low, length_high=None,
-                 lengths=None):
+    def __init__(self, subst, spec, letter_eq, walk_lengths, lengths=None):
         self.subst = subst
         self.spec = spec
         self.letter_eq = letter_eq
@@ -236,8 +236,7 @@ class Relation:
         self._packed = {}
         self._images = {}  # (bits, k) -> ImageTables
         self._by_cap = {}  # (cap, k) -> the same ImageTables
-        self.length_low = length_low
-        self.length_high = length_high or length_low
+        self.walk_lengths = walk_lengths
         # plain and letters measure words by their number of letters
         self.lengths = lengths or (Fraction(1),) * subst.size
 
@@ -275,14 +274,15 @@ class Relation:
         scaled = tuple(tuple(c * (den // d) for c in nums)
                        + (0,) * (dim - len(nums)) for nums, d in rows)
         if dim == 1:
-            low = high = tuple(row[0] for row in scaled)
+            walk = tuple(row[0] for row in scaled)
         else:
-            # floor and ceiling of 2^64 * l over an enclosure of l on
-            # lambda's bracket at 2^-72; a few bits finer than 2^-64 keeps
-            # each width near one
-            bounds = [v.field.enclose(v.residue, 72) for v in lengths]
-            low = tuple(floor(lo * (1 << 64)) for lo, _ in bounds)
-            high = tuple(ceil(hi * (1 << 64)) for _, hi in bounds)
+            # the scaled rows at the dyadic point bracket(bits) / 2^bits,
+            # times 2^(bits (dim - 1)): one combination of letter_eq's
+            # columns, positive once the point is near enough to lambda
+            field, bits = lengths[0].field, 4
+            while min(walk := tuple(horner(row, field.bracket(bits),
+                                           1 << bits) for row in scaled)) <= 0:
+                bits *= 2
         if spec.kind == "lambda":
             # L.A^m = lambda^m L, so the m = 0 test is the whole condition
             letter_eq = scaled
@@ -296,8 +296,8 @@ class Relation:
             letter_eq = tuple(
                 tuple(column[j] for block in blocks for column in block)
                 for j in range(subst.size))
-        return Relation(subst, RelationSpec.general(spec), letter_eq, low,
-                        high, lengths)
+        return Relation(subst, RelationSpec.general(spec), letter_eq, walk,
+                        lengths)
 
     @cached_property
     def cut_key(self):
@@ -310,8 +310,8 @@ class Relation:
         column; so two relations over one substitution with equal keys
         have equal state equality on every pair of words. The splits cut
         exactly at equal states: every cut the walk accepts is at equal
-        states, and the length enclosures only decide which bottom letters
-        it looks up, never which cuts exist. ScanOverflow, NotBalanced, the
+        states, and the walk lengths only decide which bottom letters it
+        looks up, never which cuts exist. ScanOverflow, NotBalanced, the
         stability window and every budget stop read only cut positions and
         counts. So run_bpa gives equal closures, in every field, under two
         relations with equal keys. A general relation's key depends on its
@@ -324,10 +324,9 @@ class Relation:
     # -- scanner tables ------------------------------------------------------
 
     def sums(self, words, cap):
-        """Four tuples over the words: each word's letter count, its packed
-        state (packed_states(cap)) and the low and high enclosures of its
-        scaled length."""
-        fields = self.packed_states(cap), self.length_low, self.length_high
+        """Three tuples over the words: each word's letter count, its packed
+        state (packed_states(cap)) and its walk length."""
+        fields = self.packed_states(cap), self.walk_lengths
         return (tuple(map(len, words)),
                 *(tuple(sum(map(field.__getitem__, word)) for word in words)
                   for field in fields))
@@ -361,16 +360,15 @@ class Relation:
         packed_states(cap); built once per packing width and k, and found
         again by cap and k.
 
-        Per letter a: the packed state of its image sigma^k(a), the integer
-        enclosure of the image's scaled length, its letter count and the
-        image itself. Entry rows[a][b] maps a state difference D to the
-        pairs (r, s) with P_a[r] + D = P_b[s], over 1 <= r <= |sigma^k(a)|
-        and 1 <= s <= |sigma^k(b)|, in order, P_a[r] being the packed state
-        of sigma^k(a)[:r]. It is built on the first lookup of D, one pass
-        over P_a against an index of P_b, so the work follows the lookups
-        made; a D with no pair maps to the empty tuple, any other D to its
-        pairs and their Run, or None. heads[a][r] holds the sums of
-        sigma(sigma^k(a)[:r]) (_Heads).
+        Per letter a: the packed state of its image sigma^k(a), the image's
+        walk length, its letter count and the image itself. Entry rows[a][b]
+        maps a state difference D to the pairs (r, s) with P_a[r] + D = P_b[s],
+        over 1 <= r <= |sigma^k(a)| and 1 <= s <= |sigma^k(b)|, in order,
+        P_a[r] being the packed state of sigma^k(a)[:r]. It is built on the
+        first lookup of D, one pass over P_a against an index of P_b, so the
+        work follows the lookups made; a D with no pair maps to the empty
+        tuple, any other D to its pairs and their Run, or None. heads[a][r]
+        holds the sums of sigma(sigma^k(a)[:r]) (_Heads).
         """
         tables = self._by_cap.get((cap, k))
         if tables is not None:

@@ -152,8 +152,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         Closures are keyed by (prefix, rel.cut_key), which decides them:
         every cut the walk accepts is at equal states, and two relations
         with equal keys have equal states on every pair of words; the
-        length enclosures only decide which bottom letters the walk looks
-        up, never which cuts exist; and ScanOverflow, NotBalanced, the
+        walk lengths only decide which bottom letters the walk looks up,
+        never which cuts exist; and ScanOverflow, NotBalanced, the
         stability window and every budget stop read only cut positions and
         counts. So run_bpa would return equal closures, and one is shared.
         """

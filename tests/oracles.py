@@ -229,26 +229,24 @@ def _components(top, bottom, cuts, cap, which):
         raise NotBalanced("no cut at the end")
 
 
-def _letter_sums(word, tables, low, high, state):
-    """Per letter of a parent word, in order: the low enclosure of the
-    scaled length of the images before it and the high one of the images up
-    to and including it, the letter, and the packed state and the letter
-    count of the images before it. The enclosures and the state start at
-    low, high and state. The word is read five times, so an iterator is
-    tee'd."""
-    words = tee(word, 5) if iter(word) is word else (word,) * 5
-    highs = accumulate(map(tables.high.__getitem__, words[1]), initial=high)
-    next(highs)  # the start itself, before any image
-    return zip(accumulate(map(tables.low.__getitem__, words[0]), initial=low),
-               highs,
-               words[2],
-               accumulate(map(tables.states.__getitem__, words[3]),
+def _letter_sums(word, tables, length, state):
+    """Per letter of a parent word, in order: the walk length of the
+    images before it and of those up to and including it, the letter, and
+    the packed state and the letter count of the images before it. The
+    length and the state start at length and state. The word is read four
+    times, so an iterator is tee'd."""
+    words = tee(word, 4) if iter(word) is word else (word,) * 4
+    lengths = tee(accumulate(map(tables.lengths.__getitem__, words[0]),
+                             initial=length))
+    next(lengths[1])  # the start itself, before any image
+    return zip(*lengths, words[1],
+               accumulate(map(tables.states.__getitem__, words[2]),
                           initial=state),
-               accumulate(map(tables.sizes.__getitem__, words[4]), initial=0))
+               accumulate(map(tables.sizes.__getitem__, words[3]), initial=0))
 
 
 def reference_walk(alphabet, tables, top_word, bottom_word, cap, which,
-                   top_head=(0, 0, 0, 0), bottom_head=(0, 0, 0, 0)):
+                   top_head=(0, 0, 0), bottom_head=(0, 0, 0)):
     """engine._walk with each side's per-letter running sums read from
     `accumulate` streams zipped together (_letter_sums), in place of sums
     the loop keeps itself: the same components and Runs, in the same
@@ -256,29 +254,29 @@ def reference_walk(alphabet, tables, top_word, bottom_word, cap, which,
     word as lazily."""
     rows, sizes, images = tables.rows, tables.sizes, tables.images
     word = alphabet.word
-    top_start, state, low, high = top_head
-    tops = _letter_sums(top_word, tables, -high, -low, -state)
-    bottom_start, state, low, high = bottom_head
-    bottoms = _letter_sums(bottom_word, tables, -high, -low, -state)
+    top_start, state, length = top_head
+    tops = _letter_sums(top_word, tables, -length, -state)
+    bottom_start, state, length = bottom_head
+    bottoms = _letter_sums(bottom_word, tables, -length, -state)
     ahead = next(bottoms, None)  # the next bottom letter to enter
-    window = deque()  # bottom letters (low, high, b, ...) that may overlap
+    window = deque()  # bottom letters (start, end, b, ...) that may overlap
     # the letters from top_from and bottom_from on
     top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
     top_from = bottom_from = 0
     top, bottom = top_start, bottom_start  # the last cut
-    for low, high, a, state, first in tops:
+    for start, end, a, state, first in tops:
         if first - top > cap:  # the images before this letter overflow
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                                which=which)
         top_letters += images[a]
-        while ahead and ahead[0] < high:
+        while ahead and ahead[0] < end:
             window.append(ahead)
             bottom_letters += images[ahead[2]]
             ahead = next(bottoms, None)
-        while window and window[0][1] <= low:
+        while window and window[0][1] <= start:
             window.popleft()
         row = rows[a]
-        for _low, _high, b, theirs, first_b in window:
+        for _start, _end, b, theirs, first_b in window:
             if entry := row[b][state - theirs]:
                 hits, run = entry
                 if run and run.step > cap:

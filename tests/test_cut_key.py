@@ -9,7 +9,11 @@ random substitutions, under plain, letters, general[ones], general[lambda]
 and custom length vectors; an analysis that shares closures reports what
 one that runs `run_bpa` for every cell reports; and a key built from the
 rank alone, which shares closures between relations that cut differently,
-fails that differential.
+fails that differential. The walk steers by each letter's walk length, so
+those are checked too: positive ints in the span of the state columns, so
+that equal states mean equal walk lengths, and a positive multiple of the
+lengths when those are rational; walk lengths read at too coarse a point
+of lambda's bracket fail the check.
 
 Length vectors of deficient rank come from the rational eigenvectors of
 the length map L -> L . A: ones plus a small multiple of one eigenvector
@@ -31,6 +35,7 @@ from balpair import equivalence
 from balpair.engine import run_bpa
 from balpair.equivalence import LengthSpec, Relation, RelationSpec
 from balpair.errors import BalpairError
+from balpair.numberfield import FieldScalar
 from balpair.report import report_document
 from balpair.substitution import auto_prefixes, parse_substitution
 from balpair.verdict import AnalysisConfig, analyze
@@ -300,3 +305,59 @@ def test_a_rank_only_cut_key_fails_the_differential():
         for subst, specs in cases:
             with pytest.raises(AssertionError):
                 _assert_sharing_keeps_the_report(subst, specs)
+
+
+# -- walk lengths: positive, and fixed by the state ---------------------------
+
+# multinacci-6, a benchmark input whose lambda relation has a walk length
+# that is not positive at 4 bits of lambda's bracket, and none at 8
+EIGHT_BITS = "1 -> 12\n2 -> 13\n3 -> 14\n4 -> 15\n5 -> 16\n6 -> 1\n"
+
+
+def _assert_walk_lengths_hold(rels):
+    """Each relation's walk lengths are positive ints, lie in the span of
+    its state columns (appending them leaves the cut key), and are the
+    lengths times one positive factor when the lengths are rational."""
+    for rel in rels:
+        walk = rel.walk_lengths
+        assert all(type(x) is int and x > 0 for x in walk), (rel.spec, walk)
+        assert equivalence._echelon([*zip(*rel.letter_eq), walk]) == \
+            rel.cut_key, rel.spec
+        if all(not isinstance(v, FieldScalar) or v.is_rational
+               for v in rel.lengths):
+            lengths = [v.as_fraction() if isinstance(v, FieldScalar) else v
+                       for v in rel.lengths]
+            factor = walk[0] / lengths[0]
+            assert factor > 0, rel.spec
+            assert list(walk) == [factor * v for v in lengths], rel.spec
+
+
+def test_walk_lengths_hold_on_the_fixtures():
+    for name in CORPUS_NAMES:
+        subst = load_corpus(name)
+        _assert_walk_lengths_hold(
+            _relations(subst, _fixture_customs(subst, name)))
+    subst = parse_substitution(EIGHT_BITS)
+    _assert_walk_lengths_hold(_relations(subst, eigen_lengths(subst)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(primitive_substitutions(longest=5, letters=7), st.data())
+def test_walk_lengths_hold(subst, data):
+    custom = data.draw(st.lists(st.builds(Fraction, st.integers(1, 9),
+                                          st.integers(1, 9)),
+                                min_size=subst.size, max_size=subst.size))
+    _assert_walk_lengths_hold(
+        _relations(subst, [custom, *eigen_lengths(subst)]))
+
+
+def test_walk_lengths_with_bits_never_doubled_fail_the_check():
+    # the mutant keeps the point of lambda's bracket at 4 bits, which
+    # leaves one of EIGHT_BITS's walk lengths at or below zero
+    check = test_walk_lengths_hold_on_the_fixtures
+    check()
+    wrong = _mutant(equivalence, "Relation.generalized", "bits *= 2", "break")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Relation, "generalized", staticmethod(wrong))
+        with pytest.raises(AssertionError):
+            check()

@@ -161,14 +161,14 @@ def test_split_matches_reference(case):
     assert got == expected
 
 
-def test_lambda_rational_non_dyadic_length_is_enclosed():
-    # 3331 ~ 11 under lambda: the length 1/3 of letter 3 has no exact
-    # floor(2^64 * l), so its enclosure must not have width zero. The
-    # images of 2223 and 3222, 33312 and 12333, cut there first
+def test_lambda_rational_non_dyadic_length_is_exact():
+    # 3331 ~ 11 under lambda: the length 1/3 of letter 3 has no finite
+    # binary expansion, and its walk length is exact, a third of letter
+    # 1's. The images of 2223 and 3222, 33312 and 12333, cut there first
     subst = SUBSTS["third"]
     w = subst.alphabet.word_from_text
     rel = Relation.generalized(subst, LengthSpec.pf())
-    assert rel.length_low[2] < rel.length_high[2]
+    assert rel.walk_lengths[0] == 3 * rel.walk_lengths[2]
     assert reduce_pair(rel, w("3331"), w("11")) == [
         BalancedPair(w("333"), w("1")), BalancedPair(w("1"), w("1"))]
     pair = BalancedPair(w("2223"), w("3222"))
@@ -351,7 +351,7 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
     # bottom has read those whose images may start before the end of that
     # top image, and one more: past the parent letter holding its cut, at
     # most `ratio` whole images, ratio bounding the longest sigma^k
-    # image's scaled length over the shortest's, and two more. In letters
+    # image's walk length over the shortest's, and two more. In letters
     # of u, each side reads up to about (ratio + 2) max |sigma^k(a)| ahead
     subst = parse_substitution(RULES[name])  # its own fixed word
     rel = _relation(subst, kind)
@@ -371,7 +371,7 @@ def test_split_of_infinite_streams_is_lazy(name, kind):
     parents.letters = counted
     lazy = shift_split(rel, 3, 400)
     tables = rel.image_tables(400, k)
-    ratio = -(-max(tables.high) // min(tables.low))
+    ratio = -(-max(tables.lengths) // min(tables.lengths))
     word = parents.prefix(1000)
     bottom_start = _parents_through(tables.images, word, 4) - 1
     top = bottom = 0
@@ -444,8 +444,8 @@ def test_shift_split_matches_split_of_two_streams(name, kind):
 
 
 @st.composite
-def primitive_substitutions(draw, longest=4):
-    size = draw(st.integers(2, 4))
+def primitive_substitutions(draw, longest=4, letters=4):
+    size = draw(st.integers(2, letters))
     images = st.lists(st.integers(0, size - 1), min_size=1, max_size=longest)
     rules = draw(st.lists(images, min_size=size, max_size=size))
     text = "".join(f"{i + 1} -> {''.join(str(a + 1) for a in image)}\n"
@@ -1471,6 +1471,7 @@ def _mutant(module, name, old, new):
     exec(compile(source.replace(old, new), module.__file__, "exec"),
          namespace)
     built = namespace[target.__name__]
+    built = getattr(built, "__func__", built)  # a staticmethod's function
     return types.FunctionType(built.__code__, vars(module), target.__name__,
                               built.__defaults__, built.__closure__)
 
@@ -1488,13 +1489,13 @@ MUTANTS = {
     "tail read one letter late": ("children", "inner.heads[word[-1]][kept]",
                                   "inner.heads[word[-1]][kept - 1]"),
     "bottom head's state sign flipped": (
-        "_walk", "b_state, b_low, b_high, b_first = -b_state,",
-        "b_state, b_low, b_high, b_first = b_state,"),
+        "_walk", "b_state, b_length, b_first = -b_state,",
+        "b_state, b_length, b_first = b_state,"),
     "run taken past the cap": ("_walk", "if run and run.step > cap:",
                                "if 0:"),
     "bottom low advanced before the window test": (
-        "_walk", "while ahead is not None and b_low < high:",
-        "while ahead is not None and b_low + lows[ahead] < high:"),
+        "_walk", "while ahead is not None and b_length < end:",
+        "while ahead is not None and b_length + lengths[ahead] < end:"),
     "known run skipped without the stop tests": (
         "initial_pairs", "elif item in known and (",
         "elif item in known or 0 * ("),
