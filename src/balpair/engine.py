@@ -22,26 +22,27 @@ entries as it reads the letter, so either side may be an unbounded
 iterator, read only as far as the cuts need.
 
 The closure's children, `children`, walk the two words of a pair under
-sigma. A pair the closure found is a stretch of sigma^d(A) for a word
-pair A, its origin's ancestor, so sigma of the pair is a stretch of
-sigma^(d+1)(A): given that origin, the walk reads A's letters over
-sigma^(d+1) images, from the ancestor letter whose sigma^d image holds
-the pair's start. Each side drops the head sigma(sigma^d(a)[:r]), r being
-the letters of sigma^d(a) before the pair, whose sums are one read of the
-sigma^d tables (ImageTables.heads), and the walk stops at the cut where
-sigma of the pair ends. Each side's states are zero at its own start, so
-the cuts found are those of the pair's own words: that sigma maps
-equivalent words to equivalent words is not needed. The closure cuts the
-letters each walk reads once, and locates each new pair's origin once, in
-those letters, when its parent's walk finds it. The initial split I(w)
-and the coincidence densities, `shift_split`, cut the fixed word u
-against its own shift: u = sigma^k(v_k) for a fixed word v_k, so they
-walk v_k against a suffix of v_k under sigma^k, the bottom dropping the
-first letters of its first image. k is the largest with
-sum_a |sigma^k(a)| <= WALK_LETTERS, so short images take one loop step
-per sigma^k image rather than per letter of u, and the closure's walks
-reach depth k - 1, whose sigma^k images are the same. Only the pending
-component's letters are held.
+sigma. A pair the closure found is a stretch of sigma^d(A) for a word pair
+A, its origin's ancestor: on each side, exactly the letters whose sigma^d
+images hold the pair, the first image holding its start and the last its
+end. So sigma of the pair is a stretch of sigma^(d+1)(A), and the walk
+reads A's letters over sigma^(d+1) images. Each side drops the head
+sigma(sigma^d(a)[:r]), a being its first letter and r the letters of
+sigma^d(a) before the pair, whose sums are one read of the sigma^d tables
+(ImageTables.heads), and the walk stops at the cut where sigma of the pair
+ends. Each side's states are zero at its own start, so the cuts found are
+those of the pair's own words: that sigma maps equivalent words to
+equivalent words is not needed. At depth 0 the ancestor is the pair
+itself, and the walk reads its own words. The closure locates each new
+pair's origin once, in the letters its parent's walk read, when that walk
+finds it. The initial split I(w) and the coincidence densities,
+`shift_split`, cut the fixed word u against its own shift:
+u = sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix
+of v_k under sigma^k, the bottom dropping the first letters of its first
+image. k is the largest with sum_a |sigma^k(a)| <= WALK_LETTERS, so short
+images take one loop step per sigma^k image rather than per letter of u,
+and the closure's walks reach depth k - 1, whose sigma^k images are the
+same. Only the pending component's letters are held.
 
 The image-table entry is also a unit of work: an entry whose hits
 increase strictly on both sides carries a Run (Relation.image_tables).
@@ -58,10 +59,10 @@ Each entry point takes a relation, which names its substitution sigma
 substitution. Every word is of the one type its alphabet names
 (Alphabet.word, bytes unless the alphabet has more than 256 letters): the
 entry points convert the prefix they are given (Alphabet.word_of), and the
-walks build words with that constructor. A pair is a named tuple of its two words, so it is
-its own key. The closure, `run_bpa`, returns one record, a `Closure`: the
-pair graph it computed, the iteration that found each pair, and the budget
-that stopped it, if any.
+walks build words with that constructor. A pair is a named tuple of its
+two words, so it is its own key. The closure, `run_bpa`, returns one
+record, a `Closure`: the pair graph it computed, the iteration that found
+each pair, and the budget that stopped it, if any.
 """
 
 from __future__ import annotations
@@ -102,16 +103,15 @@ _pair = partial(tuple.__new__, BalancedPair)  # skips the Python __new__
 WALK_LETTERS = 512
 
 class Origin(NamedTuple):
-    """Where a pair sits in sigma^depth of its ancestor, depth >= 1: per
-    side, the first and the last letter of the ancestor's word whose
-    sigma^depth images hold the pair, and the letters of the first image
-    before it. The ancestor is any pair of words whose sigma^depth images
-    hold the pair."""
+    """Where a pair sits in sigma^depth of its ancestor: per side, exactly
+    the ancestor letters whose sigma^depth images hold the pair, the first
+    image holding its start and the last its end, and the letters of the
+    first image before it. At depth 0 the ancestor is the pair itself, and
+    nothing is dropped."""
 
     ancestor: tuple  # a pair of words, Alphabet.word
     depth: int
-    top: tuple  # (first, dropped, last)
-    bottom: tuple
+    dropped: tuple  # (top, bottom) head letters
 
 
 @dataclass
@@ -367,29 +367,28 @@ def _spell(run):
     return run.components
 
 
-def children(rel, pair, *, max_word_length, origin=None, letters=None):
+def children(rel, pair, *, max_word_length, origin=None):
     """Irreducible pairs in the reduction of the pair substituted by
     rel.subst, in order.
 
-    With no origin, the walk of sigma(top) against sigma(bottom) over
-    rel.image_tables: the lookups number about |top| + |bottom|, and no
-    whole image is held. A cap of at least max(|top|, |bottom|) times the
-    longest image never overflows.
+    With no origin, or one of depth 0, the walk of sigma(top) against
+    sigma(bottom) over rel.image_tables: the lookups number about
+    |top| + |bottom|, and no whole image is held. A cap of at least
+    max(|top|, |bottom|) times the longest image never overflows.
 
-    An origin (Origin) places the pair in sigma^d of an ancestor pair A,
-    d >= 1: each side of the pair is the stretch of sigma^d of A's word
-    that it names, so sigma(pair) is a stretch of sigma^(d+1)(A). The walk
-    reads, on each side, A's letters from the first, a, whose sigma^d
-    image holds the pair's start, to the last, over the sigma^(d+1)
-    tables; the lookups number about |top| + |bottom| over the length of
-    a sigma^d image; letters, when given, are those letters, a word a
-    side. Each side drops the head sigma(sigma^d(a)[:dropped]), one read
-    of the sigma^d tables (ImageTables.heads), so its states are zero
-    where sigma(pair) starts, and the cuts found are those of sigma(pair)'s
-    own words: that sigma maps equivalent words to equivalent words is not
+    An origin (Origin) of depth d >= 1 places the pair in sigma^d of its
+    ancestor A: each side of the pair is the stretch of sigma^d of A's
+    word that starts `dropped` letters into the first letter's image, so
+    sigma(pair) is a stretch of sigma^(d+1)(A). The walk reads A's letters
+    over the sigma^(d+1) tables; the lookups number about |top| + |bottom|
+    over the length of a sigma^d image. Each side drops the head
+    sigma(sigma^d(a)[:dropped]), a being its first letter, one read of the
+    sigma^d tables (ImageTables.heads), so its states are zero where
+    sigma(pair) starts, and the cuts found are those of sigma(pair)'s own
+    words: that sigma maps equivalent words to equivalent words is not
     needed. The walk stops at the cut where sigma(pair) ends on both
-    sides, |sigma(pair)| being the sigma^(d+1) lengths of the letters read
-    less the head and the tail, read alike. A cut past that end on either
+    sides, |sigma(pair)| being the sigma^(d+1) lengths of A's letters less
+    the head and the tail, read alike. A cut past that end on either
     side, or the walk's overflow or end before it, leaves sigma(pair)
     ending other than at a cut; its letters after the last cut then tell
     an overflow from an unbalanced end, as the walk of its own words does.
@@ -403,7 +402,7 @@ def children(rel, pair, *, max_word_length, origin=None, letters=None):
     """
     cap = max_word_length
     kids = []
-    if origin is None:
+    if origin is None or not origin.depth:
         for kid in _walk(rel.subst.alphabet, rel.image_tables(cap), pair.top,
                          pair.bottom, cap, "max_word_length"):
             if kid.__class__ is Run:
@@ -413,12 +412,8 @@ def children(rel, pair, *, max_word_length, origin=None, letters=None):
         return kids
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
-    if letters is None:
-        letters = [word[first:last + 1] for word, (first, _dropped, last)
-                   in zip(origin.ancestor, origin[2:])]
     heads, ends = [], []
-    for word, part, (_first, dropped, _last) in zip(letters, pair,
-                                                    origin[2:]):
+    for word, part, dropped in zip(origin.ancestor, pair, origin.dropped):
         head = inner.heads[word[0]][dropped]
         heads.append(head)
         # the pair ends `kept` letters into the last sigma^d image
@@ -429,7 +424,7 @@ def children(rel, pair, *, max_word_length, origin=None, letters=None):
     top_end, bottom_end = ends
     top = bottom = 0  # the last cut
     try:
-        for kid in _walk(rel.subst.alphabet, outer, *letters, cap,
+        for kid in _walk(rel.subst.alphabet, outer, *origin.ancestor, cap,
                          "max_word_length", *heads):
             if kid.__class__ is Run:
                 kids += kid.components or _spell(kid)
@@ -454,33 +449,29 @@ def children(rel, pair, *, max_word_length, origin=None, letters=None):
     raise NotBalanced("images end on an unbalanced pair")
 
 
-def _span(ends, start, length):
-    """The first and the last letter of a word whose images hold their
-    concatenation's letters start to start + length, and the letters of
-    the first one's image before start; ends are where the images start,
-    in order, and where the last one ends."""
+def _span(word, ends, start, length):
+    """The letters of the word whose images hold their concatenation's
+    letters start to start + length, and the letters of the first one's
+    image before start; ends are where the word's images start, in order,
+    and where the last one ends."""
     first = bisect_right(ends, start) - 1
-    return first, start - ends[first], bisect_left(ends, start + length,
-                                                   first) - 1
+    return (word[first:bisect_left(ends, start + length, first)],
+            start - ends[first])
 
 
 def _rerooted(pair, origin, depth, images, sizes, word):
     """The pair's origin at a smaller depth, depth >= 1: its ancestor the
-    sigma^(d - depth) images of the letters the origin spans, d being the
+    sigma^(d - depth) images of the origin's ancestor letters, d being the
     origin's depth and images[a] sigma^(d - depth)(a), spelled out with
     the word constructor and cut to the letters whose sigma^depth images,
     sizes[a] letters long, hold the pair."""
-    words, spans = [], []
-    for letters, part, (first, dropped, last) in zip(origin.ancestor, pair,
-                                                     origin[2:]):
-        spelled = word(chain.from_iterable(
-            map(images.__getitem__, letters[first:last + 1])))
-        first, dropped, last = _span(
-            list(accumulate(map(sizes.__getitem__, spelled), initial=0)),
-            dropped, len(part))
-        words.append(spelled[first:last + 1])
-        spans.append((0, dropped, last - first))
-    return Origin(tuple(words), depth, *spans)
+    spans = []
+    for letters, part, dropped in zip(origin.ancestor, pair, origin.dropped):
+        spelled = word(chain.from_iterable(map(images.__getitem__, letters)))
+        spans.append(_span(spelled, list(accumulate(
+            map(sizes.__getitem__, spelled), initial=0)), dropped, len(part)))
+    ancestor, dropped = zip(*spans)
+    return Origin(ancestor, depth, dropped)
 
 
 def _walk_depth(pair, deepest, longest):
@@ -574,18 +565,18 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     ancestor d levels up. Its children walk (children with an origin) at
     the deepest depth d' <= d + 1, d being its parent's, below the walk
     power k of shift_split, at which it is longer than every sigma^d'
-    image on a side, or over its own words, depth 0. Each new pair's
-    Origin is located once, when its parent's walk finds it, and kept in
-    its frontier entry. That walk read letters S of the parent's ancestor
-    over sigma^(d+1) images, cut here and handed to children, dropping a
-    head (ImageTables.heads); the new pair starts
-    there at the head plus the lengths of the children before it, and a
-    search of S's running sigma^(d+1) lengths, built per expansion once a
-    new pair needs them, gives the letters of S that hold it. A pair that
-    walks at d + 1 takes S for its ancestor; one that walks at d' <= d
-    takes the sigma^(d+1-d') images of those letters, spelled out
-    (_rerooted). letters_walked sums the ancestor letters each expansion
-    reads.
+    image on a side, or over its own words, depth 0. Each frontier entry
+    keeps its pair's Origin, the pair itself at depth 0 for an initial
+    pair; a new pair's Origin is located once, when its parent's walk
+    finds it. That walk read the parent's ancestor letters S over
+    sigma^(d+1) images, dropping a head (ImageTables.heads); the new pair
+    starts there at the head plus the lengths of the children before it,
+    and a search of S's running sigma^(d+1) lengths, built per expansion
+    once a new pair needs them, gives the letters of S that hold it
+    (_span). A pair that walks at d + 1 takes those letters for its
+    ancestor; one that walks at d' <= d takes their sigma^(d+1-d') images,
+    spelled out and cut (_rerooted); one that walks at depth 0 takes
+    itself. letters_walked sums the ancestor letters each expansion reads.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
@@ -603,9 +594,9 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     index = {pair: i for i, pair in enumerate(vertices)}
     discovered += [1] * len(vertices)
     trace.append((1, max(len(p.top) for p in vertices)))
-    # a frontier entry is a vertex, its pair and its Origin, or None for a
-    # pair that walks its own words
-    frontier = [(i, pair, None) for i, pair in enumerate(vertices)]
+    # a frontier entry is a vertex, its pair and the pair's Origin
+    frontier = [(i, pair, Origin(pair, 0, (0, 0)))
+                for i, pair in enumerate(vertices)]
     powers = _walk_sizes(rel.subst)
     deepest = len(powers) - 2  # the walk power k less 1
     longest = [max(sizes) for sizes in powers]
@@ -618,18 +609,12 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
         new_frontier = []
         max_new = 0
         for vertex, pair, origin in frontier:
-            if origin is None:
-                depth, words = 1, pair
-            else:
-                # the letters S the walk reads, a word a side
-                depth, words = origin.depth + 1, [
-                    word[first:last + 1] for word, (first, _dropped, last)
-                    in zip(origin.ancestor, origin[2:])]
+            # the walk reads the ancestor's letters S over sigma^depth
+            words, depth = origin.ancestor, origin.depth + 1
             walked[0] += len(words[0])
             walked[1] += len(words[1])
             try:
-                kids = children(rel, pair, max_word_length=cap, origin=origin,
-                                letters=words)
+                kids = children(rel, pair, max_word_length=cap, origin=origin)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             counts = {}  # edge multiplicities, in first-occurrence order
@@ -646,14 +631,12 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                     walk = _walk_depth(kid, min(depth, deepest), longest)
                     if walk:
                         if starts is None:
-                            # each side's head letters; a pair that walked
-                            # its own words drops none
-                            heads = (0, 0)
-                            if origin:
-                                sums = rel.image_tables(cap, depth - 1).heads
-                                heads = [sums[word[0]][dropped][0]
-                                         for word, (_first, dropped, _last)
-                                         in zip(words, origin[2:])]
+                            # each side's head letters, none when it drops
+                            # none, as every side of a depth-0 origin does
+                            heads = [dropped and rel.image_tables(
+                                cap, origin.depth).heads[word[0]][dropped][0]
+                                for word, dropped in zip(words,
+                                                         origin.dropped)]
                             # int64 arrays: lists of ints for a parent of
                             # 59 050 letters a side raised const-len's peak
                             # by 1.2 MB
@@ -661,15 +644,16 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                                 map(powers[depth].__getitem__, word),
                                 initial=-head))
                                 for word, head in zip(words, heads)]
-                        new = Origin(words, depth, *map(
-                            _span, starts, (kid_top, kid_bottom),
+                        ancestor, dropped = zip(*map(
+                            _span, words, starts, (kid_top, kid_bottom),
                             map(len, kid)))
+                        new = Origin(ancestor, depth, dropped)
                         if walk < depth:
                             new = _rerooted(kid, new, walk, rel.image_tables(
                                 cap, depth - walk).images, powers[walk],
                                 rel.subst.alphabet.word)
                     else:
-                        new = None
+                        new = Origin(kid, 0, (0, 0))
                     new_frontier.append((i, kid, new))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:

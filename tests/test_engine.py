@@ -405,13 +405,14 @@ def _fixture_relation(subst, mode):
 
 def _closure_words(rel, w, budgets, monkeypatch):
     """run_bpa's closure of the prefix w, and every word in it: the sides
-    of its pairs and of the ancestor of each Origin it passes to children.
-    A tuple of w's letters gives an equal Closure, so no tuple word leaks
-    in beside the alphabet's words, where it would be a second vertex."""
+    of its pairs and of the ancestor of each Origin of depth 1 or more it
+    passes to children (a depth-0 origin's ancestor is its pair). A tuple
+    of w's letters gives an equal Closure, so no tuple word leaks in
+    beside the alphabet's words, where it would be a second vertex."""
     ancestors = []
 
     def recording(rel, pair, *, origin=None, **budget):
-        if origin is not None:
+        if origin is not None and origin.depth:
             ancestors.extend(origin.ancestor)
         return children(rel, pair, origin=origin, **budget)
 
