@@ -6,12 +6,18 @@ is removed: key order is fixed by construction, rationals are encoded as
 strings, and exact algebraic scalars as coefficient vectors plus a decimal
 approximation. `info --json` writes the report's
 first three keys from the same builders.
+
+The bytes are UTF-8 in exactly the layout of `json.dumps(indent=2,
+ensure_ascii=False)` plus a final newline, written in one pass by one
+recursive writer, `_write`, in place of the stdlib's pure-Python indent
+encoder (see `_encode`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import __version__
 from .linalg import integer_form
@@ -58,7 +64,9 @@ def _outcome(outcome, alphabet, pair_list_limit):
         doc["pairs_omitted"] = len(vertices)
         doc["pair_sample"] = [_pair(p, alphabet) for p in vertices[:10]]
     elif vertices:
-        doc["pairs"] = [{**_pair(p, alphabet), "discovered": iteration}
+        render = alphabet.render
+        doc["pairs"] = [{"top": render(p.top), "bottom": render(p.bottom),
+                         "discovered": iteration}
                         for p, iteration in zip(vertices, outcome.discovered)]
     return doc
 
@@ -193,9 +201,83 @@ def report_document(report, pair_list_limit=1000):
     return doc
 
 
+def _write(value, pad, out):
+    """Append the JSON text of `value` to the list of parts `out`, laid out
+    as `json.dumps(indent=2, ensure_ascii=False)` lays it out, where `pad`
+    is "\\n" and the indentation of the value's own lines.
+
+    A container item that is an exact str or int is one part with the
+    separator and key before it, as in the stdlib's encoder; a part of its
+    own would cost a string object per item. None, True and False are
+    constants. Every other value, a float or a subclass say, is written by
+    `json.dumps` itself and re-indented: no JSON string holds a raw
+    newline, so that is exact at any depth. A dict key that is not a str
+    raises TypeError, where `json.dumps` would coerce it.
+    """
+    cls = type(value)
+    if cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in value.items():
+            # encode_basestring raises TypeError on a key that is not a str
+            head = sep + encode_basestring(key) + ": "
+            kind = type(item)
+            if kind is str:
+                out.append(head + encode_basestring(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            sep = comma
+        out.append(pad + "}")
+    elif cls is list or cls is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(sep + encode_basestring(item))
+            elif kind is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = comma
+        out.append(pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    else:
+        out.append(json.dumps(value, indent=2, ensure_ascii=False)
+                   .replace("\n", pad))
+
+
 def _encode(doc):
-    return (json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False)
-            + "\n").encode("utf-8")
+    """UTF-8 bytes of `doc` exactly as `json.dumps(doc, indent=2,
+    ensure_ascii=False)` and a final newline would give them, written in
+    one pass by `_write`. The stdlib runs its pure-Python encoder whenever
+    `indent` is set, re-yielding each part once per level of nesting.
+
+    The parts are dropped before the text is encoded: kept alive through
+    `.encode`, they would sit beside both the text and the bytes and raise
+    the peak of a large report by about a third.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    text = "".join(out)
+    del out
+    return text.encode("utf-8")
 
 
 def render_json(report, pair_list_limit=1000) -> bytes:
