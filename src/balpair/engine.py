@@ -28,14 +28,17 @@ images hold the pair, the first image holding its start and the last its
 end. So sigma of the pair is a stretch of sigma^(d+1)(A), and the walk
 reads A's letters over sigma^(d+1) images. Each side drops the head
 sigma(sigma^d(a)[:r]), a being its first letter and r the letters of
-sigma^d(a) before the pair, whose sums are one read of the sigma^d tables
-(ImageTables.heads), and the walk stops at the cut where sigma of the pair
-ends. Each side's states are zero at its own start, so the cuts found are
-those of the pair's own words: that sigma maps equivalent words to
-equivalent words is not needed. At depth 0 the ancestor is the pair
-itself, and the walk reads its own words. The closure locates each new
-pair's origin once, in the letters its parent's walk read, when that walk
-finds it. The initial split I(w) and the coincidence densities,
+sigma^d(a) before the pair, and ends sigma(sigma^d(z)[:q]) into the image
+of its last letter z, q the letters of sigma^d(z) the pair keeps; both
+are one read of the sigma^d tables (ImageTables.heads), and the walk stops
+at the cut where sigma of the pair ends. Each side's states are zero at
+its own start, so the cuts found are those of the pair's own words: that
+sigma maps equivalent words to equivalent words is not needed. At depth 0
+the ancestor is the pair itself, and the walk reads its own words. The
+walk records each cut as the letter it is reading on each side and how
+far into that letter's image, and children hands the cuts back with the
+pairs; the closure locates each new pair's origin once, from the two cuts
+that bound it (_located). The initial split I(w) and the coincidence densities,
 `shift_split`, cut the fixed word u against its own shift:
 u = sigma^k(v_k) for a fixed word v_k, so they walk v_k against a suffix
 of v_k under sigma^k, the bottom dropping the first letters of its first
@@ -67,13 +70,12 @@ each pair, and the budget that stopped it, if any.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .equivalence import Run
@@ -105,13 +107,15 @@ WALK_LETTERS = 512
 class Origin(NamedTuple):
     """Where a pair sits in sigma^depth of its ancestor: per side, exactly
     the ancestor letters whose sigma^depth images hold the pair, the first
-    image holding its start and the last its end, and the letters of the
-    first image before it. At depth 0 the ancestor is the pair itself, and
-    nothing is dropped."""
+    image holding its start and the last its end, the letters of the first
+    image before it, and those of the last image it holds. At depth 0 the
+    ancestor is the pair itself: nothing is dropped, and each last image,
+    one letter, is held whole."""
 
     ancestor: tuple  # a pair of words, Alphabet.word
     depth: int
     dropped: tuple  # (top, bottom) head letters
+    kept: tuple = (1, 1)  # (top, bottom) letters of the last images
 
 
 @dataclass
@@ -177,7 +181,7 @@ class DensityStats:
 
 
 def _walk(alphabet, tables, top_word, bottom_word, cap, which,
-          top_head=(0, 0, 0), bottom_head=(0, 0, 0)):
+          top_head=(0, 0, 0), bottom_head=(0, 0, 0), cuts=None):
     """Irreducible components of tau(top_word) against tau(bottom_word),
     each side less its head, in order, walked one parent letter at a time,
     tau being the map sigma^k whose images the tables hold. A head is the
@@ -226,6 +230,13 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     The pending letters sit in the alphabet's buffers and each component's
     words are built with its word constructor.
 
+    Given a list `cuts`, the walk appends each cut it accepts as (t, u, r,
+    s), r letters into the image of top_word[t] and s letters into that of
+    bottom_word[u], before it yields the component that ends there, and a
+    Run's later cuts before the Run: the letter it reads on each side and
+    the hit are the cut's coordinates, so no caller sums image lengths to
+    find them.
+
     Raises ScanOverflow(which) when a component would have more than cap
     letters on a side, after yielding every earlier component, and
     NotBalanced when the images end other than at a cut.
@@ -241,11 +252,12 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
     b_state, b_length, b_first = -b_state, -b_length, 0
     bottoms = iter(bottom_word)
     ahead = next(bottoms, None)  # the next bottom letter to enter
-    window = deque()  # bottom letters (end, b, state, first) that may
-    # overlap the letters from top_from and bottom_from on
+    window = deque()  # bottom letters (end, b, state, first, index) that
+    # may overlap the letters from top_from and bottom_from on
+    entered = 0  # bottom letters that entered the window
     top_letters, bottom_letters = alphabet.buffer(), alphabet.buffer()
     top_from = bottom_from = 0
-    for a in top_word:
+    for t, a in enumerate(top_word):
         if first - top > cap:  # the images before this letter overflow
             raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                                which=which)
@@ -253,15 +265,16 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
         end = length + lengths[a]
         while ahead is not None and b_length < end:
             b_length += lengths[ahead]
-            window.append((b_length, ahead, b_state, b_first))
+            window.append((b_length, ahead, b_state, b_first, entered))
             bottom_letters += images[ahead]
             b_state += states[ahead]
             b_first += sizes[ahead]
+            entered += 1
             ahead = next(bottoms, None)
         while window and window[0][0] <= length:
             window.popleft()
         row = rows[a]
-        for _end, b, theirs, first_b in window:
+        for _end, b, theirs, first_b, u in window:
             if entry := row[b][state - theirs]:
                 hits, run = entry
                 if run and run.step > cap:
@@ -269,12 +282,16 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
                 for r, s in hits:
                     i, p = first + r, first_b + s
                     if top < i <= top + cap and bottom < p <= bottom + cap:
+                        if cuts is not None:
+                            cuts.append((t, u, r, s))
                         yield _pair((
                             word(top_letters[top - top_from:i - top_from]),
                             word(bottom_letters[bottom - bottom_from:
                                                 p - bottom_from])))
                         top, bottom = i, p
                         if run:  # the first hit is a cut, so all are
+                            if cuts is not None:
+                                cuts += map((t, u).__add__, run.hits[1:])
                             yield run
                             r, s = run.last
                             top, bottom = first + r, first_b + s
@@ -298,20 +315,10 @@ def _walk(alphabet, tables, top_word, bottom_word, cap, which,
         raise NotBalanced("images end on an unbalanced pair")
 
 
-def _walk_sizes(subst):
-    """The image lengths |sigma^j(a)|, a tuple over the letters a for each
-    j from 0 to the power k the walks reach: the largest k >= 1 with
-    sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
-    powers = [(1,) * subst.size, tuple(map(len, subst.rules))]
-    while sum(grown := subst.image_lengths(powers[-1])) <= WALK_LETTERS:
-        powers.append(grown)
-    return powers
-
-
 def _walk_power(subst):
     """The power k of sigma whose images shift_split walks: the largest
     k >= 1 with sum_a |sigma^k(a)| <= WALK_LETTERS, or 1."""
-    return len(_walk_sizes(subst)) - 1
+    return len(subst.image_sizes(WALK_LETTERS)) - 1
 
 
 def shift_split(rel, shift, cap, which="max_word_length"):
@@ -367,9 +374,19 @@ def _spell(run):
     return run.components
 
 
+class _Kids(list):
+    """The components children returns, in order, and the cuts of the walk
+    that found them: component j runs from cuts[j] to cuts[j + 1], each a
+    cut (t, u, r, s) r letters into the image of the walked top word's
+    letter t and s letters into that of the bottom word's letter u
+    (_walk), and cuts[0] is where the walk starts."""
+
+    __slots__ = ("cuts",)
+
+
 def children(rel, pair, *, max_word_length, origin=None):
     """Irreducible pairs in the reduction of the pair substituted by
-    rel.subst, in order.
+    rel.subst, in order, as a list that also holds the walk's cuts (_Kids).
 
     With no origin, or one of depth 0, the walk of sigma(top) against
     sigma(bottom) over rel.image_tables: the lookups number about
@@ -378,20 +395,22 @@ def children(rel, pair, *, max_word_length, origin=None):
 
     An origin (Origin) of depth d >= 1 places the pair in sigma^d of its
     ancestor A: each side of the pair is the stretch of sigma^d of A's
-    word that starts `dropped` letters into the first letter's image, so
-    sigma(pair) is a stretch of sigma^(d+1)(A). The walk reads A's letters
-    over the sigma^(d+1) tables; the lookups number about |top| + |bottom|
-    over the length of a sigma^d image. Each side drops the head
-    sigma(sigma^d(a)[:dropped]), a being its first letter, one read of the
-    sigma^d tables (ImageTables.heads), so its states are zero where
-    sigma(pair) starts, and the cuts found are those of sigma(pair)'s own
-    words: that sigma maps equivalent words to equivalent words is not
-    needed. The walk stops at the cut where sigma(pair) ends on both
-    sides, |sigma(pair)| being the sigma^(d+1) lengths of A's letters less
-    the head and the tail, read alike. A cut past that end on either
-    side, or the walk's overflow or end before it, leaves sigma(pair)
-    ending other than at a cut; its letters after the last cut then tell
-    an overflow from an unbalanced end, as the walk of its own words does.
+    word that starts `dropped` letters into the first letter's image and
+    ends `kept` letters into the last one's, so sigma(pair) is a stretch of
+    sigma^(d+1)(A). The walk reads A's letters over the sigma^(d+1) tables;
+    the lookups number about |top| + |bottom| over the length of a sigma^d
+    image. Each side drops the head sigma(sigma^d(a)[:dropped]), a being
+    its first letter, one read of the sigma^d tables (ImageTables.heads),
+    so its states are zero where sigma(pair) starts, and the cuts found are
+    those of sigma(pair)'s own words: that sigma maps equivalent words to
+    equivalent words is not needed. Each side of sigma(pair) ends in the
+    image of its last letter z, |sigma(sigma^d(z)[:kept])| letters in, read
+    alike, and the walk stops at the first cut it records in the last
+    images of both sides at or past the top's end. A cut past the end on
+    either side, or the walk's overflow or end before it, leaves
+    sigma(pair) ending other than at a cut; its letters after the last cut
+    then tell an overflow from an unbalanced end, as the walk of its own
+    words does.
 
     The walk's runs are spelled in place, each once (_spell), so the list
     is the same as a cut-by-cut walk's.
@@ -401,10 +420,11 @@ def children(rel, pair, *, max_word_length, origin=None):
     end other than at a cut.
     """
     cap = max_word_length
-    kids = []
+    kids = _Kids()
     if origin is None or not origin.depth:
+        kids.cuts = [(0, 0, 0, 0)]
         for kid in _walk(rel.subst.alphabet, rel.image_tables(cap), pair.top,
-                         pair.bottom, cap, "max_word_length"):
+                         pair.bottom, cap, "max_word_length", cuts=kids.cuts):
             if kid.__class__ is Run:
                 kids += kid.components or _spell(kid)
             else:
@@ -413,74 +433,92 @@ def children(rel, pair, *, max_word_length, origin=None):
     inner = rel.image_tables(cap, origin.depth)
     outer = rel.image_tables(cap, origin.depth + 1)
     heads, ends = [], []
-    for word, part, dropped in zip(origin.ancestor, pair, origin.dropped):
+    for word, dropped, kept in zip(origin.ancestor, origin.dropped,
+                                   origin.kept):
         head = inner.heads[word[0]][dropped]
         heads.append(head)
-        # the pair ends `kept` letters into the last sigma^d image
-        kept = dropped + len(part) - sum(map(inner.sizes.__getitem__,
-                                             word[:-1]))
-        ends.append(sum(map(outer.sizes.__getitem__, word[:-1]))
-                    + inner.heads[word[-1]][kept][0] - head[0])
-    top_end, bottom_end = ends
-    top = bottom = 0  # the last cut
+        ends.append(inner.heads[word[-1]][kept][0])
+    top, bottom = origin.ancestor
+    end = (len(top) - 1, len(bottom) - 1, *ends)  # the cut sigma(pair) ends at
+    cuts = kids.cuts = [(0, 0, heads[0][0], heads[1][0])]
     try:
-        for kid in _walk(rel.subst.alphabet, outer, *origin.ancestor, cap,
-                         "max_word_length", *heads):
+        for kid in _walk(rel.subst.alphabet, outer, top, bottom, cap,
+                         "max_word_length", *heads, cuts=cuts):
             if kid.__class__ is Run:
                 kids += kid.components or _spell(kid)
-                top += kid.letters
-                bottom += kid.last[1] - kid.hits[0][1]
             else:
                 kids.append(kid)
-                top, bottom = top + len(kid.top), bottom + len(kid.bottom)
-            if top >= top_end or bottom >= bottom_end:
-                # cuts grow on both sides: drop the kids past the end
-                while top > top_end or bottom > bottom_end:
-                    kid = kids.pop()
-                    top, bottom = top - len(kid.top), bottom - len(kid.bottom)
-                if top == top_end and bottom == bottom_end:
-                    return kids
+            if cuts[-1] >= end:
                 break
     except (ScanOverflow, NotBalanced):
         pass
-    if max(top_end - top, bottom_end - bottom) > cap:
+    # cuts grow on both sides: drop the kids past the end on either side
+    while ((cut := cuts[-1])[0] == end[0] and cut[2] > end[2]
+           or cut[1] == end[1] and cut[3] > end[3]):
+        del cuts[-1], kids[-1]
+    if cut == end:
+        return kids
+    # the letters of sigma(pair) after the last cut, a side
+    left = [sum(map(outer.sizes.__getitem__, word[letter:-1])) + stop - at
+            for word, letter, at, stop in zip(origin.ancestor, cut[:2],
+                                              cut[2:], ends)]
+    if max(left) > cap:
         raise ScanOverflow(f"irreducible component exceeds {cap} letters",
                            which="max_word_length")
     raise NotBalanced("images end on an unbalanced pair")
 
 
-def _span(word, ends, start, length):
-    """The letters of the word whose images hold their concatenation's
-    letters start to start + length, and the letters of the first one's
-    image before start; ends are where the word's images start, in order,
-    and where the last one ends."""
-    first = bisect_right(ends, start) - 1
-    return (word[first:bisect_left(ends, start + length, first)],
-            start - ends[first])
+def _located(rel, cap, sizes, cumulative, kid, start, end, origin):
+    """The Origin of a new pair that its parent's children walk found
+    between the cuts start and end (_Kids), the parent's Origin being
+    origin, of depth d; sizes[j] are the sigma^j image lengths up to the
+    walk power k (Substitution.image_sizes), and cumulative a dict this
+    function fills.
 
-
-def _rerooted(pair, origin, depth, images, sizes, word):
-    """The pair's origin at a smaller depth, depth >= 1: its ancestor the
-    sigma^(d - depth) images of the origin's ancestor letters, d being the
-    origin's depth and images[a] sigma^(d - depth)(a), spelled out with
-    the word constructor and cut to the letters whose sigma^depth images,
-    sizes[a] letters long, hold the pair."""
-    spans = []
-    for letters, part, dropped in zip(origin.ancestor, pair, origin.dropped):
-        spelled = word(chain.from_iterable(map(images.__getitem__, letters)))
-        spans.append(_span(spelled, list(accumulate(
-            map(sizes.__getitem__, spelled), initial=0)), dropped, len(part)))
-    ancestor, dropped = zip(*spans)
-    return Origin(ancestor, depth, dropped)
-
-
-def _walk_depth(pair, deepest, longest):
-    """The deepest depth d <= deepest at which the pair is longer than
-    every sigma^d image on a side, longest[d] being the longest, or 0."""
-    size = max(map(len, pair))
-    while deepest and size <= longest[deepest]:
-        deepest -= 1
-    return deepest
+    The pair walks at the deepest depth d' <= d + 1, below k, at which it
+    is longer than every sigma^d' image on a side, or over its own words,
+    depth 0. The walk read the parent's ancestor letters S over
+    sigma^(d+1) images, and each cut names the letter of S whose image it
+    is in and how far in: a side of the pair starts at its start cut, or
+    at the next image when that cut ends one, and ends in the image its
+    end cut is in. At d' = d + 1 those letters of S are its ancestor. At
+    d' <= d, its ancestor letters are in the sigma^(d+1-d') images of the
+    first and the last of them and of those between: a bisect of the
+    running sigma^d' lengths over the first and last images (kept in
+    cumulative, per letter) finds the letters that hold the pair's start and
+    end, and one join spells them.
+    """
+    depth = origin.depth + 1
+    size, walk = max(map(len, kid)), min(depth, len(sizes) - 2)
+    while walk and size <= max(sizes[walk]):
+        walk -= 1
+    if not walk:
+        return Origin(kid, 0, (0, 0))
+    if walk < depth:
+        images = rel.image_tables(cap, depth - walk).images
+        if (walk, depth) not in cumulative:
+            cumulative[walk, depth] = [list(accumulate(map(
+                sizes[walk].__getitem__, image), initial=0))
+                for image in images]
+        running = cumulative[walk, depth]
+    step, (top, bottom) = sizes[depth], origin.ancestor
+    t, u, r, s = start
+    t_end, u_end, r_end, s_end = end
+    located = []
+    for word, first, head, last, kept in ((top, t, r, t_end, r_end),
+                                          (bottom, u, s, u_end, s_end)):
+        if head == step[word[first]]:  # a start at an image's end
+            first, head = first + 1, 0
+        word = word[first:last + 1]
+        if walk < depth:
+            firsts, lasts = running[word[0]], running[word[-1]]
+            i, j = bisect_right(firsts, head) - 1, bisect_left(lasts, kept)
+            spelled = rel.subst.alphabet.join(map(images.__getitem__, word))
+            word = spelled[i:len(spelled) - len(lasts) + 1 + j]
+            head, kept = head - firsts[i], kept - lasts[j - 1]
+        located.append((word, head, kept))
+    (top, r, r_end), (bottom, s, s_end) = located
+    return Origin((top, bottom), walk, (r, s), (r_end, s_end))
 
 
 def initial_pairs(rel, w, budgets: Budgets) -> list:
@@ -567,16 +605,10 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     power k of shift_split, at which it is longer than every sigma^d'
     image on a side, or over its own words, depth 0. Each frontier entry
     keeps its pair's Origin, the pair itself at depth 0 for an initial
-    pair; a new pair's Origin is located once, when its parent's walk
-    finds it. That walk read the parent's ancestor letters S over
-    sigma^(d+1) images, dropping a head (ImageTables.heads); the new pair
-    starts there at the head plus the lengths of the children before it,
-    and a search of S's running sigma^(d+1) lengths, built per expansion
-    once a new pair needs them, gives the letters of S that hold it
-    (_span). A pair that walks at d + 1 takes those letters for its
-    ancestor; one that walks at d' <= d takes their sigma^(d+1-d') images,
-    spelled out and cut (_rerooted); one that walks at depth 0 takes
-    itself. letters_walked sums the ancestor letters each expansion reads.
+    pair. A new pair's Origin is located once, by _located, from the two
+    cuts of its parent's walk that bound it, which children hands back
+    with the pairs (_Kids); a pair found before costs no location.
+    letters_walked sums the ancestor letters each expansion reads.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
@@ -597,10 +629,9 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     # a frontier entry is a vertex, its pair and the pair's Origin
     frontier = [(i, pair, Origin(pair, 0, (0, 0)))
                 for i, pair in enumerate(vertices)]
-    powers = _walk_sizes(rel.subst)
-    deepest = len(powers) - 2  # the walk power k less 1
-    longest = [max(sizes) for sizes in powers]
     cap = budgets.max_word_length
+    locate = partial(_located, rel, cap, rel.subst.image_sizes(WALK_LETTERS),
+                     {})
     iteration = 1
     while frontier:
         iteration += 1
@@ -609,57 +640,24 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
         new_frontier = []
         max_new = 0
         for vertex, pair, origin in frontier:
-            # the walk reads the ancestor's letters S over sigma^depth
-            words, depth = origin.ancestor, origin.depth + 1
-            walked[0] += len(words[0])
-            walked[1] += len(words[1])
+            walked[0] += len(origin.ancestor[0])
+            walked[1] += len(origin.ancestor[1])
             try:
                 kids = children(rel, pair, max_word_length=cap, origin=origin)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             counts = {}  # edge multiplicities, in first-occurrence order
-            # once a new pair walks at depth 1 or more: per side, where the
-            # sigma^depth images of S start, sigma(pair) starting at 0
-            starts = None
-            kid_top = kid_bottom = 0  # where the kid starts in sigma(pair)
-            for kid in kids:
+            for j, kid in enumerate(kids):
                 i = index.setdefault(kid, len(vertices))
                 counts[i] = counts.get(i, 0) + 1
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    walk = _walk_depth(kid, min(depth, deepest), longest)
-                    if walk:
-                        if starts is None:
-                            # each side's head letters, none when it drops
-                            # none, as every side of a depth-0 origin does
-                            heads = [dropped and rel.image_tables(
-                                cap, origin.depth).heads[word[0]][dropped][0]
-                                for word, dropped in zip(words,
-                                                         origin.dropped)]
-                            # int64 arrays: lists of ints for a parent of
-                            # 59 050 letters a side raised const-len's peak
-                            # by 1.2 MB
-                            starts = [array("q", accumulate(
-                                map(powers[depth].__getitem__, word),
-                                initial=-head))
-                                for word, head in zip(words, heads)]
-                        ancestor, dropped = zip(*map(
-                            _span, words, starts, (kid_top, kid_bottom),
-                            map(len, kid)))
-                        new = Origin(ancestor, depth, dropped)
-                        if walk < depth:
-                            new = _rerooted(kid, new, walk, rel.image_tables(
-                                cap, depth - walk).images, powers[walk],
-                                rel.subst.alphabet.word)
-                    else:
-                        new = Origin(kid, 0, (0, 0))
-                    new_frontier.append((i, kid, new))
+                    new_frontier.append((i, kid, locate(
+                        kid, kids.cuts[j], kids.cuts[j + 1], origin)))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)
-                kid_top += len(kid.top)
-                kid_bottom += len(kid.bottom)
             edges[vertex] = list(counts.items())
         if new_frontier:
             trace.append((iteration, max_new))

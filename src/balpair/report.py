@@ -83,7 +83,10 @@ def _verdict(v):
     return doc
 
 
-def _cell(cell, alphabet, pair_list_limit):
+def _cell(cell, alphabet, pair_list_limit, outcomes):
+    """The cell's document; outcomes maps the id of each Closure already
+    written to its outcome document, which a cell sharing that Closure
+    reuses."""
     length = cell.spec.length
     doc = {
         "prefix": alphabet.render(cell.prefix),
@@ -95,7 +98,9 @@ def _cell(cell, alphabet, pair_list_limit):
         doc["error"] = cell.error
         return doc
     outcome = cell.outcome
-    doc["outcome"] = _outcome(outcome, alphabet, pair_list_limit)
+    if id(outcome) not in outcomes:
+        outcomes[id(outcome)] = _outcome(outcome, alphabet, pair_list_limit)
+    doc["outcome"] = outcomes[id(outcome)]
     if outcome.terminated:
         failing = cell.verdict.failing_pairs
         doc["graph_stats"] = {
@@ -191,7 +196,12 @@ def report_document(report, pair_list_limit=1000):
         "seed": alphabet.tokens[stream.seed],
         "prefix": alphabet.render(report.fixed_prefix),
     }
-    doc["cells"] = [_cell(c, alphabet, pair_list_limit) for c in report.cells]
+    # cells whose relations cut alike share a Closure (verdict.analyze),
+    # and its outcome document is built once; the report holds every
+    # Closure, so no id is reused while this runs
+    outcomes = {}
+    doc["cells"] = [_cell(c, alphabet, pair_list_limit, outcomes)
+                    for c in report.cells]
     doc["corollary_ok"] = report.corollary_ok
     doc["metrics"] = {
         "timings": {k: round(v, 6) for k, v in report.timings.items()},

@@ -19,12 +19,12 @@ class Alphabet:
     """Ordered set of display tokens; letters are referenced by position.
 
     It owns the type of its words: word builds one from a sequence of
-    letters, and buffer is a mutable sequence of letters that takes
-    `buffer += word`, `del buffer[:n]` and `word(buffer[i:j])`. They are
-    bytes and bytearray when every letter fits a byte, else tuple and
-    list; the two types share every operation the program uses, and
-    bytes compare and sort as tuples of ints do. Letters that a caller
-    gives go through word_of.
+    letters, join one from an iterable of words, their concatenation, and
+    buffer is a mutable sequence of letters that takes `buffer += word`,
+    `del buffer[:n]` and `word(buffer[i:j])`. They are bytes and bytearray
+    when every letter fits a byte, else tuple and list; the two types
+    share every operation the program uses, and bytes compare and sort as
+    tuples of ints do. Letters that a caller gives go through word_of.
     """
 
     def __init__(self, tokens):
@@ -36,6 +36,7 @@ class Alphabet:
         small = len(tokens) <= 256
         self.word = bytes if small else tuple
         self.buffer = bytearray if small else list
+        self.join = b"".join if small else _joined
         # single-character alphabets render words jammed together; ASCII
         # ones spell a word as one bytes translation, letter i to token i
         self.joined = all(len(t) == 1 for t in tokens)
@@ -84,6 +85,12 @@ class Alphabet:
         return f"Alphabet({self.tokens})"
 
 
+def _joined(words):
+    """The concatenation of tuple words, as Alphabet.join of a wide
+    alphabet."""
+    return tuple(chain.from_iterable(words))
+
+
 def population_vector(word, size):
     """Letter counts of a word; the empty word gives the zero vector."""
     counts = [0] * size
@@ -120,6 +127,7 @@ class Substitution:
         self._char_poly = None
         self._spectrum = None
         self._fixed_point = None
+        self._image_sizes = {}  # bound -> image_sizes(bound)
 
     @property
     def size(self):
@@ -131,8 +139,7 @@ class Substitution:
             raise ValueError("iteration count must be >= 0")
         current = self.alphabet.word_of(word)
         for _ in range(k):
-            current = self.alphabet.word(chain.from_iterable(
-                map(self.rules.__getitem__, current)))
+            current = self.alphabet.join(map(self.rules.__getitem__, current))
         return current
 
     def population_vector(self, word):
@@ -143,6 +150,18 @@ class Substitution:
         from the image lengths of sigma^m, those of sigma^(m+1)."""
         return tuple(sum(map(lengths.__getitem__, image))
                      for image in self.rules)
+
+    def image_sizes(self, bound):
+        """The image lengths |sigma^j(a)|, a tuple over the letters a for
+        each j from 0 to the largest k >= 1 with sum_a |sigma^k(a)| <=
+        bound, or 1; built once per bound."""
+        sizes = self._image_sizes.get(bound)
+        if sizes is None:
+            grown = [(1,) * self.size, tuple(map(len, self.rules))]
+            while sum(more := self.image_lengths(grown[-1])) <= bound:
+                grown.append(more)
+            sizes = self._image_sizes[bound] = tuple(grown)
+        return sizes
 
     def transition_matrix(self):
         """Matrix with a_ij = count of letter i in the image of letter j."""

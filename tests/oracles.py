@@ -10,7 +10,8 @@ walk of two parent words over image tables with each side's running sums
 read from zipped `accumulate` streams, the split of the fixed word against
 its shift from whole-word splits of its prefixes, a whole-word
 `reduce_pair`, the initial split on that prefix split, the closure with
-every pair's children walked over its own words,
+every pair's children walked over its own words and each new pair's
+Origin located from its offsets by searches of running image lengths,
 the coincidence density masses summed per component, primitivity by every
 power up to Wielandt's bound, small matrix and rendering helpers, and the
 Fraction forms of the spectral layer that `polynomial`, `numberfield` and
@@ -19,12 +20,14 @@ coefficients and exact signed remainder sequences, the unit-circle counts
 built on them, and Q(lambda) with Fraction enclosures and residues.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate, chain, tee
 from math import ceil, floor
 
-from balpair.engine import (BalancedPair, Budgets, Closure, children,
+from balpair import engine
+from balpair.engine import (BalancedPair, Budgets, Closure, Origin, children,
                             initial_pairs, shift_split)
 from balpair.equivalence import LengthSpec, Relation
 from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
@@ -362,10 +365,13 @@ def reference_initial_pairs(rel, w, budgets: Budgets) -> list:
                 which="max_scan_length")
 
 
-def closure_by_own_words(rel, w, budgets=None) -> Closure:
+def closure_by_own_words(rel, w, budgets=None, seen=None) -> Closure:
     """engine.run_bpa's worklist closure with the children of every pair
     walked over the pair's own words, children(rel, pair) with no parent;
-    its letters_walked counts those words' letters."""
+    its letters_walked counts those words' letters. Given a list `seen`,
+    each expansion appends its pair and the Origin run_bpa walks it over,
+    each new pair's located by reference_origin from its offsets in sigma
+    of its parent."""
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
     walked = [0, 0]
@@ -382,7 +388,12 @@ def closure_by_own_words(rel, w, budgets=None) -> Closure:
     index = {pair: i for i, pair in enumerate(vertices)}
     discovered += [1] * len(vertices)
     trace.append((1, max(len(p.top) for p in vertices)))
-    frontier = list(enumerate(vertices))
+    frontier = [(i, pair, Origin(pair, 0, (0, 0)))
+                for i, pair in enumerate(vertices)]
+    sizes = [tuple(len(rel.subst.apply((a,), j))
+                   for a in range(rel.subst.size))
+             for j in range(engine._walk_power(rel.subst) + 1)]
+    cap = budgets.max_word_length
     iteration = 1
     while frontier:
         iteration += 1
@@ -390,30 +401,102 @@ def closure_by_own_words(rel, w, budgets=None) -> Closure:
             return stop("max_iterations", iteration - 1)
         new_frontier = []
         max_new = 0
-        for vertex, pair in frontier:
+        for vertex, pair, origin in frontier:
             walked[0] += len(pair.top)
             walked[1] += len(pair.bottom)
+            if seen is not None:
+                seen.append((pair, origin))
             try:
-                kids = children(rel, pair,
-                                max_word_length=budgets.max_word_length)
+                kids = children(rel, pair, max_word_length=cap)
             except ScanOverflow:
                 return stop("max_word_length", iteration)
             indices = []
+            top = bottom = 0  # where the kid starts in sigma(pair)
             for kid in kids:
                 i = index.setdefault(kid, len(vertices))
                 indices.append(i)
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    new_frontier.append((i, kid))
+                    new_frontier.append((i, kid, reference_origin(
+                        rel, cap, sizes, kid, top, bottom, origin)))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)
+                top, bottom = top + len(kid.top), bottom + len(kid.bottom)
             edges[vertex] = list(Counter(indices).items())
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier
     return stop(None, iteration)
+
+
+def reference_origin(rel, cap, sizes, kid, top, bottom, origin):
+    """The Origin run_bpa gives a new pair that starts top and bottom
+    letters into sigma of its parent, whose Origin is origin, sizes[j]
+    being the sigma^j image lengths up to the walk power k, as run_bpa
+    located it before its walk recorded each cut's letters: per side, the
+    running sigma^(d+1) lengths of the parent's ancestor letters S from
+    minus its head, d being the parent's depth, a search of them for the
+    letters of S that hold the pair (_span) and, for a pair that walks
+    at a depth d' <= d, the sigma^(d+1-d') images of those letters, spelled
+    out and searched again (_rerooted). The depth policy is _walk_depth's;
+    the letters kept of each last image are what is left of the pair past
+    the other images."""
+    depth = origin.depth + 1
+    walk = _walk_depth(kid, min(depth, len(sizes) - 2),
+                       [max(row) for row in sizes])
+    if not walk:
+        return Origin(kid, 0, (0, 0))
+    heads = [dropped and rel.image_tables(cap, origin.depth).heads[
+        word[0]][dropped][0] for word, dropped in zip(origin.ancestor,
+                                                     origin.dropped)]
+    starts = [list(accumulate(map(sizes[depth].__getitem__, word),
+                              initial=-head))
+              for word, head in zip(origin.ancestor, heads)]
+    ancestor, dropped = zip(*map(_span, origin.ancestor, starts,
+                                 (top, bottom), map(len, kid)))
+    new = Origin(ancestor, depth, dropped)
+    if walk < depth:
+        new = _rerooted(kid, new, walk, rel.image_tables(
+            cap, depth - walk).images, sizes[walk], rel.subst.alphabet.word)
+    return new._replace(kept=tuple(
+        dropped + len(part) - sum(map(sizes[walk].__getitem__, word[:-1]))
+        for word, part, dropped in zip(new.ancestor, kid, new.dropped)))
+
+
+def _span(word, ends, start, length):
+    """The letters of the word whose images hold their concatenation's
+    letters start to start + length, and the letters of the first one's
+    image before start; ends are where the word's images start, in order,
+    and where the last one ends."""
+    first = bisect_right(ends, start) - 1
+    return (word[first:bisect_left(ends, start + length, first)],
+            start - ends[first])
+
+
+def _rerooted(pair, origin, depth, images, sizes, word):
+    """The pair's origin at a smaller depth, depth >= 1: its ancestor the
+    sigma^(d - depth) images of the origin's ancestor letters, d being the
+    origin's depth and images[a] sigma^(d - depth)(a), spelled out with
+    the word constructor and cut to the letters whose sigma^depth images,
+    sizes[a] letters long, hold the pair."""
+    spans = []
+    for letters, part, dropped in zip(origin.ancestor, pair, origin.dropped):
+        spelled = word(chain.from_iterable(map(images.__getitem__, letters)))
+        spans.append(_span(spelled, list(accumulate(
+            map(sizes.__getitem__, spelled), initial=0)), dropped, len(part)))
+    ancestor, dropped = zip(*spans)
+    return Origin(ancestor, depth, dropped)
+
+
+def _walk_depth(pair, deepest, longest):
+    """The deepest depth d <= deepest at which the pair is longer than
+    every sigma^d image on a side, longest[d] being the longest, or 0."""
+    size = max(map(len, pair))
+    while deepest and size <= longest[deepest]:
+        deepest -= 1
+    return deepest
 
 
 def reference_density_masses(rel, w, level, horizon):

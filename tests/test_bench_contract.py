@@ -7,8 +7,10 @@ workload without failing any other test, so these tests load both files as
 they are and exercise those names.
 """
 
+import gc
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,54 @@ def test_tracer_wraps_every_target_and_restores_it(bench_module):
     assert metrics["numberfield.refine_calls"] > 0
 
 
+def test_tracer_counts_every_expansion_of_a_deep_closure(bench_module,
+                                                        monkeypatch):
+    # big-132's lambda closure from its manifest prefix walks ancestors at
+    # depths 2 and more, and locates pairs at a depth below their
+    # parent's plus one (rerooted). Every expansion still calls the
+    # wrapped engine.children once, and the tracer's letter count is the
+    # total length of sigma of the expanded pairs
+    tracing = bench_module("tracing")
+    entry = next(entry for entry in json.loads(
+        (BENCH / "inputs" / "closures.json").read_text())
+        if entry["file"] == "big-132.sub")
+    subst = parse_substitution((BENCH / "inputs" / entry["file"]).read_text())
+    config = AnalysisConfig(
+        prefixes=[subst.alphabet.word_from_text(entry["prefix"])],
+        relations=[RelationSpec.general(LengthSpec.pf())])
+    engine = importlib.import_module("balpair.engine")
+    tracer = tracing.Tracer()
+    origins = {}
+    try:
+        tracer.install()
+        traced = engine.children
+
+        def recording(rel, pair, **kwargs):
+            origins[pair] = kwargs["origin"]
+            return traced(rel, pair, **kwargs)
+
+        monkeypatch.setattr(engine, "children", recording)
+        closure = analyze(subst, config).cells[0].outcome
+    finally:
+        monkeypatch.undo()
+        tracer.uninstall()
+    metrics = tracer.summary()
+    assert closure.terminated and len(closure.vertices) == entry["pairs"]
+    assert metrics["engine.run_bpa_calls"] == 1
+    assert metrics["engine.children_calls"] == len(closure.edges)
+    assert metrics["engine.letters_scanned"] == sum(
+        len(subst.apply(pair.top)) + len(subst.apply(pair.bottom))
+        for pair in map(closure.vertices.__getitem__, closure.edges))
+    depth = {i: origins[pair].depth for i, pair in enumerate(closure.vertices)}
+    assert max(depth.values()) >= 2
+    parent = {}  # the vertex whose expansion found each pair first
+    for vertex, outs in closure.edges.items():
+        for kid, _multiplicity in outs:
+            parent.setdefault(kid, vertex)
+    assert any(1 <= depth[kid] <= depth[parent[kid]] for kid in parent
+               if closure.discovered[kid] > 1)
+
+
 def test_relation_spec_is_one_class():
     """bench/workloads.py imports RelationSpec from the package; tests and
     older callers import it from balpair.verdict."""
@@ -122,3 +172,34 @@ def test_closure_jobs_reach_their_recorded_closures(bench_module):
         if check.result_digest(doc) != reference[check.job_key(job)]:
             problems.append(f"{job.name}: result differs from the reference")
     assert problems == []
+
+
+# the traced peak of analyze, in bytes, on each closure job below,
+# measured on CPython 3.11 before the closure located new pairs from its
+# walks' cuts; a peak may grow by at most PEAK_SLACK of it. Peak RSS, the
+# benchmark's memory metric, moves by 2-3 MB with allocator layout alone,
+# so it cannot tell such a growth
+CLOSURE_PEAKS = {"mt-rewrite-lambda": 1_609_305, "big-1232": 3_818_354,
+                 "big-2343": 2_107_345, "big-132": 1_424_315}
+PEAK_SLACK = 0.05
+
+
+def test_closure_jobs_keep_their_traced_peaks(bench_module):
+    workloads = bench_module("workloads")
+    peaks = {}
+    for job in workloads.jobs_for("closure", 0):
+        if job.name not in CLOSURE_PEAKS:
+            continue
+        subst = parse_substitution(job.text)
+        config = job.config(subst)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analyze(subst, config)
+            peaks[job.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks.keys() == CLOSURE_PEAKS.keys()
+    over = {name: peak for name, peak in peaks.items()
+            if peak > CLOSURE_PEAKS[name] * (1 + PEAK_SLACK)}
+    assert over == {}, peaks

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import balpair
+from balpair import report as report_module
 from balpair.engine import Budgets, pair_graph, run_bpa
 from balpair.equivalence import LengthSpec, Relation
 from balpair.report import render_dot, render_json, report_document
@@ -163,6 +164,36 @@ def test_outcome_block_for_every_closure_end(end):
         budgets=Budgets(**budgets)))
     outcome = report_document(report)["cells"][0]["outcome"]
     assert list(outcome.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", ["ex1", "exnoncon"])
+def test_cells_sharing_a_closure_share_its_outcome_document(name):
+    # cells whose relations cut alike share a Closure, and the report
+    # builds its outcome document once, equal to the one built alone. A
+    # cell's closure_cell may name a cell whose own Closure is another:
+    # exnoncon's PF reruns are computed in the cells of relations that cut
+    # otherwise, so the sharing goes by the Closure itself
+    subst = load_corpus(name)
+    report = analyze(subst, AnalysisConfig(relations=[
+        RelationSpec.plain(), RelationSpec.letters(),
+        RelationSpec.general(LengthSpec.ones()),
+        RelationSpec.general(LengthSpec.pf())]))
+    cells = [(cell, cell_doc["outcome"]) for cell, cell_doc
+             in zip(report.cells, report_document(report)["cells"])
+             if cell.outcome is not None]
+    shared = 0
+    for cell, outcome in cells:
+        assert outcome == report_module._outcome(cell.outcome, subst.alphabet,
+                                                 1000)
+        for other, other_outcome in cells:
+            assert ((other_outcome is outcome)
+                    == (other.outcome is cell.outcome))
+            shared += other is not cell and other.outcome is cell.outcome
+    assert shared
+    named_otherwise = [cell for cell, _outcome in cells
+                       if report.cells[cell.closure_cell].outcome
+                       is not cell.outcome]
+    assert bool(named_otherwise) == (name == "exnoncon")
 
 
 def test_json_pair_list_threshold():

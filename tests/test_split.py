@@ -21,13 +21,16 @@ stretch of sigma^(d+1) of its ancestor d levels up, is checked against
 stretches, against `closure_by_own_words`, the same closure over own
 words throughout; each Origin it walks is checked against sigma^d of its
 ancestor's letters, spelled out: the ancestor holds exactly the letters
-whose images hold the pair, and at depth 0 it is the pair itself. `_walk`, which keeps each side's running
-sums itself, is checked against `reference_walk`, which reads them from
-zipped `accumulate` streams, on own words, on the closure's walks of
-ancestor stretches and on the initial split's iterators at k >= 2: the
-same items in order, the same error, and as many letters read from each
-iterator. Known-wrong variants of `_walk`, `run_bpa` and `initial_pairs`,
-built from their source, must fail those differentials.
+whose images hold the pair, and at depth 0 it is the pair itself. Each
+Origin, located from the cuts of its parent's walk, also equals the one
+`reference_origin` finds by searching running image lengths. `_walk`,
+which keeps each side's running sums itself, is checked against
+`reference_walk`, which reads them from zipped `accumulate` streams, on
+own words, on the closure's walks of ancestor stretches and on the
+initial split's iterators at k >= 2: the same items in order, the same
+error, and as many letters read from each iterator. Known-wrong variants
+of `_walk`, `children`, `_located` and `initial_pairs`, built from their
+source, must fail those differentials.
 """
 
 import functools
@@ -616,6 +619,10 @@ def test_walk_power_is_the_largest_under_the_letter_bound():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "WALK_LETTERS", 88)
         assert _walk_power(SUBSTS["ex1"]) == 3
+    # the image lengths are built once per substitution and bound
+    sizes = SUBSTS["ex1"].image_sizes(512)
+    assert SUBSTS["ex1"].image_sizes(512) is sizes
+    assert [sum(row) for row in sizes] == [2, 5, 13, 34, 89, 233]
     assert _walk_power(parse_substitution(
         f"1 -> {'12' * 150}\n2 -> {'21' * 150}")) == 1
 
@@ -770,11 +777,29 @@ def children_cases(draw):
     return subst, rel, pair, cap
 
 
+def _assert_cuts_bound_the_components(subst, pair, kids):
+    """Each cut children hands back with its components, (t, u, r, s), is
+    r letters into sigma of the top's letter t, s into sigma of the
+    bottom's letter u, and where the components before it end."""
+    ends = [[0, 0]]
+    for kid in kids:
+        ends.append([ends[-1][0] + len(kid.top),
+                     ends[-1][1] + len(kid.bottom)])
+    assert len(kids.cuts) == len(ends)
+    for (t, u, r, s), (top, bottom) in zip(kids.cuts[1:], ends[1:]):
+        assert 1 <= r <= len(subst.rules[pair.top[t]])
+        assert 1 <= s <= len(subst.rules[pair.bottom[u]])
+        assert (len(subst.apply(pair.top[:t])) + r,
+                len(subst.apply(pair.bottom[:u])) + s) == (top, bottom)
+
+
 @settings(max_examples=300, deadline=None)
 @given(children_cases())
 def test_children_matches_linear_oracle(case):
     got, expected = _children_outcomes(*case)
     assert got == expected
+    if isinstance(got, list):
+        _assert_cuts_bound_the_components(case[0], case[2], got)
 
 
 def test_children_of_long_images_match_linear_oracle():
@@ -929,10 +954,10 @@ def _origin(subst, ancestor, depth, top, bottom, pair):
     """The Origin of the pair that starts `top` and `bottom` letters into
     sigma^depth of the ancestor's two words, found one ancestor letter at
     a time: per side, the ancestor's letters from the first whose image
-    holds the pair's start to the last, and the letters of the first
-    image before the pair."""
+    holds the pair's start to the last, the letters of the first image
+    before the pair, and those of the last image in it."""
     size = [len(subst.apply((a,), depth)) for a in range(subst.size)]
-    words, dropped = [], []
+    words, dropped, kept = [], [], []
     for word, start, part in zip(ancestor, (top, bottom), pair):
         first = before = 0
         while before + size[word[first]] <= start:
@@ -944,7 +969,8 @@ def _origin(subst, ancestor, depth, top, bottom, pair):
             end += size[word[last]]
         words.append(word[first:last + 1])
         dropped.append(start - before)
-    return Origin(tuple(words), depth, tuple(dropped))
+        kept.append(start + len(part) - end + size[word[last]])
+    return Origin(tuple(words), depth, tuple(dropped), tuple(kept))
 
 
 def _first_finds(rel, closure, cap, deepest=1):
@@ -1133,12 +1159,20 @@ def _assert_origins_hold_their_pairs(subst, seen):
 
 
 def _assert_closure_matches_own_words(rel, w, budgets):
+    """run_bpa's closure equals the closure over own words, and each Origin
+    it walks holds its pair and equals the reference location's
+    (oracles.reference_origin). Returns the two closures and the depths of
+    the Origins walked."""
     got, seen = _recorded_run(rel, w, budgets)
-    _assert_origins_hold_their_pairs(rel.subst, seen)
-    expected = oracles.closure_by_own_words(rel, w, budgets)
+    depths = _assert_origins_hold_their_pairs(rel.subst, seen)
+    reference = []
+    expected = oracles.closure_by_own_words(rel, w, budgets, reference)
     for field in CLOSURE_FIELDS:
         assert getattr(got, field) == getattr(expected, field), field
-    return got, expected
+    assert len(seen) == len(reference)
+    for (pair, origin), (_pair, expected_origin) in zip(seen, reference):
+        assert origin == expected_origin, pair
+    return got, expected, depths
 
 
 @pytest.mark.parametrize("least_power, examples", [(1, 60), (3, 40)])
@@ -1179,8 +1213,30 @@ def test_closure_matches_own_words_on_the_fixtures(name):
             rel, subst.alphabet.word_from_text(cell["prefix"]), budgets)
 
 
+def test_closure_origins_match_the_reference_location():
+    # random fixed words of sigma and of sigma^2 under the batch survey's
+    # budgets: each new pair's Origin, read from its parent's walk, equals
+    # the one searched for in the running image lengths of the parent's
+    # ancestor, at depths 1 and 2 among others
+    depths = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(powered_substitutions(), st.sampled_from(
+        ("plain", "letters", "ones", "lambda")), st.integers(1, 3))
+    def check(subst, kind, length):
+        try:
+            rel = _relation(subst, kind)
+        except ValueError:  # letter classes whose images disagree
+            assume(False)
+        depths.update(_assert_closure_matches_own_words(
+            rel, subst.fixed_point().prefix(length), BATCH_BUDGETS)[2])
+
+    check()
+    assert {1, 2} <= depths.keys(), depths
+
+
 # the ancestor letters the closures' children walks read, a side: the walk
-# depth policy (_walk_depth, at most one below the walk power) fixes them
+# depth policy (_located, at most one below the walk power) fixes them
 WALKED = {"big-1232.sub": (12_366, 12_374), "big-2343.sub": (5_887, 5_889),
           "big-132.sub": (3_828, 3_829), "const-len": (395, 395),
           "mt-rewrite": (852, 852)}
@@ -1191,7 +1247,7 @@ WALKED = {"big-1232.sub": (12_366, 12_374), "big-2343.sub": (5_887, 5_889),
 def test_closure_matches_own_words_on_the_large_closures(entry):
     subst = parse_substitution((BENCH_INPUTS / entry["file"]).read_text())
     rel = _relation(subst, "lambda")
-    got, _expected = _assert_closure_matches_own_words(
+    got, _expected, _depths = _assert_closure_matches_own_words(
         rel, subst.alphabet.word_from_text(entry["prefix"]), Budgets())
     assert got.terminated and len(got.vertices) == entry["pairs"]
     assert got.letters_walked == WALKED[entry["file"]]
@@ -1201,7 +1257,7 @@ def test_closure_matches_own_words_on_the_large_closures(entry):
                                         ("mt-rewrite", "lambda")])
 def test_growth_closure_matches_own_words(name, kind):
     rel = _relation(load_corpus(name), kind)
-    got, expected = _assert_closure_matches_own_words(
+    got, expected, _depths = _assert_closure_matches_own_words(
         rel, (0,), Budgets(max_word_length=20_000))
     assert got.which == "max_word_length"
     assert got.letters_walked == WALKED[name]
@@ -1490,8 +1546,8 @@ MUTANTS = {
                                  "and bottom < p:"),
     "bottom slice one letter short": ("_walk", "p - bottom_from])))",
                                       "p - bottom_from - 1])))"),
-    "starts at 0, not minus the head": ("run_bpa", "initial=-head))",
-                                        "initial=0 * head))"),
+    "starts at 0, not minus the head": (
+        "children", "[(0, 0, heads[0][0], heads[1][0])]", "[(0, 0, 0, 0)]"),
     "head read one letter late": ("children",
                                   "head = inner.heads[word[0]][dropped]",
                                   "head = inner.heads[word[0]][dropped + 1]"),
@@ -1508,11 +1564,13 @@ MUTANTS = {
     "known run skipped without the stop tests": (
         "initial_pairs", "elif item in known and (",
         "elif item in known or 0 * ("),
-    "ancestor starts one letter early": ("_span", "word[first:",
+    "ancestor starts one letter early": ("_located", "word[first:",
                                          "word[max(first - 1, 0):"),
-    "ancestor ends one letter late": ("_span", "first)]", "first) + 1]"),
-    "rerooted spells one level deep": ("run_bpa", "depth - walk).images",
+    "ancestor ends one letter late": ("_located", "last + 1]", "last + 2]"),
+    "rerooted spells one level deep": ("_located", "depth - walk).images",
                                        "depth - walk + 1).images"),
+    "start at an image's end kept in that image": (
+        "_located", "if head == step[word[first]]:", "if 0:"),
 }
 
 
@@ -1551,12 +1609,35 @@ def _own_words(rel):
         assert getattr(got, field) == getattr(expected, field), field
 
 
+def _reference_location():
+    # big-132's lambda closure from its manifest prefix: new pairs that
+    # walk at their parent's depth plus one start at the end of an image
+    # of the parent's ancestor, where reducible3's do not
+    entry = next(entry for entry in json.loads(
+        (BENCH_INPUTS / "closures.json").read_text())
+        if entry["file"] == "big-132.sub")
+    subst = parse_substitution((BENCH_INPUTS / entry["file"]).read_text())
+    _assert_closure_matches_own_words(
+        _relation(subst, "lambda"),
+        subst.alphabet.word_from_text(entry["prefix"]), Budgets())
+
+
 def _origin_contract(rel):
-    _closure, seen = _recorded_run(rel, b"\x00",
-                                   Budgets(max_word_length=2000))
+    # each Origin is checked as run_bpa hands it to children, before the
+    # walk that a wrong one may end unbalanced
+    depths = Counter()
+
+    def checked(rel, pair, *, origin=None, **budget):
+        depths.update(_assert_origins_hold_their_pairs(rel.subst,
+                                                       [(pair, origin)]))
+        return children(rel, pair, origin=origin, **budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "children", checked)
+        engine.run_bpa(rel, b"\x00", Budgets(max_word_length=2000))
     # the check reached origins of depth 1 or more, whose heads a wrong
     # walk may misplace; a depth-0 origin drops no head
-    assert _assert_origins_hold_their_pairs(rel.subst, seen).keys() - {0}
+    assert depths.keys() - {0}
 
 
 def _initial_split_stops():
@@ -1580,6 +1661,7 @@ def _initial_split_stops():
     ("ancestor starts one letter early", "own words"),
     ("ancestor ends one letter late", "own words"),
     ("rerooted spells one level deep", "own words"),
+    ("start at an image's end kept in that image", "reference location"),
 ])
 def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # each differential holds on the engine as it is, and fails with the
@@ -1596,12 +1678,18 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # the window late, and the walk misses cuts the reference walk finds.
     # An ancestor located one letter off at either end, or spelled one
     # level too deep, walks letters whose images do not hold the pair where
-    # its head and tail say: the closure differs or ends unbalanced
+    # its head and tail say: the closure differs or ends unbalanced. So do
+    # the pairs located from a walk's start put at 0, not past the heads,
+    # whose Origins the contract checks before they are walked. A pair
+    # whose start cut ends an image, located in that image, walks the same
+    # letters, but its Origin's first image holds none of it, and it is
+    # not the reference location's
     rel = _relation(load_corpus("reducible3"), "plain")
     check = {"linear oracle": functools.partial(_linear_oracle,
                                                 _linear_cases()),
              "own words": functools.partial(_own_words, rel),
              "origin contract": functools.partial(_origin_contract, rel),
+             "reference location": _reference_location,
              "shift split": functools.partial(
                  test_shift_split_matches_split_of_two_streams, "const-len",
                  "plain"),
