@@ -30,11 +30,12 @@ reads A's letters over sigma^(d+1) images. Each side drops the head
 sigma(sigma^d(a)[:r]), a being its first letter and r the letters of
 sigma^d(a) before the pair, and ends sigma(sigma^d(z)[:q]) into the image
 of its last letter z, q the letters of sigma^d(z) the pair keeps; both
-are one read of the sigma^d tables (ImageTables.heads), and the walk stops
-at the cut where sigma of the pair ends. Each side's states are zero at
-its own start, so the cuts found are those of the pair's own words: that
-sigma maps equivalent words to equivalent words is not needed. At depth 0
-the ancestor is the pair itself, and the walk reads its own words. The
+are one read of the sigma^(d+1) tables the walk reads (ImageTables.heads),
+and the walk stops at the cut where sigma of the pair ends. Each side's
+states are zero at its own start, so the cuts found are those of the
+pair's own words: that sigma maps equivalent words to equivalent words is
+not needed. At depth 0 the ancestor is the pair itself, and the walk, the
+same one, reads its own words; a call with no origin walks that. The
 walk records each cut as the letter it is reading on each side and how
 far into that letter's image, and children hands the cuts back with the
 pairs; the closure locates each new pair's origin once, from the two cuts
@@ -388,19 +389,15 @@ def children(rel, pair, *, max_word_length, origin=None):
     """Irreducible pairs in the reduction of the pair substituted by
     rel.subst, in order, as a list that also holds the walk's cuts (_Kids).
 
-    With no origin, or one of depth 0, the walk of sigma(top) against
-    sigma(bottom) over rel.image_tables: the lookups number about
-    |top| + |bottom|, and no whole image is held. A cap of at least
-    max(|top|, |bottom|) times the longest image never overflows.
-
-    An origin (Origin) of depth d >= 1 places the pair in sigma^d of its
-    ancestor A: each side of the pair is the stretch of sigma^d of A's
-    word that starts `dropped` letters into the first letter's image and
-    ends `kept` letters into the last one's, so sigma(pair) is a stretch of
-    sigma^(d+1)(A). The walk reads A's letters over the sigma^(d+1) tables;
-    the lookups number about |top| + |bottom| over the length of a sigma^d
-    image. Each side drops the head sigma(sigma^d(a)[:dropped]), a being
-    its first letter, one read of the sigma^d tables (ImageTables.heads),
+    The origin (Origin) places the pair in sigma^d of its ancestor A, d >= 0;
+    with none, the pair is its own ancestor at depth 0. Each side of the
+    pair is the stretch of sigma^d of A's word that starts `dropped` letters
+    into the first letter's image and ends `kept` letters into the last
+    one's, so sigma(pair) is a stretch of sigma^(d+1)(A). The walk reads A's
+    letters over the sigma^(d+1) tables (rel.image_tables): the lookups
+    number about |top| + |bottom| over the length of a sigma^d image, and no
+    whole image is held. Each side drops the head sigma(sigma^d(a)[:dropped]),
+    a being its first letter, one read of the same tables (ImageTables.heads),
     so its states are zero where sigma(pair) starts, and the cuts found are
     those of sigma(pair)'s own words: that sigma maps equivalent words to
     equivalent words is not needed. Each side of sigma(pair) ends in the
@@ -409,8 +406,10 @@ def children(rel, pair, *, max_word_length, origin=None):
     images of both sides at or past the top's end. A cut past the end on
     either side, or the walk's overflow or end before it, leaves
     sigma(pair) ending other than at a cut; its letters after the last cut
-    then tell an overflow from an unbalanced end, as the walk of its own
-    words does.
+    then tell an overflow from an unbalanced end. At depth 0 nothing is
+    dropped and each last image is held whole, so the walk reads the pair's
+    own words, and a cap of at least max(|top|, |bottom|) times the longest
+    image never overflows.
 
     The walk's runs are spelled in place, each once (_spell), so the list
     is the same as a cut-by-cut walk's.
@@ -420,29 +419,20 @@ def children(rel, pair, *, max_word_length, origin=None):
     end other than at a cut.
     """
     cap = max_word_length
-    kids = _Kids()
-    if origin is None or not origin.depth:
-        kids.cuts = [(0, 0, 0, 0)]
-        for kid in _walk(rel.subst.alphabet, rel.image_tables(cap), pair.top,
-                         pair.bottom, cap, "max_word_length", cuts=kids.cuts):
-            if kid.__class__ is Run:
-                kids += kid.components or _spell(kid)
-            else:
-                kids.append(kid)
-        return kids
-    inner = rel.image_tables(cap, origin.depth)
-    outer = rel.image_tables(cap, origin.depth + 1)
+    if origin is None:
+        origin = Origin(pair, 0, (0, 0))
+    tables = rel.image_tables(cap, origin.depth + 1)
     heads, ends = [], []
     for word, dropped, kept in zip(origin.ancestor, origin.dropped,
                                    origin.kept):
-        head = inner.heads[word[0]][dropped]
-        heads.append(head)
-        ends.append(inner.heads[word[-1]][kept][0])
+        heads.append(tables.heads[word[0]][dropped])
+        ends.append(tables.heads[word[-1]][kept][0])
     top, bottom = origin.ancestor
     end = (len(top) - 1, len(bottom) - 1, *ends)  # the cut sigma(pair) ends at
+    kids = _Kids()
     cuts = kids.cuts = [(0, 0, heads[0][0], heads[1][0])]
     try:
-        for kid in _walk(rel.subst.alphabet, outer, top, bottom, cap,
+        for kid in _walk(rel.subst.alphabet, tables, top, bottom, cap,
                          "max_word_length", *heads, cuts=cuts):
             if kid.__class__ is Run:
                 kids += kid.components or _spell(kid)
@@ -459,7 +449,7 @@ def children(rel, pair, *, max_word_length, origin=None):
     if cut == end:
         return kids
     # the letters of sigma(pair) after the last cut, a side
-    left = [sum(map(outer.sizes.__getitem__, word[letter:-1])) + stop - at
+    left = [sum(map(tables.sizes.__getitem__, word[letter:-1])) + stop - at
             for word, letter, at, stop in zip(origin.ancestor, cut[:2],
                                               cut[2:], ends)]
     if max(left) > cap:

@@ -141,7 +141,7 @@ class ImageTables(NamedTuple):
     lengths: tuple  # walk length of sigma^k(a)
     images: tuple  # sigma^k(a), from the relation's substitution
     rows: tuple  # rows[a][b][D]: ((r, s), ...) and their Run, or ()
-    heads: dict  # heads[a][r]: the sums of sigma(sigma^k(a)[:r]) (_Heads)
+    heads: dict  # heads[a][r]: the sums of sigma(sigma^(k-1)(a)[:r]) (_Heads)
 
 
 class Run:
@@ -200,14 +200,15 @@ class _Hits(dict):
 class _Heads(dict):
     """Field heads of the image tables for sigma^k: letter a maps to the
     running sums of Relation.sums of sigma's images over the letters of
-    sigma^k(a), from (0, 0, 0), so entry r holds those of
-    sigma(sigma^k(a)[:r]). Built on a's first lookup."""
+    sigma^(k-1)(a), from (0, 0, 0), so entry r holds those of
+    sigma(sigma^(k-1)(a)[:r]), a prefix of sigma^k(a). Built on a's first
+    lookup."""
 
     __slots__ = ("images", "once")
 
     def __init__(self, images, once):
         super().__init__()
-        self.images = images
+        self.images = images  # sigma^(k-1)(a)
         self.once = once  # Relation.sums of sigma's images
 
     def __missing__(self, a):
@@ -356,7 +357,7 @@ class Relation:
         return packed
 
     def image_tables(self, cap, k=1):
-        """The tables the splits' walk reads for sigma^k, packed as
+        """The tables the splits' walk reads for sigma^k, k >= 1, packed as
         packed_states(cap); built once per packing width and k, and found
         again by cap and k.
 
@@ -368,7 +369,9 @@ class Relation:
         first lookup of D, one pass over P_a against an index of P_b, so the
         work follows the lookups made; a D with no pair maps to the empty
         tuple, any other D to its pairs and their Run, or None. heads[a][r]
-        holds the sums of sigma(sigma^k(a)[:r]) (_Heads).
+        holds the sums of sigma(sigma^(k-1)(a)[:r]) (_Heads), so a walk over
+        sigma^k images of the letters of sigma^(k-1) of a word reads the
+        heads it drops from the tables it walks.
         """
         tables = self._by_cap.get((cap, k))
         if tables is not None:
@@ -377,8 +380,9 @@ class Relation:
         tables = self._images.get((bits, k))
         if tables is None:
             packed = self.packed_states(cap)
-            images = tuple(self.subst.apply((a,), k)
-                           for a in range(self.subst.size))
+            lower = tuple(self.subst.apply((a,), k - 1)
+                          for a in range(self.subst.size))
+            images = tuple(map(self.subst.apply, lower))
             prefixes = [list(accumulate(map(packed.__getitem__, image)))
                         for image in images]
             indices = []
@@ -392,7 +396,7 @@ class Relation:
                 rows=tuple(tuple(_Hits(mine, index, (image, theirs))
                                  for index, theirs in zip(indices, images))
                            for mine, image in zip(prefixes, images)),
-                heads=_Heads(images, self.sums(self.subst.rules, cap)))
+                heads=_Heads(lower, self.sums(self.subst.rules, cap)))
         self._by_cap[cap, k] = tables
         return tables
 

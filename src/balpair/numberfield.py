@@ -287,9 +287,6 @@ class FieldScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -319,9 +316,6 @@ class FieldScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
@@ -334,7 +328,7 @@ class FieldScalar:
             n >>= 1
         return result
 
-    # -- comparisons ---------------------------------------------------------
+    # -- sign and equality ---------------------------------------------------
 
     def sign(self):
         return self.field.sign_of(self.residue)
@@ -352,22 +346,6 @@ class FieldScalar:
         if self.is_rational:
             return hash(self.coeffs[0])
         return hash(self.residue)
-
-    def _cmp_sign(self, other):
-        diff = self - other
-        return diff.sign()
-
-    def __lt__(self, other):
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
 
     def decimal(self, digits=APPROX_DIGITS):
         return self.field.approx_str(self.residue, digits)

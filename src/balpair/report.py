@@ -24,6 +24,9 @@ from .linalg import integer_form
 from .numberfield import FieldScalar
 from .verdict import SCOPE
 
+# an outcome lists its pairs up to this many, and a sample of ten past it
+PAIR_LIST_LIMIT = 1000
+
 
 def _scalar(value):
     """Exact scalar -> JSON value: rationals as strings, field elements as
@@ -46,7 +49,7 @@ def _pair(pair, alphabet):
             "bottom": alphabet.render(pair.bottom)}
 
 
-def _outcome(outcome, alphabet, pair_list_limit):
+def _outcome(outcome, alphabet):
     vertices = outcome.vertices
     doc = {"status": "terminated" if outcome.terminated else "budget_exceeded"}
     if outcome.terminated:
@@ -60,7 +63,7 @@ def _outcome(outcome, alphabet, pair_list_limit):
                                 for p in outcome.longest_pairs]
     doc["growth_trace"] = [[it, ln] for it, ln in outcome.growth_trace]
     # an initial-split overrun found no pairs and lists none
-    if len(vertices) > pair_list_limit:
+    if len(vertices) > PAIR_LIST_LIMIT:
         doc["pairs_omitted"] = len(vertices)
         doc["pair_sample"] = [_pair(p, alphabet) for p in vertices[:10]]
     elif vertices:
@@ -83,10 +86,10 @@ def _verdict(v):
     return doc
 
 
-def _cell(cell, alphabet, pair_list_limit, outcomes):
-    """The cell's document; outcomes maps the id of each Closure already
-    written to its outcome document, which a cell sharing that Closure
-    reuses."""
+def _cell(cell, alphabet, outcomes):
+    """The cell's document; outcomes maps the closure_cell of each Closure
+    already written to its outcome document, which a cell sharing that
+    Closure reuses."""
     length = cell.spec.length
     doc = {
         "prefix": alphabet.render(cell.prefix),
@@ -98,9 +101,9 @@ def _cell(cell, alphabet, pair_list_limit, outcomes):
         doc["error"] = cell.error
         return doc
     outcome = cell.outcome
-    if id(outcome) not in outcomes:
-        outcomes[id(outcome)] = _outcome(outcome, alphabet, pair_list_limit)
-    doc["outcome"] = outcomes[id(outcome)]
+    if cell.closure_cell not in outcomes:
+        outcomes[cell.closure_cell] = _outcome(outcome, alphabet)
+    doc["outcome"] = outcomes[cell.closure_cell]
     if outcome.terminated:
         failing = cell.verdict.failing_pairs
         doc["graph_stats"] = {
@@ -184,7 +187,7 @@ def info_document(subst, letter_classes):
     }
 
 
-def report_document(report, pair_list_limit=1000):
+def report_document(report):
     """The full report as a plain dict in canonical key order; the run
     timings and each cell's closure_cell sit in the last key, `metrics`."""
     subst = report.subst
@@ -197,11 +200,9 @@ def report_document(report, pair_list_limit=1000):
         "prefix": alphabet.render(report.fixed_prefix),
     }
     # cells whose relations cut alike share a Closure (verdict.analyze),
-    # and its outcome document is built once; the report holds every
-    # Closure, so no id is reused while this runs
+    # and its outcome document is built once
     outcomes = {}
-    doc["cells"] = [_cell(c, alphabet, pair_list_limit, outcomes)
-                    for c in report.cells]
+    doc["cells"] = [_cell(c, alphabet, outcomes) for c in report.cells]
     doc["corollary_ok"] = report.corollary_ok
     doc["metrics"] = {
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
@@ -290,9 +291,9 @@ def _encode(doc):
     return text.encode("utf-8")
 
 
-def render_json(report, pair_list_limit=1000) -> bytes:
+def render_json(report) -> bytes:
     """Canonical JSON bytes; identical input report gives identical bytes."""
-    return _encode(report_document(report, pair_list_limit=pair_list_limit))
+    return _encode(report_document(report))
 
 
 def render_info_json(subst, letter_classes) -> bytes:

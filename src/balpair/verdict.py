@@ -75,7 +75,7 @@ class CellResult:
     densities: list | None = None
     exception: Exception | None = None  # what stopped the cell, if any
     seconds: float = 0.0
-    closure_cell: int | None = None  # the cell that computed outcome
+    closure_cell: int | None = None  # the first cell whose outcome it is
 
     @property
     def error(self):
@@ -143,11 +143,11 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 relations[spec] = exc
         return relations[spec]
 
-    outcomes = {}  # (prefix, cut key) -> (closure, index of its cell)
+    closures = {}  # (prefix, cut key) -> closure
+    claims = {}  # (prefix, cut key) -> the first cell whose outcome it is
 
     def run_cell(prefix, rel):
-        """The closure of the prefix under rel, and the index of the cell
-        that computed it, the current one when none has.
+        """The closure of the prefix under rel.
 
         Closures are keyed by (prefix, rel.cut_key), which decides them:
         every cut the walk accepts is at equal states, and two relations
@@ -158,10 +158,9 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         counts. So run_bpa would return equal closures, and one is shared.
         """
         key = (prefix, rel.cut_key)
-        if key not in outcomes:
-            outcomes[key] = (run_bpa(rel, prefix, config.budgets),
-                             len(cells))
-        return outcomes[key]
+        if key not in closures:
+            closures[key] = run_bpa(rel, prefix, config.budgets)
+        return closures[key]
 
     pf = RelationSpec.general(LengthSpec.pf())
     cells = []
@@ -177,8 +176,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 cells.append(cell)
                 continue
             try:
-                outcome, cell.closure_cell = run_cell(prefix, rel)
-                cell.outcome = outcome
+                outcome = cell.outcome = run_cell(prefix, rel)
+                # a PF rerun may have computed it for an earlier cell
+                cell.closure_cell = claims.setdefault((prefix, rel.cut_key),
+                                                      len(cells))
                 failing = ()
                 if outcome.terminated:
                     reached = coincidence_analysis(outcome)
@@ -186,7 +187,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                                     if i not in reached)
                 cell.verdict = verdict(outcome, failing, prefix_ok)
                 if outcome.terminated and spec != pf:
-                    pf_outcome, _ = run_cell(prefix, relation(pf))
+                    pf_outcome = run_cell(prefix, relation(pf))
                     cell.corollary_check = {
                         "relation": pf.label(),
                         "terminated": pf_outcome.terminated,

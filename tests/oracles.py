@@ -448,9 +448,8 @@ def reference_origin(rel, cap, sizes, kid, top, bottom, origin):
                        [max(row) for row in sizes])
     if not walk:
         return Origin(kid, 0, (0, 0))
-    heads = [dropped and rel.image_tables(cap, origin.depth).heads[
-        word[0]][dropped][0] for word, dropped in zip(origin.ancestor,
-                                                     origin.dropped)]
+    heads = [rel.image_tables(cap, depth).heads[word[0]][dropped][0]
+             for word, dropped in zip(origin.ancestor, origin.dropped)]
     starts = [list(accumulate(map(sizes[depth].__getitem__, word),
                               initial=-head))
               for word, head in zip(origin.ancestor, heads)]

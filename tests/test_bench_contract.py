@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import balpair
-from balpair.engine import Budgets
+from balpair.engine import Budgets, Origin
 from balpair.equivalence import LengthSpec
 from balpair.report import render_json
 from balpair.substitution import parse_substitution
@@ -110,6 +110,9 @@ def test_tracer_counts_every_expansion_of_a_deep_closure(bench_module,
     assert metrics["engine.letters_scanned"] == sum(
         len(subst.apply(pair.top)) + len(subst.apply(pair.bottom))
         for pair in map(closure.vertices.__getitem__, closure.edges))
+    # run_bpa hands every expansion its pair's Origin, and none walks the
+    # default of a call with no origin
+    assert all(isinstance(origin, Origin) for origin in origins.values())
     depth = {i: origins[pair].depth for i, pair in enumerate(closure.vertices)}
     assert max(depth.values()) >= 2
     parent = {}  # the vertex whose expansion found each pair first

@@ -170,9 +170,9 @@ def test_outcome_block_for_every_closure_end(end):
 def test_cells_sharing_a_closure_share_its_outcome_document(name):
     # cells whose relations cut alike share a Closure, and the report
     # builds its outcome document once, equal to the one built alone. A
-    # cell's closure_cell may name a cell whose own Closure is another:
-    # exnoncon's PF reruns are computed in the cells of relations that cut
-    # otherwise, so the sharing goes by the Closure itself
+    # cell's closure_cell names the first cell whose outcome is its
+    # Closure, also where a PF rerun computed it during an earlier cell of
+    # a relation that cuts otherwise, as exnoncon's do
     subst = load_corpus(name)
     report = analyze(subst, AnalysisConfig(relations=[
         RelationSpec.plain(), RelationSpec.letters(),
@@ -183,8 +183,7 @@ def test_cells_sharing_a_closure_share_its_outcome_document(name):
              if cell.outcome is not None]
     shared = 0
     for cell, outcome in cells:
-        assert outcome == report_module._outcome(cell.outcome, subst.alphabet,
-                                                 1000)
+        assert outcome == report_module._outcome(cell.outcome, subst.alphabet)
         for other, other_outcome in cells:
             assert ((other_outcome is outcome)
                     == (other.outcome is cell.outcome))
@@ -193,14 +192,20 @@ def test_cells_sharing_a_closure_share_its_outcome_document(name):
     named_otherwise = [cell for cell, _outcome in cells
                        if report.cells[cell.closure_cell].outcome
                        is not cell.outcome]
-    assert bool(named_otherwise) == (name == "exnoncon")
+    assert named_otherwise == []
+    if name == "exnoncon":
+        # plain cuts otherwise than the other three relations, whose
+        # closure the PF rerun of the plain cell computes
+        assert [cell.closure_cell for cell in report.cells] == [
+            0, 1, 1, 1, 4, 5, 5, 5]
 
 
-def test_json_pair_list_threshold():
+def test_json_pair_list_threshold(monkeypatch):
     _, report = ex1_report()
-    small = json.loads(render_json(report, pair_list_limit=1000))
+    small = json.loads(render_json(report))
     assert len(small["cells"][0]["outcome"]["pairs"]) == 3
-    capped = json.loads(render_json(report, pair_list_limit=2))
+    monkeypatch.setattr(report_module, "PAIR_LIST_LIMIT", 2)
+    capped = json.loads(render_json(report))
     assert "pairs" not in capped["cells"][0]["outcome"]
     assert capped["cells"][0]["outcome"]["pairs_omitted"] == 3
     assert len(capped["cells"][0]["outcome"]["pair_sample"]) == 3

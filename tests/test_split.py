@@ -1201,6 +1201,25 @@ def test_closure_origins_hold_their_pairs_on_mt_rewrite():
         0, 1, 2}
 
 
+def test_closure_asks_for_no_sigma_zero_tables():
+    # each expansion walks and reads its heads from the sigma^(d+1) tables
+    # of its origin, depth 0 included, so the closure over depths 0-2 and
+    # its initial split over sigma^3 ask for the tables of sigma^1-sigma^3
+    # only
+    rel = _relation(load_corpus("mt-rewrite"), "lambda")
+    asked = Counter()
+    tables = Relation.image_tables
+
+    def recording(self, cap, k=1):
+        asked[k] += 1
+        return tables(self, cap, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Relation, "image_tables", recording)
+        engine.run_bpa(rel, (0,), Budgets(max_word_length=2000))
+    assert asked.keys() == {1, 2, 3}, asked
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_closure_matches_own_words_on_the_fixtures(name):
     subst, expect = load_corpus(name), load_expect(name)
@@ -1463,9 +1482,9 @@ def _recorded_walks(rel, w, budgets):
 
 def test_walk_matches_reference_on_origin_walks():
     # the closure's walks of its pairs' stretches of sigma^(d+1) of their
-    # ancestors, at their own cap and at one below their longest
-    # component's longest side, so that it overflows; both heads are
-    # nonempty on many of them
+    # ancestors, a depth-0 walk of a pair's own words among them, at their
+    # own cap and at one below their longest component's longest side, so
+    # that it overflows; both heads are nonempty on many of them
     both_heads = Counter()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1474,8 +1493,6 @@ def test_walk_matches_reference_on_origin_walks():
         rel, w = case
         for arguments in _recorded_walks(rel, w, BATCH_BUDGETS)[:60]:
             heads = arguments[6:]
-            if not heads:  # a pair that walks its own words
-                continue
             both_heads[all(head[0] for head in heads)] += 1
             items, _error = _drain(oracles.reference_walk(*arguments))
             longest = max((max(map(len, item)) for item in items
@@ -1537,8 +1554,11 @@ def _mutant(module, name, old, new):
          namespace)
     built = namespace[target.__name__]
     built = getattr(built, "__func__", built)  # a staticmethod's function
-    return types.FunctionType(built.__code__, vars(module), target.__name__,
-                              built.__defaults__, built.__closure__)
+    function = types.FunctionType(built.__code__, vars(module),
+                                  target.__name__, built.__defaults__,
+                                  built.__closure__)
+    function.__kwdefaults__ = built.__kwdefaults__
+    return function
 
 
 MUTANTS = {
@@ -1549,10 +1569,13 @@ MUTANTS = {
     "starts at 0, not minus the head": (
         "children", "[(0, 0, heads[0][0], heads[1][0])]", "[(0, 0, 0, 0)]"),
     "head read one letter late": ("children",
-                                  "head = inner.heads[word[0]][dropped]",
-                                  "head = inner.heads[word[0]][dropped + 1]"),
-    "tail read one letter late": ("children", "inner.heads[word[-1]][kept]",
-                                  "inner.heads[word[-1]][kept - 1]"),
+                                  "tables.heads[word[0]][dropped]",
+                                  "tables.heads[word[0]][dropped + 1]"),
+    "tail read one letter late": ("children", "tables.heads[word[-1]][kept]",
+                                  "tables.heads[word[-1]][kept - 1]"),
+    "no origin keeps no letter of the last images": (
+        "children", "Origin(pair, 0, (0, 0))",
+        "Origin(pair, 0, (0, 0), (0, 0))"),
     "bottom head's state sign flipped": (
         "_walk", "b_state, b_length, b_first = -b_state,",
         "b_state, b_length, b_first = b_state,"),
@@ -1653,7 +1676,10 @@ def _initial_split_stops():
     ("starts at 0, not minus the head", "origin contract"),
     ("starts at 0, not minus the head", "own words"),
     ("head read one letter late", "own words"),
+    ("head read one letter late", "linear oracle"),
     ("tail read one letter late", "own words"),
+    ("tail read one letter late", "linear oracle"),
+    ("no origin keeps no letter of the last images", "linear oracle"),
     ("bottom head's state sign flipped", "own words"),
     ("run taken past the cap", "shift split"),
     ("bottom low advanced before the window test", "reference walk"),
@@ -1673,7 +1699,11 @@ def test_a_wrong_walk_fails_a_differential(mutant, caught_by):
     # leaves the split to stop at a later cut, or on the other budget. A
     # head or a tail read one letter late from the running sums, or a
     # bottom head's state of the wrong sign, walks words that end
-    # unbalanced, where the closure over own words ends balanced. A bottom
+    # unbalanced, where the closure over own words ends balanced; a pair
+    # with no origin reads its heads and tails from the same tables, so
+    # the linear oracle's own-word calls catch those two, and a default
+    # origin that keeps no letter of its last images. A start at 0 is
+    # a depth-0 walk's own start, so only deeper walks catch it. A bottom
     # letter let in by where its image ends, not where it starts, enters
     # the window late, and the walk misses cuts the reference walk finds.
     # An ancestor located one letter off at either end, or spelled one
