@@ -149,14 +149,18 @@ class Closure(PairGraph):
     """What run_bpa computed: the pairs in discovery order, the edges of
     every pair whose children were computed (each list in first-occurrence
     order), the budget that stopped the closure, None when the frontier
-    emptied, and the ancestor letters the children walks read, per side: a
-    pair's own letters when it walks its own words."""
+    emptied, the ancestor letters the children walks read, per side (a
+    pair's own letters when it walks its own words), and how many
+    expansions were walked and how many replayed. A replayed expansion
+    reads no letters, so letters_walked counts walked ones only."""
 
     discovered: list  # iteration that found each vertex
     growth_trace: list  # (iteration, max new top length)
     iterations_done: int  # iterations begun
     which: str | None = None
     letters_walked: tuple = (0, 0)  # ancestor letters children read, a side
+    walked: int = 0  # expansions that called children
+    replayed: int = 0  # expansions read back from an Expansions record
 
     @property
     def terminated(self):
@@ -170,6 +174,26 @@ class Closure(PairGraph):
     def longest_pairs(self):
         """Up to 5 longest pairs, longest first."""
         return sorted(self.vertices, key=lambda p: (-len(p.top), p))[:5]
+
+
+class Expansions:
+    """The expansions of the closures of one cut key and one
+    max_word_length, which a later closure of the same key and cap
+    replays (run_bpa): each expanded pair's children as its walk found
+    them, in order, repeats included, and the Origin first given to each
+    pair found past an initial split. A pair that was only ever an
+    initial pair has none here; its Origin is its own, at depth 0.
+
+    Two relations with equal cut keys cut every pair of words alike, and
+    a pair's children walk its own words whatever its Origin, so its
+    children depend on its words, the key and the cap alone. An
+    expansion that overflowed is not recorded."""
+
+    __slots__ = ("kids", "origins")
+
+    def __init__(self):
+        self.kids = {}  # pair -> tuple of its children, as children found
+        self.origins = {}  # pair -> Origin
 
 
 @dataclass
@@ -579,7 +603,8 @@ def initial_pairs(rel, w, budgets: Budgets) -> list:
                     which="max_scan_length")
 
 
-def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
+def run_bpa(rel, w, budgets: Budgets | None = None, *,
+            expansions: Expansions | None = None) -> Closure:
     """Worklist closure of the initial pairs I_1(w) under
     substitute-and-reduce by rel.subst.
 
@@ -598,16 +623,28 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     pair. A new pair's Origin is located once, by _located, from the two
     cuts of its parent's walk that bound it, which children hands back
     with the pairs (_Kids); a pair found before costs no location.
-    letters_walked sums the ancestor letters each expansion reads.
+    letters_walked sums the ancestor letters each walked expansion reads.
+
+    Given an Expansions record of rel's cut key and this max_word_length,
+    the closure replays each frontier pair the record holds instead of
+    walking it: the children its walk found, each new one with the Origin
+    the record holds, or its own when it was an initial pair. Every other
+    pair is walked and recorded, with the Origins located for it.
+    Walked or replayed, the children take one loop through the vertex,
+    edge, max_pairs and growth-trace bookkeeping, so the closure is the
+    one a walk of every pair finds, and it stops on the same budget. With no
+    record every pair is walked and nothing is kept.
     """
     budgets = budgets or Budgets()
     vertices, discovered, edges, trace = [], [], {}, []
     walked = [0, 0]
+    walks = replays = 0
 
     def stop(which, iterations_done):
         return Closure(vertices=vertices, edges=edges, discovered=discovered,
                        growth_trace=trace, iterations_done=iterations_done,
-                       which=which, letters_walked=tuple(walked))
+                       which=which, letters_walked=tuple(walked),
+                       walked=walks, replayed=replays)
 
     try:
         vertices += initial_pairs(rel, w, budgets)
@@ -622,6 +659,8 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
     cap = budgets.max_word_length
     locate = partial(_located, rel, cap, rel.subst.image_sizes(WALK_LETTERS),
                      {})
+    recorded, origins = ((expansions.kids, expansions.origins)
+                         if expansions is not None else ({}, {}))
     iteration = 1
     while frontier:
         iteration += 1
@@ -630,12 +669,19 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
         new_frontier = []
         max_new = 0
         for vertex, pair, origin in frontier:
-            walked[0] += len(origin.ancestor[0])
-            walked[1] += len(origin.ancestor[1])
-            try:
-                kids = children(rel, pair, max_word_length=cap, origin=origin)
-            except ScanOverflow:
-                return stop("max_word_length", iteration)
+            kids = recorded.get(pair)
+            if kids is None:
+                walks += 1
+                walked[0] += len(origin.ancestor[0])
+                walked[1] += len(origin.ancestor[1])
+                try:
+                    kids = found = children(rel, pair, max_word_length=cap,
+                                            origin=origin)
+                except ScanOverflow:
+                    return stop("max_word_length", iteration)
+            else:
+                replays += 1
+                found = None
             counts = {}  # edge multiplicities, in first-occurrence order
             for j, kid in enumerate(kids):
                 i = index.setdefault(kid, len(vertices))
@@ -643,12 +689,22 @@ def run_bpa(rel, w, budgets: Budgets | None = None) -> Closure:
                 if i == len(vertices):
                     vertices.append(kid)
                     discovered.append(iteration)
-                    new_frontier.append((i, kid, locate(
-                        kid, kids.cuts[j], kids.cuts[j + 1], origin)))
+                    at = origins.get(kid)
+                    # a replayed kid the record gives no Origin was an
+                    # initial pair where it was first found
+                    if at is None:
+                        at = (Origin(kid, 0, (0, 0)) if found is None else
+                              locate(kid, found.cuts[j], found.cuts[j + 1],
+                                     origin))
+                        if expansions is not None:
+                            origins[kid] = at
+                    new_frontier.append((i, kid, at))
                     max_new = max(max_new, len(kid.top))
                     if len(vertices) > budgets.max_pairs:
                         return stop("max_pairs", iteration)
             edges[vertex] = list(counts.items())
+            if found is not None and expansions is not None:
+                recorded[pair] = tuple(found)
         if new_frontier:
             trace.append((iteration, max_new))
         frontier = new_frontier

@@ -1,11 +1,12 @@
 """Serialization: canonical JSON report documents and DOT graph export.
 
 JSON rendering is a pure function of the report value once its last key,
-`metrics` (the run timings, and which cell computed each cell's closure),
-is removed: key order is fixed by construction, rationals are encoded as
-strings, and exact algebraic scalars as coefficient vectors plus a decimal
-approximation. `info --json` writes the report's
-first three keys from the same builders.
+`metrics` (the run timings, which cell computed each cell's closure, and
+how many expansions that closure walked and replayed), is removed: key
+order is fixed by construction, rationals are encoded as strings, and
+exact algebraic scalars as coefficient vectors plus a decimal
+approximation. `info --json` writes the report's first three keys from the
+same builders.
 
 The bytes are UTF-8 in exactly the layout of `json.dumps(indent=2,
 ensure_ascii=False)` plus a final newline, written in one pass by one
@@ -189,7 +190,8 @@ def info_document(subst, letter_classes):
 
 def report_document(report):
     """The full report as a plain dict in canonical key order; the run
-    timings and each cell's closure_cell sit in the last key, `metrics`."""
+    timings, each cell's closure_cell and its closure's expansion counts
+    sit in the last key, `metrics`."""
     subst = report.subst
     alphabet = subst.alphabet
     stream = subst.fixed_point()
@@ -208,6 +210,10 @@ def report_document(report):
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
         "cell_seconds": [round(c.seconds, 6) for c in report.cells],
         "cell_closure": [c.closure_cell for c in report.cells],
+        "expansions_walked": [c.outcome.walked if c.outcome else None
+                              for c in report.cells],
+        "expansions_replayed": [c.outcome.replayed if c.outcome else None
+                                for c in report.cells],
     }
     return doc
 

@@ -218,11 +218,6 @@ class Substitution:
     def is_constant_length(self):
         return len({len(img) for img in self.rules}) == 1
 
-    def power(self, k):
-        """The substitution phi^k as a new Substitution."""
-        return Substitution(self.alphabet,
-                            [self.apply((i,), k) for i in range(self.size)])
-
     def __eq__(self, other):
         return (isinstance(other, Substitution)
                 and self.alphabet == other.alphabet

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .engine import (Budgets, Closure, coincidence_analysis,
+from .engine import (Budgets, Closure, Expansions, coincidence_analysis,
                      coincidence_density, run_bpa)
 from .equivalence import LengthSpec, RelationSpec, letter_equiv_classes
 from .errors import BalpairError, EmptyConfig
@@ -108,7 +108,10 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     per analysis, when a cell or such a rerun first needs it. A closure is
     computed once per prefix and relation cut key (run_cell): cells whose
     relations cut alike share one Closure, and the PF rerun is a lookup
-    when the PF relation cuts as the cell's does.
+    when the PF relation cuts as the cell's does. When the analysis has more
+    than one prefix, the closures of one cut key also share their
+    expansions (engine.Expansions), kept for the analysis: a pair that an
+    earlier prefix's closure expanded is replayed, not walked again.
     """
     if not config.relations:
         raise EmptyConfig("no relations requested")
@@ -145,6 +148,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
 
     closures = {}  # (prefix, cut key) -> closure
     claims = {}  # (prefix, cut key) -> the first cell whose outcome it is
+    # cut key -> Expansions, when a second prefix can replay them
+    shared = {} if len(prefixes) > 1 else None
 
     def run_cell(prefix, rel):
         """The closure of the prefix under rel.
@@ -156,10 +161,17 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         never which cuts exist; and ScanOverflow, NotBalanced, the
         stability window and every budget stop read only cut positions and
         counts. So run_bpa would return equal closures, and one is shared.
+        For the same reasons a pair's children depend on its words and
+        the cut key alone (the budgets are the analysis's), so closures of
+        one key and different prefixes replay each other's expansions
+        through one Expansions record.
         """
         key = (prefix, rel.cut_key)
         if key not in closures:
-            closures[key] = run_bpa(rel, prefix, config.budgets)
+            record = (None if shared is None
+                      else shared.setdefault(rel.cut_key, Expansions()))
+            closures[key] = run_bpa(rel, prefix, config.budgets,
+                                    expansions=record)
         return closures[key]
 
     pf = RelationSpec.general(LengthSpec.pf())

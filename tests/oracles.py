@@ -13,11 +13,12 @@ its shift from whole-word splits of its prefixes, a whole-word
 every pair's children walked over its own words and each new pair's
 Origin located from its offsets by searches of running image lengths,
 the coincidence density masses summed per component, primitivity by every
-power up to Wielandt's bound, small matrix and rendering helpers, and the
-Fraction forms of the spectral layer that `polynomial`, `numberfield` and
-`linalg` replaced with integer arithmetic: polynomials with Fraction
-coefficients and exact signed remainder sequences, the unit-circle counts
-built on them, and Q(lambda) with Fraction enclosures and residues.
+power up to Wielandt's bound, small matrix, substitution-power and
+rendering helpers, and the Fraction forms of the spectral layer that
+`polynomial`, `numberfield` and `linalg` replaced with integer
+arithmetic: polynomials with Fraction coefficients and exact signed
+remainder sequences, the unit-circle counts built on them, and Q(lambda)
+with Fraction enclosures and residues.
 """
 
 from bisect import bisect_left, bisect_right
@@ -35,7 +36,8 @@ from balpair.errors import (InternalInvariantError, NotBalanced, ScanOverflow,
 from balpair.linalg import mat_mul
 from balpair.numberfield import NumberField
 from balpair.polynomial import RatPoly
-from balpair.substitution import FixedPointStream, fixed_point_stream
+from balpair.substitution import (FixedPointStream, Substitution,
+                                  fixed_point_stream)
 
 
 def primitive_by_powers(matrix):
@@ -527,6 +529,12 @@ def in_pf_kernel(subst, z) -> bool:
     spectrum = subst.spectrum()
     terms = (weight * zi for weight, zi in zip(spectrum.l_lambda, z))
     return sum(terms, spectrum.perron.zero()).is_zero
+
+
+def substitution_power(subst, k):
+    """The substitution sigma^k as a new Substitution, letter by letter."""
+    return Substitution(subst.alphabet,
+                        [subst.apply((i,), k) for i in range(subst.size)])
 
 
 def render_rules(subst):

