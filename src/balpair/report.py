@@ -201,8 +201,9 @@ def report_document(report):
         "seed": alphabet.tokens[stream.seed],
         "prefix": alphabet.render(report.fixed_prefix),
     }
-    # cells whose relations cut alike share a Closure (verdict.analyze),
-    # and its outcome document is built once
+    # cells whose relations cut alike, or a finer relation's cell that
+    # reads a coarser closure, share a Closure (verdict.analyze), and its
+    # outcome document is built once
     outcomes = {}
     doc["cells"] = [_cell(c, alphabet, outcomes) for c in report.cells]
     doc["corollary_ok"] = report.corollary_ok

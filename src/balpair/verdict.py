@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .engine import (Budgets, Closure, Expansions, coincidence_analysis,
                      coincidence_density, run_bpa)
-from .equivalence import LengthSpec, RelationSpec, letter_equiv_classes
+from .equivalence import (LengthSpec, RelationSpec, _echelon,
+                          letter_equiv_classes)
 from .errors import BalpairError, EmptyConfig
 from .substitution import Substitution, auto_prefixes
 
@@ -108,10 +109,15 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
     per analysis, when a cell or such a rerun first needs it. A closure is
     computed once per prefix and relation cut key (run_cell): cells whose
     relations cut alike share one Closure, and the PF rerun is a lookup
-    when the PF relation cuts as the cell's does. When the analysis has more
-    than one prefix, the closures of one cut key also share their
-    expansions (engine.Expansions), kept for the analysis: a pair that an
-    earlier prefix's closure expanded is replayed, not walked again.
+    when the PF relation cuts as the cell's does. A finer relation, whose
+    key holds a coarser one's, cuts at a subset of the coarser cuts, so
+    when every pair of the prefix's coarser closure balances under it,
+    that closure is its closure too and is read, not run again
+    (coarser_closure): the ones cell, say, may read the PF closure. When
+    the analysis has more than one prefix, the closures of one cut key also
+    share their expansions (engine.Expansions), kept for the analysis: a
+    pair that an earlier prefix's closure expanded is replayed, not walked
+    again.
     """
     if not config.relations:
         raise EmptyConfig("no relations requested")
@@ -146,8 +152,8 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
                 relations[spec] = exc
         return relations[spec]
 
-    closures = {}  # (prefix, cut key) -> closure
-    claims = {}  # (prefix, cut key) -> the first cell whose outcome it is
+    closures = {}  # prefix -> {cut key: closure}
+    claims = {}  # id(closure) -> the first cell whose outcome it is
     # cut key -> Expansions, when a second prefix can replay them
     shared = {} if len(prefixes) > 1 else None
 
@@ -161,18 +167,26 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         never which cuts exist; and ScanOverflow, NotBalanced, the
         stability window and every budget stop read only cut positions and
         counts. So run_bpa would return equal closures, and one is shared.
+        Under a key that lies inside rel's, the walks cut at a superset of
+        rel's cuts; where every pair of that coarser closure balances
+        under rel, each of its cuts is a rel cut too, so it is rel's
+        closure and is shared the same way (coarser_closure).
         For the same reasons a pair's children depend on its words and
         the cut key alone (the budgets are the analysis's), so closures of
         one key and different prefixes replay each other's expansions
         through one Expansions record.
         """
-        key = (prefix, rel.cut_key)
-        if key not in closures:
-            record = (None if shared is None
-                      else shared.setdefault(rel.cut_key, Expansions()))
-            closures[key] = run_bpa(rel, prefix, config.budgets,
-                                    expansions=record)
-        return closures[key]
+        computed = closures.setdefault(prefix, {})
+        key = rel.cut_key
+        if key not in computed:
+            closure = coarser_closure(rel, computed, config.budgets)
+            if closure is None:
+                record = (None if shared is None
+                          else shared.setdefault(key, Expansions()))
+                closure = run_bpa(rel, prefix, config.budgets,
+                                  expansions=record)
+            computed[key] = closure
+        return computed[key]
 
     pf = RelationSpec.general(LengthSpec.pf())
     cells = []
@@ -190,8 +204,7 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
             try:
                 outcome = cell.outcome = run_cell(prefix, rel)
                 # a PF rerun may have computed it for an earlier cell
-                cell.closure_cell = claims.setdefault((prefix, rel.cut_key),
-                                                      len(cells))
+                cell.closure_cell = claims.setdefault(id(outcome), len(cells))
                 failing = ()
                 if outcome.terminated:
                     reached = coincidence_analysis(outcome)
@@ -220,6 +233,40 @@ def analyze(subst: Substitution, config: AnalysisConfig) -> AnalysisReport:
         cells=cells,
         timings=timings,
     )
+
+
+def coarser_closure(rel, computed, budgets):
+    """A closure among computed (cut key -> closure, all of one prefix and
+    these budgets) that is rel's closure too, or None.
+
+    It qualifies when its key lies inside rel's, it has pairs, and every
+    pair is balanced under rel. A key inside rel's makes rel's relation
+    finer: equal rel states mean equal states under the coarser key, so
+    rel's walks cut at a subset of the coarser walks' cuts, every walk of
+    a pair on its own words. Where every coarser component is balanced
+    under rel, each coarser cut is a rel cut as well, and by induction
+    over the I(w) scan and then the expansions, rel's walks find the same
+    components, cut for cut: the same pairs, children, stability window
+    and iterations. A walk that overflowed under the coarser key
+    overflows under rel, whose last cut is no later; a max_iterations
+    stop comes before any walk. A max_pairs stop can end a closure inside
+    an expansion whose later components were never checked, where rel's
+    walk might merge them and overflow, so such a closure does not
+    qualify; nor does one stopped inside the initial split, which has no
+    pairs to check. Every side is at most max_word_length letters, so
+    the states packed for that cap are exact.
+    """
+    key = rel.cut_key
+    packed = rel.packed_states(budgets.max_word_length)
+    for other, closure in computed.items():
+        if (not closure.vertices or closure.which == "max_pairs"
+                or _echelon((*key, *other)) != key):
+            continue
+        if all(sum(map(packed.__getitem__, p.top))
+               == sum(map(packed.__getitem__, p.bottom))
+               for p in closure.vertices):
+            return closure
+    return None
 
 
 def _densities(rel, prefix, levels):

@@ -3,14 +3,19 @@
 `Relation.cut_key` is the reduced row-echelon basis of the span of the
 relation's state columns: two relations with equal keys have equal state
 equality on every pair of words, so `run_bpa` gives them equal closures,
-and `analyze` computes one closure per (prefix, cut key). Checked here:
-equal keys give equal closures in every field, on the fixtures and on
-random substitutions, under plain, letters, general[ones], general[lambda]
-and custom length vectors; an analysis that shares closures reports what
-one that runs `run_bpa` for every cell reports; and a key built from the
-rank alone, which shares closures between relations that cut differently,
-fails that differential. The walk steers by each letter's walk length, so
-those are checked too: positive ints in the span of the state columns, so
+and `analyze` computes one closure per (prefix, cut key). A relation whose
+key holds a coarser key cuts at a subset of the coarser cuts, so a closure
+under the coarser key whose every pair balances under the finer relation
+is the finer relation's closure too, and `analyze` reads it
+(`verdict.coarser_closure`). Checked here: equal keys give equal closures
+in every field, on the fixtures and on random substitutions, under plain,
+letters, general[ones], general[lambda] and custom length vectors; an
+analysis that shares closures reports what one that runs `run_bpa` for
+every cell reports; a key built from the rank alone, which shares closures
+between relations that cut differently, fails that differential, and so do
+coarser closures served without the balance check, without the
+containment check, or after a max_pairs stop. The walk steers by each
+letter's walk length, so those are checked too: positive ints in the span of the state columns, so
 that equal states mean equal walk lengths, and a positive multiple of the
 lengths when those are rational; walk lengths read at too coarse a point
 of lambda's bracket fail the check.
@@ -32,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balpair import equivalence
-from balpair.engine import run_bpa
+from balpair.engine import Budgets, run_bpa
 from balpair.equivalence import LengthSpec, Relation, RelationSpec
 from balpair.errors import BalpairError
 from balpair.numberfield import FieldScalar
@@ -41,7 +46,11 @@ from balpair.substitution import auto_prefixes, parse_substitution
 from balpair.verdict import AnalysisConfig, analyze
 
 from conftest import CORPUS_NAMES, count_calls, load_corpus, load_expect
-from test_split import BATCH_BUDGETS, _mutant, primitive_substitutions
+from test_split import (BATCH_BUDGETS, CLOSURE_FIELDS, _mutant,
+                        primitive_substitutions)
+
+# the package re-exports verdict(), which hides the module attribute
+verdict_module = importlib.import_module("balpair.verdict")
 
 FIELDS = ("vertices", "edges", "discovered", "growth_trace", "iterations_done",
           "which", "letters_walked")
@@ -187,6 +196,21 @@ def test_equal_cut_keys_give_equal_closures():
     assert tally["shared"] and tally["apart"], tally
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(primitive_substitutions(), st.data())
+def test_the_lambda_key_lies_inside_every_key(subst, data):
+    # the lambda key spans the rational A-invariant space of lambda's
+    # minimal polynomial, which a positive length vector's part in it
+    # generates; plain's key is everything, and letters' holds ones'
+    custom = data.draw(st.lists(st.builds(Fraction, st.integers(1, 9),
+                                          st.integers(1, 9)),
+                                min_size=subst.size, max_size=subst.size))
+    pf = RelationSpec.general(LengthSpec.pf()).build(subst).cut_key
+    for rel in _relations(subst, [custom, *eigen_lengths(subst)]):
+        assert equivalence._echelon((*rel.cut_key, *pf)) == rel.cut_key, \
+            rel.spec
+
+
 def test_cut_key_is_the_reduced_echelon_basis():
     # rows over Q: (2, 4, 0), (1, 2, 1) and (3, 6, 1) span the rows
     # (1, 2, 0) and (0, 0, 1); a zero row adds nothing
@@ -207,18 +231,21 @@ def _result(subst, config):
 
 def _unshared_result(subst, config):
     """The result part of an analysis that runs run_bpa for every cell and
-    every PF rerun: no two relations, or two reads of one, share a key."""
+    every PF rerun: no two relations, or two reads of one, share a key, and
+    no closure is read under a finer key."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Relation, "cut_key", property(lambda self: object()))
+        patch.setattr(verdict_module, "coarser_closure", lambda *args: None)
         return _result(subst, config)
 
 
-def _config(specs):
-    return AnalysisConfig(relations=specs, budgets=BATCH_BUDGETS)
+def _config(specs, **options):
+    return AnalysisConfig(**{"relations": specs, "budgets": BATCH_BUDGETS,
+                             **options})
 
 
-def _assert_sharing_keeps_the_report(subst, specs):
-    config = _config(specs)
+def _assert_sharing_keeps_the_report(subst, specs, **options):
+    config = _config(specs, **options)
     assert _result(subst, config) == _unshared_result(subst, config)
 
 
@@ -254,20 +281,90 @@ def test_each_closure_runs_once_per_prefix_and_key(name, monkeypatch):
     ran = [(w, rel.cut_key) for rel, w, _budgets in calls]
     assert len(ran) == len(set(ran))
     # cells with one prefix and key read one closure, which the cell they
-    # name computed, itself or an earlier one of the same prefix
+    # name computed, itself or an earlier one of the same prefix; a cell
+    # whose key never ran reads a coarser key's closure, which is the one
+    # run_bpa finds under the cell's own relation
     closures = {}
     for i, cell in enumerate(report.cells):
         if cell.outcome is None:
             assert cell.closure_cell is None
             continue
-        key = (cell.prefix, cell.spec.build(subst).cut_key)
-        assert key in ran
+        rel = cell.spec.build(subst)
+        key = (cell.prefix, rel.cut_key)
+        if key not in ran:
+            fresh = run_bpa(rel, cell.prefix, BATCH_BUDGETS)
+            assert all(getattr(cell.outcome, field) == getattr(fresh, field)
+                       for field in CLOSURE_FIELDS), (i, cell.spec)
         assert closures.setdefault(key, cell.outcome) is cell.outcome
         assert cell.closure_cell <= i
         assert report.cells[cell.closure_cell].prefix == cell.prefix
     assert len(closures) < len(report.cells)
     assert report_document(report)["metrics"]["cell_closure"] == [
         cell.closure_cell for cell in report.cells]
+
+
+def test_a_coarser_closure_is_read_only_where_its_pairs_balance():
+    # mt-rewrite's lambda and ones closures agree at prefix 1234, and
+    # differ at 1234124 (29 pairs against 17): the ones cell reads the
+    # lambda closure at the first, names the lambda cell as its closure's
+    # and shares its outcome document, and runs its own at the second
+    subst = load_corpus("mt-rewrite")
+    report = analyze(subst, _config(AnalysisConfig().relations))
+    doc = report_document(report)
+    at = {(subst.alphabet.render(cell.prefix), cell.spec.length.kind): i
+          for i, cell in enumerate(report.cells)}
+    pf, ones = at["1234", "lambda"], at["1234", "ones"]
+    assert report.cells[ones].outcome is report.cells[pf].outcome
+    assert doc["metrics"]["cell_closure"][ones] == pf
+    assert doc["cells"][ones]["outcome"] is doc["cells"][pf]["outcome"]
+    pf, ones = at["1234124", "lambda"], at["1234124", "ones"]
+    assert len(report.cells[pf].outcome.vertices) == 29
+    assert len(report.cells[ones].outcome.vertices) == 17
+    assert doc["metrics"]["cell_closure"][ones] == ones
+
+
+# 1 -> 2, 2 -> 21121 at prefix 211: the lambda closure stops on max_pairs
+# inside an expansion whose first kids balance under ones, and the ones
+# walk of that expansion merges the later ones and overflows
+MAX_PAIRS_CASE = ("1 -> 2\n2 -> 21121", [(1, 0, 0)],
+                  Budgets(max_iterations=10, max_pairs=6, max_word_length=10))
+
+# mutants of coarser_closure, each with the case that catches it: at
+# mt-rewrite's prefix 1234124 the lambda closure has pairs that ones does
+# not balance, and the ones closure, run first, is not the lambda closure
+# though every pair of it balances under lambda, whose key does not hold
+# the ones key
+SERVE_MUTANTS = {
+    "served without the balance check": (
+        "if all(", "if True or all(", "default"),
+    "served without the containment check": (
+        "or _echelon((*key, *other)) != key", "or False", "ones first"),
+    "served after a max_pairs stop": (
+        'or closure.which == "max_pairs"', "", "max_pairs"),
+}
+
+
+def _serve_case(case):
+    pf, ones = (RelationSpec.general(LengthSpec.pf()),
+                RelationSpec.general(LengthSpec.ones()))
+    if case == "max_pairs":
+        rules, prefixes, budgets = MAX_PAIRS_CASE
+        return parse_substitution(rules), [pf, ones], {
+            "prefixes": prefixes, "budgets": budgets}
+    specs = [pf, ones] if case == "default" else [ones, pf]
+    return load_corpus("mt-rewrite"), specs, {}
+
+
+@pytest.mark.parametrize("mutant", SERVE_MUTANTS)
+def test_a_wrongly_served_closure_fails_the_differential(mutant):
+    old, new, case = SERVE_MUTANTS[mutant]
+    subst, specs, options = _serve_case(case)
+    _assert_sharing_keeps_the_report(subst, specs, **options)
+    wrong = _mutant(verdict_module, "coarser_closure", old, new)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verdict_module, "coarser_closure", wrong)
+        with pytest.raises(AssertionError):
+            _assert_sharing_keeps_the_report(subst, specs, **options)
 
 
 # -- a mutant key: the rank alone ----------------------------------------------
@@ -302,6 +399,9 @@ def test_a_rank_only_cut_key_fails_the_differential():
         "return len(basis)")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equivalence, "_echelon", wrong)
+        # a rank spans nothing that another key could lie inside: only
+        # equal keys share
+        patch.setattr(verdict_module, "coarser_closure", lambda *args: None)
         for subst, specs in cases:
             with pytest.raises(AssertionError):
                 _assert_sharing_keeps_the_report(subst, specs)
